@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import __version__, sweeps, validation
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParams
 from .sweeps import FIGURE_IDS, Range, SweepConfig
 
 __all__ = ["main"]
@@ -121,7 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="single-rate model rate (default: adiabatic rate)")
     p.add_argument("--n-fock", dest="n_fock", type=int,
                    help="Fock truncation (default 5)")
-    p.add_argument("--dt", type=float, help="integrator step override")
+    p.add_argument("--dt", type=float,
+                   help="accepted for old configs; the exact propagator "
+                        "has no step, so it changes nothing")
     p.add_argument("--n-traj", dest="n_traj", type=int,
                    help="number of jump trajectories")
     p.add_argument("--grid", help="start:stop:count[:log] time grid")
@@ -211,6 +213,9 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except InvalidParams as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
 
 

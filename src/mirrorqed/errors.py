@@ -53,4 +53,4 @@ class TruncationLeak(MirrorQEDError):
 
 
 class StepTooLarge(InvalidParams):
-    """Integrator step violates the stability bound dt * max(rates) < 0.1."""
+    """Recording spacing too coarse: dt * max(rates) must stay below 0.1."""

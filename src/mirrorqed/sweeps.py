@@ -282,11 +282,15 @@ def config_from_items(items: dict) -> SweepConfig:
 
 
 def _fmt(value) -> str:
-    """Cell text: repr for floats keeps full precision and round-trips."""
+    """Cell text: repr for floats keeps full precision and round-trips.
+
+    float() first, so numpy scalars (np.float64 subclasses float) print
+    as plain numbers, not as their numpy repr.
+    """
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -456,7 +460,7 @@ def _run_lindblad(cfg: SweepConfig, path: str) -> int:
               "pop_jump_stderr", "method", "status"]
     try:
         disc = dyn.model_discrepancy(params, gamma_cav, grid,
-                                     n_fock=cfg.n_fock, dt_target=cfg.dt)
+                                     n_fock=cfg.n_fock)
         ens = dyn.unravel_jumps(gamma_cav, np.diag([0.0, 1.0]), n_traj,
                                 cfg.seed, grid)
     except _CELL_ERRORS as exc:

@@ -41,6 +41,14 @@ class TestExitCodes:
         rc = cli.main(["subwavelength", "--r", "0:0.5:5", "--grid", "0:1:5"])
         assert rc == 2
 
+    def test_invalid_lindblad_params_are_usage_error(self, tmp_path, capsys):
+        rc = cli.main(["lindblad", "--kappa", "0", "--out",
+                       str(tmp_path / "l.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters: ")
+        assert err.count("\n") == 1
+
     def test_partial_failure_exits_three(self, tmp_path, capsys):
         out = str(tmp_path / "hard.csv")
         rc = cli.main([
@@ -86,6 +94,17 @@ class TestSweepCommands:
         assert min(k0ds) >= 60.0
         ratios = [float(r[2]) for r in rows]
         assert all(abs(v - 1.0) < 0.05 for v in ratios)
+
+    def test_series_cells_are_plain_numbers(self, tmp_path):
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["optical", "--method", "series", "--r", "0.8",
+                         "--out", out]) == 0
+        _, _, rows = read_csv(out)
+        assert rows
+        for row in rows:
+            for cell in row[:-2]:
+                if cell:
+                    float(cell)
 
     def test_lindblad_quick(self, tmp_path):
         out = str(tmp_path / "l.csv")

@@ -240,6 +240,17 @@ class TestQuantumJumps:
         assert large.stderr[mid] < small.stderr[mid]
         assert large.stderr[mid] == pytest.approx(0.5 * small.stderr[mid], rel=0.35)
 
+    def test_chunked_statistics_match_one_pass(self, monkeypatch):
+        t = np.linspace(0.0, 2.0, 9)
+        rho0 = np.array([[0.3, 0.1], [0.1, 0.7]])
+        whole = dynamics.unravel_jumps(1.0, rho0, 100, 3, t)
+        monkeypatch.setattr(dynamics, "_JUMP_CHUNK", 7)
+        chunked = dynamics.unravel_jumps(1.0, rho0, 100, 3, t)
+        np.testing.assert_array_equal(chunked.jump_times, whole.jump_times)
+        np.testing.assert_allclose(chunked.excited_population,
+                                   whole.excited_population, rtol=1e-13)
+        np.testing.assert_allclose(chunked.stderr, whole.stderr, rtol=1e-12)
+
 
 class TestModelDiscrepancy:
     def test_weak_coupling_close_to_adjusted_rate(self):
@@ -266,10 +277,41 @@ class TestModelDiscrepancy:
         res = dynamics.model_discrepancy(p, gamma_cav=1.5, t_grid=t)
         np.testing.assert_allclose(res.difference, res.pop_jc - res.pop_single)
 
+    def test_non_uniform_grid_matches_oracle(self):
+        from . import oracles
+
+        p = dynamics.ModelParams(g=1.0, kappa=0.1, gamma=1.0)
+        t = np.array([0.0, 0.05, 0.3, 0.31, 1.0, 1.7, 2.9, 3.0])
+        res = dynamics.model_discrepancy(p, gamma_cav=1.0, t_grid=t)
+        _, ref = oracles.solve_jc_reference(1.0, 0.1, 1.0, 5, t)
+        np.testing.assert_allclose(res.pop_jc, ref, rtol=0, atol=1e-8)
+
     def test_grid_must_increase_from_zero(self):
         p = params_weak()
         with pytest.raises(errors.InvalidParams):
             dynamics.model_discrepancy(p, 1.0, np.array([0.5, 0.2, 1.0]))
+
+
+class TestExpm:
+    """The Pade propagator against scipy's expm on the model Liouvillian."""
+
+    @pytest.mark.parametrize("g, kappa, gamma, dt", [
+        (1.0, 100.0, 1.0, 0.2),     # weak coupling, C = 0.01
+        (10.0, 10.0, 1.0, 0.2),     # strong coupling, C = 10
+        (2.25, 10.0, 1.0, 0.2),     # exceptional point g = (kappa - gamma)/4
+        (1.0, 100.0, 1.0, 3.0),     # large norm: needs squaring
+    ])
+    def test_matches_scipy(self, g, kappa, gamma, dt):
+        from scipy.linalg import expm
+
+        lv = dynamics._liouvillian(dynamics.ModelParams(g, kappa, gamma), 5)
+        got = dynamics._expm(lv * dt)
+        ref = expm(lv * dt)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_zero_is_identity(self):
+        got = dynamics._expm(np.zeros((6, 6), complex))
+        assert np.max(np.abs(got - np.eye(6))) <= 1e-15
 
 
 class TestFitDecayRate:

@@ -115,6 +115,11 @@ class TestSweepConfig:
             sweeps.config_from_items({"r": 0.5})
 
 
+def test_fmt_writes_numpy_scalars_as_plain_numbers():
+    assert sweeps._fmt(np.float64(0.1)) == "0.1"
+    assert sweeps._fmt(0.1) == "0.1"
+
+
 class TestRateSweeps:
     def test_mirror_single_row(self, tmp_path):
         out = str(tmp_path / "m.csv")
