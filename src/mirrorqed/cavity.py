@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, kernels
-from .errors import DegenerateMirror, InvalidParams, TailTooLarge
+from .errors import (DegenerateMirror, InvalidParams, NonConvergence,
+                     TailTooLarge)
 from .geometry import DipoleOrientation
 from .kernels import F_TAYLOR_CROSSOVER, f_envelope, f_kernel, interference_kernel
 from .results import RateResult
@@ -68,6 +69,10 @@ class CavitySpec:
     k0d: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.r_mir) and math.isfinite(self.k0d)):
+            raise InvalidParams(
+                f"r_mir and k0d must be finite, got {self.r_mir!r}, "
+                f"{self.k0d!r}")
         if abs(self.r_mir) >= 1.0:
             raise DegenerateMirror(
                 f"|r_mir| must be < 1 for quadrature/series routes, got {self.r_mir!r}")
@@ -140,7 +145,9 @@ def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
     ------
     NonConvergence
         If the node budget runs out (expected for very high finesse
-        together with large k0d); reported, never masked.
+        together with large k0d); reported, never masked. When the kernel
+        peaks alone need more panels than max_evals can pay for, this is
+        raised before any breakpoint is built or integrand evaluated.
     """
     r, k0d = spec.r_mir, spec.k0d
     if dhat is None:
@@ -154,6 +161,14 @@ def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
     if r != 0.0:
         # kernel peaks sit at xi = j*pi/k0d, j even for r > 0, odd for r < 0
         halfwidth = (1.0 - r * r) / (2.0 * abs(r) * k0d)
+        # the peaks inside (-1, 1) put at least k0d/pi - 3 panel edges
+        # there, each panel costing EVALS_PER_PANEL on the first level
+        min_evals = (k0d / math.pi - 3.0) * geometry.EVALS_PER_PANEL
+        if min_evals > max_evals:
+            raise NonConvergence(
+                f"cavity quadrature: {k0d / math.pi:.3g} kernel peaks need "
+                f"more than {min_evals:.3g} evaluations on the first level, "
+                f"over the budget of {max_evals}", n_evals=0)
         j = 0 if r > 0.0 else 1
         while j * math.pi / k0d < 1.0 + 16.0 * halfwidth:
             center = j * math.pi / k0d

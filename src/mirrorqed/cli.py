@@ -35,6 +35,10 @@ _TARGET_DEFAULTS = {
     "lindblad": {"t": Range(0.0, 3.0, 31)},
 }
 
+_SEPARATION_AXES = {"k0d", "d_over_lambda0"}
+_AXIS_FLAGS = {"r": "--r", "k0d": "--k0d",
+               "d_over_lambda0": "--d-over-lambda"}
+
 _VALIDATE_SEED = 20260819
 
 
@@ -172,8 +176,19 @@ def _collect_config(args: argparse.Namespace, target: str) -> SweepConfig:
         flag_items[axis] = Range.parse(grid)
     items.update(flag_items)
 
+    # a separation the user names replaces the target's default one; a
+    # default that is a range has no single value to fall back on when
+    # the user sweeps another axis
+    named = set(items) & _SEPARATION_AXES
+    swept = [k for k in _AXIS_FLAGS if isinstance(items.get(k), Range)]
     for key, value in _TARGET_DEFAULTS.get(target, {}).items():
-        items.setdefault(key, value)
+        if key in items or (key in _SEPARATION_AXES and named):
+            continue
+        if key in _AXIS_FLAGS and isinstance(value, Range) and swept:
+            raise ConfigError(
+                f"{target} sweeps {key} by default; to sweep {swept[0]} "
+                f"instead, give a single value with {_AXIS_FLAGS[key]}")
+        items[key] = value
     return sweeps.config_from_items(items)
 
 

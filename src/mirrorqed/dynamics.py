@@ -47,7 +47,6 @@ _LEAK_TOL = 1e-8
 _STABILITY_CAP = 0.1
 _SPAN_RTOL = 1e-13
 _HERM_BLOCK = 1024
-_JUMP_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -365,6 +364,8 @@ class TrajectoryEnsemble:
     excited_population is the trajectory mean; stderr the standard error
     from the per-trajectory sample variance (ddof=1). jump_times holds
     one entry per trajectory, +inf when that trajectory never jumped.
+    Trajectory i was drawn from draws 2i and 2i+1 of the PCG64(seed)
+    stream (see unravel_jumps), so any block of it can be regenerated.
     """
 
     n_traj: int
@@ -391,12 +392,20 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
     and collapses to the ground state at a jump time drawn exactly by
     inverting that norm decay; no time-step discretization enters.
 
-    Trajectory i uses its own generator seeded with (seed, i) and draws
-    exactly two uniforms (initial-state selection, jump clock), so the
-    draws and jump times are bit-reproducible for any execution order or
-    parallelism. Trajectories are processed in chunks whose mean and sum
-    of squared deviations are merged (Chan et al.), so memory stays
-    bounded by the chunk size, not n_traj.
+    Random numbers: trajectory i takes draws 2i (initial-state
+    selection) and 2i + 1 (jump clock) of the single stream
+    np.random.PCG64(seed), as Generator.random((n_traj, 2)) lays them
+    out. The draws of trajectories lo..hi-1 are therefore reproducible
+    on their own, in any order or on any worker: advance a fresh
+    PCG64(seed) by 2 * lo and draw random((hi - lo, 2)).
+
+    Statistics: before its jump a trajectory's population depends only
+    on which eigenstate of rho_atom0 it started in, and after it is 0,
+    so at each time the ensemble holds at most one value per eigenstate
+    plus 0. Mean and sum of squared deviations follow exactly from the
+    per-eigenstate counts of jump times beyond t (one sort and one
+    searchsorted per eigenstate), with no trajectory-by-time matrix.
+    Transient memory is a small constant times jump_times.
     """
     if not gamma_cav >= 0.0:
         raise InvalidParams(f"gamma_cav must be >= 0, got {gamma_cav!r}")
@@ -413,34 +422,32 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
     cdf = np.cumsum(probs / probs.sum())
     pe_pure = np.abs(evecs[1, :]) ** 2
 
-    surv = np.exp(-gamma_cav * times)
+    draws = np.random.Generator(np.random.PCG64(seed)).random((n_traj, 2))
+    which = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"),
+                       cdf.size - 1)
+    pe0 = pe_pure[which]
+    pg0 = 1.0 - pe0
+    u = draws[:, 1]
     jump_times = np.full(n_traj, np.inf)
-    mean = np.zeros(times.size)
-    m2 = np.zeros(times.size)
-    for lo in range(0, n_traj, _JUMP_CHUNK):
-        hi = min(lo + _JUMP_CHUNK, n_traj)
-        draws = np.array([np.random.default_rng([seed, i]).random(2)
-                          for i in range(lo, hi)])
-        which = np.searchsorted(cdf, draws[:, 0], side="right")
-        pe0 = pe_pure[np.minimum(which, cdf.size - 1)]
-        pg0 = 1.0 - pe0
+    if gamma_cav > 0.0:
+        jumps = u > pg0
+        jump_times[jumps] = (-np.log((u[jumps] - pg0[jumps]) / pe0[jumps])
+                             / gamma_cav)
 
-        u = draws[:, 1]
-        jt = jump_times[lo:hi]
-        if gamma_cav > 0.0:
-            jumps = u > pg0
-            jt[jumps] = (-np.log((u[jumps] - pg0[jumps]) / pe0[jumps])
-                         / gamma_cav)
-
-        norm_sq = pg0[:, None] + pe0[:, None] * surv[None, :]
-        pop = np.where(times[None, :] < jt[:, None],
-                       pe0[:, None] * surv[None, :] / norm_sq, 0.0)
-        n_b = hi - lo
-        mean_b = pop.mean(axis=0)
-        m2_b = ((pop - mean_b) ** 2).sum(axis=0)
-        delta = mean_b - mean
-        mean = mean + delta * (n_b / hi)
-        m2 = m2 + m2_b + delta ** 2 * (lo * n_b / hi)
+    # counts[k, j]: trajectories started in eigenstate k, unjumped at
+    # times[j]; values[k, j]: the population each of them holds there
+    counts = np.empty((pe_pure.size, times.size))
+    for k in range(pe_pure.size):
+        jt = np.sort(jump_times[which == k])
+        counts[k] = jt.size - np.searchsorted(jt, times, side="right")
+    surv = np.exp(-gamma_cav * times)
+    norm_sq = (1.0 - pe_pure)[:, None] + pe_pure[:, None] * surv
+    # the pure excited state keeps population 1 where surv underflows to 0
+    values = np.divide(pe_pure[:, None] * surv, norm_sq,
+                       out=np.ones_like(norm_sq), where=norm_sq > 0.0)
+    mean = (counts * values).sum(axis=0) / n_traj
+    m2 = ((n_traj - counts.sum(axis=0)) * mean ** 2
+          + (counts * (values - mean) ** 2).sum(axis=0))
     if n_traj > 1:
         stderr = np.sqrt(m2 / (n_traj - 1)) / math.sqrt(n_traj)
     else:

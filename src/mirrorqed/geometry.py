@@ -47,6 +47,7 @@ __all__ = [
     "transverse_weight_sum",
     "oscillation_nodes",
     "solid_angle_integrate",
+    "EVALS_PER_PANEL",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -212,6 +213,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _MAX_LEVELS = 16
 _PHI_CAP = 256
+_N_PHI_FIRST = 16
+#: Integrand evaluations one xi panel costs on the first level.
+EVALS_PER_PANEL = _GL_NODES.size * _N_PHI_FIRST
 #: Roundoff floor on the reported error estimate, relative to max(1, |I|).
 _ERR_FLOOR = 4e-16
 
@@ -249,7 +253,11 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
         Points in (-1, 1) that panel edges should land on, e.g. locations
         and graded neighborhoods of sharp kernel peaks.
     max_evals : int
-        Budget of integrand evaluations across all levels.
+        Budget of integrand evaluations across all levels. A first level
+        larger than the budget is refused before it is allocated; a
+        refinement level starts only while the evaluations already made
+        are below the budget. A refinement level is at most four times
+        the one before, so no level exceeds 4 * max_evals evaluations.
 
     Returns
     -------
@@ -263,7 +271,8 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
         If resolution < 8 or tol <= 0.
     NonConvergence
         If the budget is exhausted before two levels agree; the exception
-        carries the best value and its estimated error.
+        carries the best value and its estimated error (value None when
+        the first level alone is over the budget).
     """
     if resolution < 8:
         raise InvalidParams(f"resolution must be >= 8, got {resolution}")
@@ -281,11 +290,16 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
             keep = np.concatenate([[True], np.diff(edges) > 1e-12])
             edges = edges[keep]
 
-    n_phi = 16
+    n_phi = _N_PHI_FIRST
     prev = None
     value = None
     err = math.inf
     evals = 0
+    n_first = EVALS_PER_PANEL * (edges.size - 1)
+    if n_first > max_evals:
+        raise NonConvergence(
+            f"solid-angle quadrature: the first level needs {n_first} "
+            f"evaluations, over the budget of {max_evals}", n_evals=0)
     for _ in range(_MAX_LEVELS):
         xi, w = _panel_points(edges)
         theta = np.arccos(np.clip(xi, -1.0, 1.0))

@@ -67,8 +67,8 @@ class MirrorSpec:
 def _check_mirror_args(re_r: float, k0d: float):
     if not -1.0 <= re_r <= 1.0:
         raise InvalidParams(f"re_r must lie in [-1, 1], got {re_r!r}")
-    if not k0d >= 0.0:
-        raise InvalidParams(f"k0d must be >= 0, got {k0d!r}")
+    if not 0.0 <= k0d < math.inf:
+        raise InvalidParams(f"k0d must be finite and >= 0, got {k0d!r}")
 
 
 def gamma_mirror_closed(re_r: float, k0d: float) -> RateResult:

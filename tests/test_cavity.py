@@ -6,6 +6,7 @@ expectations from a direct truncated double bounce sum with pinned depth.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from mirrorqed import (
     gamma_cavity_series,
     gamma_subwavelength_2nd,
     gamma_subwavelength_limit,
+    geometry,
 )
 
 # (r_mir, k0d, ratio) from the mpmath quadrature oracle.
@@ -82,6 +84,12 @@ class TestCavitySpec:
         with pytest.raises(errors.InvalidParams):
             CavitySpec(r_mir=0.5, k0d=k0d)
 
+    @pytest.mark.parametrize("r,k0d", [(math.nan, 1.0), (0.5, math.nan),
+                                       (0.5, math.inf), (math.inf, 1.0)])
+    def test_non_finite_rejected(self, r, k0d):
+        with pytest.raises(errors.InvalidParams):
+            CavitySpec(r_mir=r, k0d=k0d)
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("r,k0d,expected", QUAD_ORACLE)
@@ -100,6 +108,18 @@ class TestQuadrature:
             r = float(rng.uniform(-0.95, 0.95))
             k0d = float(rng.uniform(0.05, 30.0))
             assert gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d)).ratio > 0.0
+
+    @pytest.mark.parametrize("r", [0.5, -0.8])
+    @pytest.mark.parametrize("k0d", [math.inf, math.nan, 1e6])
+    def test_hopeless_inputs_fail_fast(self, r, k0d, monkeypatch):
+        def never(*args):
+            raise AssertionError("integrand evaluated")
+
+        monkeypatch.setattr(geometry, "transverse_weight_sum", never)
+        start = time.perf_counter()
+        with pytest.raises(errors.MirrorQEDError):
+            gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d))
+        assert time.perf_counter() - start < 1.0
 
     def test_nonconvergence_budget(self):
         with pytest.raises(errors.NonConvergence):

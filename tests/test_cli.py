@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, config plumbing, output files."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 
 from mirrorqed import cli
 
-from .test_sweeps import CAVITY_HEADER, LINDBLAD_HEADER, read_csv
+from .test_sweeps import (CAVITY_HEADER, LINDBLAD_HEADER, MIRROR_HEADER,
+                          read_csv)
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +51,22 @@ class TestExitCodes:
         assert err.startswith("invalid parameters: ")
         assert err.count("\n") == 1
 
+    def test_sweeping_another_axis_asks_for_default_value(self, capsys):
+        rc = cli.main(["subwavelength", "--k0d", "0.01:0.1:3"])
+        assert rc == 2
+        assert "--r" in capsys.readouterr().err
+
+    def test_budget_refused_before_allocation_exits_three(self, tmp_path,
+                                                          capsys):
+        out = str(tmp_path / "big.csv")
+        rc = cli.main(["cavity", "--method", "quadrature", "--k0d", "1e6",
+                       "--out", out])
+        assert rc == 3
+        _, header, rows = read_csv(out)
+        assert len(rows) == 1
+        row = dict(zip(header.split(","), rows[0]))
+        assert row["status"] == "NonConvergence"
+
     def test_partial_failure_exits_three(self, tmp_path, capsys):
         out = str(tmp_path / "hard.csv")
         rc = cli.main([
@@ -69,6 +87,28 @@ class TestSweepCommands:
         assert header == CAVITY_HEADER
         assert len(rows) == 1
         assert float(rows[0][2]) == pytest.approx(18.999316039608285, rel=1e-9)
+
+    def test_mirror_named_k0d_replaces_default_axis(self, tmp_path):
+        out = str(tmp_path / "m.csv")
+        assert cli.main(["mirror", "--k0d", "1", "--out", out]) == 0
+        _, header, rows = read_csv(out)
+        assert header == MIRROR_HEADER
+        assert len(rows) == 1
+        row = dict(zip(header.split(","), rows[0]))
+        assert float(row["k0d"]) == 1.0
+        assert float(row["re_r"]) == -1.0
+        assert row["status"] == "ok"
+
+    def test_cavity_named_d_over_lambda_replaces_default_axis(self, tmp_path):
+        out = str(tmp_path / "c.csv")
+        assert cli.main(["cavity", "--d-over-lambda", "0.1", "--out",
+                         out]) == 0
+        _, header, rows = read_csv(out)
+        assert len(rows) == 1
+        row = dict(zip(header.split(","), rows[0]))
+        assert float(row["k0d"]) == pytest.approx(0.2 * math.pi, rel=1e-15)
+        assert float(row["r_mir"]) == 0.5
+        assert row["status"] == "ok"
 
     def test_mirror_default_output_location(self, outdir, capsys):
         rc = cli.main(["mirror", "--quick"])

@@ -1,6 +1,7 @@
 """Atom-cavity master equation, single-rate model, and quantum-jump unraveling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,16 +241,69 @@ class TestQuantumJumps:
         assert large.stderr[mid] < small.stderr[mid]
         assert large.stderr[mid] == pytest.approx(0.5 * small.stderr[mid], rel=0.35)
 
-    def test_chunked_statistics_match_one_pass(self, monkeypatch):
-        t = np.linspace(0.0, 2.0, 9)
+    @pytest.mark.parametrize("rho0", [
+        np.diag([0.0, 1.0]),
+        np.diag([0.35, 0.65]),
+        np.array([[0.3, 0.1], [0.1, 0.7]]),
+    ], ids=["pure", "mixed", "coherent"])
+    def test_matches_brute_force_population_matrix(self, rho0):
+        # reference: every trajectory's population at every time, built
+        # from the documented stream layout (draws 2i and 2i + 1)
+        gamma, n, seed = 1.3, 3000, 11
+        t = np.linspace(0.0, 4.0, 41)
+        draws = np.random.Generator(np.random.PCG64(seed)).random((n, 2))
+        evals, evecs = np.linalg.eigh(rho0)
+        cdf = np.cumsum(np.clip(evals, 0.0, None) / evals.sum())
+        state = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"), 1)
+        pe = np.abs(evecs[1, state]) ** 2
+        pg = 1.0 - pe
+        jt = np.full(n, np.inf)
+        jumps = draws[:, 1] > pg
+        jt[jumps] = -np.log((draws[jumps, 1] - pg[jumps]) / pe[jumps]) / gamma
+        surv = np.exp(-gamma * t)
+        pop = np.where(t[None, :] < jt[:, None],
+                       pe[:, None] * surv / (pg[:, None] + pe[:, None] * surv),
+                       0.0)
+
+        ens = dynamics.unravel_jumps(gamma, rho0, n, seed, t)
+        np.testing.assert_array_equal(ens.jump_times, jt)
+        np.testing.assert_allclose(ens.excited_population, pop.mean(axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(ens.stderr,
+                                   pop.std(axis=0, ddof=1) / math.sqrt(n),
+                                   rtol=1e-12)
+
+    def test_block_regenerates_from_advanced_stream(self):
+        seed, n, lo, hi = 17, 400, 150, 260
+        whole = np.random.Generator(np.random.PCG64(seed)).random((n, 2))
+        bitgen = np.random.PCG64(seed)
+        bitgen.advance(2 * lo)
+        block = np.random.Generator(bitgen).random((hi - lo, 2))
+        np.testing.assert_array_equal(block, whole[lo:hi])
+        # excited start, unit rate: the jump clock is -log of draw 2i + 1
+        ens = dynamics.unravel_jumps(1.0, np.diag([0.0, 1.0]), n, seed,
+                                     np.linspace(0.0, 1.0, 3))
+        np.testing.assert_array_equal(ens.jump_times[lo:hi],
+                                      -np.log(block[:, 1]))
+
+    def test_smaller_ensemble_is_a_prefix(self):
+        t = np.linspace(0.0, 2.0, 5)
         rho0 = np.array([[0.3, 0.1], [0.1, 0.7]])
-        whole = dynamics.unravel_jumps(1.0, rho0, 100, 3, t)
-        monkeypatch.setattr(dynamics, "_JUMP_CHUNK", 7)
-        chunked = dynamics.unravel_jumps(1.0, rho0, 100, 3, t)
-        np.testing.assert_array_equal(chunked.jump_times, whole.jump_times)
-        np.testing.assert_allclose(chunked.excited_population,
-                                   whole.excited_population, rtol=1e-13)
-        np.testing.assert_allclose(chunked.stderr, whole.stderr, rtol=1e-12)
+        small = dynamics.unravel_jumps(1.0, rho0, 50, 8, t)
+        big = dynamics.unravel_jumps(1.0, rho0, 200, 8, t)
+        np.testing.assert_array_equal(small.jump_times, big.jump_times[:50])
+
+    @pytest.mark.parametrize("rho0", [
+        np.diag([0.0, 1.0]),
+        np.array([[0.3, 0.1], [0.1, 0.7]]),
+    ], ids=["pure", "coherent"])
+    def test_long_grid_is_finite_without_warnings(self, rho0):
+        t = np.linspace(0.0, 800.0, 81)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ens = dynamics.unravel_jumps(1.0, rho0, 500, 4, t)
+        assert np.all(np.isfinite(ens.excited_population))
+        assert np.all(np.isfinite(ens.stderr))
 
 
 class TestModelDiscrepancy:

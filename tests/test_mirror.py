@@ -1,6 +1,7 @@
 """Single-mirror decay ratio: closed form vs frozen oracle values and quadrature."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ class TestQuadratureRoute:
                 closed = gamma_mirror_closed(re_r, k0d)
                 gap = abs(quad.ratio - closed.ratio)
                 assert gap <= quad.err_estimate + closed.err_estimate
+
+    @pytest.mark.parametrize("re_r", [-1.0, 0.5])
+    @pytest.mark.parametrize("k0d", [math.inf, math.nan, 1e6])
+    def test_hopeless_inputs_fail_fast(self, re_r, k0d, monkeypatch):
+        from mirrorqed import geometry
+
+        def never(*args):
+            raise AssertionError("integrand evaluated")
+
+        monkeypatch.setattr(geometry, "transverse_weight_sum", never)
+        start = time.perf_counter()
+        with pytest.raises(errors.MirrorQEDError):
+            gamma_mirror_quadrature(re_r, k0d)
+        assert time.perf_counter() - start < 1.0
 
     def test_dipole_orientation_does_not_change_inplane_result(self):
         # any orientation in the mirror plane (x = 0) gives the same ratio
