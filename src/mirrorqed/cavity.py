@@ -25,7 +25,7 @@ from . import geometry, kernels
 from .errors import (DegenerateMirror, InvalidParams, NonConvergence,
                      TailTooLarge)
 from .geometry import DipoleOrientation
-from .kernels import F_TAYLOR_CROSSOVER, f_envelope, f_kernel, interference_kernel
+from .kernels import f_kernel, interference_kernel
 from .results import RateResult
 
 __all__ = [
@@ -39,11 +39,6 @@ __all__ = [
     "gamma_subwavelength_2nd",
     "default_n_max",
 ]
-
-#: Largest |m| * k0d kept in the series; beyond it the kernel envelope
-#: 1/y + 1/y^2 + 1/y^3 is below ~1e-3 and the dropped mass is accounted
-#: for in the error estimate.
-M_PHASE_CLAMP = 1000.0
 
 #: Soft validity edge of the second-order subwavelength expansion.
 SUBWAVELENGTH_SOFT_MAX = 0.3
@@ -199,9 +194,8 @@ def gamma_cavity_series(spec: CavitySpec,
 
     evaluated by collapsing the n sum in closed form per m (an exact
     regrouping of the same truncated sum, O(n_max) instead of
-    O(n_max^2)). The reported err_estimate adds the truncation tail
-    bound and the envelope mass of any m dropped by the phase clamp
-    |m| * k0d <= M_PHASE_CLAMP.
+    O(n_max^2)). The reported err_estimate is the truncation tail bound
+    plus a 1e-14 rounding floor.
 
     Raises
     ------
@@ -221,13 +215,11 @@ def gamma_cavity_series(spec: CavitySpec,
             f"{control.tail_tol:.3g} at n_max={n_max}", bound=tail,
             tol=control.tail_tol)
 
-    m_cap = int(min(n_max, math.floor(M_PHASE_CLAMP / k0d)))
-    m_cap = max(m_cap, 0)
-    m = np.arange(-m_cap, m_cap + 1)
+    m = np.arange(-n_max, n_max + 1)
     am = np.abs(m)
 
-    # f on the shared grid j*k0d, j = 0..2*m_cap+1 (f is even)
-    f_grid = kernels.f_kernel(k0d * np.arange(2 * m_cap + 2))
+    # f on the shared grid j*k0d, j = 0..2*n_max+1 (f is even)
+    f_grid = kernels.f_kernel(k0d * np.arange(2 * n_max + 2))
     f_terms = ((1.0 + r * r) * f_grid[2 * am]
                + r * f_grid[np.abs(2 * m - 1)]
                + r * f_grid[np.abs(2 * m + 1)])
@@ -242,16 +234,7 @@ def gamma_cavity_series(spec: CavitySpec,
         weights = r2 ** am * (1.0 - r4 ** top) / (1.0 - r4)
 
     ratio = 1.5 * t2 * float(np.dot(weights, f_terms))
-
-    err = tail + 1e-14
-    if m_cap < n_max:
-        # envelope mass of the clamped-away |m| > m_cap terms
-        y0 = (2 * m_cap + 1) * k0d
-        ar = abs(r)
-        dropped = (3.0 * t2 * (1.0 + ar) ** 2 * f_envelope(y0)
-                   * ar ** (2 * (m_cap + 1)) / ((1.0 - r4) * (1.0 - r2)))
-        err += dropped
-    return RateResult(ratio=ratio, method="series", err_estimate=err)
+    return RateResult(ratio=ratio, method="series", err_estimate=tail + 1e-14)
 
 
 def _check_limit_r(r_mir: float):

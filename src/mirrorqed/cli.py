@@ -144,8 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="reduced battery, well under 30 s")
     p.add_argument("--inject-fault", dest="inject_fault", type=float,
                    default=0.0, metavar="EPS",
-                   help="perturb the interference kernel by EPS to "
-                        "demonstrate oracle sensitivity")
+                   help="add EPS to the f kernel to demonstrate "
+                        "oracle sensitivity")
     p.add_argument("--seed", type=int, default=_VALIDATE_SEED,
                    help="seed for the stochastic checks")
     return parser

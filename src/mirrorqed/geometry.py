@@ -146,7 +146,7 @@ def basis_vectors(direction: Direction) -> PolarizationBasis:
     >>> b.e_h
     array([ 0.,  0., -1.])
     >>> b.e_v
-    array([ 0., -1.,  0.])
+    array([ 0., -1., -0.])
     """
     th, ph = direction.theta, direction.phi
     st, ct = math.sin(th), math.cos(th)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -53,9 +52,6 @@ _METHODS_BY_TARGET = {
     "validate": ("all",),
     "figure": ("all",),
 }
-
-#: k0d above which the second-order subwavelength column is left empty.
-_LIMIT_2ND_EDGE = 0.3
 
 
 @dataclass(frozen=True)
@@ -385,8 +381,8 @@ def _cavity_row(cfg: SweepConfig, axis: str, x: float):
     failed = False
     want_quad = cfg.method in ("quadrature", "all")
     want_series = cfg.method in ("series", "all")
-    want_limit = (cfg.method in ("limit", "all")
-                  and cfg.target != "optical" and k0d <= _LIMIT_2ND_EDGE)
+    want_limit = (cfg.method in ("limit", "all") and cfg.target != "optical"
+                  and k0d <= cavity_mod.SUBWAVELENGTH_SOFT_MAX)
     try:
         if want_quad:
             res = cavity_mod.gamma_cavity_quadrature(
@@ -435,8 +431,7 @@ def _run_rate_sweep(cfg: SweepConfig, path: str) -> int:
     axis, xs = _axis_values(cfg)
     if cfg.quick and xs.size > 25:
         xs = xs[:: max(1, xs.size // 25)]
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        results = list(pool.map(lambda x: row_fn(cfg, axis, float(x)), xs))
+    results = [row_fn(cfg, axis, float(x)) for x in xs]
     rows = [row for row, _ in results]
     n_failed = sum(failed for _, failed in results)
     _write_csv(path, cfg, header, rows)

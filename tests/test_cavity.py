@@ -2,7 +2,8 @@
 
 Quadrature expectations are frozen from the 30-digit mpmath oracle
 (tanh-sinh in cos theta of the resummed round-trip kernel); series
-expectations from a direct truncated double bounce sum with pinned depth.
+expectations from a direct truncated double bounce sum with pinned depth,
+and at high finesse from the same mpmath oracle.
 """
 
 import math
@@ -55,6 +56,16 @@ SERIES_ORACLE = [
     (0.5, 1.0, 40, 1.9084091045673994),
     (-0.8, 0.3, 60, 0.11210819972278241),
     (0.9, 2.0, 80, 1.1940938105570382),
+]
+
+# (r_mir, k0d, ratio) from the mpmath oracle: high-finesse and optical
+# cells, where every bounce order up to the default n_max is summed.
+SERIES_MP_ORACLE = [
+    (0.98, 100.0, 0.9622169781926998),
+    (0.99, 30.0, 0.9141615530024767),
+    (-0.98, 50.0, 1.0069290856224613),
+    (0.995, 5.0, 0.4732401194360571),
+    (0.9, 200.0, 0.9857630226666944),
 ]
 
 # (r_mir, k0d, ratio) closed-arithmetic second-order subwavelength values.
@@ -143,6 +154,13 @@ class TestSeries:
             quad = gamma_cavity_quadrature(spec)
             gap = abs(ser.ratio - quad.ratio)
             assert gap <= max(ser.err_estimate + quad.err_estimate, 1e-12)
+
+    @pytest.mark.parametrize("r,k0d,expected", SERIES_MP_ORACLE)
+    def test_high_finesse_matches_mpmath(self, r, k0d, expected):
+        control = SeriesControl()
+        res = gamma_cavity_series(CavitySpec(r_mir=r, k0d=k0d), control)
+        assert res.ratio == pytest.approx(expected, abs=1e-12)
+        assert res.err_estimate <= control.tail_tol + 1e-14
 
     def test_r_zero_is_exactly_one(self):
         assert gamma_cavity_series(CavitySpec(r_mir=0.0, k0d=2.0)).ratio == 1.0

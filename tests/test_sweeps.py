@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -204,6 +205,20 @@ class TestRateSweeps:
         assert row["ratio_quadrature"] == "nan"
         err = capsys.readouterr().err
         assert "failed" in err
+
+    def test_cavity_sweep_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("a rate sweep must not start threads")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = str(tmp_path / "serial.csv")
+        cfg = sweeps.SweepConfig(target="cavity", r=0.5,
+                                 k0d=sweeps.Range(0.05, 0.45, 5), out=out)
+        assert sweeps.run_sweep(cfg) == 0
+        _, header, rows = read_csv(out)
+        assert header == CAVITY_HEADER
+        assert len(rows) == 5
+        assert all(row[-2] == "ok" for row in rows)
 
     def test_output_path_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sweeps.OUTDIR_ENV, str(tmp_path))
