@@ -27,7 +27,7 @@ from .geometry import (DipoleOrientation, Direction, PolarizationBasis,
                        transverse_weight_sum)
 from .kernels import f_envelope, f_kernel, interference_kernel
 from .mirror import MirrorSpec, gamma_mirror_closed, gamma_mirror_quadrature
-from .results import METHODS, RateResult
+from .results import METHODS, RateGrid, RateResult
 from .sweeps import (FIGURE_IDS, Range, SweepConfig, dump_config,
                      parse_config_file, reproduce_figure, run_sweep)
 from .validation import ValidationReport, run_validation
@@ -48,7 +48,7 @@ __all__ = [
     "dipole_weight", "solid_angle_integrate", "transverse_weight_sum",
     "f_envelope", "f_kernel", "interference_kernel",
     "MirrorSpec", "gamma_mirror_closed", "gamma_mirror_quadrature",
-    "METHODS", "RateResult",
+    "METHODS", "RateGrid", "RateResult",
     "FIGURE_IDS", "Range", "SweepConfig", "dump_config",
     "parse_config_file", "reproduce_figure", "run_sweep",
     "ValidationReport", "run_validation",

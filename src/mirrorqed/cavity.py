@@ -26,7 +26,7 @@ from .errors import (DegenerateMirror, InvalidParams, NonConvergence,
                      TailTooLarge)
 from .geometry import DipoleOrientation
 from .kernels import f_kernel, interference_kernel
-from .results import RateResult
+from .results import Cells, RateResult
 
 __all__ = [
     "CavitySpec",
@@ -47,6 +47,21 @@ _N_MAX_FLOOR = 8
 _N_MAX_CAP = 100_000
 
 
+def _check_cavity(cells: Cells, r_mir, k0d) -> None:
+    """Flag the cells outside the cavity domain (originals for messages)."""
+    r, k = cells.values
+    cells.check(~(np.isfinite(r) & np.isfinite(k)), InvalidParams,
+                lambda: InvalidParams(
+                    f"r_mir and k0d must be finite, got {r_mir!r}, "
+                    f"{k0d!r}"))
+    cells.check(np.abs(r) >= 1.0, DegenerateMirror,
+                lambda: DegenerateMirror(
+                    f"|r_mir| must be < 1 for quadrature/series routes, "
+                    f"got {r_mir!r}"))
+    cells.check(~(k > 0.0), InvalidParams,
+                lambda: InvalidParams(f"k0d must be positive, got {k0d!r}"))
+
+
 @dataclass(frozen=True)
 class CavitySpec:
     """Symmetric lossless cavity: real mirror rate and scaled separation.
@@ -64,15 +79,7 @@ class CavitySpec:
     k0d: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r_mir) and math.isfinite(self.k0d)):
-            raise InvalidParams(
-                f"r_mir and k0d must be finite, got {self.r_mir!r}, "
-                f"{self.k0d!r}")
-        if abs(self.r_mir) >= 1.0:
-            raise DegenerateMirror(
-                f"|r_mir| must be < 1 for quadrature/series routes, got {self.r_mir!r}")
-        if not self.k0d > 0.0:
-            raise InvalidParams(f"k0d must be positive, got {self.k0d!r}")
+        _check_cavity(Cells(self.r_mir, self.k0d), self.r_mir, self.k0d)
 
     @property
     def t_mir_sq(self) -> float:
@@ -94,6 +101,9 @@ class SeriesControl:
     def __post_init__(self):
         if self.n_max is not None and self.n_max < 0:
             raise InvalidParams(f"n_max must be >= 0, got {self.n_max!r}")
+        if self.n_max is not None and self.n_max > _N_MAX_CAP:
+            raise InvalidParams(
+                f"n_max must be <= {_N_MAX_CAP}, got {self.n_max!r}")
         if not self.tail_tol > 0.0:
             raise InvalidParams(f"tail_tol must be positive, got {self.tail_tol!r}")
 
@@ -182,8 +192,7 @@ def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
                       err_estimate=coeff * err_int)
 
 
-def gamma_cavity_series(spec: CavitySpec,
-                        control: SeriesControl | None = None) -> RateResult:
+def gamma_cavity_series(spec, control: SeriesControl | None = None):
     """Decay ratio from the truncated double reflection sum.
 
     Sums bounce orders n = 0..n_max and relative orders m = -n_max..n:
@@ -197,52 +206,90 @@ def gamma_cavity_series(spec: CavitySpec,
     O(n_max^2)). The reported err_estimate is the truncation tail bound
     plus a 1e-14 rounding floor.
 
+    ``spec`` is a CavitySpec for one cell, giving a RateResult, or an
+    ``(r_mir, k0d)`` pair of arrays for a grid, giving a RateGrid whose
+    cells are validated as CavitySpec validates one. Cells that share
+    r_mir share n_max and are summed together as one (cells x m) array.
+
     Raises
     ------
     TailTooLarge
-        If the tail bound at the chosen n_max exceeds control.tail_tol.
+        If the tail bound at the chosen n_max exceeds control.tail_tol
+        (on a grid: that cell's status).
     """
     if control is None:
         control = SeriesControl()
-    r, k0d = spec.r_mir, spec.k0d
-    t2 = spec.t_mir_sq
-    n_max = (control.n_max if control.n_max is not None
-             else default_n_max(r, control.tail_tol))
-    tail = _series_tail_bound(r, n_max)
-    if tail > control.tail_tol:
-        raise TailTooLarge(
-            f"series tail bound {tail:.3g} exceeds tail_tol "
-            f"{control.tail_tol:.3g} at n_max={n_max}", bound=tail,
-            tol=control.tail_tol)
+    r_mir, k0d = ((spec.r_mir, spec.k0d) if isinstance(spec, CavitySpec)
+                  else spec)
+    cells = Cells(r_mir, k0d)
+    _check_cavity(cells, r_mir, k0d)
+    live = np.flatnonzero(cells.ok)
+    r = cells.values[0][live]
+    r_u, inverse = np.unique(r, return_inverse=True)
+    n_u = [control.n_max if control.n_max is not None
+           else default_n_max(x, control.tail_tol) for x in r_u.tolist()]
+    tail_u = [_series_tail_bound(x, n) for x, n in zip(r_u.tolist(), n_u)]
+    tail = np.zeros(cells.status.size)
+    n_max = np.zeros(cells.status.size, dtype=int)
+    tail[live] = np.asarray(tail_u)[inverse]
+    n_max[live] = np.asarray(n_u, dtype=int)[inverse]
+    cells.check(tail > control.tail_tol, TailTooLarge,
+                lambda: TailTooLarge(
+                    f"series tail bound {tail[0]:.3g} exceeds tail_tol "
+                    f"{control.tail_tol:.3g} at n_max={n_max[0]}",
+                    bound=float(tail[0]), tol=control.tail_tol))
 
+    ok = cells.ok
+    r, k, orders = cells.values[0][ok], cells.values[1][ok], n_max[ok]
+    sums = np.empty(r.size)
+    for n in np.unique(orders).tolist():
+        rows = orders == n
+        sums[rows] = _series_sums(r[rows], k[rows], n)
+    ratio = 1.5 * (1.0 - r ** 2) * sums
+    return cells.result("series", ratio, tail[ok] + 1e-14)
+
+
+#: Elements per block of a series grid: a long k0d sweep at high r_mir
+#: is summed a few rows at a time, so its temporaries stay near 0.5 MB.
+_SERIES_BLOCK = 1 << 16
+
+
+def _series_sums(r, k0d, n_max: int):
+    """The regrouped double sum without its (3/2) t^2 prefactor, per row.
+
+    Rows (r, k0d) share n_max; they are summed on (rows x m) blocks of
+    about _SERIES_BLOCK elements.
+    """
     m = np.arange(-n_max, n_max + 1)
     am = np.abs(m)
-
-    # f on the shared grid j*k0d, j = 0..2*n_max+1 (f is even)
-    f_grid = kernels.f_kernel(k0d * np.arange(2 * n_max + 2))
-    f_terms = ((1.0 + r * r) * f_grid[2 * am]
-               + r * f_grid[np.abs(2 * m - 1)]
-               + r * f_grid[np.abs(2 * m + 1)])
-
+    j = np.arange(2 * n_max + 2)
     # closed n sum at fixed m: sum_{n=max(m,0)}^{n_max} r^(4n-2m)
-    r2 = r * r
-    r4 = r2 * r2
-    if r == 0.0:
-        weights = (m == 0).astype(float)
-    else:
-        top = np.where(m > 0, n_max - m + 1, n_max + 1)
+    top = np.where(m > 0, n_max - m + 1, n_max + 1)
+    out = np.empty(r.size)
+    step = max(1, _SERIES_BLOCK // m.size)
+    for lo in range(0, r.size, step):
+        rb, kb = r[lo:lo + step, None], k0d[lo:lo + step, None]
+        # f on the shared grid j*k0d, j = 0..2*n_max+1 (f is even)
+        f_grid = kernels.f_kernel(kb * j)
+        f_terms = ((1.0 + rb * rb) * f_grid[:, 2 * am]
+                   + rb * f_grid[:, np.abs(2 * m - 1)]
+                   + rb * f_grid[:, np.abs(2 * m + 1)])
+        r2 = rb * rb
+        r4 = r2 * r2
         weights = r2 ** am * (1.0 - r4 ** top) / (1.0 - r4)
+        # a pairwise sum per row, which unlike a BLAS dot does not
+        # depend on where the row sits in memory: a cell sums alike
+        # alone and inside a block
+        out[lo:lo + step] = (weights * f_terms).sum(axis=1)
+    return out
 
-    ratio = 1.5 * t2 * float(np.dot(weights, f_terms))
-    return RateResult(ratio=ratio, method="series", err_estimate=tail + 1e-14)
 
-
-def _check_limit_r(r_mir: float):
-    if r_mir == -1.0:
-        return
-    if abs(r_mir) >= 1.0:
-        raise DegenerateMirror(
-            f"subwavelength limits require -1 <= r_mir < 1, got {r_mir!r}")
+def _check_limit_r(cells: Cells, r_mir) -> None:
+    r = cells.values[0]
+    cells.check((np.abs(r) >= 1.0) & (r != -1.0), DegenerateMirror,
+                lambda: DegenerateMirror(
+                    f"subwavelength limits require -1 <= r_mir < 1, "
+                    f"got {r_mir!r}"))
 
 
 def gamma_subwavelength_limit(r_mir: float) -> RateResult:
@@ -252,12 +299,12 @@ def gamma_subwavelength_limit(r_mir: float) -> RateResult:
     reflecting phase-flipping mirrors), where the ratio is exactly 0;
     r_mir = +1 diverges and raises DegenerateMirror.
     """
-    _check_limit_r(r_mir)
+    _check_limit_r(Cells(r_mir), r_mir)
     ratio = (1.0 + r_mir) / (1.0 - r_mir)
     return RateResult(ratio=ratio, method="limit", err_estimate=0.0)
 
 
-def gamma_subwavelength_2nd(r_mir: float, k0d: float) -> RateResult:
+def gamma_subwavelength_2nd(r_mir, k0d):
     """Subwavelength decay ratio through second order in k0d.
 
     ratio = (1+r)/(1-r) * [1 - (2/5) r k0d^2 / (1-r)^2]. The expansion
@@ -266,17 +313,22 @@ def gamma_subwavelength_2nd(r_mir: float, k0d: float) -> RateResult:
     warning marks k0d beyond that edge. err_estimate is the magnitude of
     the next omitted order, |limit| * ((2/5) r k0d^2/(1-r)^2)^2 -- a
     scale, not a bound.
+
+    Scalars give a RateResult and raise on a bad cell; arrays (broadcast
+    together) give a RateGrid with a status per cell.
     """
-    _check_limit_r(r_mir)
-    if not k0d >= 0.0:
-        raise InvalidParams(f"k0d must be >= 0, got {k0d!r}")
-    if k0d > SUBWAVELENGTH_SOFT_MAX:
+    cells = Cells(r_mir, k0d)
+    _check_limit_r(cells, r_mir)
+    cells.check(~(cells.values[1] >= 0.0), InvalidParams,
+                lambda: InvalidParams(f"k0d must be >= 0, got {k0d!r}"))
+    live = cells.ok
+    r, k = cells.values[0][live], cells.values[1][live]
+    if np.any(k > SUBWAVELENGTH_SOFT_MAX):
         warnings.warn(
-            f"second-order subwavelength form evaluated at k0d={k0d:g} > "
-            f"{SUBWAVELENGTH_SOFT_MAX}; truncation error is uncontrolled",
-            stacklevel=2)
-    limit = (1.0 + r_mir) / (1.0 - r_mir)
-    correction = 0.4 * r_mir * k0d ** 2 / (1.0 - r_mir) ** 2
+            f"second-order subwavelength form evaluated at "
+            f"k0d={np.max(k):g} > {SUBWAVELENGTH_SOFT_MAX}; truncation "
+            f"error is uncontrolled", stacklevel=2)
+    limit = (1.0 + r) / (1.0 - r)
+    correction = 0.4 * r * k ** 2 / (1.0 - r) ** 2
     ratio = limit * (1.0 - correction)
-    return RateResult(ratio=ratio, method="limit",
-                      err_estimate=abs(limit) * correction ** 2)
+    return cells.result("limit", ratio, np.abs(limit) * correction ** 2)

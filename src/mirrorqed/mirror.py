@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry, kernels
 from .errors import InvalidParams
 from .geometry import DipoleOrientation
-from .results import RateResult
+from .results import Cells, RateResult
 
 __all__ = ["MirrorSpec", "gamma_mirror_closed", "gamma_mirror_quadrature"]
 
@@ -29,18 +29,17 @@ __all__ = ["MirrorSpec", "gamma_mirror_closed", "gamma_mirror_quadrature"]
 _RATIO_ERR_FLOOR = 4e-16
 
 
-def _closed_form_err(re_r: float, x: float) -> float:
-    """Roundoff bound on 1 + 1.5 * re_r * f(x).
+def _closed_form_err(re_r, x):
+    """Roundoff bound on 1 + 1.5 * re_r * f(x), elementwise.
 
     The direct branch of f sums terms of size up to 1/x^2 and 1/x^3 that
     nearly cancel, so its absolute error scales with the envelope of the
     term magnitudes, not with |f|.
     """
-    if abs(x) < kernels.F_TAYLOR_CROSSOVER:
-        f_err = 4e-16
-    else:
-        f_err = 2.5e-16 * float(kernels.f_envelope(x))
-    return 1.5 * abs(re_r) * f_err + _RATIO_ERR_FLOOR
+    f_err = np.full(x.shape, 4e-16)
+    direct = np.abs(x) >= kernels.F_TAYLOR_CROSSOVER
+    f_err[direct] = 2.5e-16 * kernels.f_envelope(x[direct])
+    return 1.5 * np.abs(re_r) * f_err + _RATIO_ERR_FLOOR
 
 
 @dataclass(frozen=True)
@@ -64,25 +63,35 @@ class MirrorSpec:
         object.__setattr__(self, "t", t)
 
 
-def _check_mirror_args(re_r: float, k0d: float):
-    if not -1.0 <= re_r <= 1.0:
-        raise InvalidParams(f"re_r must lie in [-1, 1], got {re_r!r}")
-    if not 0.0 <= k0d < math.inf:
-        raise InvalidParams(f"k0d must be finite and >= 0, got {k0d!r}")
+def _check_mirror_args(cells: Cells, re_r, k0d) -> None:
+    """Flag the cells outside the mirror domain (originals for messages)."""
+    r, k = cells.values
+    cells.check(~((-1.0 <= r) & (r <= 1.0)), InvalidParams,
+                lambda: InvalidParams(
+                    f"re_r must lie in [-1, 1], got {re_r!r}"))
+    cells.check(~((0.0 <= k) & (k < math.inf)), InvalidParams,
+                lambda: InvalidParams(
+                    f"k0d must be finite and >= 0, got {k0d!r}"))
 
 
-def gamma_mirror_closed(re_r: float, k0d: float) -> RateResult:
+def gamma_mirror_closed(re_r, k0d):
     """Closed-form decay ratio 1 + (3 re_r / 2) * f(2 k0d).
 
     At k0d = 0 the kernel limit f(0) = 2/3 gives exactly 1 + re_r: a
     perfectly reflecting phase-flipping mirror (re_r = -1) suppresses the
     decay to zero at contact, a phase-preserving one (re_r = +1) doubles
     it. For k0d -> infinity the ratio returns to 1.
+
+    Scalars give a RateResult and raise InvalidParams outside the domain.
+    Arrays (broadcast together) give a RateGrid, computed in one pass,
+    with a status per cell instead of an exception.
     """
-    _check_mirror_args(re_r, k0d)
-    ratio = 1.0 + 1.5 * re_r * kernels.f_kernel(2.0 * k0d)
-    return RateResult(ratio=float(ratio), method="closed_form",
-                      err_estimate=_closed_form_err(re_r, 2.0 * k0d))
+    cells = Cells(re_r, k0d)
+    _check_mirror_args(cells, re_r, k0d)
+    live = cells.ok
+    r, x = cells.values[0][live], 2.0 * cells.values[1][live]
+    ratio = 1.0 + 1.5 * r * kernels.f_kernel(x)
+    return cells.result("closed_form", ratio, _closed_form_err(r, x))
 
 
 def gamma_mirror_quadrature(re_r: float, k0d: float, tol: float = 1e-9,
@@ -99,7 +108,7 @@ def gamma_mirror_quadrature(re_r: float, k0d: float, tol: float = 1e-9,
     NonConvergence
         Propagated from the quadrature engine.
     """
-    _check_mirror_args(re_r, k0d)
+    _check_mirror_args(Cells(re_r, k0d), re_r, k0d)
     if dhat is None:
         dhat = DipoleOrientation()
 

@@ -1,11 +1,13 @@
-"""Common result container for decay-ratio computations."""
+"""Result containers for decay-ratio computations, one cell or a grid."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParams
+import numpy as np
+
+from .errors import InvalidParams, MirrorQEDError
 
 #: Allowed values of RateResult.method.
 METHODS = ("closed_form", "quadrature", "series", "limit")
@@ -39,3 +41,95 @@ class RateResult:
             raise InvalidParams(f"unknown method {self.method!r}")
         if not (self.err_estimate >= 0.0):
             raise InvalidParams(f"negative err_estimate {self.err_estimate!r}")
+
+
+@dataclass(frozen=True)
+class RateGrid:
+    """Decay ratios of one route on a grid of cells.
+
+    The array form of RateResult, returned when a route is called with
+    array arguments. ``status`` holds, per cell, ``"ok"`` or the name of
+    the error class a call on that cell alone would raise; a failed cell
+    reads nan in ``ratio`` and ``err_estimate``.
+    """
+
+    ratio: np.ndarray
+    method: str
+    err_estimate: np.ndarray
+    status: np.ndarray
+
+
+class Cells:
+    """The arguments of a rate route, broadcast to one grid of cells.
+
+    Validation runs check by check, and a cell keeps the first error that
+    flags it. When every argument is a scalar, the grid is one cell and a
+    flagged cell raises its error instead, so a scalar call keeps the
+    typed exceptions of the scalar API.
+    """
+
+    def __init__(self, *args):
+        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                       for a in args))
+        self.shape = arrays[0].shape
+        self.scalar = self.shape == ()
+        #: the arguments as flat float arrays, one entry per cell
+        self.values = [a.ravel() for a in arrays]
+        self.status = np.full(self.values[0].size, "ok", dtype=object)
+        #: mask of the cells no check has flagged
+        self.ok = np.ones(self.values[0].size, dtype=bool)
+
+    def check(self, bad, error: type, make) -> None:
+        """Flag the ok cells where ``bad`` holds with ``error``.
+
+        ``make()`` builds the exception a scalar call raises; it is only
+        called then, so array calls format no messages.
+        """
+        bad = np.logical_and(bad, self.ok)
+        if bad.any():
+            if self.scalar:
+                raise make()
+            self.status[bad] = error.__name__
+            self.ok = self.ok & ~bad
+
+    def result(self, method: str, ratio, err):
+        """The route's answer from the ratio and error of the ok cells.
+
+        A RateResult for a scalar call, else a RateGrid; a non-finite
+        ratio fails its cell as RateResult would.
+        """
+        if self.scalar:
+            return RateResult(ratio=float(ratio[0]), method=method,
+                              err_estimate=float(err[0]))
+        live = self.ok
+        full_ratio = np.full(live.size, math.nan)
+        full_err = np.full(live.size, math.nan)
+        full_ratio[live] = ratio
+        full_err[live] = err
+        bad = ~np.isfinite(full_ratio)
+        self.check(bad, InvalidParams, None)
+        full_ratio[bad] = full_err[bad] = math.nan
+        return RateGrid(ratio=full_ratio.reshape(self.shape), method=method,
+                        err_estimate=full_err.reshape(self.shape),
+                        status=self.status.reshape(self.shape))
+
+
+def per_cell(route, method: str, *columns) -> RateGrid:
+    """Grid form of a route that takes one cell per call (quadrature).
+
+    Calls ``route`` once per cell of the column arrays, as Python floats;
+    a MirrorQEDError it raises becomes that cell's status.
+    """
+    n = len(columns[0])
+    ratio = np.full(n, math.nan)
+    err = np.full(n, math.nan)
+    status = np.full(n, "ok", dtype=object)
+    for i, args in enumerate(zip(*(np.asarray(c).tolist() for c in columns))):
+        try:
+            res = route(*args)
+        except MirrorQEDError as exc:
+            status[i] = type(exc).__name__
+        else:
+            ratio[i], err[i] = res.ratio, res.err_estimate
+    return RateGrid(ratio=ratio, method=method, err_estimate=err,
+                    status=status)

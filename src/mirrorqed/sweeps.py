@@ -20,6 +20,7 @@ from . import dynamics as dyn
 from . import mirror as mirror_mod
 from .errors import (ConfigError, DegenerateMirror, InvalidParams,
                      NonConvergence, TailTooLarge)
+from .results import per_cell
 
 __all__ = [
     "Range",
@@ -144,8 +145,10 @@ class SweepConfig:
             raise ConfigError(f"tail_tol must be positive, got {self.tail_tol!r}")
         if self.max_evals < 10_000:
             raise ConfigError(f"max_evals too small: {self.max_evals!r}")
-        if self.n_max is not None and self.n_max < 0:
-            raise ConfigError(f"n_max must be >= 0, got {self.n_max!r}")
+        if self.n_max is not None and not (
+                0 <= self.n_max <= cavity_mod._N_MAX_CAP):
+            raise ConfigError(f"n_max must lie in [0, "
+                              f"{cavity_mod._N_MAX_CAP}], got {self.n_max!r}")
         if self.n_traj < 1:
             raise ConfigError(f"n_traj must be >= 1, got {self.n_traj!r}")
         if self.seed < 0:
@@ -301,7 +304,7 @@ def _resolve_out(cfg: SweepConfig, default_name: str) -> str:
 
 
 def _write_csv(path: str, cfg: SweepConfig, header: list[str],
-               rows: list[list]) -> None:
+               rows) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     lines = [f"# {line}" for line in dump_config(cfg).splitlines()]
@@ -324,22 +327,24 @@ def _scalar(value, default):
     return default if value is None or isinstance(value, Range) else float(value)
 
 
-def _cell_params(cfg: SweepConfig, axis: str, x: float):
-    """(re_r, k0d, d_over_lambda0) for one grid point."""
-    r = _scalar(cfg.r, -1.0 if cfg.target == "mirror" else 0.5)
-    if axis == "r":
-        r = x
+def _cell_params(cfg: SweepConfig, axis: str, xs: np.ndarray):
+    """(re_r, k0d, d_over_lambda0) columns over the grid points xs."""
+    def column(value):
+        return np.full(xs.shape, value)
+
+    r = xs if axis == "r" else column(
+        _scalar(cfg.r, -1.0 if cfg.target == "mirror" else 0.5))
     if axis == "d_over_lambda0":
-        d = x
+        d = xs
         k0d = 2.0 * math.pi * d
     elif axis == "k0d":
-        k0d = x
+        k0d = xs
         d = k0d / (2.0 * math.pi)
     elif cfg.d_over_lambda0 is not None:
-        d = _scalar(cfg.d_over_lambda0, 1.0)
+        d = column(_scalar(cfg.d_over_lambda0, 1.0))
         k0d = 2.0 * math.pi * d
     else:
-        k0d = _scalar(cfg.k0d, 1.0)
+        k0d = column(_scalar(cfg.k0d, 1.0))
         d = k0d / (2.0 * math.pi)
     return r, k0d, d
 
@@ -347,96 +352,115 @@ def _cell_params(cfg: SweepConfig, axis: str, x: float):
 _CELL_ERRORS = (NonConvergence, TailTooLarge, DegenerateMirror, InvalidParams)
 
 
-def _mirror_row(cfg: SweepConfig, axis: str, x: float):
-    re_r, k0d, d = _cell_params(cfg, axis, x)
-    closed = quad = diff = err = None
-    status = "ok"
-    failed = False
-    try:
-        if cfg.method in ("closed", "all"):
-            res = mirror_mod.gamma_mirror_closed(re_r, k0d)
-            closed, err = res.ratio, res.err_estimate
-        if cfg.method in ("quadrature", "all"):
-            res = mirror_mod.gamma_mirror_quadrature(
-                re_r, k0d, tol=cfg.tol, max_evals=cfg.max_evals)
-            quad = res.ratio
-            err = res.err_estimate if err is None else err + res.err_estimate
-        if closed is not None and quad is not None:
-            diff = abs(closed - quad)
-    except _CELL_ERRORS as exc:
-        status = type(exc).__name__
-        failed = True
-        closed = closed if closed is not None else math.nan
-        quad = quad if quad is not None else math.nan
-        err = math.nan
-    row = [d, k0d, re_r, closed, quad, diff, err, cfg.method, status]
-    return row, failed
+def _run_route(status: np.ndarray, grid, *columns, mask=True):
+    """One route over the cells (where mask holds) whose rows are still ok.
+
+    ``grid`` takes column arrays and returns a RateGrid. Its statuses go
+    into ``status`` in place, so the first route that fails on a row
+    names it. Returns ratio and err_estimate over every row, nan where
+    the route failed or did not run.
+    """
+    todo = (status == "ok") & mask
+    ratio = np.full(status.size, math.nan)
+    err = np.full(status.size, math.nan)
+    if todo.any():
+        res = grid(*(c[todo] for c in columns))
+        ratio[todo], err[todo] = res.ratio, res.err_estimate
+        status[todo] = res.status
+    return ratio, err
 
 
-def _cavity_row(cfg: SweepConfig, axis: str, x: float):
-    r, k0d, _ = _cell_params(cfg, axis, x)
-    quad = series = lim2 = None
-    errs = []
-    status = "ok"
-    failed = False
+def _shown(values: np.ndarray, show) -> list:
+    """CSV cells of a column: its values, empty where show is false."""
+    show = np.broadcast_to(show, values.shape)
+    return [v if s else None for v, s in zip(values.tolist(), show.tolist())]
+
+
+def _mirror_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
+    re_r, k0d, d = _cell_params(cfg, axis, xs)
+    status = np.full(xs.size, "ok", dtype=object)
+    want_closed = cfg.method in ("closed", "all")
     want_quad = cfg.method in ("quadrature", "all")
-    want_series = cfg.method in ("series", "all")
-    want_limit = (cfg.method in ("limit", "all") and cfg.target != "optical"
-                  and k0d <= cavity_mod.SUBWAVELENGTH_SOFT_MAX)
-    try:
-        if want_quad:
-            res = cavity_mod.gamma_cavity_quadrature(
-                cavity_mod.CavitySpec(r_mir=r, k0d=k0d), tol=cfg.tol,
-                max_evals=cfg.max_evals)
-            quad = res.ratio
-            errs.append(res.err_estimate)
-        if want_series:
-            ctl = cavity_mod.SeriesControl(n_max=cfg.n_max,
-                                           tail_tol=cfg.tail_tol)
-            res = cavity_mod.gamma_cavity_series(
-                cavity_mod.CavitySpec(r_mir=r, k0d=k0d), ctl)
-            series = res.ratio
-            errs.append(res.err_estimate)
-        if want_limit:
-            res = cavity_mod.gamma_subwavelength_2nd(r, k0d)
-            lim2 = res.ratio
-            errs.append(res.err_estimate)
-    except _CELL_ERRORS as exc:
-        status = type(exc).__name__
-        failed = True
-        quad = math.nan if want_quad and quad is None else quad
-        series = math.nan if want_series and series is None else series
-        lim2 = math.nan if want_limit and lim2 is None else lim2
-        errs = [math.nan]
-    err = max(errs) if errs else None
-    row = [k0d, r, quad, series, lim2, err, status, cfg.method]
-    return row, failed
+
+    def quadrature(*cols):
+        return per_cell(lambda r, k: mirror_mod.gamma_mirror_quadrature(
+            r, k, tol=cfg.tol, max_evals=cfg.max_evals), "quadrature", *cols)
+
+    closed = quad = np.full(xs.size, math.nan)
+    closed_err = quad_err = np.zeros(xs.size)
+    if want_closed:
+        closed, closed_err = _run_route(
+            status, mirror_mod.gamma_mirror_closed, re_r, k0d)
+    if want_quad:
+        quad, quad_err = _run_route(status, quadrature, re_r, k0d)
+    # a failed row reads nan in both ratio columns, wanted or not
+    failed = status != "ok"
+    both = want_closed and want_quad
+    columns = [d.tolist(), k0d.tolist(), re_r.tolist(),
+               _shown(closed, want_closed | failed),
+               _shown(quad, want_quad | failed),
+               _shown(np.abs(closed - quad), both & ~failed),
+               (closed_err + quad_err).tolist(),
+               [cfg.method] * xs.size, status.tolist()]
+    return columns, int(np.count_nonzero(failed))
 
 
-_RATE_ROWS = {
-    "mirror": (_mirror_row,
+def _cavity_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
+    r, k0d, _ = _cell_params(cfg, axis, xs)
+    status = np.full(xs.size, "ok", dtype=object)
+
+    def quadrature(*cols):
+        return per_cell(lambda r_mir, k: cavity_mod.gamma_cavity_quadrature(
+            cavity_mod.CavitySpec(r_mir=r_mir, k0d=k), tol=cfg.tol,
+            max_evals=cfg.max_evals), "quadrature", *cols)
+
+    def series(*cols):
+        return cavity_mod.gamma_cavity_series(
+            cols, cavity_mod.SeriesControl(n_max=cfg.n_max,
+                                           tail_tol=cfg.tail_tol))
+
+    # each route with the cells it runs on, in the order they run
+    routes = (
+        (quadrature, cfg.method in ("quadrature", "all")),
+        (series, cfg.method in ("series", "all")),
+        (cavity_mod.gamma_subwavelength_2nd,
+         (cfg.method in ("limit", "all") and cfg.target != "optical")
+         & (k0d <= cavity_mod.SUBWAVELENGTH_SOFT_MAX)))
+    columns = [k0d.tolist(), r.tolist()]
+    err = np.full(xs.size, -math.inf)
+    applies = np.zeros(xs.size, dtype=bool)
+    for grid, cells in routes:
+        ratio, route_err = _run_route(status, grid, r, k0d, mask=cells)
+        columns.append(_shown(ratio, cells))
+        err = np.maximum(err, np.where(cells, route_err, -math.inf))
+        applies |= cells
+    columns += [_shown(err, applies), status.tolist(),
+                [cfg.method] * xs.size]
+    return columns, int(np.count_nonzero(status != "ok"))
+
+
+_RATE_COLUMNS = {
+    "mirror": (_mirror_columns,
                ["d_over_lambda0", "k0d", "re_r", "ratio_closed",
                 "ratio_quadrature", "abs_diff", "err_estimate", "method",
                 "status"]),
-    "cavity": (_cavity_row,
+    "cavity": (_cavity_columns,
                ["k0d", "r_mir", "ratio_quadrature", "ratio_series",
                 "ratio_limit_2nd", "err_estimate", "status", "method"]),
 }
-_RATE_ROWS["subwavelength"] = _RATE_ROWS["cavity"]
-_RATE_ROWS["optical"] = _RATE_ROWS["cavity"]
+_RATE_COLUMNS["subwavelength"] = _RATE_COLUMNS["cavity"]
+_RATE_COLUMNS["optical"] = _RATE_COLUMNS["cavity"]
 
 
 def _run_rate_sweep(cfg: SweepConfig, path: str) -> int:
-    row_fn, header = _RATE_ROWS[cfg.target]
+    assemble, header = _RATE_COLUMNS[cfg.target]
     axis, xs = _axis_values(cfg)
     if cfg.quick and xs.size > 25:
         xs = xs[:: max(1, xs.size // 25)]
-    results = [row_fn(cfg, axis, float(x)) for x in xs]
-    rows = [row for row, _ in results]
-    n_failed = sum(failed for _, failed in results)
-    _write_csv(path, cfg, header, rows)
+    columns, n_failed = assemble(cfg, axis, xs)
+    _write_csv(path, cfg, header, zip(*columns))
     if n_failed:
-        print(f"{n_failed} of {len(rows)} cells failed; see status column "
+        print(f"{n_failed} of {xs.size} cells failed; see status column "
               f"in {path}", file=sys.stderr)
         return 3
     return 0
@@ -482,7 +506,7 @@ def run_sweep(cfg: SweepConfig) -> int:
     0 (all cells ok) or 3 (some cells failed; partial file still written).
     """
     cfg.validate()
-    if cfg.target in _RATE_ROWS:
+    if cfg.target in _RATE_COLUMNS:
         return _run_rate_sweep(cfg, output_path(cfg))
     if cfg.target == "lindblad":
         return _run_lindblad(cfg, output_path(cfg))

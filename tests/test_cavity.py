@@ -8,6 +8,7 @@ and at high finesse from the same mpmath oracle.
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from mirrorqed import (
     gamma_cavity_series,
     gamma_subwavelength_2nd,
     gamma_subwavelength_limit,
+    cavity,
     geometry,
 )
 
@@ -172,6 +174,59 @@ class TestSeries:
             )
         assert exc.value.bound > exc.value.tol
 
+    def test_n_max_above_cap_rejected(self):
+        SeriesControl(n_max=cavity._N_MAX_CAP)
+        with pytest.raises(errors.InvalidParams, match="n_max must be <="):
+            SeriesControl(n_max=cavity._N_MAX_CAP + 1)
+
+    def test_grid_matches_single_cells(self):
+        r = np.array([-0.95, -0.5, 0.0, 0.3, 0.8, 0.8, 0.8])
+        k0d = np.array([0.4, 2.0, 1.0, 7.5, 0.05, 3.0, 60.0])
+        grid = gamma_cavity_series((r, k0d))
+        assert grid.method == "series"
+        assert (grid.status == "ok").all()
+        for i, (ri, ki) in enumerate(zip(r.tolist(), k0d.tolist())):
+            cell = gamma_cavity_series(CavitySpec(r_mir=ri, k0d=ki))
+            assert abs(grid.ratio[i] - cell.ratio) <= 1e-13
+            assert grid.err_estimate[i] == cell.err_estimate
+
+    def test_grid_statuses_name_the_single_cell_errors(self):
+        control = SeriesControl(n_max=20, tail_tol=1e-8)
+        r = [0.5, 1.0, math.nan, 0.5, 0.95, -1.0]
+        k0d = [1.0, 1.0, 1.0, 0.0, 1.0, 2.0]
+        grid = gamma_cavity_series((np.array(r), np.array(k0d)), control)
+        for i, (ri, ki) in enumerate(zip(r, k0d)):
+            try:
+                expected = gamma_cavity_series(
+                    CavitySpec(r_mir=ri, k0d=ki), control)
+            except errors.MirrorQEDError as exc:
+                assert grid.status[i] == type(exc).__name__
+                assert math.isnan(grid.ratio[i])
+                assert math.isnan(grid.err_estimate[i])
+            else:
+                assert grid.status[i] == "ok"
+                assert abs(grid.ratio[i] - expected.ratio) <= 1e-13
+        assert grid.status.tolist() == ["ok", "DegenerateMirror",
+                                        "InvalidParams", "InvalidParams",
+                                        "TailTooLarge", "DegenerateMirror"]
+
+    def test_high_finesse_k0d_sweep_runs_in_bounded_memory(self):
+        # n_max = 13,206 at r = 0.999: an unblocked (200 x m) grid holds
+        # about 42 MB per temporary
+        r, k0d = 0.999, np.linspace(0.05, 20.0, 200)
+        assert default_n_max(r, SeriesControl().tail_tol) == 13_206
+        tracemalloc.start()
+        try:
+            grid = gamma_cavity_series((r, k0d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert (grid.status == "ok").all()
+        for i in (0, 37, 99, 150, 199):
+            cell = gamma_cavity_series(CavitySpec(r_mir=r, k0d=float(k0d[i])))
+            assert abs(grid.ratio[i] - cell.ratio) <= 1e-13
+
     def test_default_depth_scales_with_reflectivity(self):
         shallow = default_n_max(0.3, 1e-8)
         deep = default_n_max(0.97, 1e-8)
@@ -215,6 +270,27 @@ class TestSubwavelength:
             approx = gamma_subwavelength_2nd(r, 0.1).ratio
             exact = gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=0.1)).ratio
             assert abs(approx - exact) / exact < 5e-3
+
+    def test_second_order_grid_matches_single_cells_bit_for_bit(self):
+        r = np.linspace(-1.0, 0.99, 200)
+        grid = gamma_subwavelength_2nd(r, 0.07)
+        assert grid.method == "limit"
+        assert (grid.status == "ok").all()
+        for i, ri in enumerate(r.tolist()):
+            cell = gamma_subwavelength_2nd(ri, 0.07)
+            assert grid.ratio[i] == cell.ratio
+            assert grid.err_estimate[i] == cell.err_estimate
+
+    def test_second_order_grid_flags_bad_cells(self):
+        grid = gamma_subwavelength_2nd(np.array([-1.0, 1.0, 0.5, -1.2]),
+                                       np.array([0.1, 0.1, -0.1, 0.1]))
+        assert grid.status.tolist() == ["ok", "DegenerateMirror",
+                                        "InvalidParams", "DegenerateMirror"]
+        assert grid.ratio[0] == 0.0
+        assert np.isnan(grid.ratio[1:]).all()
+        with pytest.raises(errors.DegenerateMirror,
+                           match="got 1.0$"):
+            gamma_subwavelength_2nd(1.0, 0.1)
 
     def test_warns_outside_regime(self):
         with pytest.warns(UserWarning):

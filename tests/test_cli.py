@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -67,6 +68,15 @@ class TestExitCodes:
         row = dict(zip(header.split(","), rows[0]))
         assert row["status"] == "NonConvergence"
 
+    def test_n_max_above_cap_is_usage_error(self, tmp_path, capsys):
+        start = time.perf_counter()
+        rc = cli.main(["cavity", "--method", "series", "--k0d", "1",
+                       "--n-max", "1000000000",
+                       "--out", str(tmp_path / "n.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert "n_max" in capsys.readouterr().err
+
     def test_partial_failure_exits_three(self, tmp_path, capsys):
         out = str(tmp_path / "hard.csv")
         rc = cli.main([
@@ -75,6 +85,68 @@ class TestExitCodes:
         ])
         assert rc == 3
         assert os.path.exists(out)
+
+
+# Data rows written for these commands by the per-row sweep code that the
+# column assemblers replaced; each command exits 3. Failed rows, with
+# their status, nan and empty cells, must come out byte for byte. The one
+# cell allowed to move is ratio_series in an ok row: the frozen values are
+# BLAS dot products, whose rounding depends on memory alignment, while the
+# series grid sums each row pairwise.
+FROZEN_ROWS = {
+    ("mirror", "--method", "closed", "--r=-1.5:0.5:5", "--k0d", "1"): [
+        "0.15915494309189535,1.0,-1.5,nan,nan,,nan,closed,InvalidParams",
+        "0.15915494309189535,1.0,-1.0,0.6445752611157325,,,7.28125e-16,closed,ok",
+        "0.15915494309189535,1.0,-0.5,0.8222876305578662,,,5.640625e-16,closed,ok",
+        "0.15915494309189535,1.0,0.0,1.0,,,4e-16,closed,ok",
+        "0.15915494309189535,1.0,0.5,1.1777123694421339,,,5.640625e-16,closed,ok",
+    ],
+    ("subwavelength", "--method", "limit", "--r", "0.5:1.0:6", "--k0d", "0.01"): [
+        "0.01,0.5,,,2.99976,1.9200000000000003e-08,ok,limit",
+        "0.01,0.6,,,3.9994,8.999999999999999e-08,ok,limit",
+        "0.01,0.7,,,5.664903703703703,5.484773662551437e-07,ok,limit",
+        "0.01,0.8,,,8.9928,5.76000000000001e-06,ok,limit",
+        "0.01,0.9,,,18.931600000000003,0.0002462400000000004,ok,limit",
+        "0.01,1.0,,,nan,nan,DegenerateMirror,limit",
+    ],
+    ("cavity", "--method", "series", "--r", "0.5", "--k0d", "0:1:5"): [
+        "0.0,0.5,,nan,,nan,InvalidParams,series",
+        "0.25,0.5,,2.861458965027396,,5.029151902923583e-09,ok,series",
+        "0.5,0.5,,2.5459039826919274,,5.029151902923583e-09,ok,series",
+        "0.75,0.5,,2.2048759916416265,,5.029151902923583e-09,ok,series",
+        "1.0,0.5,,1.9084091046718004,,5.029151902923583e-09,ok,series",
+    ],
+    ("cavity", "--method", "series", "--r", "0.5:0.9999:4", "--k0d", "1",
+     "--n-max", "50"): [
+        "1.0,0.5,,1.9084091045673999,,1.0000000000000002e-14,ok,series",
+        "1.0,0.6666333333333333,,2.1629286318776813,,1.0009201938053807e-14,ok,series",
+        "1.0,0.8332666666666666,,nan,,nan,TailTooLarge,series",
+        "1.0,0.9999,,nan,,nan,TailTooLarge,series",
+    ],
+    ("cavity", "--method", "all", "--r", "0.999", "--k0d", "250:300:3",
+     "--max-evals", "200000"): [
+        "250.0,0.999,nan,nan,,nan,NonConvergence,all",
+        "275.0,0.999,nan,nan,,nan,NonConvergence,all",
+        "300.0,0.999,nan,nan,,nan,NonConvergence,all",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_ROWS))
+def test_frozen_rows_reproduced(tmp_path, argv, capsys):
+    out = tmp_path / "frozen.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    _, header, rows = read_csv(out)
+    cols = header.split(",")
+    frozen = [line.split(",") for line in FROZEN_ROWS[argv]]
+    assert len(rows) == len(frozen)
+    for row, old in zip(rows, frozen):
+        moved = [c for c, new, was in zip(cols, row, old) if new != was]
+        if moved:
+            assert moved == ["ratio_series"]
+            assert row[cols.index("status")] == "ok"
+            i = cols.index("ratio_series")
+            assert abs(float(row[i]) - float(old[i])) <= 1e-13
 
 
 class TestSweepCommands:
@@ -213,6 +285,19 @@ class TestValidateCommand:
         assert cli.main(["validate", "--quick", "--inject-fault", "1e-3"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_small_injected_fault_trips_exactly_the_kernel_checks(self,
+                                                                  capsys):
+        # the routes look kernels.f_kernel up when called, so a fault
+        # injected there reaches the array routes as well
+        assert cli.main(["validate", "--inject-fault", "1e-6"]) == 1
+        failed = {line.split()[1] for line in
+                  capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")}
+        assert failed == {"fkernel-zero", "fkernel-at-pi",
+                          "fkernel-peak-bound", "mirror-oracle-grid",
+                          "mirror-quad-err-conservative",
+                          "cavity-route-equivalence"}
 
 
 def test_module_entry_point_runs():

@@ -65,10 +65,35 @@ class TestClosedForm:
             assert np.all(ratios <= 2.0 + 1e-15)
 
     def test_domain_errors(self):
-        with pytest.raises(errors.InvalidParams):
+        with pytest.raises(errors.InvalidParams,
+                           match=r"re_r must lie in \[-1, 1\], got 1.5$"):
             gamma_mirror_closed(1.5, 1.0)
-        with pytest.raises(errors.InvalidParams):
+        with pytest.raises(errors.InvalidParams,
+                           match="k0d must be finite and >= 0, got -0.1$"):
             gamma_mirror_closed(0.5, -0.1)
+
+    def test_grid_matches_single_cells_bit_for_bit(self):
+        re_r = np.array([-1.0, -0.3, 0.0, 0.5, 1.0])
+        k0d = np.linspace(0.0, 30.0, 301)
+        grid = gamma_mirror_closed(re_r[:, None], k0d[None, :])
+        assert grid.ratio.shape == grid.status.shape == (5, 301)
+        assert grid.method == "closed_form"
+        assert (grid.status == "ok").all()
+        for i, r in enumerate(re_r.tolist()):
+            for j, k in enumerate(k0d.tolist()):
+                cell = gamma_mirror_closed(r, k)
+                assert grid.ratio[i, j] == cell.ratio
+                assert grid.err_estimate[i, j] == cell.err_estimate
+
+    def test_grid_flags_bad_cells_instead_of_raising(self):
+        grid = gamma_mirror_closed(np.array([1.5, 0.5, 0.5, math.nan, -1.0]),
+                                   np.array([1.0, -0.1, 1.0, 1.0, math.inf]))
+        assert grid.status.tolist() == ["InvalidParams", "InvalidParams", "ok",
+                                        "InvalidParams", "InvalidParams"]
+        bad = grid.status != "ok"
+        assert np.isnan(grid.ratio[bad]).all()
+        assert np.isnan(grid.err_estimate[bad]).all()
+        assert grid.ratio[2] == gamma_mirror_closed(0.5, 1.0).ratio
 
 
 class TestQuadratureRoute:

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from mirrorqed import errors, sweeps
+from mirrorqed import cavity, errors, mirror, sweeps
 
 MIRROR_HEADER = (
     "d_over_lambda0,k0d,re_r,ratio_closed,ratio_quadrature,"
@@ -75,6 +75,7 @@ class TestSweepConfig:
             dict(target="cavity", max_evals=100),
             dict(target="cavity", tol=0.0),
             dict(target="lindblad", n_traj=0),
+            dict(target="cavity", n_max=100_001),
         ],
     )
     def test_validate_rejects(self, kwargs):
@@ -219,6 +220,38 @@ class TestRateSweeps:
         assert header == CAVITY_HEADER
         assert len(rows) == 5
         assert all(row[-2] == "ok" for row in rows)
+
+    def test_one_route_call_per_sweep(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            route = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return route(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((mirror, "gamma_mirror_closed"),
+                             (mirror, "gamma_mirror_quadrature"),
+                             (cavity, "gamma_cavity_series"),
+                             (cavity, "gamma_cavity_quadrature"),
+                             (cavity, "gamma_subwavelength_2nd")):
+            counted(module, name)
+        mirror_cfg = sweeps.SweepConfig(
+            target="mirror", r=-1.0, d_over_lambda0=sweeps.Range(0.0, 2.0, 30),
+            out=str(tmp_path / "m.csv"))
+        cavity_cfg = sweeps.SweepConfig(
+            target="cavity", r=0.5, k0d=sweeps.Range(0.05, 0.45, 12),
+            out=str(tmp_path / "c.csv"))
+        assert sweeps.run_sweep(mirror_cfg) == 0
+        assert sweeps.run_sweep(cavity_cfg) == 0
+        # quadrature cells keep one call each
+        assert calls == {"gamma_mirror_closed": 1,
+                         "gamma_mirror_quadrature": 30,
+                         "gamma_cavity_quadrature": 12,
+                         "gamma_cavity_series": 1,
+                         "gamma_subwavelength_2nd": 1}
 
     def test_output_path_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sweeps.OUTDIR_ENV, str(tmp_path))
