@@ -328,7 +328,10 @@ def gamma_subwavelength_2nd(r_mir, k0d):
             f"second-order subwavelength form evaluated at "
             f"k0d={np.max(k):g} > {SUBWAVELENGTH_SOFT_MAX}; truncation "
             f"error is uncontrolled", stacklevel=2)
-    limit = (1.0 + r) / (1.0 - r)
-    correction = 0.4 * r * k ** 2 / (1.0 - r) ** 2
-    ratio = limit * (1.0 - correction)
-    return cells.result("limit", ratio, np.abs(limit) * correction ** 2)
+    # a huge k0d overflows to a non-finite ratio, which fails its cell
+    with np.errstate(over="ignore", invalid="ignore"):
+        limit = (1.0 + r) / (1.0 - r)
+        correction = 0.4 * r * k ** 2 / (1.0 - r) ** 2
+        ratio = limit * (1.0 - correction)
+        err = np.abs(limit) * correction ** 2
+    return cells.result("limit", ratio, err)

@@ -124,7 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-cav", dest="gamma_cav", type=float,
                    help="single-rate model rate (default: adiabatic rate)")
     p.add_argument("--n-fock", dest="n_fock", type=int,
-                   help="Fock truncation (default 5)")
+                   help="accepted for old configs; the one-excitation "
+                        "form has no truncation, so it changes nothing")
     p.add_argument("--dt", type=float,
                    help="accepted for old configs; the exact propagator "
                         "has no step, so it changes nothing")

@@ -478,8 +478,7 @@ def _run_lindblad(cfg: SweepConfig, path: str) -> int:
     header = ["t", "pop_jc", "pop_single_rate", "pop_jump_mean",
               "pop_jump_stderr", "method", "status"]
     try:
-        disc = dyn.model_discrepancy(params, gamma_cav, grid,
-                                     n_fock=cfg.n_fock)
+        disc = dyn.model_discrepancy(params, gamma_cav, grid)
         ens = dyn.unravel_jumps(gamma_cav, np.diag([0.0, 1.0]), n_traj,
                                 cfg.seed, grid)
     except _CELL_ERRORS as exc:

@@ -292,6 +292,17 @@ class TestSubwavelength:
                            match="got 1.0$"):
             gamma_subwavelength_2nd(1.0, 0.1)
 
+    def test_overflowing_k0d_fails_without_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)
+            with pytest.raises(errors.InvalidParams):
+                gamma_subwavelength_2nd(0.5, 1e200)
+            grid = gamma_subwavelength_2nd(np.array([0.5, 0.5]),
+                                           np.array([0.01, 1e200]))
+        assert grid.status.tolist() == ["ok", "InvalidParams"]
+        assert np.isnan(grid.ratio[1])
+
     def test_warns_outside_regime(self):
         with pytest.warns(UserWarning):
             gamma_subwavelength_2nd(0.5, 0.5)

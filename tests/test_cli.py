@@ -225,6 +225,15 @@ class TestSweepCommands:
         assert header == LINDBLAD_HEADER
         assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_lindblad_n_fock_changes_nothing(self, tmp_path):
+        rows = {}
+        for n_fock in ("1", "5"):
+            out = str(tmp_path / f"l{n_fock}.csv")
+            assert cli.main(["lindblad", "--quick", "--n-fock", n_fock,
+                             "--out", out]) == 0
+            rows[n_fock] = read_csv(out)[2]
+        assert rows["1"] == rows["5"]
+
     def test_figure_command(self, tmp_path):
         outdir = str(tmp_path / "fig")
         assert cli.main(["figure", "subwl_plasmonic_vs_r", "--out", outdir,

@@ -331,13 +331,21 @@ class TestModelDiscrepancy:
         res = dynamics.model_discrepancy(p, gamma_cav=1.5, t_grid=t)
         np.testing.assert_allclose(res.difference, res.pop_jc - res.pop_single)
 
-    def test_non_uniform_grid_matches_oracle(self):
+    @pytest.mark.parametrize("g, kappa, gamma", [
+        (0.05, 10.0, 1.0),
+        (1.0, 20.0, 1.0),
+        (2.25, 10.0, 1.0),    # exceptional point g = (kappa - gamma)/4
+        (5.0, 1.0, 1.0),
+        (1.0, 100.0, 1.0),
+        (0.3, 0.2, 0.1),
+    ])
+    def test_non_uniform_grid_matches_oracle(self, g, kappa, gamma):
         from . import oracles
 
-        p = dynamics.ModelParams(g=1.0, kappa=0.1, gamma=1.0)
+        p = dynamics.ModelParams(g=g, kappa=kappa, gamma=gamma)
         t = np.array([0.0, 0.05, 0.3, 0.31, 1.0, 1.7, 2.9, 3.0])
         res = dynamics.model_discrepancy(p, gamma_cav=1.0, t_grid=t)
-        _, ref = oracles.solve_jc_reference(1.0, 0.1, 1.0, 5, t)
+        _, ref = oracles.solve_jc_reference(g, kappa, gamma, 5, t)
         np.testing.assert_allclose(res.pop_jc, ref, rtol=0, atol=1e-8)
 
     def test_grid_must_increase_from_zero(self):
