@@ -25,13 +25,12 @@ from . import geometry, kernels
 from .errors import (DegenerateMirror, InvalidParams, NonConvergence,
                      TailTooLarge)
 from .geometry import DipoleOrientation
-from .kernels import f_kernel, interference_kernel
+from .kernels import interference_kernel
 from .results import Cells, RateResult
 
 __all__ = [
     "CavitySpec",
     "SeriesControl",
-    "f_kernel",
     "interference_kernel",
     "gamma_cavity_quadrature",
     "gamma_cavity_series",

@@ -18,14 +18,7 @@ from .sweeps import FIGURE_IDS, Range, SweepConfig
 
 __all__ = ["main"]
 
-_DEFAULT_AXIS = {
-    "mirror": "d_over_lambda0",
-    "cavity": "k0d",
-    "subwavelength": "r",
-    "optical": "k0d",
-    "lindblad": "t",
-}
-
+# each target's one Range-valued default is the axis --grid sweeps
 _TARGET_DEFAULTS = {
     "mirror": {"r": -1.0, "d_over_lambda0": Range(0.01, 3.0, 101)},
     "cavity": {"r": 0.5, "k0d": Range(0.01, 20.0, 200)},
@@ -33,6 +26,13 @@ _TARGET_DEFAULTS = {
     "optical": {"r": 0.8, "method": "quadrature",
                 "k0d": Range(20.0 * math.pi, 50.0 * math.pi, 25)},
     "lindblad": {"t": Range(0.0, 3.0, 31)},
+}
+
+_RATE_HELP = {
+    "mirror": "single-mirror decay ratio sweep",
+    "cavity": "two-mirror decay ratio sweep",
+    "subwavelength": "small-separation cavity limits sweep",
+    "optical": "large-separation cavity sweep",
 }
 
 _SEPARATION_AXES = {"k0d", "d_over_lambda0"}
@@ -99,22 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mirror", help="single-mirror decay ratio sweep")
-    _add_rate_flags(p, ("closed", "quadrature", "all"))
-    _add_common(p)
-
-    p = sub.add_parser("cavity", help="two-mirror decay ratio sweep")
-    _add_rate_flags(p, ("quadrature", "series", "limit", "all"))
-    _add_common(p)
-
-    p = sub.add_parser("subwavelength",
-                       help="small-separation cavity limits sweep")
-    _add_rate_flags(p, ("quadrature", "series", "limit", "all"))
-    _add_common(p)
-
-    p = sub.add_parser("optical", help="large-separation cavity sweep")
-    _add_rate_flags(p, ("quadrature", "series", "all"))
-    _add_common(p)
+    for target, help_text in _RATE_HELP.items():
+        p = sub.add_parser(target, help=help_text)
+        _add_rate_flags(p, sweeps._METHODS_BY_TARGET[target])
+        _add_common(p)
 
     p = sub.add_parser("lindblad",
                        help="master-equation and quantum-jump comparison")
@@ -123,12 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, help="free atomic decay rate")
     p.add_argument("--gamma-cav", dest="gamma_cav", type=float,
                    help="single-rate model rate (default: adiabatic rate)")
-    p.add_argument("--n-fock", dest="n_fock", type=int,
-                   help="accepted for old configs; the one-excitation "
-                        "form has no truncation, so it changes nothing")
-    p.add_argument("--dt", type=float,
-                   help="accepted for old configs; the exact propagator "
-                        "has no step, so it changes nothing")
     p.add_argument("--n-traj", dest="n_traj", type=int,
                    help="number of jump trajectories")
     p.add_argument("--grid", help="start:stop:count[:log] time grid")
@@ -170,7 +152,8 @@ def _collect_config(args: argparse.Namespace, target: str) -> SweepConfig:
                   if k in _CONFIG_KEYS and k != "target" and v is not None}
     grid = getattr(args, "grid", None)
     if grid is not None:
-        axis = _DEFAULT_AXIS[target]
+        axis = next(k for k, v in _TARGET_DEFAULTS[target].items()
+                    if isinstance(v, Range))
         if axis in flag_items:
             raise ConfigError(
                 f"--grid already sweeps {axis}; do not also pass --{axis}")
@@ -182,7 +165,7 @@ def _collect_config(args: argparse.Namespace, target: str) -> SweepConfig:
     # the user sweeps another axis
     named = set(items) & _SEPARATION_AXES
     swept = [k for k in _AXIS_FLAGS if isinstance(items.get(k), Range)]
-    for key, value in _TARGET_DEFAULTS.get(target, {}).items():
+    for key, value in _TARGET_DEFAULTS[target].items():
         if key in items or (key in _SEPARATION_AXES and named):
             continue
         if key in _AXIS_FLAGS and isinstance(value, Range) and swept:

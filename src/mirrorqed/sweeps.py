@@ -35,24 +35,23 @@ __all__ = [
     "reproduce_figure",
 ]
 
-TARGETS = ("mirror", "cavity", "subwavelength", "optical", "lindblad",
-           "validate", "figure")
-
 FIGURE_IDS = ("mirror_dielectric", "mirror_plasmonic",
               "subwl_dielectric_vs_r", "subwl_dielectric_vs_d",
               "subwl_plasmonic_vs_r", "subwl_plasmonic_vs_d")
 
 OUTDIR_ENV = "MIRRORQED_OUTDIR"
 
+# the methods each data target accepts; the CLI builds its subcommands
+# from this table
 _METHODS_BY_TARGET = {
     "mirror": ("closed", "quadrature", "all"),
     "cavity": ("quadrature", "series", "limit", "all"),
     "subwavelength": ("quadrature", "series", "limit", "all"),
     "optical": ("quadrature", "series", "all"),
     "lindblad": ("all",),
-    "validate": ("all",),
-    "figure": ("all",),
 }
+
+TARGETS = tuple(_METHODS_BY_TARGET)
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ class SweepConfig:
     """Complete, dumpable description of one CLI run."""
 
     target: str
-    figure: str | None = None
     r: float | Range | None = None
     k0d: float | Range | None = None
     d_over_lambda0: float | Range | None = None
@@ -117,8 +115,6 @@ class SweepConfig:
     kappa: float = 20.0
     gamma: float = 1.0
     gamma_cav: float | None = None
-    n_fock: int = 5
-    dt: float | None = None
     n_traj: int = 1000
     seed: int = 12345
     out: str | None = None
@@ -133,12 +129,6 @@ class SweepConfig:
                 f"method {self.method!r} not available for target "
                 f"{self.target!r}; choose from "
                 f"{_METHODS_BY_TARGET[self.target]}")
-        if self.target == "figure":
-            if self.figure not in FIGURE_IDS:
-                raise ConfigError(
-                    f"figure id {self.figure!r} must be one of {FIGURE_IDS}")
-        elif self.figure is not None:
-            raise ConfigError("figure id is only valid for the figure target")
         if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol!r}")
         if not self.tail_tol > 0.0:
@@ -153,10 +143,6 @@ class SweepConfig:
             raise ConfigError(f"n_traj must be >= 1, got {self.n_traj!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        if self.n_fock < 1:
-            raise ConfigError(f"n_fock must be >= 1, got {self.n_fock!r}")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt!r}")
         if self.kappa < 0.0 or self.gamma < 0.0:
             raise ConfigError("kappa and gamma must be >= 0")
         if self.gamma_cav is not None and self.gamma_cav < 0.0:
@@ -174,17 +160,29 @@ class SweepConfig:
                 raise ConfigError("lindblad time grid must start at t >= 0")
 
 
-_RANGE_FIELDS = {"r", "k0d", "d_over_lambda0"}
-_FLOAT_FIELDS = {"tol", "tail_tol", "g", "kappa", "gamma"}
-_OPT_FLOAT_FIELDS = {"gamma_cav", "dt"}
-_INT_FIELDS = {"max_evals", "n_traj", "seed", "n_fock"}
-_OPT_INT_FIELDS = {"n_max"}
-_BOOL_FIELDS = {"quick"}
-_STR_FIELDS = {"target", "method"}
-_OPT_STR_FIELDS = {"figure", "out"}
+def _float_or_range(raw: str):
+    return Range.parse(raw) if ":" in raw else float(raw)
 
 
-def _dump_value(name: str, value) -> str:
+def _bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw == "true"
+
+
+# how each field's config text is parsed; "none" is read as None exactly
+# for the fields whose default is None
+_PARSERS = {
+    "target": str, "r": _float_or_range, "k0d": _float_or_range,
+    "d_over_lambda0": _float_or_range, "t": Range.parse, "method": str,
+    "tol": float, "max_evals": int, "n_max": int, "tail_tol": float,
+    "g": float, "kappa": float, "gamma": float, "gamma_cav": float,
+    "n_traj": int, "seed": int, "out": str, "quick": _bool,
+}
+_NONE_FIELDS = {f.name for f in fields(SweepConfig) if f.default is None}
+
+
+def _dump_value(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, Range):
@@ -198,52 +196,23 @@ def _dump_value(name: str, value) -> str:
 
 def _parse_value(name: str, raw: str):
     raw = raw.strip()
-    if name in _RANGE_FIELDS or name == "t":
-        if raw == "none":
-            return None
-        if ":" in raw:
-            return Range.parse(raw)
-        if name == "t":
-            raise ConfigError("t must be a range start:stop:count[:log]")
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"bad number for {name}: {raw!r}") from None
-    if name in _FLOAT_FIELDS or name in _OPT_FLOAT_FIELDS:
-        if raw == "none" and name in _OPT_FLOAT_FIELDS:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"bad number for {name}: {raw!r}") from None
-    if name in _INT_FIELDS or name in _OPT_INT_FIELDS:
-        if raw == "none" and name in _OPT_INT_FIELDS:
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"bad integer for {name}: {raw!r}") from None
-    if name in _BOOL_FIELDS:
-        if raw not in ("true", "false"):
-            raise ConfigError(f"{name} must be true or false, got {raw!r}")
-        return raw == "true"
-    if name in _STR_FIELDS or name in _OPT_STR_FIELDS:
-        if raw == "none" and name in _OPT_STR_FIELDS:
-            return None
-        return raw
-    raise ConfigError(f"unknown config key {name!r}")
+    if raw == "none" and name in _NONE_FIELDS:
+        return None
+    try:
+        return _PARSERS[name](raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {name}: {exc}") from None
 
 
 def dump_config(cfg: SweepConfig) -> str:
     """Canonical text form; parse_config_items inverts it exactly."""
-    lines = [f"{f.name} = {_dump_value(f.name, getattr(cfg, f.name))}"
+    lines = [f"{f.name} = {_dump_value(getattr(cfg, f.name))}"
              for f in fields(SweepConfig)]
     return "\n".join(lines)
 
 
 def parse_config_items(text: str) -> dict:
     """Parse key = value lines ('#' starts a comment) into field values."""
-    known = {f.name for f in fields(SweepConfig)}
     items: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -253,7 +222,7 @@ def parse_config_items(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in known:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         items[key] = _parse_value(key, raw)
     return items
@@ -505,11 +474,9 @@ def run_sweep(cfg: SweepConfig) -> int:
     0 (all cells ok) or 3 (some cells failed; partial file still written).
     """
     cfg.validate()
-    if cfg.target in _RATE_COLUMNS:
-        return _run_rate_sweep(cfg, output_path(cfg))
     if cfg.target == "lindblad":
         return _run_lindblad(cfg, output_path(cfg))
-    raise ConfigError(f"run_sweep does not handle target {cfg.target!r}")
+    return _run_rate_sweep(cfg, output_path(cfg))
 
 
 # ---------------------------------------------------------------------------

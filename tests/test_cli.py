@@ -1,13 +1,16 @@
 """Command-line surface: exit codes, config plumbing, output files."""
 
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
 
 import pytest
 
+import mirrorqed
 from mirrorqed import cli
 
 from .test_sweeps import (CAVITY_HEADER, LINDBLAD_HEADER, MIRROR_HEADER,
@@ -225,14 +228,17 @@ class TestSweepCommands:
         assert header == LINDBLAD_HEADER
         assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_lindblad_n_fock_changes_nothing(self, tmp_path):
-        rows = {}
-        for n_fock in ("1", "5"):
-            out = str(tmp_path / f"l{n_fock}.csv")
-            assert cli.main(["lindblad", "--quick", "--n-fock", n_fock,
-                             "--out", out]) == 0
-            rows[n_fock] = read_csv(out)[2]
-        assert rows["1"] == rows["5"]
+    def test_removed_lindblad_knobs_are_usage_errors(self, tmp_path,
+                                                     capsys):
+        out = str(tmp_path / "l.csv")
+        assert cli.main(["lindblad", "--n-fock", "5", "--out", out]) == 2
+        assert cli.main(["lindblad", "--dt", "1e-3", "--out", out]) == 2
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("n_fock = 5\n", encoding="utf-8")
+        assert cli.main(["lindblad", "--config", str(cfg_file),
+                         "--out", out]) == 2
+        assert "unknown config key 'n_fock'" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_figure_command(self, tmp_path):
         outdir = str(tmp_path / "fig")
@@ -246,15 +252,27 @@ class TestSweepCommands:
         assert cli.main(["figure", "not_a_figure"]) == 2
 
 
+_ROUND_TRIP_FLAGS = {
+    "mirror": ["--r", "0.5", "--grid", "0.1:2:20", "--method", "closed"],
+    "cavity": ["--r", "0.8", "--grid", "0.1:10:50:log", "--tol", "1e-10"],
+    "subwavelength": ["--k0d", "0.05", "--grid=-0.5:0.5:11",
+                      "--method", "limit"],
+    "optical": ["--r", "-0.8", "--method", "series", "--n-max", "50"],
+    "lindblad": ["--g", "2", "--grid", "0:1:11", "--n-traj", "50",
+                 "--seed", "3"],
+}
+
+
 class TestConfigPlumbing:
-    def test_dump_config_round_trip(self, tmp_path, capsys):
-        args = ["cavity", "--r", "0.8", "--grid", "0.1:10:50:log",
-                "--tol", "1e-10"]
+    @pytest.mark.parametrize("target", list(_ROUND_TRIP_FLAGS))
+    def test_dump_config_round_trip(self, target, tmp_path, capsys):
+        args = [target, *_ROUND_TRIP_FLAGS[target]]
         assert cli.main(args + ["--dump-config"]) == 0
         dump1 = capsys.readouterr().out
+        assert f"target = {target}\n" in dump1
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(dump1, encoding="utf-8")
-        assert cli.main(["cavity", "--config", str(cfg_file),
+        assert cli.main([target, "--config", str(cfg_file),
                          "--dump-config"]) == 0
         dump2 = capsys.readouterr().out
         assert dump1 == dump2
@@ -307,6 +325,15 @@ class TestValidateCommand:
                           "fkernel-peak-bound", "mirror-oracle-grid",
                           "mirror-quad-err-conservative",
                           "cavity-route-equivalence"}
+
+
+def test_public_names_resolve():
+    modules = [mirrorqed] + [
+        importlib.import_module(f"mirrorqed.{info.name}")
+        for info in pkgutil.iter_modules(mirrorqed.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_module_entry_point_runs():

@@ -1,5 +1,6 @@
 """Sweep configs, CSV emission, determinism, and figure reproduction."""
 
+import dataclasses
 import math
 import os
 import threading
@@ -66,8 +67,8 @@ class TestSweepConfig:
         [
             dict(target="nonsense"),
             dict(target="mirror", method="series"),
-            dict(target="cavity", figure="mirror_dielectric"),
-            dict(target="figure", figure="not_a_figure"),
+            dict(target="validate"),
+            dict(target="figure"),
             dict(target="cavity", k0d=1.0, d_over_lambda0=0.5),
             dict(target="cavity", r=sweeps.Range(0, 0.5, 3), k0d=sweeps.Range(1, 2, 3)),
             dict(target="cavity", t=sweeps.Range(0, 3, 5)),
@@ -89,14 +90,48 @@ class TestSweepConfig:
             sweeps.SweepConfig(target="cavity", r=0.8,
                                k0d=sweeps.Range(0.1, 10.0, 50, "log"), tol=1e-10),
             sweeps.SweepConfig(target="lindblad", t=sweeps.Range(0.0, 3.0, 31),
-                               g=2.0, gamma_cav=1.5, dt=1e-3, n_traj=77),
-            sweeps.SweepConfig(target="figure", figure="mirror_plasmonic",
-                               quick=True),
+                               g=2.0, gamma_cav=1.5, n_traj=77),
         ]
         for cfg in configs:
             text = sweeps.dump_config(cfg)
             again = sweeps.config_from_items(sweeps.parse_config_items(text))
             assert again == cfg
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            sweeps.SweepConfig(
+                target="cavity", r=0.8, k0d=sweeps.Range(0.1, 10.0, 50, "log"),
+                d_over_lambda0=0.25, t=sweeps.Range(0.0, 1.0, 3),
+                method="series", tol=1e-10, max_evals=123_456, n_max=7,
+                tail_tol=1e-6, g=2.0, kappa=3.5, gamma=0.5, gamma_cav=1.5,
+                n_traj=77, seed=0, out="run.csv", quick=True),
+            sweeps.SweepConfig(
+                target="lindblad", r=sweeps.Range(-0.5, 0.5, 3), k0d=0.3,
+                d_over_lambda0=sweeps.Range(0.1, 1.0, 4),
+                t=sweeps.Range(0.01, 3.0, 31, "log"), method="quadrature",
+                tol=0.5, max_evals=10_000, n_max=0, tail_tol=0.25, g=0.0,
+                kappa=0.0, gamma=0.0, gamma_cav=0.0, n_traj=1, seed=2**40,
+                out="none.csv", quick=True),
+        ],
+        ids=["rate", "lindblad"],
+    )
+    def test_every_field_round_trips_through_text(self, cfg):
+        # the text layer alone: these configs need not pass validate()
+        for f in dataclasses.fields(sweeps.SweepConfig):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(cfg, f.name) != f.default, f.name
+        items = sweeps.parse_config_items(sweeps.dump_config(cfg))
+        assert sweeps.SweepConfig(**items) == cfg
+
+    @pytest.mark.parametrize(
+        "line",
+        ["quick = yes", "n_traj = 1.5", "t = 0.5", "tol = none",
+         "n_fock = 5", "dt = 0.001", "figure = none"],
+    )
+    def test_parse_rejects_bad_line(self, line):
+        with pytest.raises(errors.ConfigError):
+            sweeps.parse_config_items(f"target = lindblad\n{line}\n")
 
     def test_parse_skips_comments_and_blanks(self):
         items = sweeps.parse_config_items(
