@@ -22,11 +22,10 @@ from .errors import (ConfigError, DegenerateMirror, InvalidParams,
                      MirrorQEDError, NonConvergence, StepTooLarge,
                      TailTooLarge, TruncationLeak)
 from .freespace import EmitterSpec, gamma_free_quadrature, gamma_free_si
-from .geometry import (DipoleOrientation, Direction, PolarizationBasis,
-                       basis_vectors, dipole_weight, solid_angle_integrate,
+from .geometry import (DipoleOrientation, solid_angle_integrate,
                        transverse_weight_sum)
 from .kernels import f_envelope, f_kernel, interference_kernel
-from .mirror import MirrorSpec, gamma_mirror_closed, gamma_mirror_quadrature
+from .mirror import gamma_mirror_closed, gamma_mirror_quadrature
 from .results import METHODS, RateGrid, RateResult
 from .sweeps import (FIGURE_IDS, Range, SweepConfig, dump_config,
                      parse_config_file, reproduce_figure, run_sweep)
@@ -44,10 +43,9 @@ __all__ = [
     "ConfigError", "DegenerateMirror", "InvalidParams", "MirrorQEDError",
     "NonConvergence", "StepTooLarge", "TailTooLarge", "TruncationLeak",
     "EmitterSpec", "gamma_free_quadrature", "gamma_free_si",
-    "DipoleOrientation", "Direction", "PolarizationBasis", "basis_vectors",
-    "dipole_weight", "solid_angle_integrate", "transverse_weight_sum",
+    "DipoleOrientation", "solid_angle_integrate", "transverse_weight_sum",
     "f_envelope", "f_kernel", "interference_kernel",
-    "MirrorSpec", "gamma_mirror_closed", "gamma_mirror_quadrature",
+    "gamma_mirror_closed", "gamma_mirror_quadrature",
     "METHODS", "RateGrid", "RateResult",
     "FIGURE_IDS", "Range", "SweepConfig", "dump_config",
     "parse_config_file", "reproduce_figure", "run_sweep",

@@ -70,14 +70,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_rate_flags(parser: argparse.ArgumentParser, methods) -> None:
     parser.add_argument("--r", type=_float_or_range,
-                        help="mirror reflection amplitude (number or range)")
+                        help="mirror reflection amplitude (number or range; "
+                        "a negative range start needs --r=START:...)")
     parser.add_argument("--k0d", type=_float_or_range,
-                        help="separation times wavenumber (number or range)")
+                        help="separation times wavenumber (number or range; "
+                        "a negative range start needs --k0d=START:...)")
     parser.add_argument("--d-over-lambda", dest="d_over_lambda0",
                         type=_float_or_range,
-                        help="separation in wavelengths (number or range)")
+                        help="separation in wavelengths (number or range; "
+                        "a negative range start needs --d-over-lambda=...)")
     parser.add_argument("--grid", help="start:stop:count[:log] sweep grid "
-                        "for this target's default axis")
+                        "for this target's default axis; write a negative "
+                        "start as --grid=-0.5:0.5:3")
     parser.add_argument("--method", choices=methods,
                         help="which computation routes to run")
     parser.add_argument("--tol", type=float, help="quadrature tolerance")

@@ -89,6 +89,23 @@ def _atom_cavity_ops(n_fock: int):
     return sm, a
 
 
+def _density_matrix(rho, dim: int, name: str) -> np.ndarray:
+    """rho as a complex dim x dim density matrix, else InvalidParams."""
+    rho = np.array(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise InvalidParams(f"{name} must be {dim}x{dim}, got shape {rho.shape}")
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    if herm > _HERM_TOL:
+        raise InvalidParams(f"{name} not Hermitian (deviation {herm:.3g})")
+    tr = rho.trace()
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise InvalidParams(f"{name} trace {tr!r} differs from 1")
+    dmin = float(np.min(rho.diagonal().real))
+    if dmin < -_DIAG_TOL:
+        raise InvalidParams(f"{name} has negative population {dmin:.3g}")
+    return rho
+
+
 @dataclass(frozen=True, eq=False)
 class AtomCavityState:
     """Density matrix of the atom-cavity system at a Fock truncation.
@@ -102,24 +119,10 @@ class AtomCavityState:
     n_fock: int = 5
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex)
-        object.__setattr__(self, "rho", rho)
-        dim = 2 * (self.n_fock + 1)
         if self.n_fock < 1:
             raise InvalidParams(f"n_fock must be >= 1, got {self.n_fock!r}")
-        if rho.shape != (dim, dim):
-            raise InvalidParams(
-                f"rho must be {dim}x{dim} for n_fock={self.n_fock}, "
-                f"got shape {rho.shape}")
-        herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > _HERM_TOL:
-            raise InvalidParams(f"rho not Hermitian (deviation {herm:.3g})")
-        tr = rho.trace()
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise InvalidParams(f"rho trace {tr!r} differs from 1")
-        dmin = float(np.min(rho.diagonal().real))
-        if dmin < -_DIAG_TOL:
-            raise InvalidParams(f"negative population {dmin:.3g} on diagonal")
+        object.__setattr__(self, "rho",
+                           _density_matrix(self.rho, self.dim, "rho"))
 
     @property
     def dim(self) -> int:
@@ -128,9 +131,7 @@ class AtomCavityState:
     @classmethod
     def from_atom(cls, rho_atom, n_fock: int = 5) -> "AtomCavityState":
         """Atom state (basis ground, excited) tensored with the vacuum."""
-        rho_atom = np.asarray(rho_atom, dtype=complex)
-        if rho_atom.shape != (2, 2):
-            raise InvalidParams(f"rho_atom must be 2x2, got {rho_atom.shape}")
+        rho_atom = _density_matrix(rho_atom, 2, "rho_atom")
         vac = np.zeros((n_fock + 1, n_fock + 1), dtype=complex)
         vac[0, 0] = 1.0
         return cls(rho=np.kron(rho_atom, vac), n_fock=n_fock)
@@ -251,10 +252,6 @@ class JCTrajectory:
         diag = np.einsum("tii->ti", self.rhos).real
         return float(np.max(diag[:, n1 - 1] + diag[:, 2 * n1 - 1]))
 
-    @property
-    def final_state(self) -> AtomCavityState:
-        return AtomCavityState(rho=self.rhos[-1], n_fock=self.n_fock)
-
 
 def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
               dt: float) -> JCTrajectory:
@@ -288,17 +285,15 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
         prop = _expm(lv * h)
         for k in range(n_steps):
             np.matmul(prop, out[k], out=out[k + 1])
-    times = h * np.arange(n_steps + 1)
-    rhos = out.reshape(n_steps + 1, dim, dim)
-
-    n1 = rho0.n_fock + 1
-    diag = np.einsum("tii->ti", rhos).real
-    leak = float(np.max(diag[:, n1 - 1] + diag[:, 2 * n1 - 1]))
+    traj = JCTrajectory(times=h * np.arange(n_steps + 1),
+                        rhos=out.reshape(n_steps + 1, dim, dim),
+                        n_fock=rho0.n_fock)
+    leak = traj.top_fock_max
     if leak > _LEAK_TOL:
         raise TruncationLeak(
             f"top Fock level reached population {leak:.3g} > {_LEAK_TOL:g}; "
             f"raise n_fock above {rho0.n_fock}")
-    return JCTrajectory(times=times, rhos=rhos, n_fock=rho0.n_fock)
+    return traj
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,19 +313,6 @@ class AtomTrajectory:
         return self.rhos[:, 0, 1]
 
 
-def _check_atom_rho(rho_atom) -> np.ndarray:
-    rho = np.asarray(rho_atom, dtype=complex)
-    if rho.shape != (2, 2):
-        raise InvalidParams(f"rho_atom must be 2x2, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > _HERM_TOL:
-        raise InvalidParams("rho_atom not Hermitian")
-    if abs(rho.trace() - 1.0) > _TRACE_TOL:
-        raise InvalidParams(f"rho_atom trace {rho.trace()!r} differs from 1")
-    if min(rho[0, 0].real, rho[1, 1].real) < -_DIAG_TOL:
-        raise InvalidParams("rho_atom has a negative population")
-    return rho
-
-
 def evolve_single_rate(gamma_cav: float, rho_atom0,
                        t_final) -> AtomTrajectory:
     """Closed-form two-level decay at the single effective rate.
@@ -342,7 +324,7 @@ def evolve_single_rate(gamma_cav: float, rho_atom0,
     """
     if not gamma_cav >= 0.0:
         raise InvalidParams(f"gamma_cav must be >= 0, got {gamma_cav!r}")
-    rho0 = _check_atom_rho(rho_atom0)
+    rho0 = _density_matrix(rho_atom0, 2, "rho_atom")
     if np.ndim(t_final) == 0:
         if not float(t_final) >= 0.0:
             raise InvalidParams(f"t_final must be >= 0, got {t_final!r}")
@@ -415,7 +397,7 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
         raise InvalidParams(f"gamma_cav must be >= 0, got {gamma_cav!r}")
     if n_traj < 1:
         raise InvalidParams(f"n_traj must be >= 1, got {n_traj!r}")
-    rho0 = _check_atom_rho(rho_atom0)
+    rho0 = _density_matrix(rho_atom0, 2, "rho_atom")
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
         raise InvalidParams("t_grid must be 1-D, nonempty, >= 0")

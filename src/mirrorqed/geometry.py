@@ -1,4 +1,4 @@
-"""Propagation directions, polarization frames, and solid-angle quadrature.
+"""Transverse dipole weight and solid-angle quadrature.
 
 Geometry conventions
 --------------------
@@ -17,8 +17,8 @@ and the two transverse polarization unit vectors completing the frame are
 The triple (s, e_H, e_V) is orthonormal for every direction; e_H lies in
 the mirror plane, e_V completes the right-handed-up-to-sign frame. A
 dipole orientation d picks out the transverse weights |d . e_H|^2 and
-|d . e_V|^2 whose solid-angle integrals drive every decay rate in this
-package.
+|d . e_V|^2; their sum, transverse_weight_sum, is the weight whose
+solid-angle integral drives every decay rate in this package.
 
 The quadrature engine integrates smooth (possibly oscillatory) functions
 over the full solid angle with a product rule: composite 16-point
@@ -39,11 +39,7 @@ import numpy as np
 from .errors import InvalidParams, NonConvergence
 
 __all__ = [
-    "Direction",
-    "PolarizationBasis",
     "DipoleOrientation",
-    "basis_vectors",
-    "dipole_weight",
     "transverse_weight_sum",
     "oscillation_nodes",
     "solid_angle_integrate",
@@ -51,59 +47,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _normalize_angles(theta: float, phi: float) -> tuple[float, float]:
-    """Fold arbitrary angles into theta in [0, pi], phi in [0, 2*pi)."""
-    theta = float(theta) % _TWO_PI
-    if theta > math.pi:
-        theta = _TWO_PI - theta
-        phi = phi + math.pi
-    return theta, float(phi) % _TWO_PI
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A propagation direction on the unit sphere.
-
-    Angles outside the canonical ranges are folded by periodicity on
-    construction, so every instance satisfies ``0 <= theta <= pi`` and
-    ``0 <= phi < 2*pi``.
-
-    Parameters
-    ----------
-    theta : float
-        Polar angle from the +x axis, radians.
-    phi : float
-        Azimuth around x, radians.
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        th, ph = _normalize_angles(self.theta, self.phi)
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "phi", ph)
-
-    @property
-    def unit_vector(self) -> np.ndarray:
-        """The Cartesian unit vector s for this direction."""
-        st = math.sin(self.theta)
-        return np.array([
-            math.cos(self.theta),
-            math.cos(self.phi) * st,
-            math.sin(self.phi) * st,
-        ])
-
-
-@dataclass(frozen=True, eq=False)
-class PolarizationBasis:
-    """Orthonormal triple (s, e_H, e_V) attached to a direction."""
-
-    s: np.ndarray
-    e_h: np.ndarray
-    e_v: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,54 +69,6 @@ class DipoleOrientation:
         object.__setattr__(self, "vec", v / n)
 
 
-def basis_vectors(direction: Direction) -> PolarizationBasis:
-    """Build the polarization frame for one direction.
-
-    Parameters
-    ----------
-    direction : Direction
-
-    Returns
-    -------
-    PolarizationBasis
-        Triple (s, e_H, e_V); pairwise orthonormal to machine precision.
-
-    Examples
-    --------
-    >>> b = basis_vectors(Direction(0.0, 0.0))
-    >>> b.s
-    array([1., 0., 0.])
-    >>> b.e_h
-    array([ 0.,  0., -1.])
-    >>> b.e_v
-    array([ 0., -1., -0.])
-    """
-    th, ph = direction.theta, direction.phi
-    st, ct = math.sin(th), math.cos(th)
-    sp, cp = math.sin(ph), math.cos(ph)
-    s = np.array([ct, cp * st, sp * st])
-    e_h = np.array([0.0, sp, -cp])
-    e_v = np.array([st, -cp * ct, -sp * ct])
-    return PolarizationBasis(s=s, e_h=e_h, e_v=e_v)
-
-
-def dipole_weight(dhat: DipoleOrientation, direction: Direction) -> tuple[float, float]:
-    """Squared dipole projections onto the two transverse polarizations.
-
-    Returns
-    -------
-    (w_h, w_v) : tuple of float
-        ``w_h = (d . e_H)**2`` and ``w_v = (d . e_V)**2``. Together with
-        the longitudinal projection they resolve the identity
-        ``w_h + w_v + (d . s)**2 == 1``.
-    """
-    basis = basis_vectors(direction)
-    d = dhat.vec
-    w_h = float(np.dot(d, basis.e_h)) ** 2
-    w_v = float(np.dot(d, basis.e_v)) ** 2
-    return w_h, w_v
-
-
 def transverse_weight_sum(dhat: DipoleOrientation, theta, phi):
     """Vectorized ``w_h + w_v`` over broadcastable angle arrays.
 
@@ -190,6 +85,11 @@ def transverse_weight_sum(dhat: DipoleOrientation, theta, phi):
     Returns
     -------
     numpy.ndarray
+
+    Examples
+    --------
+    >>> float(transverse_weight_sum(DipoleOrientation(), math.pi / 2, 0.0))
+    1.0
     """
     dx, dy, dz = dhat.vec
     st, ct = np.sin(theta), np.cos(theta)

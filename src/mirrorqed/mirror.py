@@ -14,7 +14,6 @@ it; both are exposed and sweeps can emit their difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import InvalidParams
 from .geometry import DipoleOrientation
 from .results import Cells, RateResult
 
-__all__ = ["MirrorSpec", "gamma_mirror_closed", "gamma_mirror_quadrature"]
+__all__ = ["gamma_mirror_closed", "gamma_mirror_quadrature"]
 
 # Roundoff floor of assembling the ratio itself.
 _RATIO_ERR_FLOOR = 4e-16
@@ -40,27 +39,6 @@ def _closed_form_err(re_r, x):
     direct = np.abs(x) >= kernels.F_TAYLOR_CROSSOVER
     f_err[direct] = 2.5e-16 * kernels.f_envelope(x[direct])
     return 1.5 * np.abs(re_r) * f_err + _RATIO_ERR_FLOOR
-
-
-@dataclass(frozen=True)
-class MirrorSpec:
-    """A lossless, partially transparent mirror.
-
-    The complex reflection amplitude ``r`` is accepted in full, but only its
-    real part enters the decay ratio; the transmission amplitude is derived
-    from unitarity, t = sqrt(1 - |r|^2) >= 0.
-    """
-
-    r: complex
-    t: float = field(init=False)
-
-    def __post_init__(self):
-        r = complex(self.r)
-        if abs(r) > 1.0 + 1e-12:
-            raise InvalidParams(f"|r| must be <= 1, got {abs(r)!r}")
-        t = math.sqrt(max(0.0, 1.0 - abs(r) ** 2))
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t", t)
 
 
 def _check_mirror_args(cells: Cells, re_r, k0d) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -158,6 +159,16 @@ class SweepConfig:
                 raise ConfigError("t grid is only valid for the lindblad target")
             if self.t.start < 0.0:
                 raise ConfigError("lindblad time grid must start at t >= 0")
+        if self.out is not None:
+            try:
+                recorded = parse_config_items(f"out = {self.out}").get("out")
+            except ConfigError:
+                recorded = None
+            if recorded != str(self.out):
+                raise ConfigError(
+                    f"out {self.out!r} would not read back from the CSV "
+                    "preamble: avoid '#' after whitespace, surrounding "
+                    "whitespace, line breaks and the name none")
 
 
 def _float_or_range(raw: str):
@@ -212,10 +223,13 @@ def dump_config(cfg: SweepConfig) -> str:
 
 
 def parse_config_items(text: str) -> dict:
-    """Parse key = value lines ('#' starts a comment) into field values."""
+    """Parse key = value lines into field values.
+
+    A '#' at line start or after whitespace starts a comment.
+    """
     items: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not body:
             continue
         if "=" not in body:

@@ -99,27 +99,27 @@ def _geometry_checks(quick: bool):
     n = 64 if quick else 256
     thetas = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, n)
     phis = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, n)
-
-    worst_fold = 0.0
-    worst_basis = 0.0
-    for th, ph in zip(thetas, phis):
-        raw = np.array([math.cos(th),
-                        math.cos(ph) * math.sin(th),
-                        math.sin(ph) * math.sin(th)])
-        d = geometry.Direction(theta=th, phi=ph)
-        worst_fold = max(worst_fold,
-                         float(np.max(np.abs(d.unit_vector - raw))))
-        b = geometry.basis_vectors(d)
-        prods = (np.dot(b.s, b.e_h), np.dot(b.s, b.e_v),
-                 np.dot(b.e_h, b.e_v),
-                 np.linalg.norm(b.s) - 1.0,
-                 np.linalg.norm(b.e_h) - 1.0,
-                 np.linalg.norm(b.e_v) - 1.0)
-        worst_basis = max(worst_basis, float(np.max(np.abs(prods))))
-    yield _below("geometry-direction-fold", worst_fold, 1e-12,
-                 f"angle folding vs raw embedding, {n} samples")
-    yield _below("geometry-basis-orthonormal", worst_basis, 1e-12,
-                 "polarization triad dot products and norms")
+    xi = rng.uniform(-1.0, 1.0, n)
+    s = np.array([np.cos(thetas), np.cos(phis) * np.sin(thetas),
+                  np.sin(phis) * np.sin(thetas)])
+    worst_complete = worst_phi = 0.0
+    for v in rng.normal(size=(64, 3)):
+        d = geometry.DipoleOrientation(vec=v)
+        total = geometry.transverse_weight_sum(d, thetas, phis) + (d.vec @ s) ** 2
+        worst_complete = max(worst_complete,
+                             float(np.max(np.abs(total - 1.0))))
+        # 16 phi nodes integrate this degree-2 trigonometric weight exactly
+        trapezoid = (math.pi / 8) * geometry.transverse_weight_sum(
+            d, np.arccos(xi)[:, None], (math.pi / 8) * np.arange(16)).sum(axis=1)
+        dx2 = d.vec[0] ** 2
+        closed = math.pi * ((1.0 + xi ** 2) * (1.0 - dx2)
+                            + 2.0 * dx2 * (1.0 - xi ** 2))
+        worst_phi = max(worst_phi, float(np.max(np.abs(trapezoid - closed))))
+    yield _below("geometry-weight-completeness", worst_complete, 1e-12,
+                 "w_h + w_v + (d . s)^2 = 1, 64 random dipoles, unfolded "
+                 "angles")
+    yield _below("geometry-phi-average", worst_phi, 1e-12,
+                 "16-node phi trapezoid vs closed phi weight")
 
     th = rng.uniform(0.0, math.pi, n)
     ph = rng.uniform(0.0, 2.0 * math.pi, n)

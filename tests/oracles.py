@@ -9,8 +9,10 @@ package under test, using different numerical schemes than the library:
 * cavity decay ratios: mpmath adaptive quadrature of the 1-D reduction,
   subdivided at the known resonance peaks;
 * multiple-reflection sums: direct partial summation (no resummation);
+* polarization frame: e_H and e_V built from cross products instead of
+  the library's explicit trigonometric components;
 * master-equation dynamics: scipy.integrate.solve_ivp at tight tolerance
-  instead of the library's fixed-step integrator.
+  instead of the library's Pade matrix-exponential propagator.
 
 Running ``python -m tests.oracles`` prints the table of reference values
 that the test modules freeze as literals.
@@ -82,6 +84,37 @@ def sphere_integral_refined(integrand, tol: float = 1e-11,
                 return rich, err
         prev, prev_rich = cur, rich
     return rich, abs(rich - prev_rich)
+
+
+# ---------------------------------------------------------------------------
+# polarization frame (cross products)
+# ---------------------------------------------------------------------------
+
+
+def polarization_frame(theta: float, phi: float):
+    """Orthonormal triple (s, e_H, e_V) for one propagation direction.
+
+    s has polar angle theta from +x and azimuth phi around x. e_H is
+    x-hat cross s, normalized, so it lies in the mirror plane x = const;
+    e_V = s cross e_H completes the frame. Directions on the x axis have
+    no such frame and raise ValueError.
+    """
+    s = np.array([np.cos(theta), np.cos(phi) * np.sin(theta),
+                  np.sin(phi) * np.sin(theta)])
+    e_h = np.cross([1.0, 0.0, 0.0], s)
+    norm = np.linalg.norm(e_h)
+    if norm == 0.0:
+        raise ValueError("the polarization frame is undefined on the x axis")
+    e_h = e_h / norm
+    return s, e_h, np.cross(s, e_h)
+
+
+def dipole_weights(d, theta: float, phi: float) -> tuple[float, float]:
+    """(|d . e_H|^2, |d . e_V|^2) for the unit vector along ``d``."""
+    d = np.asarray(d, dtype=float)
+    d = d / np.linalg.norm(d)
+    _, e_h, e_v = polarization_frame(theta, phi)
+    return float(np.dot(d, e_h)) ** 2, float(np.dot(d, e_v)) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,36 @@ class TestConfigPlumbing:
         dump2 = capsys.readouterr().out
         assert dump1 == dump2
 
+    def test_rerun_recipe_keeps_hash_in_out_path(self, tmp_path, capsys):
+        # README: grep '^# ' out.csv | cut -c3- > run.cfg, then --config
+        out = tmp_path / "run#1.csv"
+        assert cli.main(["cavity", "--r", "0.5", "--k0d", "1",
+                         "--out", str(out)]) == 0
+        first = out.read_bytes()
+        preamble = [line[2:] for line in first.decode().splitlines()
+                    if line.startswith("# ")]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("\n".join(preamble) + "\n", encoding="utf-8")
+        out.unlink()
+        assert cli.main(["cavity", "--config", str(cfg_file)]) == 0
+        assert out.read_bytes() == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run#1.csv", "run.cfg"]
+
+    def test_out_that_cannot_be_recorded_is_config_error(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "run #1.csv"
+        assert cli.main(["cavity", "--r", "0.5", "--k0d", "1",
+                         "--out", str(out)]) == 2
+        assert "would not read back" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_names_the_equals_form_for_negative_ranges(self, capsys):
+        assert cli.main(["subwavelength", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in ("--r=", "--k0d=", "--d-over-lambda=", "--grid=-0.5"):
+            assert flag in text
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("target = cavity\nr = 0.5\ntol = 1e-09\n",

@@ -1,4 +1,4 @@
-"""Direction folding, polarization basis, dipole weights, sphere quadrature."""
+"""Transverse dipole weight against an independent frame, sphere quadrature."""
 
 import math
 
@@ -7,73 +7,26 @@ import pytest
 
 from mirrorqed import errors, geometry
 
+from . import oracles
+
 RNG = np.random.default_rng(7041995)
 
 
-def unit(theta, phi):
-    return np.array(
-        [
-            math.cos(theta),
-            math.cos(phi) * math.sin(theta),
-            math.sin(phi) * math.sin(theta),
-        ]
-    )
-
-
-class TestDirection:
-    def test_unit_vector_matches_convention(self):
-        d = geometry.Direction(theta=math.pi / 2, phi=0.0)
-        np.testing.assert_allclose(d.unit_vector, [0.0, 1.0, 0.0], atol=1e-15)
-
-    def test_poles_lie_on_x_axis(self):
-        np.testing.assert_allclose(
-            geometry.Direction(0.0, 0.3).unit_vector, [1.0, 0.0, 0.0], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            geometry.Direction(math.pi, 1.1).unit_vector, [-1.0, 0.0, 0.0], atol=1e-15
-        )
-
-    @pytest.mark.parametrize(
-        "theta,phi",
-        [
-            (3 * math.pi / 2, 0.4),
-            (-0.7, 2.0),
-            (2 * math.pi + 0.3, -1.0),
-            (7.5, 9.0),
-        ],
-    )
-    def test_folding_preserves_unit_vector(self, theta, phi):
-        d = geometry.Direction(theta, phi)
-        assert 0.0 <= d.theta <= math.pi
-        assert 0.0 <= d.phi < 2 * math.pi
-        np.testing.assert_allclose(d.unit_vector, unit(theta, phi), atol=1e-12)
-
-
-class TestBasis:
-    def test_orthonormal_triad(self):
-        for _ in range(50):
-            theta = float(RNG.uniform(0.01, math.pi - 0.01))
-            phi = float(RNG.uniform(0.0, 2 * math.pi))
-            b = geometry.basis_vectors(geometry.Direction(theta, phi))
-            g = np.stack([b.s, b.e_h, b.e_v])
-            np.testing.assert_allclose(g @ g.T, np.eye(3), atol=1e-12)
-
-    def test_e_h_has_no_x_component(self):
-        b = geometry.basis_vectors(geometry.Direction(0.8, 1.3))
-        assert abs(b.e_h[0]) < 1e-15
-
-
 class TestDipoleWeight:
+    """The library's summed weight against the cross-product frame."""
+
     def test_z_dipole_closed_form(self):
         dhat = geometry.DipoleOrientation(vec=np.array([0.0, 0.0, 1.0]))
         for _ in range(40):
             theta = float(RNG.uniform(0.0, math.pi))
             phi = float(RNG.uniform(0.0, 2 * math.pi))
-            w_h, w_v = geometry.dipole_weight(dhat, geometry.Direction(theta, phi))
+            w_h, w_v = oracles.dipole_weights(dhat.vec, theta, phi)
             assert w_h == pytest.approx(math.cos(phi) ** 2, abs=1e-12)
             assert w_v == pytest.approx(
                 math.sin(phi) ** 2 * math.cos(theta) ** 2, abs=1e-12
             )
+            total = geometry.transverse_weight_sum(dhat, theta, phi)
+            assert total == pytest.approx(w_h + w_v, abs=1e-12)
 
     def test_weights_bounded_and_sum_below_one(self):
         for _ in range(40):
@@ -81,10 +34,12 @@ class TestDipoleWeight:
             dhat = geometry.DipoleOrientation(vec=v)
             theta = float(RNG.uniform(0.0, math.pi))
             phi = float(RNG.uniform(0.0, 2 * math.pi))
-            w_h, w_v = geometry.dipole_weight(dhat, geometry.Direction(theta, phi))
+            w_h, w_v = oracles.dipole_weights(v, theta, phi)
             assert 0.0 <= w_h <= 1.0 + 1e-12
             assert 0.0 <= w_v <= 1.0 + 1e-12
-            assert w_h + w_v <= 1.0 + 1e-12
+            total = geometry.transverse_weight_sum(dhat, theta, phi)
+            assert total == pytest.approx(w_h + w_v, abs=1e-12)
+            assert total <= 1.0 + 1e-12
 
     def test_transverse_weight_sum_matches_pointwise(self):
         dhat = geometry.DipoleOrientation(vec=np.array([0.2, -0.5, 1.0]))
@@ -92,7 +47,7 @@ class TestDipoleWeight:
         phi = np.linspace(0.0, 6.0, 7)
         batch = geometry.transverse_weight_sum(dhat, theta, phi)
         for i, (th, ph) in enumerate(zip(theta, phi)):
-            w_h, w_v = geometry.dipole_weight(dhat, geometry.Direction(th, ph))
+            w_h, w_v = oracles.dipole_weights(dhat.vec, th, ph)
             assert batch[i] == pytest.approx(w_h + w_v, abs=1e-12)
 
     def test_zero_vector_rejected(self):

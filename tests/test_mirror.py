@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mirrorqed import (
-    MirrorSpec,
     errors,
     gamma_mirror_closed,
     gamma_mirror_quadrature,
@@ -24,19 +23,6 @@ CLOSED_ORACLE = [
 
 # Independent 2000x4000 sphere-trapezoid oracle value.
 TRAPEZOID_ORACLE = (0.7, math.pi / 2, 0.8936127571755372)
-
-
-class TestMirrorSpec:
-    def test_transmission_from_unitarity(self):
-        assert MirrorSpec(r=0.6).t == pytest.approx(0.8, rel=1e-15)
-        assert MirrorSpec(r=0.6j).t == pytest.approx(0.8, rel=1e-15)
-        assert MirrorSpec(r=1.0).t == 0.0
-
-    def test_overunity_reflection_rejected(self):
-        with pytest.raises(errors.InvalidParams):
-            MirrorSpec(r=1.5)
-        with pytest.raises(errors.InvalidParams):
-            MirrorSpec(r=1.0 + 1e-5j)
 
 
 class TestClosedForm:

@@ -77,6 +77,11 @@ class TestSweepConfig:
             dict(target="cavity", tol=0.0),
             dict(target="lindblad", n_traj=0),
             dict(target="cavity", n_max=100_001),
+            dict(target="cavity", out="run #1.csv"),
+            dict(target="cavity", out="#1.csv"),
+            dict(target="cavity", out=" run.csv"),
+            dict(target="cavity", out="run\n.csv"),
+            dict(target="cavity", out="none"),
         ],
     )
     def test_validate_rejects(self, kwargs):
@@ -134,10 +139,12 @@ class TestSweepConfig:
             sweeps.parse_config_items(f"target = lindblad\n{line}\n")
 
     def test_parse_skips_comments_and_blanks(self):
+        # only a '#' at line start or after whitespace opens a comment
         items = sweeps.parse_config_items(
             "# leading comment\n\ntarget = cavity  # trailing\nr = 0.5\n"
+            "out = run#1.csv\t# tab\n"
         )
-        assert items == {"target": "cavity", "r": 0.5}
+        assert items == {"target": "cavity", "r": 0.5, "out": "run#1.csv"}
 
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(errors.ConfigError, match="unknown config key"):

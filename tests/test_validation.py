@@ -45,6 +45,24 @@ class TestCleanRun:
         ]
 
 
+class TestBatteryShape:
+    """The check count is part of the report contract: pin it exactly."""
+
+    WEIGHT_CHECKS = {"geometry-weight-completeness", "geometry-phi-average"}
+
+    def test_quick_battery_has_41_checks(self, quick_report):
+        names = {c.name for c in quick_report.checks}
+        assert len(quick_report.checks) == 41
+        assert self.WEIGHT_CHECKS <= names
+
+    def test_full_battery_has_43_checks(self):
+        report = validation.run_validation()
+        names = {c.name for c in report.checks}
+        assert report.passed
+        assert len(report.checks) == 43
+        assert self.WEIGHT_CHECKS <= names
+
+
 class TestFaultInjection:
     def test_perturbed_kernel_is_caught(self, fault_report):
         failed = {c.name for c in fault_report.checks if not c.passed}
