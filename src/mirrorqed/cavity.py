@@ -140,10 +140,13 @@ def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
     """Decay ratio by solid-angle quadrature of the resummed kernel.
 
     ratio = (3 / 8 pi) * int dOmega (transverse dipole weight)
-    * interference_kernel(r_mir, k0d cos theta). Near |r_mir| -> 1 the
-    kernel develops sharp resonance peaks in cos theta; their locations
-    and graded neighborhoods are passed to the quadrature engine as
-    panel breakpoints so refinement cannot silently straddle a peak.
+    * interference_kernel(r_mir, k0d cos theta). The kernel depends on
+    theta alone, so the weight enters through its closed phi mean
+    (geometry.phi_mean_weight): one integrand value per xi node. Near
+    |r_mir| -> 1 the kernel develops sharp resonance peaks in cos theta;
+    their locations and graded neighborhoods are passed to the quadrature
+    engine as panel breakpoints so refinement cannot silently straddle a
+    peak.
 
     Raises
     ------
@@ -158,20 +161,24 @@ def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
         dhat = DipoleOrientation()
 
     def integrand(theta, phi):
-        weight = geometry.transverse_weight_sum(dhat, theta, phi)
-        return weight * interference_kernel(r, k0d * np.cos(theta))
+        xi = np.cos(theta)
+        return (geometry.phi_mean_weight(dhat, xi)
+                * interference_kernel(r, k0d * xi))
 
     breakpoints: list[float] = []
     if r != 0.0:
         # kernel peaks sit at xi = j*pi/k0d, j even for r > 0, odd for r < 0
         halfwidth = (1.0 - r * r) / (2.0 * abs(r) * k0d)
         # the peaks inside (-1, 1) put at least k0d/pi - 3 panel edges
-        # there, each panel costing EVALS_PER_PANEL on the first level
-        min_evals = (k0d / math.pi - 3.0) * geometry.EVALS_PER_PANEL
+        # there, each panel priced at EVALS_PER_PANEL, the engine's 2-D
+        # worst case for the first level
+        min_panels = k0d / math.pi - 3.0
+        min_evals = min_panels * geometry.EVALS_PER_PANEL
         if min_evals > max_evals:
             raise NonConvergence(
                 f"cavity quadrature: {k0d / math.pi:.3g} kernel peaks need "
-                f"more than {min_evals:.3g} evaluations on the first level, "
+                f"more than {min_panels:.3g} panels on the first level; at "
+                f"{geometry.EVALS_PER_PANEL} evaluations per panel that is "
                 f"over the budget of {max_evals}", n_evals=0)
         j = 0 if r > 0.0 else 1
         while j * math.pi / k0d < 1.0 + 16.0 * halfwidth:

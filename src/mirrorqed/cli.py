@@ -43,17 +43,12 @@ _VALIDATE_SEED = 20260819
 
 
 def _float_or_range(text: str):
-    if ":" in text:
-        try:
-            return Range.parse(text)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
     try:
-        return float(text)
-    except ValueError:
+        return sweeps._float_or_range(text)
+    except (ValueError, ConfigError) as exc:
         raise argparse.ArgumentTypeError(
-            f"expected a number or start:stop:count[:log], got {text!r}"
-        ) from None
+            f"expected a number or start:stop:count[:log], got {text!r} "
+            f"({exc})") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

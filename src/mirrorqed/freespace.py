@@ -82,8 +82,8 @@ def gamma_free_quadrature(emitter: EmitterSpec, tol: float = 1e-10) -> float:
     NonConvergence
         Propagated from the quadrature engine.
     """
-    integrand = lambda theta, phi: geometry.transverse_weight_sum(
-        emitter.dhat, theta, phi)
+    integrand = lambda theta, phi: geometry.phi_mean_weight(
+        emitter.dhat, np.cos(theta))
     integral, _err = geometry.solid_angle_integrate(integrand, tol=tol)
     prefactor = (ELEMENTARY_CHARGE ** 2 * emitter.dipole_magnitude ** 2
                  * emitter.omega0 ** 3

@@ -18,13 +18,23 @@ The triple (s, e_H, e_V) is orthonormal for every direction; e_H lies in
 the mirror plane, e_V completes the right-handed-up-to-sign frame. A
 dipole orientation d picks out the transverse weights |d . e_H|^2 and
 |d . e_V|^2; their sum, transverse_weight_sum, is the weight whose
-solid-angle integral drives every decay rate in this package.
+solid-angle integral drives every decay rate in this package. Its
+azimuthal mean has the closed form phi_mean_weight,
+
+    (1 / 2 pi) int dphi (w_H + w_V)
+        = [(1 + xi^2)(1 - d_x^2) + 2 d_x^2 (1 - xi^2)] / 2,
+
+so an integrand whose other factors depend on xi = cos theta alone needs
+no phi quadrature at all.
 
 The quadrature engine integrates smooth (possibly oscillatory) functions
 over the full solid angle with a product rule: composite 16-point
 Gauss-Legendre panels in xi = cos theta (the substitution absorbs the
 sin theta Jacobian) crossed with a uniform trapezoid in phi, which is
-spectrally accurate for the periodic integrands that occur here. Panels
+spectrally accurate for the periodic integrands that occur here. An
+integrand that does not depend on phi may return a (n_xi, 1) array, which
+the engine reads as constant along phi, so it costs one evaluation per xi
+node; the evaluation budget max_evals counts returned values. Panels
 are doubled until two levels agree, and callers integrating sharply
 peaked kernels can pass breakpoints so panel edges land on the peaks.
 """
@@ -41,6 +51,7 @@ from .errors import InvalidParams, NonConvergence
 __all__ = [
     "DipoleOrientation",
     "transverse_weight_sum",
+    "phi_mean_weight",
     "oscillation_nodes",
     "solid_angle_integrate",
     "EVALS_PER_PANEL",
@@ -99,6 +110,26 @@ def transverse_weight_sum(dhat: DipoleOrientation, theta, phi):
     return proj_h ** 2 + proj_v ** 2
 
 
+def phi_mean_weight(dhat: DipoleOrientation, xi):
+    """Azimuthal mean of ``transverse_weight_sum`` at ``xi = cos(theta)``.
+
+    (1 / 2 pi) int_0^{2 pi} dphi (w_h + w_v)
+    = [(1 + xi^2)(1 - d_x^2) + 2 d_x^2 (1 - xi^2)] / 2, exact for every
+    dipole, so rate integrands whose other factors depend on xi alone
+    reduce to one dimension.
+
+    Examples
+    --------
+    >>> float(phi_mean_weight(DipoleOrientation(), 0.0))
+    0.5
+    >>> float(phi_mean_weight(DipoleOrientation(), 1.0))
+    1.0
+    """
+    dx2 = dhat.vec[0] ** 2
+    xi2 = np.square(xi)
+    return 0.5 * ((1.0 + xi2) * (1.0 - dx2) + 2.0 * dx2 * (1.0 - xi2))
+
+
 def oscillation_nodes(rate: float) -> int:
     """Node-count hint for integrands with phase rate ``rate`` per unit xi.
 
@@ -114,7 +145,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_LEVELS = 16
 _PHI_CAP = 256
 _N_PHI_FIRST = 16
-#: Integrand evaluations one xi panel costs on the first level.
+#: Integrand evaluations one xi panel costs on the first level when the
+#: integrand depends on phi: the 2-D worst case the pre-allocation
+#: budget gates assume.
 EVALS_PER_PANEL = _GL_NODES.size * _N_PHI_FIRST
 #: Roundoff floor on the reported error estimate, relative to max(1, |I|).
 _ERR_FLOOR = 4e-16
@@ -137,13 +170,18 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
     integrand(theta, phi)`` by composite Gauss-Legendre panels in
     xi = cos(theta) crossed with a periodic trapezoid in phi, doubling
     the panel count (and the phi nodes, up to a cap) until two successive
-    levels agree to ``tol`` relative to max(1, |I|).
+    levels agree to ``tol`` relative to max(1, |I|). The phi sum is
+    divided by the phi length of the returned array, so an integrand
+    that ignores phi and returns a (n_xi, 1) array is integrated with one
+    evaluation per xi node.
 
     Parameters
     ----------
     integrand : callable
-        Vectorized function of broadcast arrays (theta, phi) returning
-        float or complex values; must be finite on the open domain.
+        Vectorized function of broadcast arrays (theta, phi), shaped
+        (n_xi, 1) and (1, n_phi), returning float or complex values of
+        shape (n_xi, n_phi), or (n_xi, 1) when it does not depend on phi;
+        must be finite on the open domain.
     resolution : int
         Node-count hint for the xi axis at the first level; raise it for
         oscillatory integrands (see oscillation_nodes). Must be >= 8.
@@ -153,8 +191,10 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
         Points in (-1, 1) that panel edges should land on, e.g. locations
         and graded neighborhoods of sharp kernel peaks.
     max_evals : int
-        Budget of integrand evaluations across all levels. A first level
-        larger than the budget is refused before it is allocated; a
+        Budget of integrand evaluations across all levels, counted as
+        returned values: one per xi node for a phi-independent integrand.
+        A first level that could exceed the budget, counting
+        EVALS_PER_PANEL per panel, is refused before it is allocated; a
         refinement level starts only while the evaluations already made
         are below the budget. A refinement level is at most four times
         the one before, so no level exceeds 4 * max_evals evaluations.
@@ -198,7 +238,7 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
     n_first = EVALS_PER_PANEL * (edges.size - 1)
     if n_first > max_evals:
         raise NonConvergence(
-            f"solid-angle quadrature: the first level needs {n_first} "
+            f"solid-angle quadrature: the first level needs up to {n_first} "
             f"evaluations, over the budget of {max_evals}", n_evals=0)
     for _ in range(_MAX_LEVELS):
         xi, w = _panel_points(edges)
@@ -206,7 +246,9 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
         phi = (_TWO_PI / n_phi) * np.arange(n_phi)
         vals = np.asarray(integrand(theta[:, None], phi[None, :]))
         evals += vals.size
-        value = complex((_TWO_PI / n_phi) * np.dot(w, vals.sum(axis=1)))
+        # a (n_xi, 1) integrand is constant along phi
+        n_cols = vals.shape[1]
+        value = complex((_TWO_PI / n_cols) * np.dot(w, vals.sum(axis=1)))
         if prev is not None:
             diff = abs(value - prev)
             err = max(2.0 * diff, _ERR_FLOOR * max(1.0, abs(value)))

@@ -78,8 +78,9 @@ def gamma_mirror_quadrature(re_r: float, k0d: float, tol: float = 1e-9,
     """Decay ratio by direct solid-angle quadrature of the interference term.
 
     ratio = 1 + (3 re_r / 8 pi) * Re int dOmega e^{-2 i k0d cos theta}
-    * (transverse dipole weight). Used as the independent referee of
-    gamma_mirror_closed; the two agree to quadrature accuracy.
+    * (transverse dipole weight), with the phi integral of the weight in
+    closed form (geometry.phi_mean_weight). Used as the independent
+    referee of gamma_mirror_closed; the two agree to quadrature accuracy.
 
     Raises
     ------
@@ -91,8 +92,8 @@ def gamma_mirror_quadrature(re_r: float, k0d: float, tol: float = 1e-9,
         dhat = DipoleOrientation()
 
     def integrand(theta, phi):
-        weight = geometry.transverse_weight_sum(dhat, theta, phi)
-        return np.exp(-2j * k0d * np.cos(theta)) * weight
+        xi = np.cos(theta)
+        return np.exp(-2j * k0d * xi) * geometry.phi_mean_weight(dhat, xi)
 
     resolution = geometry.oscillation_nodes(2.0 * k0d)
     integral, err_int = geometry.solid_angle_integrate(

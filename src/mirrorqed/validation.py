@@ -111,15 +111,13 @@ def _geometry_checks(quick: bool):
         # 16 phi nodes integrate this degree-2 trigonometric weight exactly
         trapezoid = (math.pi / 8) * geometry.transverse_weight_sum(
             d, np.arccos(xi)[:, None], (math.pi / 8) * np.arange(16)).sum(axis=1)
-        dx2 = d.vec[0] ** 2
-        closed = math.pi * ((1.0 + xi ** 2) * (1.0 - dx2)
-                            + 2.0 * dx2 * (1.0 - xi ** 2))
+        closed = 2.0 * math.pi * geometry.phi_mean_weight(d, xi)
         worst_phi = max(worst_phi, float(np.max(np.abs(trapezoid - closed))))
     yield _below("geometry-weight-completeness", worst_complete, 1e-12,
                  "w_h + w_v + (d . s)^2 = 1, 64 random dipoles, unfolded "
                  "angles")
     yield _below("geometry-phi-average", worst_phi, 1e-12,
-                 "16-node phi trapezoid vs closed phi weight")
+                 "16-node phi trapezoid vs 2 pi * phi_mean_weight")
 
     th = rng.uniform(0.0, math.pi, n)
     ph = rng.uniform(0.0, 2.0 * math.pi, n)

@@ -53,6 +53,34 @@ QUAD_ORACLE = [
     (-0.8, 50.0 * math.pi, 0.9999173484698828),
 ]
 
+# the default in-plane dipole, one along the mirror normal, and a generic one
+REFERENCE_DIPOLES = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -0.4, 0.5)]
+
+
+def rerun_over_2d_weight(monkeypatch, dhat, factor, route):
+    """Run ``route`` and redo its engine call over the full (theta, phi) grid.
+
+    The redo integrates transverse_weight_sum(dhat, theta, phi) *
+    factor(cos theta) with the resolution, breakpoints, tolerance and
+    budget the route passed to the engine. Returns the route's result and
+    the real part of the 2-D integral.
+    """
+    engine = geometry.solid_angle_integrate
+    calls = []
+
+    def spy(integrand, **kwargs):
+        calls.append(kwargs)
+        return engine(integrand, **kwargs)
+
+    monkeypatch.setattr(geometry, "solid_angle_integrate", spy)
+    result = route()
+    (kwargs,) = calls
+    value, _ = engine(
+        lambda theta, phi: (geometry.transverse_weight_sum(dhat, theta, phi)
+                            * factor(np.cos(theta))), **kwargs)
+    return result, value.real
+
+
 # (r_mir, k0d, n_max, ratio) from the direct truncated double sum.
 SERIES_ORACLE = [
     (0.5, 1.0, 40, 1.9084091045673994),
@@ -128,7 +156,8 @@ class TestQuadrature:
         def never(*args):
             raise AssertionError("integrand evaluated")
 
-        monkeypatch.setattr(geometry, "transverse_weight_sum", never)
+        monkeypatch.setattr(geometry, "phi_mean_weight", never)
+        monkeypatch.setattr(cavity, "interference_kernel", never)
         start = time.perf_counter()
         with pytest.raises(errors.MirrorQEDError):
             gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d))
@@ -139,6 +168,21 @@ class TestQuadrature:
             gamma_cavity_quadrature(
                 CavitySpec(r_mir=0.999, k0d=300.0), max_evals=200_000
             )
+
+    @pytest.mark.parametrize("dipole", REFERENCE_DIPOLES)
+    @pytest.mark.parametrize("r,k0d", [(0.9, 1e-3), (0.5, math.pi),
+                                       (0.98, 3.0), (-0.98, 10.0),
+                                       (0.8, 100.0)])
+    def test_matches_two_dimensional_weight(self, r, k0d, dipole,
+                                            monkeypatch):
+        dhat = geometry.DipoleOrientation(vec=np.array(dipole))
+        res, integral = rerun_over_2d_weight(
+            monkeypatch, dhat,
+            lambda xi: cavity.interference_kernel(r, k0d * xi),
+            lambda: gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d),
+                                            dhat=dhat))
+        reference = 3.0 / (8.0 * math.pi) * integral
+        assert abs(res.ratio - reference) <= 1e-14 * abs(reference)
 
 
 class TestSeries:

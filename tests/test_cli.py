@@ -38,6 +38,15 @@ class TestExitCodes:
     def test_bad_grid_is_usage_error(self, capsys):
         assert cli.main(["cavity", "--grid", "2:1:5"]) == 2
 
+    def test_bad_range_rejected_as_flag_and_config_line(self, tmp_path,
+                                                         capsys):
+        assert cli.main(["cavity", "--r", "1:2:x"]) == 2
+        assert "start:stop:count[:log]" in capsys.readouterr().err
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("r = 1:2:x\n", encoding="utf-8")
+        assert cli.main(["cavity", "--config", str(cfg_file)]) == 2
+        assert "bad value for r" in capsys.readouterr().err
+
     def test_config_error_reported_on_stderr(self, tmp_path, capsys):
         rc = cli.main(["cavity", "--k0d", "1.0", "--d-over-lambda", "0.5"])
         assert rc == 2

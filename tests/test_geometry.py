@@ -55,6 +55,27 @@ class TestDipoleWeight:
             geometry.DipoleOrientation(vec=np.zeros(3))
 
 
+class TestPhiMeanWeight:
+    """The closed phi mean against a phi average of the frame weights."""
+
+    DIPOLES = [*np.random.default_rng(20261018).normal(size=(32, 3)),
+               (1.0, 0.0, 0.0), (0.3, -0.4, 0.5)]
+
+    def test_matches_frame_phi_average(self):
+        # 64 trapezoid nodes integrate the degree-2 trigonometric weight
+        # exactly; xi = +-1 are left out, where the frame is undefined
+        phis = (2.0 * math.pi / 64) * np.arange(64)
+        xis = np.linspace(-0.95, 0.95, 7)
+        for v in self.DIPOLES:
+            dhat = geometry.DipoleOrientation(vec=np.asarray(v))
+            closed = geometry.phi_mean_weight(dhat, xis)
+            for xi, value in zip(xis, closed):
+                theta = math.acos(xi)
+                mean = np.mean([sum(oracles.dipole_weights(v, theta, phi))
+                                for phi in phis])
+                assert abs(value - mean) <= 1e-14
+
+
 class TestSolidAngleIntegrate:
     def test_constant_integrand_gives_4pi(self):
         # integrands must broadcast over both angle arrays
@@ -112,6 +133,24 @@ class TestSolidAngleIntegrate:
         assert exc.value.n_evals >= 3000
         assert np.isfinite(exc.value.err_estimate)
         assert exc.value.value is not None
+
+    def test_phi_independent_column_matches_broadcast_grid(self):
+        column = lambda theta, phi: (np.exp(-1.3j * np.cos(theta))
+                                     * (1.0 + np.cos(theta) ** 2))
+        grid = lambda theta, phi: np.broadcast_to(
+            column(theta, phi), np.broadcast(theta, phi).shape)
+        one, err_one = geometry.solid_angle_integrate(column)
+        two, err_two = geometry.solid_angle_integrate(grid)
+        assert abs(one - two) <= 1e-15 * abs(two)
+        assert err_one == pytest.approx(err_two, rel=1e-6)
+
+    def test_phi_independent_column_counts_xi_nodes(self):
+        # tol below the roundoff floor never converges; levels of 64, 128,
+        # ... xi nodes run until 3000 are spent: 64 * (2**6 - 1) in all
+        fn = lambda theta, phi: np.cos(40.0 * np.cos(theta))
+        with pytest.raises(errors.NonConvergence) as exc:
+            geometry.solid_angle_integrate(fn, tol=1e-16, max_evals=3000)
+        assert exc.value.n_evals == 64 * (2 ** 6 - 1)
 
     def test_invalid_arguments(self):
         fn = lambda theta, phi: np.ones_like(theta)
