@@ -7,11 +7,17 @@ quantum-jump unraveling of the latter. The two models disagree outside
 the small-cooperativity regime; model_discrepancy measures by how much.
 evolve_jc propagates a general initial state with the exact propagator
 exp(L t) of the truncated Liouvillian, computed by Pade scaling and
-squaring; no integrator step enters its accuracy. model_discrepancy
-starts from |e,0>, where every jump ends in |g,0> and never returns, so
-it needs only the two no-jump amplitudes of |e,0> and |g,1>: exact, with
-no Fock truncation. evolve_jc builds one propagator for its uniform
-step; model_discrepancy caches one per distinct grid span.
+squaring; no integrator step enters its accuracy. The Liouvillian
+conserves the difference of excitation numbers on the two sides of rho
+(a weak U(1) symmetry; Buca & Prosen, New J. Phys. 14:073007, 2012), so
+rho0 reaches only some entries of rho and the rest stay exactly 0.
+evolve_jc finds those entries from the nonzero pattern of L, builds one
+propagator on them for its uniform step and records only them: 5 of the
+144 entries for |e,0> at n_fock = 5. JCTrajectory.rhos rebuilds the
+dense record on demand, at the dense cost. model_discrepancy starts from
+|e,0>, where every jump ends in |g,0> and never returns, so it needs
+only the two no-jump amplitudes of |e,0> and |g,1>: exact, with no Fock
+truncation. It caches one propagator per distinct grid span.
 
 Basis and conventions: product basis |atom> (x) |n photons>, flat index
 a * (n_fock + 1) + n with a = 0 ground, a = 1 excited. Dissipators use
@@ -50,7 +56,6 @@ _DIAG_TOL = 1e-10
 _LEAK_TOL = 1e-8
 _STABILITY_CAP = 0.1
 _SPAN_RTOL = 1e-13
-_HERM_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -207,24 +212,57 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JCTrajectory:
-    """Recorded atom-cavity evolution: rho at every recording step."""
+    """Recorded atom-cavity evolution on the entries of rho it reaches.
+
+    states[t, k] is entry support[k] (a flat index into the row-major
+    vec(rho)) at times[t]; every other entry of rho is exactly 0 at every
+    time (see evolve_jc). support is sorted and closed under transpose,
+    so entry (i, j) is recorded whenever (j, i) is.
+    """
 
     times: np.ndarray
-    rhos: np.ndarray
     n_fock: int
+    support: np.ndarray
+    states: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return 2 * (self.n_fock + 1)
+
+    @property
+    def rhos(self) -> np.ndarray:
+        """Dense (T, dim, dim) record, rebuilt on every read."""
+        dim = self.dim
+        out = np.zeros((self.times.size, dim * dim), dtype=complex)
+        out[:, self.support] = self.states
+        return out.reshape(-1, dim, dim)
+
+    def _population(self, level: int) -> np.ndarray:
+        """Population of one basis level per time; 0 if never reached."""
+        flat = level * (self.dim + 1)
+        k = int(np.searchsorted(self.support, flat))
+        if k < self.support.size and self.support[k] == flat:
+            return self.states[:, k].real
+        return np.zeros(self.times.size)
+
+    @property
+    def populations(self) -> np.ndarray:
+        """Diagonal of rho per time, shape (T, dim)."""
+        pops = np.empty((self.times.size, self.dim))
+        for level in range(self.dim):
+            pops[:, level] = self._population(level)
+        return pops
 
     @property
     def excited_population(self) -> np.ndarray:
         n1 = self.n_fock + 1
-        diag = np.einsum("tii->ti", self.rhos).real
-        return diag[:, n1:].sum(axis=1)
+        return self.populations[:, n1:].sum(axis=1)
 
     @property
     def photon_number(self) -> np.ndarray:
         n1 = self.n_fock + 1
-        diag = np.einsum("tii->ti", self.rhos).real
         weights = np.tile(np.arange(n1, dtype=float), 2)
-        return diag @ weights
+        return self.populations @ weights
 
     @property
     def excitation_number(self) -> np.ndarray:
@@ -232,39 +270,59 @@ class JCTrajectory:
 
     @property
     def trace_error(self) -> float:
-        traces = np.einsum("tii->t", self.rhos).real
+        traces = self.populations.sum(axis=1)
         return float(np.max(np.abs(traces - 1.0)))
 
     @property
     def hermiticity_error(self) -> float:
-        # blocks of steps keep the temporaries small on long recordings
-        worst = 0.0
-        for k in range(0, len(self.rhos), _HERM_BLOCK):
-            blk = self.rhos[k:k + _HERM_BLOCK]
-            worst = max(worst, float(np.max(
-                np.abs(blk - blk.conj().transpose(0, 2, 1)))))
-        return worst
+        dim = self.dim
+        row, col = np.divmod(self.support, dim)
+        mirror = np.searchsorted(self.support, col * dim + row)
+        return float(np.max(np.abs(self.states
+                                   - self.states[:, mirror].conj())))
 
     @property
     def top_fock_max(self) -> float:
         """Largest population ever seen in the highest Fock level."""
         n1 = self.n_fock + 1
-        diag = np.einsum("tii->ti", self.rhos).real
-        return float(np.max(diag[:, n1 - 1] + diag[:, 2 * n1 - 1]))
+        return float(np.max(self._population(n1 - 1)
+                            + self._population(2 * n1 - 1)))
+
+
+def _reachable(lv: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of vec(rho) that exp(lv t) vec(rho) can reach.
+
+    Starts from the nonzero entries of rho and of its transpose and adds
+    every entry that lv links to the set until it stops growing. lv maps
+    the span of the result into itself, so entries outside it stay 0.
+    """
+    links = lv != 0.0
+    reach = ((rho != 0.0) | (rho.T != 0.0)).ravel()
+    while True:
+        grown = reach | links[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
 
 
 def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
               dt: float) -> JCTrajectory:
     """Evolve the two-channel master equation, recording rho every dt.
 
-    The exact propagator P = exp(L h) is built once and applied per
-    recording step, so dt sets only the spacing of the record, not the
-    accuracy. The spacing must satisfy dt * max(g, kappa, gamma) < 0.1
-    (StepTooLarge otherwise) so the record resolves the fastest rate;
-    the actual spacing is h = t_final / ceil(t_final / dt), so the grid
-    lands on t_final exactly. Population of the top Fock level is
-    monitored and TruncationLeak raised if it ever exceeds 1e-8, since
-    then the truncation basis is too small for the requested dynamics.
+    Only the entries of vec(rho) that rho0 can reach are evolved: the
+    nonzero entries of rho0, grown through the nonzero pattern of L
+    until the set is closed. L maps their span into itself, so the
+    result is exact and every other entry stays 0. The exact propagator
+    P = exp(L h) on those entries is built once, and the record is
+    filled by doubling: rows m..2m-1 are rows 0..m-1 times P^m, then P^m
+    is squared, so n steps take log2(n) matrix products. dt sets only
+    the spacing of the record, not the accuracy. The spacing must
+    satisfy dt * max(g, kappa, gamma) < 0.1 (StepTooLarge otherwise) so
+    the record resolves the fastest rate; the actual spacing is
+    h = t_final / ceil(t_final / dt), so the grid lands on t_final
+    exactly. Population of the top Fock level is monitored and
+    TruncationLeak raised if it ever exceeds 1e-8, since then the
+    truncation basis is too small for the requested dynamics.
     """
     if not t_final >= 0.0:
         raise InvalidParams(f"t_final must be >= 0, got {t_final!r}")
@@ -278,16 +336,19 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
     h = t_final / n_steps if n_steps else 0.0
 
     lv = _liouvillian(params, rho0.n_fock)
-    dim = rho0.dim
-    out = np.empty((n_steps + 1, dim * dim), dtype=complex)
-    out[0] = rho0.rho.ravel()
-    if n_steps:
-        prop = _expm(lv * h)
-        for k in range(n_steps):
-            np.matmul(prop, out[k], out=out[k + 1])
+    support = _reachable(lv, rho0.rho)
+    out = np.empty((n_steps + 1, support.size), dtype=complex)
+    out[0] = rho0.rho.ravel()[support]
+    # transposed, because the record holds one state per row
+    prop_t = _expm(lv[np.ix_(support, support)] * h).T
+    done = 1
+    while done <= n_steps:
+        take = min(done, n_steps + 1 - done)
+        np.matmul(out[:take], prop_t, out=out[done:done + take])
+        done += take
+        prop_t = prop_t @ prop_t
     traj = JCTrajectory(times=h * np.arange(n_steps + 1),
-                        rhos=out.reshape(n_steps + 1, dim, dim),
-                        n_fock=rho0.n_fock)
+                        n_fock=rho0.n_fock, support=support, states=out)
     leak = traj.top_fock_max
     if leak > _LEAK_TOL:
         raise TruncationLeak(

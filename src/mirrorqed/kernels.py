@@ -27,8 +27,17 @@ def _f_taylor(x):
 
 
 def _f_direct(x):
-    s, c = np.sin(x), np.cos(x)
-    return s / x + c / (x * x) - s / (x * x * x)
+    """s/x + c/(x*x) - s/(x*x*x) in that IEEE order, in three buffers."""
+    s = np.sin(x)
+    x2 = np.multiply(x, x)
+    c = np.cos(x)
+    c /= x2
+    x2 *= x
+    np.divide(s, x2, out=x2)
+    s /= x
+    s += c
+    s -= x2
+    return s
 
 
 def f_kernel(x):
@@ -42,12 +51,14 @@ def f_kernel(x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
     small = np.abs(arr) < F_TAYLOR_CROSSOVER
-    if small.any():
+    if not small.any():
+        out = _f_direct(arr)
+    else:
+        out = np.empty_like(arr)
         out[small] = _f_taylor(arr[small])
-    if (~small).any():
-        out[~small] = _f_direct(arr[~small])
+        if not small.all():
+            out[~small] = _f_direct(arr[~small])
     return float(out[0]) if scalar else out
 
 

@@ -54,6 +54,15 @@ _METHODS_BY_TARGET = {
 
 TARGETS = tuple(_METHODS_BY_TARGET)
 
+# Sizes the user sets are capped so that one run stays within a memory
+# budget, and an oversized request is refused before anything is
+# allocated. tracemalloc measures 0.5-0.7 KiB per grid point of a rate
+# sweep or lindblad time grid and 65-73 B per jump trajectory; the caps
+# price them at 1 KiB and 128 B.
+_MEMORY_BUDGET_BYTES = 1 << 30
+_MAX_GRID_POINTS = _MEMORY_BUDGET_BYTES // 1024
+_MAX_TRAJECTORIES = _MEMORY_BUDGET_BYTES // 128
+
 
 @dataclass(frozen=True)
 class Range:
@@ -140,8 +149,18 @@ class SweepConfig:
                 0 <= self.n_max <= cavity_mod._N_MAX_CAP):
             raise ConfigError(f"n_max must lie in [0, "
                               f"{cavity_mod._N_MAX_CAP}], got {self.n_max!r}")
-        if self.n_traj < 1:
-            raise ConfigError(f"n_traj must be >= 1, got {self.n_traj!r}")
+        if not 1 <= self.n_traj <= _MAX_TRAJECTORIES:
+            raise ConfigError(
+                f"n_traj must lie in [1, {_MAX_TRAJECTORIES}] (a "
+                f"{_MEMORY_BUDGET_BYTES >> 30} GiB memory budget), "
+                f"got {self.n_traj!r}")
+        for name in ("r", "k0d", "d_over_lambda0", "t"):
+            grid = getattr(self, name)
+            if isinstance(grid, Range) and grid.count > _MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"{name} range has {grid.count} points; at most "
+                    f"{_MAX_GRID_POINTS} fit a {_MEMORY_BUDGET_BYTES >> 30} "
+                    "GiB memory budget")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.kappa < 0.0 or self.gamma < 0.0:

@@ -161,6 +161,34 @@ def test_frozen_rows_reproduced(tmp_path, argv, capsys):
             assert abs(float(row[i]) - float(old[i])) <= 1e-13
 
 
+# Runs one CLI call in a process whose address space is capped at
+# 512 MB, so an input that tried to allocate its full size would end in
+# MemoryError instead of exhausting the host.
+_CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from mirrorqed import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["mirror", "--grid=0:1:10000000000"],
+    ["lindblad", "--n-traj", "10000000000"],
+])
+def test_oversized_input_refused_before_allocation(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, *argv,
+         "--out", str(tmp_path / "big.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "memory budget" in proc.stderr
+    assert "MemoryError" not in proc.stderr
+    assert not (tmp_path / "big.csv").exists()
+
+
 class TestSweepCommands:
     def test_cavity_single_point(self, tmp_path, capsys):
         out = str(tmp_path / "c.csv")

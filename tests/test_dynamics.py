@@ -1,6 +1,7 @@
 """Atom-cavity master equation, single-rate model, and quantum-jump unraveling."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -157,6 +158,73 @@ class TestEvolveJC:
         a = dynamics.evolve_jc(params_weak(), st, t_final=1.0, dt=2e-3)
         b = dynamics.evolve_jc(params_weak(), st, t_final=1.0, dt=1e-3)
         assert abs(a.excited_population[-1] - b.excited_population[-1]) < 1e-10
+
+
+def mixed_multi_sector_state(n_fock=5):
+    """Mixed state on |g,0>, |e,0>, |g,1>, |e,1>, |g,2>, coherent across
+    excitation sectors 0, 1 and 2, clear of the top Fock level."""
+    n1 = n_fock + 1
+    levels = [0, n1, 1, n1 + 1, 2]
+    rng = np.random.default_rng(3)
+    amp = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    block = amp @ amp.conj().T
+    rho = np.zeros((2 * n1, 2 * n1), dtype=complex)
+    rho[np.ix_(levels, levels)] = 0.5 * (block + block.conj().T)
+    return dynamics.AtomCavityState(rho=rho / rho.trace().real, n_fock=n_fock)
+
+
+class TestReachableSupport:
+    params = dynamics.ModelParams(g=1.0, kappa=2.0, gamma=0.5)
+
+    def test_matches_dense_stepping(self):
+        st = mixed_multi_sector_state()
+        traj = dynamics.evolve_jc(self.params, st, t_final=2.0, dt=0.01)
+        h = traj.times[1]
+        prop = dynamics._expm(dynamics._liouvillian(self.params, 5) * h)
+        ref = np.empty((traj.times.size, st.dim * st.dim), dtype=complex)
+        ref[0] = st.rho.ravel()
+        for k in range(traj.times.size - 1):
+            ref[k + 1] = prop @ ref[k]
+        assert traj.rhos.shape == (traj.times.size, st.dim, st.dim)
+        assert np.max(np.abs(traj.rhos.reshape(ref.shape) - ref)) <= 1e-13
+        outside = np.delete(ref, traj.support, axis=1)
+        assert not outside.any()
+        pops = np.einsum("tii->ti", traj.rhos).real
+        np.testing.assert_array_equal(traj.populations, pops)
+        assert traj.trace_error < 1e-12
+        assert traj.hermiticity_error < 1e-14
+
+    def test_support_is_invariant_under_the_liouvillian(self):
+        st = mixed_multi_sector_state()
+        traj = dynamics.evolve_jc(self.params, st, t_final=0.1, dt=0.01)
+        lv = dynamics._liouvillian(self.params, 5)
+        outside = np.setdiff1d(np.arange(lv.shape[0]), traj.support)
+        assert not lv[np.ix_(outside, traj.support)].any()
+        assert 22 < traj.support.size < st.dim ** 2
+
+    def test_hermiticity_error_sees_a_non_hermitian_record(self):
+        st = mixed_multi_sector_state()
+        traj = dynamics.evolve_jc(self.params, st, t_final=0.1, dt=0.01)
+        states = traj.states.copy()
+        row, col = np.divmod(traj.support, st.dim)
+        states[-1, np.flatnonzero(row != col)[0]] += 1e-6
+        skewed = dynamics.JCTrajectory(times=traj.times, n_fock=traj.n_fock,
+                                       support=traj.support, states=states)
+        assert skewed.hermiticity_error == pytest.approx(1e-6, rel=1e-6)
+
+    def test_validate_run_records_no_dense_history(self):
+        tracemalloc.start()
+        try:
+            traj = dynamics.evolve_jc(
+                params_weak(), dynamics.AtomCavityState.excited_vacuum(),
+                t_final=10.0, dt=5e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == 20_001
+        assert traj.support.size == 5
+        # the dense (T, 144) complex record alone would take 46 MB
+        assert peak <= 5e6
 
 
 class TestSingleRate:

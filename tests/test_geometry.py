@@ -77,6 +77,13 @@ class TestPhiMeanWeight:
 
 
 class TestSolidAngleIntegrate:
+    def test_panel_rule_is_leggauss_16(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(geometry._GL_NODES.view(np.int64),
+                              nodes.view(np.int64))
+        assert np.array_equal(geometry._GL_WEIGHTS.view(np.int64),
+                              weights.view(np.int64))
+
     def test_constant_integrand_gives_4pi(self):
         # integrands must broadcast over both angle arrays
         fn = lambda theta, phi: np.ones(np.broadcast(theta, phi).shape)

@@ -4,6 +4,7 @@ Expected values are frozen from the mpmath oracle in tests/oracles.py.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,19 @@ class TestFKernel:
         out = kernels.f_kernel(np.ones((3, 5)))
         assert out.shape == (3, 5)
         assert isinstance(kernels.f_kernel(1.0), float)
+
+    def test_direct_branch_is_the_three_term_formula_in_small_memory(self):
+        x = np.linspace(0.2, 50.0, 2 ** 16)
+        s, c = np.sin(x), np.cos(x)
+        ref = s / x + c / (x * x) - s / (x * x * x)
+        tracemalloc.start()
+        try:
+            out = kernels.f_kernel(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        assert peak <= 5 * x.nbytes
 
 
 class TestFEnvelope:

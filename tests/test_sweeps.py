@@ -88,6 +88,21 @@ class TestSweepConfig:
         with pytest.raises(errors.ConfigError):
             sweeps.SweepConfig(**kwargs).validate()
 
+    def test_size_caps_admit_the_cap_and_reject_one_more(self):
+        n = sweeps._MAX_GRID_POINTS
+        for target, axis in (("mirror", "d_over_lambda0"), ("lindblad", "t")):
+            sweeps.SweepConfig(target=target,
+                               **{axis: sweeps.Range(0.0, 1.0, n)}).validate()
+            with pytest.raises(errors.ConfigError, match="memory budget"):
+                sweeps.SweepConfig(
+                    target=target,
+                    **{axis: sweeps.Range(0.0, 1.0, n + 1)}).validate()
+        sweeps.SweepConfig(target="lindblad",
+                           n_traj=sweeps._MAX_TRAJECTORIES).validate()
+        with pytest.raises(errors.ConfigError, match="memory budget"):
+            sweeps.SweepConfig(target="lindblad",
+                               n_traj=sweeps._MAX_TRAJECTORIES + 1).validate()
+
     def test_dump_parse_round_trip(self):
         configs = [
             sweeps.SweepConfig(target="mirror", r=-1.0,
