@@ -248,7 +248,7 @@ def gamma_cavity_series(spec, control: SeriesControl | None = None):
     ok = cells.ok
     r, k, orders = cells.values[0][ok], cells.values[1][ok], n_max[ok]
     sums = np.empty(r.size)
-    for n in np.unique(orders).tolist():
+    for n in sorted(set(orders.tolist())):
         rows = orders == n
         sums[rows] = _series_sums(r[rows], k[rows], n)
     ratio = 1.5 * (1.0 - r ** 2) * sums

@@ -12,7 +12,7 @@ import dataclasses
 import math
 import sys
 
-from . import __version__, sweeps, validation
+from . import __version__, sweeps
 from .errors import ConfigError, InvalidParams
 from .sweeps import FIGURE_IDS, Range, SweepConfig
 
@@ -178,6 +178,8 @@ def _collect_config(args: argparse.Namespace, target: str) -> SweepConfig:
 def _dispatch(args: argparse.Namespace) -> int:
     command = args.command
     if command == "validate":
+        from . import validation
+
         report = validation.run_validation(
             quick=bool(args.quick), fault_injection=args.inject_fault,
             seed=args.seed)

@@ -240,8 +240,8 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
         pts = np.asarray(list(xi_breakpoints), dtype=float)
         pts = pts[(pts > -1.0) & (pts < 1.0)]
         if pts.size:
-            edges = np.unique(np.concatenate([edges, pts]))
-            # drop edges closer than resolvable spacing
+            edges = np.sort(np.concatenate([edges, pts]))
+            # drop repeated edges and edges closer than resolvable spacing
             keep = np.concatenate([[True], np.diff(edges) > 1e-12])
             edges = edges[keep]
 

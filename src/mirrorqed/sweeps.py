@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import cavity as cavity_mod
-from . import dynamics as dyn
 from . import mirror as mirror_mod
 from .errors import (ConfigError, DegenerateMirror, InvalidParams,
                      NonConvergence, TailTooLarge)
@@ -305,15 +304,36 @@ def _resolve_out(cfg: SweepConfig, default_name: str) -> str:
     return os.path.join(_default_outdir(), default_name)
 
 
+def _column_text(cells: list) -> list[str]:
+    """_fmt of every cell, at the speed of float.__repr__ on a column
+    that holds only floats (the same text, since _fmt writes a float as
+    repr(float(value)))."""
+    try:
+        return list(map(float.__repr__, cells))
+    except TypeError:
+        return list(map(_fmt, cells))
+
+
+#: Rows formatted and written at a time: the text of a block is freed
+#: before the next, so a long sweep's CSV never sits in memory whole.
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: str, cfg: SweepConfig, header: list[str],
-               rows) -> None:
+               columns: list[list]) -> None:
+    """Write the config preamble, the header and rows given as equally
+    long columns of cells."""
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     lines = [f"# {line}" for line in dump_config(cfg).splitlines()]
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    n_rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = [_column_text(col[start:start + _CSV_BLOCK_ROWS])
+                     for col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _axis_values(cfg: SweepConfig):
@@ -460,7 +480,7 @@ def _run_rate_sweep(cfg: SweepConfig, path: str) -> int:
     if cfg.quick and xs.size > 25:
         xs = xs[:: max(1, xs.size // 25)]
     columns, n_failed = assemble(cfg, axis, xs)
-    _write_csv(path, cfg, header, zip(*columns))
+    _write_csv(path, cfg, header, columns)
     if n_failed:
         print(f"{n_failed} of {xs.size} cells failed; see status column "
               f"in {path}", file=sys.stderr)
@@ -469,6 +489,8 @@ def _run_rate_sweep(cfg: SweepConfig, path: str) -> int:
 
 
 def _run_lindblad(cfg: SweepConfig, path: str) -> int:
+    from . import dynamics as dyn
+
     grid = (cfg.t or Range(0.0, 3.0, 31)).values()
     n_traj = cfg.n_traj
     if cfg.quick:
@@ -484,16 +506,17 @@ def _run_lindblad(cfg: SweepConfig, path: str) -> int:
         ens = dyn.unravel_jumps(gamma_cav, np.diag([0.0, 1.0]), n_traj,
                                 cfg.seed, grid)
     except _CELL_ERRORS as exc:
-        rows = [[t, math.nan, math.nan, math.nan, math.nan, "lindblad",
-                 type(exc).__name__] for t in grid]
-        _write_csv(path, cfg, header, rows)
+        nan = [math.nan] * grid.size
+        _write_csv(path, cfg, header,
+                   [grid.tolist(), nan, nan, nan, nan,
+                    ["lindblad"] * grid.size,
+                    [type(exc).__name__] * grid.size])
         print(f"lindblad run failed: {exc}", file=sys.stderr)
         return 3
-    rows = [[float(t), float(pj), float(ps), float(pm), float(pe),
-             "lindblad", "ok"]
-            for t, pj, ps, pm, pe in zip(grid, disc.pop_jc, disc.pop_single,
-                                         ens.excited_population, ens.stderr)]
-    _write_csv(path, cfg, header, rows)
+    _write_csv(path, cfg, header,
+               [grid.tolist(), disc.pop_jc.tolist(), disc.pop_single.tolist(),
+                ens.excited_population.tolist(), ens.stderr.tolist(),
+                ["lindblad"] * grid.size, ["ok"] * grid.size])
     return 0
 
 

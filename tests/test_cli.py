@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, config plumbing, output files."""
 
 import importlib
+import json
 import math
 import os
 import pkgutil
@@ -410,3 +411,68 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "mirrorqed" in proc.stdout
+
+
+def test_public_names_are_their_home_objects():
+    for name, module in mirrorqed._HOME.items():
+        home = importlib.import_module(f"mirrorqed.{module}")
+        value = getattr(mirrorqed, name)
+        assert value is getattr(home, name), name
+        # a name must be listed under the module that defines it, not
+        # under one that merely imports it
+        assert getattr(value, "__module__", home.__name__) == home.__name__
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from mirrorqed import *", namespace)
+    assert set(mirrorqed.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_names_itself():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mirrorqed.no_such_name
+
+
+# Runs in a fresh interpreter, because pytest has already imported every
+# module: prints, after `import mirrorqed` and after each CLI run, which
+# package modules (and whether numpy.ma) are loaded.
+_IMPORT_PROBE = """
+import json, sys
+import numpy
+bare_numpy_ma = "numpy.ma" in sys.modules
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith("mirrorqed.") or m == "numpy.ma")
+
+import mirrorqed
+report = {"bare_numpy_ma": bare_numpy_ma, "import": loaded(),
+          "undir": sorted(set(mirrorqed.__all__) - set(dir(mirrorqed)))}
+from mirrorqed import cli
+for argv in json.loads(sys.argv[1]):
+    report[argv[0]] = [cli.main(argv), loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
+    runs = [["--version"]] + [
+        [target, "--quick", f"--out={tmp_path / target}.csv"]
+        for target in ("mirror", "cavity", "subwavelength", "optical",
+                       "lindblad")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["import"] == [] and report["undir"] == []
+    unused = {"mirrorqed.validation", "mirrorqed.dynamics",
+              "mirrorqed.freespace"}
+    for target in ("--version", "mirror", "cavity", "subwavelength",
+                   "optical"):
+        code, loaded = report[target]
+        assert code == 0 and not unused & set(loaded), target
+        # numpy 2 imports numpy.ma only on demand; numpy 1 always does
+        assert "numpy.ma" not in loaded or report["bare_numpy_ma"], target
+    code, loaded = report["lindblad"]
+    assert code == 0 and "mirrorqed.validation" not in loaded
