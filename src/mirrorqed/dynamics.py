@@ -56,6 +56,9 @@ _DIAG_TOL = 1e-10
 _LEAK_TOL = 1e-8
 _STABILITY_CAP = 0.1
 _SPAN_RTOL = 1e-13
+# model_discrepancy loses about eps * max_rate * t_final to rounding
+# (measured at most 0.7 times that up to 3e12), 2e-7 at this bound
+_MAX_PHASE = 1e9
 
 
 @dataclass(frozen=True)
@@ -383,8 +386,9 @@ def evolve_single_rate(gamma_cav: float, rho_atom0,
     may be a scalar (sampled on 101 equally spaced points from 0) or an
     explicit array of sample times.
     """
-    if not gamma_cav >= 0.0:
-        raise InvalidParams(f"gamma_cav must be >= 0, got {gamma_cav!r}")
+    if not 0.0 <= gamma_cav < math.inf:
+        raise InvalidParams(
+            f"gamma_cav must be finite and >= 0, got {gamma_cav!r}")
     rho0 = _density_matrix(rho_atom0, 2, "rho_atom")
     if np.ndim(t_final) == 0:
         if not float(t_final) >= 0.0:
@@ -454,8 +458,9 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
     searchsorted per eigenstate), with no trajectory-by-time matrix.
     Transient memory is a small constant times jump_times.
     """
-    if not gamma_cav >= 0.0:
-        raise InvalidParams(f"gamma_cav must be >= 0, got {gamma_cav!r}")
+    if not 0.0 <= gamma_cav < math.inf:
+        raise InvalidParams(
+            f"gamma_cav must be finite and >= 0, got {gamma_cav!r}")
     if n_traj < 1:
         raise InvalidParams(f"n_traj must be >= 1, got {n_traj!r}")
     rho0 = _density_matrix(rho_atom0, 2, "rho_atom")
@@ -508,7 +513,7 @@ def cooperativity(params: ModelParams) -> float:
     """Dimensionless g^2 / (kappa gamma); both rates must be positive."""
     if params.kappa <= 0.0 or params.gamma <= 0.0:
         raise InvalidParams("cooperativity needs kappa > 0 and gamma > 0")
-    return params.g ** 2 / (params.kappa * params.gamma)
+    return params.g * params.g / (params.kappa * params.gamma)
 
 
 def coupling_regime(params: ModelParams) -> str:
@@ -530,7 +535,12 @@ def effective_decay_rate(params: ModelParams) -> float:
     """
     if params.kappa <= 0.0:
         raise InvalidParams("effective rate needs kappa > 0")
-    return params.gamma + 4.0 * params.g ** 2 / params.kappa
+    rate = params.gamma + 4.0 * (params.g * params.g) / params.kappa
+    if not math.isfinite(rate):
+        raise InvalidParams(
+            f"effective rate gamma + 4 g^2 / kappa overflows at "
+            f"g={params.g!r}, kappa={params.kappa!r}")
+    return rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -565,13 +575,20 @@ def model_discrepancy(params: ModelParams, gamma_cav: float,
     so a uniform grid costs a single matrix exponential. The single-rate
     model is evaluated in closed form on the same grid. Small when the
     cooperativity is small and gamma_cav is the adiabatic effective
-    rate; order one when coherent exchange is resolved.
+    rate; order one when coherent exchange is resolved. Refuses a grid
+    whose phase max_rate * t_final exceeds 1e9, where rounding would
+    pass about 2e-7 (at 1e150 the propagator overflows).
     """
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
         raise InvalidParams("t_grid must be 1-D, nonempty, >= 0")
     if np.any(np.diff(times) <= 0.0):
         raise InvalidParams("t_grid must be strictly increasing")
+    if params.max_rate * times[-1] > _MAX_PHASE:
+        raise InvalidParams(
+            f"max_rate * t_final = {params.max_rate * times[-1]:.3g} "
+            f"exceeds {_MAX_PHASE:.0e}: the populations are not resolved "
+            "in double precision")
 
     h_eff = np.array([[-0.5j * params.gamma, params.g],
                       [params.g, -0.5j * params.kappa]])

@@ -8,7 +8,8 @@ package under test, using different numerical schemes than the library:
 * special-function values: mpmath at 40 significant digits;
 * cavity decay ratios: mpmath adaptive quadrature of the 1-D reduction,
   subdivided at the known resonance peaks;
-* multiple-reflection sums: direct partial summation (no resummation);
+* multiple-reflection and image sums: direct partial summation (no
+  resummation);
 * polarization frame: e_H and e_V built from cross products instead of
   the library's explicit trigonometric components;
 * master-equation dynamics: scipy.integrate.solve_ivp at tight tolerance
@@ -187,6 +188,28 @@ def cavity_double_sum_direct(r: float, k0d: float, n_max: int) -> float:
                   + r * f((2 * m + 1) * k0d))
             total += w * fm
     return 1.5 * t2 * total
+
+
+def cavity_image_sum_direct(r: float, k0d: float, n_max: int,
+                            dps: int = 30) -> float:
+    """Truncated image sum, evaluated term by term in mpmath.
+
+    ratio = 1 + 3 * sum_{j=1..2 n_max + 1} r^j f(j k0d)
+
+    The untruncated double sum of cavity_double_sum_direct collapses to
+    this single sum; cut at 2 n_max + 1 it uses the same f arguments.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        rm = mp.mpf(repr(float(r)))
+        kd = mp.mpf(repr(float(k0d)))
+        total = mp.mpf(0)
+        for j in range(1, 2 * n_max + 2):
+            x = j * kd
+            f = mp.sin(x) / x + mp.cos(x) / x ** 2 - mp.sin(x) / x ** 3
+            total += rm ** j * f
+        return float(1 + 3 * total)
 
 
 def cavity_ratio_mp(r: float, k0d: float, dps: int = 30) -> float:
@@ -381,6 +404,12 @@ def _main():
     for r, k0d, n_max in ((0.5, 1.0, 40), (-0.8, 0.3, 60), (0.9, 2.0, 80)):
         show(f"double sum r={r} k0d={k0d} n_max={n_max}",
              cavity_double_sum_direct(r, k0d, n_max))
+
+    print("\n== truncated image sum, direct (mpmath) ==")
+    for r, k0d, n_max in ((0.5, 1.0, 40), (-0.8, 0.3, 60), (0.9, 2.0, 80),
+                          (-0.98, 0.05, 300), (0.3, 7.5, 0)):
+        show(f"image sum r={r} k0d={k0d} n_max={n_max}",
+             cavity_image_sum_direct(r, k0d, n_max))
 
     print("\n== dynamics ==")
     show("slow decay rate g=1 kappa=20 gamma=1",

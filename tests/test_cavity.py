@@ -2,8 +2,9 @@
 
 Quadrature expectations are frozen from the 30-digit mpmath oracle
 (tanh-sinh in cos theta of the resummed round-trip kernel); series
-expectations from a direct truncated double bounce sum with pinned depth,
-and at high finesse from the same mpmath oracle.
+expectations from the direct truncated image sum and double bounce sum
+with pinned depth, and at high finesse and contact from the same mpmath
+oracle.
 """
 
 import math
@@ -26,6 +27,8 @@ from mirrorqed import (
     cavity,
     geometry,
 )
+
+from . import oracles
 
 # (r_mir, k0d, ratio) from the mpmath quadrature oracle.
 QUAD_ORACLE = [
@@ -87,6 +90,22 @@ SERIES_ORACLE = [
     (-0.8, 0.3, 60, 0.11210819972278241),
     (0.9, 2.0, 80, 1.1940938105570382),
 ]
+
+# (r_mir, k0d, n_max, ratio) from the direct truncated image sum (mpmath).
+IMAGE_SUM_ORACLE = [
+    (0.5, 1.0, 40, 1.9084091045673999),
+    (-0.8, 0.3, 60, 0.11210819972283927),
+    (0.9, 2.0, 80, 1.1940938107327637),
+    (-0.98, 0.05, 300, 0.010103789866286106),
+    (0.3, 7.5, 0, 1.1161050956812095),
+]
+
+# Cells where the series meets the live mpmath oracle: contact, where
+# every dropped image has f near 2/3 and the tail bound is tight, up to
+# the optical regime.
+SERIES_GRID_R = [0.1, -0.1, 0.5, -0.5, 0.9, -0.9, 0.98, -0.98, 0.99,
+                 0.999, -0.999]
+SERIES_GRID_K0D = [1e-8, 1e-4, 1e-3, 0.1, 1.0, 10.0]
 
 # (r_mir, k0d, ratio) from the mpmath oracle: high-finesse and optical
 # cells, where every bounce order up to the default n_max is summed.
@@ -190,8 +209,42 @@ class TestSeries:
     def test_matches_direct_double_sum(self, r, k0d, n_max, expected):
         control = SeriesControl(n_max=n_max, tail_tol=1e-4)
         res = gamma_cavity_series(CavitySpec(r_mir=r, k0d=k0d), control)
-        assert res.ratio == pytest.approx(expected, abs=1e-10)
+        assert abs(res.ratio - expected) <= res.err_estimate
         assert res.method == "series"
+
+    @pytest.mark.parametrize("r,k0d,n_max,expected", IMAGE_SUM_ORACLE)
+    def test_matches_direct_image_sum(self, r, k0d, n_max, expected):
+        control = SeriesControl(n_max=n_max, tail_tol=1.0)
+        res = gamma_cavity_series(CavitySpec(r_mir=r, k0d=k0d), control)
+        assert abs(res.ratio - expected) <= 1e-13
+
+    @pytest.mark.parametrize("r", SERIES_GRID_R)
+    def test_err_estimate_covers_mpmath(self, r):
+        for k0d in SERIES_GRID_K0D:
+            res = gamma_cavity_series(CavitySpec(r_mir=r, k0d=k0d))
+            exact = oracles.cavity_ratio_mp(r, k0d, dps=20)
+            assert abs(res.ratio - exact) <= res.err_estimate, k0d
+
+    def test_default_n_max_is_minimal_and_sound(self):
+        def err(r, n):
+            return cavity._series_tail_bound(r, n) + cavity._series_rounding(r)
+
+        for ar in (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98, 0.999, 0.9999):
+            for tol in (1e-2, 1e-5, 1e-8, 1e-10, 1e-12):
+                n = default_n_max(ar, tol)
+                if n == cavity._N_MAX_CAP:
+                    continue
+                assert default_n_max(-ar, tol) == n
+                assert err(ar, n) <= tol
+                assert n == 0 or err(ar, n - 1) > tol
+
+    def test_tail_tol_below_rounding_floor_fails(self):
+        spec = CavitySpec(r_mir=0.5, k0d=1.0)
+        assert cavity._series_rounding(0.5) > 2e-14
+        assert default_n_max(0.5, 2e-14) == cavity._N_MAX_CAP
+        with pytest.raises(errors.TailTooLarge) as exc:
+            gamma_cavity_series(spec, SeriesControl(tail_tol=2e-14))
+        assert exc.value.bound > exc.value.tol
 
     def test_auto_depth_matches_quadrature(self):
         for r, k0d in [(0.5, 1.0), (-0.8, 3.0), (0.9, 0.7), (0.6, 20.0)]:
@@ -255,10 +308,10 @@ class TestSeries:
                                         "TailTooLarge", "DegenerateMirror"]
 
     def test_high_finesse_k0d_sweep_runs_in_bounded_memory(self):
-        # n_max = 13,206 at r = 0.999: an unblocked (200 x m) grid holds
+        # n_max = 13,005 at r = 0.999: an unblocked (200 x j) grid holds
         # about 42 MB per temporary
         r, k0d = 0.999, np.linspace(0.05, 20.0, 200)
-        assert default_n_max(r, SeriesControl().tail_tol) == 13_206
+        assert default_n_max(r, SeriesControl().tail_tol) == 13_005
         tracemalloc.start()
         try:
             grid = gamma_cavity_series((r, k0d))

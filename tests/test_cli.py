@@ -100,6 +100,25 @@ class TestExitCodes:
         assert os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["lindblad", "--g", "1e200", "--quick"],
+    ["lindblad", "--g", "1e150", "--quick"],
+    ["lindblad", "--g", "1e200", "--gamma-cav", "1"],
+    ["lindblad", "--gamma-cav", "inf", "--quick"],
+])
+def test_overflowing_lindblad_rates_fail_typed(tmp_path, argv, capsys):
+    # warnings are errors under pytest, so an overflow in the
+    # propagator would surface here rather than as a nan row
+    out = tmp_path / "l.csv"
+    rc = cli.main([*argv, "--out", str(out)])
+    assert rc in (2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    if out.exists():
+        _, header, rows = read_csv(out)
+        status = header.split(",").index("status")
+        assert rows and all(row[status] != "ok" for row in rows)
+
+
 # Data rows written for these commands by the per-row sweep code that the
 # column assemblers replaced; each command exits 3. Failed rows, with
 # their status, nan and empty cells, must come out byte for byte. The one
@@ -124,15 +143,15 @@ FROZEN_ROWS = {
     ],
     ("cavity", "--method", "series", "--r", "0.5", "--k0d", "0:1:5"): [
         "0.0,0.5,,nan,,nan,InvalidParams,series",
-        "0.25,0.5,,2.861458965027396,,5.029151902923583e-09,ok,series",
-        "0.5,0.5,,2.5459039826919274,,5.029151902923583e-09,ok,series",
-        "0.75,0.5,,2.2048759916416265,,5.029151902923583e-09,ok,series",
-        "1.0,0.5,,1.9084091046718004,,5.029151902923583e-09,ok,series",
+        "0.25,0.5,,2.861458965236524,,3.725320298461914e-09,ok,series",
+        "0.5,0.5,,2.5459039828071357,,3.725320298461914e-09,ok,series",
+        "0.75,0.5,,2.204875991675956,,3.725320298461914e-09,ok,series",
+        "1.0,0.5,,1.9084091046523992,,3.725320298461914e-09,ok,series",
     ],
     ("cavity", "--method", "series", "--r", "0.5:0.9999:4", "--k0d", "1",
      "--n-max", "50"): [
-        "1.0,0.5,,1.9084091045673999,,1.0000000000000002e-14,ok,series",
-        "1.0,0.6666333333333333,,2.1629286318776813,,1.0009201938053807e-14,ok,series",
+        "1.0,0.5,,1.9084091045674003,,3e-14,ok,series",
+        "1.0,0.6666333333333333,,2.1629286318776817,,5.000052565892872e-14,ok,series",
         "1.0,0.8332666666666666,,nan,,nan,TailTooLarge,series",
         "1.0,0.9999,,nan,,nan,TailTooLarge,series",
     ],
@@ -160,6 +179,44 @@ def test_frozen_rows_reproduced(tmp_path, argv, capsys):
             assert row[cols.index("status")] == "ok"
             i = cols.index("ratio_series")
             assert abs(float(row[i]) - float(old[i])) <= 1e-13
+
+
+# The series rows of FROZEN_ROWS as the truncated double bounce sum wrote
+# them, before the image sum replaced it: (ratio_series, err_estimate)
+# per ok row. Each image-sum value must lie within the old row's
+# err_estimate of the old value.
+DOUBLE_SUM_SERIES = {
+    ("cavity", "--method", "series", "--r", "0.5", "--k0d", "0:1:5"): [
+        None,
+        (2.861458965027396, 5.029151902923583e-09),
+        (2.5459039826919274, 5.029151902923583e-09),
+        (2.2048759916416265, 5.029151902923583e-09),
+        (1.9084091046718004, 5.029151902923583e-09),
+    ],
+    ("cavity", "--method", "series", "--r", "0.5:0.9999:4", "--k0d", "1",
+     "--n-max", "50"): [
+        (1.9084091045673999, 1.0000000000000002e-14),
+        (2.1629286318776813, 1.0009201938053807e-14),
+        None,
+        None,
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(DOUBLE_SUM_SERIES))
+def test_image_sum_within_double_sum_error(tmp_path, argv, capsys):
+    out = tmp_path / "series.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    _, header, rows = read_csv(out)
+    cols = header.split(",")
+    assert len(rows) == len(DOUBLE_SUM_SERIES[argv])
+    for row, old in zip(rows, DOUBLE_SUM_SERIES[argv]):
+        if old is None:
+            assert row[cols.index("status")] != "ok"
+            continue
+        ratio, err = old
+        assert row[cols.index("status")] == "ok"
+        assert abs(float(row[cols.index("ratio_series")]) - ratio) <= err
 
 
 # Runs one CLI call in a process whose address space is capped at

@@ -47,6 +47,12 @@ class TestModelParams:
         # gamma * (1 + 4 C) = 1 + 4 g^2 / kappa
         assert dynamics.effective_decay_rate(params_weak()) == pytest.approx(1.2, rel=1e-14)
 
+    def test_overflowing_effective_rate_is_refused(self):
+        huge = dynamics.ModelParams(g=1e200, kappa=20.0, gamma=1.0)
+        with pytest.raises(errors.InvalidParams, match="overflows"):
+            dynamics.effective_decay_rate(huge)
+        assert dynamics.cooperativity(huge) == math.inf
+
     def test_coupling_regime_labels(self):
         assert "weak" in dynamics.coupling_regime(params_weak())
         assert "strong" in dynamics.coupling_regime(
@@ -386,6 +392,26 @@ class TestModelDiscrepancy:
         t = np.linspace(0.0, 4.0, 17)
         res = dynamics.model_discrepancy(p, gamma_cav=1.0, t_grid=t)
         assert res.max_abs < 1e-8
+
+    def test_unresolved_phase_refused(self):
+        t = np.linspace(0.0, 3.0, 31)
+        for g in (1e9, 1e150, 1e200):
+            p = dynamics.ModelParams(g=g, kappa=20.0, gamma=1.0)
+            with pytest.raises(errors.InvalidParams, match="not resolved"):
+                dynamics.model_discrepancy(p, gamma_cav=1.0, t_grid=t)
+        edge = dynamics.ModelParams(g=1e9 / 3.0, kappa=20.0, gamma=1.0)
+        res = dynamics.model_discrepancy(edge, gamma_cav=1.0, t_grid=t)
+        assert np.all((res.pop_jc >= 0.0) & (res.pop_jc <= 1.0))
+
+    @pytest.mark.parametrize("route", ["single", "jumps"])
+    def test_infinite_gamma_cav_refused(self, route):
+        rho0 = np.diag([0.0, 1.0])
+        t = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(errors.InvalidParams, match="finite"):
+            if route == "single":
+                dynamics.evolve_single_rate(math.inf, rho0, t)
+            else:
+                dynamics.unravel_jumps(math.inf, rho0, 10, 1, t)
 
     def test_strong_coupling_breaks_single_rate_model(self):
         p = dynamics.ModelParams(g=1.0, kappa=0.1, gamma=1.0)  # C = 10
