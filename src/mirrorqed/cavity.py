@@ -152,13 +152,21 @@ def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
     engine as panel breakpoints so refinement cannot silently straddle a
     peak.
 
+    The budget gates run in this order, each before the work it prices:
+    the kernel peaks inside (-1, 1), k0d/pi of them, are priced at
+    EVALS_PER_PANEL per panel before any breakpoint is built; then the
+    engine prices the uniform panels of the resolution hint, then the
+    panels the breakpoints add, each before it allocates them. Building
+    the breakpoints costs O(k0d) whatever r_mir is (see
+    _peak_breakpoints), so the first gate bounds it.
+
     Raises
     ------
     NonConvergence
         If the node budget runs out (expected for very high finesse
-        together with large k0d); reported, never masked. When the kernel
-        peaks alone need more panels than max_evals can pay for, this is
-        raised before any breakpoint is built or integrand evaluated.
+        together with large k0d); reported, never masked. A first level
+        that any gate prices over max_evals is refused before an
+        integrand is evaluated.
     """
     r, k0d = spec.r_mir, spec.k0d
     if dhat is None:
@@ -171,8 +179,6 @@ def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
 
     breakpoints: list[float] = []
     if r != 0.0:
-        # kernel peaks sit at xi = j*pi/k0d, j even for r > 0, odd for r < 0
-        halfwidth = (1.0 - r * r) / (2.0 * abs(r) * k0d)
         # the peaks inside (-1, 1) put at least k0d/pi - 3 panel edges
         # there, each panel priced at EVALS_PER_PANEL, the engine's 2-D
         # worst case for the first level
@@ -184,14 +190,7 @@ def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
                 f"more than {min_panels:.3g} panels on the first level; at "
                 f"{geometry.EVALS_PER_PANEL} evaluations per panel that is "
                 f"over the budget of {max_evals}", n_evals=0)
-        j = 0 if r > 0.0 else 1
-        while j * math.pi / k0d < 1.0 + 16.0 * halfwidth:
-            center = j * math.pi / k0d
-            for offset in (0.0, halfwidth, 4.0 * halfwidth, 16.0 * halfwidth):
-                for signed in ((center + offset, center - offset)
-                               if offset else (center,)):
-                    breakpoints.extend((signed, -signed))
-            j += 2
+        breakpoints = _peak_breakpoints(r, k0d)
     sharpness = 2 if abs(r) > 0.9 else 1
     resolution = sharpness * geometry.oscillation_nodes(k0d)
     integral, err_int = geometry.solid_angle_integrate(
@@ -200,6 +199,38 @@ def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
     coeff = 3.0 / (8.0 * math.pi)
     return RateResult(ratio=coeff * integral.real, method="quadrature",
                       err_estimate=coeff * err_int)
+
+
+def _peak_breakpoints(r: float, k0d: float) -> list[float]:
+    """Panel edges at the kernel peaks and their graded neighbourhoods.
+
+    The peaks sit at xi = +-c_j, c_j = j*pi/k0d with j even for r > 0
+    and odd for r < 0, and have halfwidth h = (1 - r^2) / (2 |r| k0d).
+    Each gets edges at c_j + s for the seven shifts s in {0, +-h, +-4h,
+    +-16h}, mirrored to -(c_j + s). Only edges inside (-1, 1) matter, so
+    for each shift only the centres within 1 of -s are generated, with a
+    margin of two for rounding: at most k0d/pi + 4 per shift however
+    small |r| makes h. A shift whose window reaches j = 2^53 is skipped:
+    that takes |r| < 3e-16, where the kernel is flat to rounding and
+    such an edge would mark no peak.
+    """
+    den = 2.0 * abs(r) * k0d
+    halfwidth = (1.0 - r * r) / den if den > 0.0 else math.inf
+    parity = 0 if r > 0.0 else 1
+    scale = k0d / math.pi
+    edges: list[float] = []
+    for offset in (0.0, halfwidth, 4.0 * halfwidth, 16.0 * halfwidth):
+        for shift in ((offset, -offset) if offset else (offset,)):
+            top = (1.0 - shift) * scale
+            if not 0.0 <= top < 2.0 ** 53:
+                continue
+            first = max(parity,
+                        math.floor(max((-1.0 - shift) * scale, -1.0)) - 2)
+            first += (first - parity) % 2
+            for j in range(first, math.ceil(top) + 3, 2):
+                edge = j * math.pi / k0d + shift
+                edges.extend((edge, -edge))
+    return edges
 
 
 def gamma_cavity_series(spec, control: SeriesControl | None = None):

@@ -1,15 +1,15 @@
 """argparse front end: sweeps, figure data, model comparison, validation.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
-non-convergence in at least one cell. Flags override config-file values;
---dump-config echoes the fully resolved configuration without running.
+non-convergence in at least one cell. Flags override config-file values,
+and sweeps.SweepConfig fills in its target's defaults for the rest; a
+flag parses as its config key does (sweeps._PARSERS). --dump-config
+echoes the fully resolved configuration without running.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import math
 import sys
 
 from . import __version__, sweeps
@@ -18,16 +18,6 @@ from .sweeps import FIGURE_IDS, Range, SweepConfig
 
 __all__ = ["main"]
 
-# each target's one Range-valued default is the axis --grid sweeps
-_TARGET_DEFAULTS = {
-    "mirror": {"r": -1.0, "d_over_lambda0": Range(0.01, 3.0, 101)},
-    "cavity": {"r": 0.5, "k0d": Range(0.01, 20.0, 200)},
-    "subwavelength": {"r": Range(-0.99, 0.99, 199), "k0d": 0.01},
-    "optical": {"r": 0.8, "method": "quadrature",
-                "k0d": Range(20.0 * math.pi, 50.0 * math.pi, 25)},
-    "lindblad": {"t": Range(0.0, 3.0, 31)},
-}
-
 _RATE_HELP = {
     "mirror": "single-mirror decay ratio sweep",
     "cavity": "two-mirror decay ratio sweep",
@@ -35,26 +25,13 @@ _RATE_HELP = {
     "optical": "large-separation cavity sweep",
 }
 
-_SEPARATION_AXES = {"k0d", "d_over_lambda0"}
-_AXIS_FLAGS = {"r": "--r", "k0d": "--k0d",
-               "d_over_lambda0": "--d-over-lambda"}
-
 _VALIDATE_SEED = 20260819
-
-
-def _float_or_range(text: str):
-    try:
-        return sweeps._float_or_range(text)
-    except (ValueError, ConfigError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a number or start:stop:count[:log], got {text!r} "
-            f"({exc})") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output CSV path (default: "
                         f"<target>.csv under ${sweeps.OUTDIR_ENV} or cwd)")
-    parser.add_argument("--seed", type=int, help="RNG seed recorded in output")
+    parser.add_argument("--seed", help="RNG seed recorded in output")
     parser.add_argument("--quick", action="store_true", default=None,
                         help="thin grids for a fast smoke run")
     parser.add_argument("--config", metavar="FILE",
@@ -64,14 +41,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_rate_flags(parser: argparse.ArgumentParser, methods) -> None:
-    parser.add_argument("--r", type=_float_or_range,
+    parser.add_argument("--r",
                         help="mirror reflection amplitude (number or range; "
                         "a negative range start needs --r=START:...)")
-    parser.add_argument("--k0d", type=_float_or_range,
+    parser.add_argument("--k0d",
                         help="separation times wavenumber (number or range; "
                         "a negative range start needs --k0d=START:...)")
     parser.add_argument("--d-over-lambda", dest="d_over_lambda0",
-                        type=_float_or_range,
                         help="separation in wavelengths (number or range; "
                         "a negative range start needs --d-over-lambda=...)")
     parser.add_argument("--grid", help="start:stop:count[:log] sweep grid "
@@ -79,12 +55,12 @@ def _add_rate_flags(parser: argparse.ArgumentParser, methods) -> None:
                         "start as --grid=-0.5:0.5:3")
     parser.add_argument("--method", choices=methods,
                         help="which computation routes to run")
-    parser.add_argument("--tol", type=float, help="quadrature tolerance")
-    parser.add_argument("--max-evals", dest="max_evals", type=int,
+    parser.add_argument("--tol", help="quadrature tolerance")
+    parser.add_argument("--max-evals", dest="max_evals",
                         help="quadrature evaluation budget per cell")
-    parser.add_argument("--n-max", dest="n_max", type=int,
+    parser.add_argument("--n-max", dest="n_max",
                         help="series truncation order (default: automatic)")
-    parser.add_argument("--tail-tol", dest="tail_tol", type=float,
+    parser.add_argument("--tail-tol", dest="tail_tol",
                         help="series tail bound tolerance")
 
 
@@ -105,12 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lindblad",
                        help="master-equation and quantum-jump comparison")
-    p.add_argument("--g", type=float, help="atom-cavity coupling rate")
-    p.add_argument("--kappa", type=float, help="cavity decay rate")
-    p.add_argument("--gamma", type=float, help="free atomic decay rate")
-    p.add_argument("--gamma-cav", dest="gamma_cav", type=float,
+    p.add_argument("--g", help="atom-cavity coupling rate")
+    p.add_argument("--kappa", help="cavity decay rate")
+    p.add_argument("--gamma", help="free atomic decay rate")
+    p.add_argument("--gamma-cav", dest="gamma_cav",
                    help="single-rate model rate (default: adiabatic rate)")
-    p.add_argument("--n-traj", dest="n_traj", type=int,
+    p.add_argument("--n-traj", dest="n_traj",
                    help="number of jump trajectories")
     p.add_argument("--grid", help="start:stop:count[:log] time grid")
     _add_common(p)
@@ -128,12 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=0.0, metavar="EPS",
                    help="add EPS to the f kernel to demonstrate "
                         "oracle sensitivity")
-    p.add_argument("--seed", type=int, default=_VALIDATE_SEED,
+    p.add_argument("--seed", default=_VALIDATE_SEED,
                    help="seed for the stochastic checks")
     return parser
-
-
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SweepConfig))
 
 
 def _collect_config(args: argparse.Namespace, target: str) -> SweepConfig:
@@ -148,34 +121,24 @@ def _collect_config(args: argparse.Namespace, target: str) -> SweepConfig:
         items.update(file_items)
 
     flag_items = {k: v for k, v in vars(args).items()
-                  if k in _CONFIG_KEYS and k != "target" and v is not None}
+                  if k in sweeps._PARSERS and v is not None}
     grid = getattr(args, "grid", None)
     if grid is not None:
-        axis = next(k for k, v in _TARGET_DEFAULTS[target].items()
+        axis = next(k for k, v in sweeps._TARGET_DEFAULTS[target].items()
                     if isinstance(v, Range))
         if axis in flag_items:
             raise ConfigError(
                 f"--grid already sweeps {axis}; do not also pass --{axis}")
         flag_items[axis] = Range.parse(grid)
     items.update(flag_items)
-
-    # a separation the user names replaces the target's default one; a
-    # default that is a range has no single value to fall back on when
-    # the user sweeps another axis
-    named = set(items) & _SEPARATION_AXES
-    swept = [k for k in _AXIS_FLAGS if isinstance(items.get(k), Range)]
-    for key, value in _TARGET_DEFAULTS[target].items():
-        if key in items or (key in _SEPARATION_AXES and named):
-            continue
-        if key in _AXIS_FLAGS and isinstance(value, Range) and swept:
-            raise ConfigError(
-                f"{target} sweeps {key} by default; to sweep {swept[0]} "
-                f"instead, give a single value with {_AXIS_FLAGS[key]}")
-        items[key] = value
     return sweeps.config_from_items(items)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    # flags parse as their config keys do, but unstripped and with no "none"
+    vars(args).update({k: sweeps._parse_field(k, v)
+                       for k, v in vars(args).items()
+                       if k in sweeps._PARSERS and isinstance(v, str)})
     command = args.command
     if command == "validate":
         from . import validation

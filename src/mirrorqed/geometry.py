@@ -42,6 +42,7 @@ peaked kernels can pass breakpoints so panel edges land on the peaks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,8 +136,11 @@ def oscillation_nodes(rate: float) -> int:
 
     max(64, 8 * ceil(rate)) resolves phase factors exp(i * rate * xi)
     with generous margin; callers pass the hint to solid_angle_integrate.
+    An infinite rate (a finite phase that overflowed) counts as the
+    largest finite float, so its hint is an exact integer that every
+    budget refuses.
     """
-    return max(64, 8 * int(math.ceil(max(rate, 0.0))))
+    return max(64, 8 * math.ceil(min(max(rate, 0.0), sys.float_info.max)))
 
 
 # 16-point Gauss-Legendre panel rule: the exact reprs of
@@ -177,6 +181,13 @@ def _panel_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xi, w
 
 
+def _refuse_first_level(n_first, max_evals: int) -> None:
+    if n_first > max_evals:
+        raise NonConvergence(
+            f"solid-angle quadrature: the first level needs up to {n_first} "
+            f"evaluations, over the budget of {max_evals}", n_evals=0)
+
+
 def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
                           xi_breakpoints=None, max_evals: int = 40_000_000):
     """Integrate a function over the unit sphere, sin(theta) weight included.
@@ -209,7 +220,10 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
         Budget of integrand evaluations across all levels, counted as
         returned values: one per xi node for a phi-independent integrand.
         A first level that could exceed the budget, counting
-        EVALS_PER_PANEL per panel, is refused before it is allocated; a
+        EVALS_PER_PANEL per panel, is refused before it is allocated, in
+        two gates: the uniform panels that ``resolution`` asks for are
+        priced in integer arithmetic before any edge is built, then the
+        panels the breakpoints add are priced before any node is. A
         refinement level starts only while the evaluations already made
         are below the budget. A refinement level is at most four times
         the one before, so no level exceeds 4 * max_evals evaluations.
@@ -234,8 +248,9 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
     if not tol > 0.0:
         raise InvalidParams(f"tol must be positive, got {tol}")
 
-    n_panels = max(4, int(math.ceil(resolution / 16)))
-    edges = np.linspace(-1.0, 1.0, n_panels + 1)
+    n_panels = max(4, -(-resolution // 16))
+    _refuse_first_level(EVALS_PER_PANEL * n_panels, max_evals)
+    edges = np.linspace(-1.0, 1.0, int(n_panels) + 1)
     if xi_breakpoints is not None:
         pts = np.asarray(list(xi_breakpoints), dtype=float)
         pts = pts[(pts > -1.0) & (pts < 1.0)]
@@ -250,11 +265,7 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
     value = None
     err = math.inf
     evals = 0
-    n_first = EVALS_PER_PANEL * (edges.size - 1)
-    if n_first > max_evals:
-        raise NonConvergence(
-            f"solid-angle quadrature: the first level needs up to {n_first} "
-            f"evaluations, over the budget of {max_evals}", n_evals=0)
+    _refuse_first_level(EVALS_PER_PANEL * (edges.size - 1), max_evals)
     for _ in range(_MAX_LEVELS):
         xi, w = _panel_points(edges)
         theta = np.arccos(np.clip(xi, -1.0, 1.0))

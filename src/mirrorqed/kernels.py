@@ -27,12 +27,17 @@ def _f_taylor(x):
 
 
 def _f_direct(x):
-    """s/x + c/(x*x) - s/(x*x*x) in that IEEE order, in three buffers."""
+    """s/x + c/(x*x) - s/(x*x*x) in that IEEE order, in three buffers.
+
+    Past |x| ~ 1e102 the powers overflow to inf, which is harmless: the
+    terms they divide go to 0, as they should.
+    """
     s = np.sin(x)
-    x2 = np.multiply(x, x)
-    c = np.cos(x)
-    c /= x2
-    x2 *= x
+    with np.errstate(over="ignore"):
+        x2 = np.multiply(x, x)
+        c = np.cos(x)
+        c /= x2
+        x2 *= x
     np.divide(s, x2, out=x2)
     s /= x
     s += c
@@ -65,7 +70,9 @@ def f_kernel(x):
 def f_envelope(y):
     """Upper bound 1/|y| + 1/y^2 + 1/|y|^3 on |f| for y != 0."""
     ay = np.abs(y)
-    return 1.0 / ay + 1.0 / ay ** 2 + 1.0 / ay ** 3
+    # a power that overflows to inf makes its term 0, as it should
+    with np.errstate(over="ignore"):
+        return 1.0 / ay + 1.0 / ay ** 2 + 1.0 / ay ** 3
 
 
 def interference_kernel(r_mir: float, x):

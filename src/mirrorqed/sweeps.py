@@ -106,16 +106,37 @@ class Range:
         return np.linspace(self.start, self.stop, self.count)
 
 
+# What each target runs for a key left unset. A k0d or d_over_lambda0
+# that is given replaces the default separation. The one Range-valued
+# default is the default axis, which --grid sweeps; to sweep another axis
+# (_AXIS_FLAGS), give it a single value. The method is "all" unless named.
+_TARGET_DEFAULTS = {
+    "mirror": {"r": -1.0, "d_over_lambda0": Range(0.01, 3.0, 101)},
+    "cavity": {"r": 0.5, "k0d": Range(0.01, 20.0, 200)},
+    "subwavelength": {"r": Range(-0.99, 0.99, 199), "k0d": 0.01},
+    "optical": {"r": 0.8, "method": "quadrature",
+                "k0d": Range(20.0 * math.pi, 50.0 * math.pi, 25)},
+    "lindblad": {"t": Range(0.0, 3.0, 31)},
+}
+_SEPARATION_AXES = ("k0d", "d_over_lambda0")
+_AXIS_FLAGS = {"r": "--r", "k0d": "--k0d", "d_over_lambda0": "--d-over-lambda"}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Complete, dumpable description of one CLI run."""
+    """Complete, dumpable description of one run.
+
+    Keys left unset (None) take the target's _TARGET_DEFAULTS when built:
+    a config built in Python runs, and its preamble records, what the
+    subcommand runs.
+    """
 
     target: str
     r: float | Range | None = None
     k0d: float | Range | None = None
     d_over_lambda0: float | Range | None = None
     t: Range | None = None
-    method: str = "all"
+    method: str | None = None
     tol: float = 1e-9
     max_evals: int = 40_000_000
     n_max: int | None = None
@@ -128,6 +149,21 @@ class SweepConfig:
     seed: int = 12345
     out: str | None = None
     quick: bool = False
+
+    def __post_init__(self):
+        defaults = {"method": "all", **_TARGET_DEFAULTS.get(self.target, {})}
+        named = any(getattr(self, k) is not None for k in _SEPARATION_AXES)
+        swept = [k for k in _AXIS_FLAGS if isinstance(getattr(self, k), Range)]
+        for key, value in defaults.items():
+            if getattr(self, key) is not None or (
+                    key in _SEPARATION_AXES and named):
+                continue
+            if key in _AXIS_FLAGS and isinstance(value, Range) and swept:
+                raise ConfigError(
+                    f"{self.target} sweeps {key} by default; to sweep "
+                    f"{swept[0]} instead, give a single value with "
+                    f"{_AXIS_FLAGS[key]}")
+            object.__setattr__(self, key, value)
 
     def validate(self) -> None:
         """Raise ConfigError on any inconsistency; cheap, no computation."""
@@ -190,7 +226,11 @@ class SweepConfig:
 
 
 def _float_or_range(raw: str):
-    return Range.parse(raw) if ":" in raw else float(raw)
+    try:
+        return Range.parse(raw) if ":" in raw else float(raw)
+    except ValueError as exc:
+        raise ValueError(f"expected a number or start:stop:count[:log], "
+                         f"got {raw!r} ({exc})") from None
 
 
 def _bool(raw: str) -> bool:
@@ -199,8 +239,7 @@ def _bool(raw: str) -> bool:
     return raw == "true"
 
 
-# how each field's config text is parsed; "none" is read as None exactly
-# for the fields whose default is None
+# how each field's text is parsed, in config text and in CLI flags
 _PARSERS = {
     "target": str, "r": _float_or_range, "k0d": _float_or_range,
     "d_over_lambda0": _float_or_range, "t": Range.parse, "method": str,
@@ -208,7 +247,9 @@ _PARSERS = {
     "g": float, "kappa": float, "gamma": float, "gamma_cav": float,
     "n_traj": int, "seed": int, "out": str, "quick": _bool,
 }
-_NONE_FIELDS = {f.name for f in fields(SweepConfig) if f.default is None}
+# config text reads "none" as unset, except for method, which always resolves
+_NONE_FIELDS = {f.name for f in fields(SweepConfig)
+                if f.default is None} - {"method"}
 
 
 def _dump_value(value) -> str:
@@ -223,14 +264,19 @@ def _dump_value(value) -> str:
     return str(value)
 
 
-def _parse_value(name: str, raw: str):
-    raw = raw.strip()
-    if raw == "none" and name in _NONE_FIELDS:
-        return None
+def _parse_field(name: str, raw: str):
     try:
         return _PARSERS[name](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {exc}") from None
+
+
+def _parse_value(name: str, raw: str):
+    """Config text: stripped, "none" read as unset (flags skip both)."""
+    raw = raw.strip()
+    if raw == "none" and name in _NONE_FIELDS:
+        return None
+    return _parse_field(name, raw)
 
 
 def dump_config(cfg: SweepConfig) -> str:
@@ -345,28 +391,18 @@ def _axis_values(cfg: SweepConfig):
     return "", np.array([0.0])
 
 
-def _scalar(value, default):
-    return default if value is None or isinstance(value, Range) else float(value)
-
-
 def _cell_params(cfg: SweepConfig, axis: str, xs: np.ndarray):
     """(re_r, k0d, d_over_lambda0) columns over the grid points xs."""
-    def column(value):
-        return np.full(xs.shape, value)
+    def column(name):
+        value = getattr(cfg, name)
+        return xs if axis == name else np.full(xs.shape, float(value))
 
-    r = xs if axis == "r" else column(
-        _scalar(cfg.r, -1.0 if cfg.target == "mirror" else 0.5))
-    if axis == "d_over_lambda0":
-        d = xs
-        k0d = 2.0 * math.pi * d
-    elif axis == "k0d":
-        k0d = xs
-        d = k0d / (2.0 * math.pi)
-    elif cfg.d_over_lambda0 is not None:
-        d = column(_scalar(cfg.d_over_lambda0, 1.0))
+    r = column("r")
+    if cfg.d_over_lambda0 is not None:
+        d = column("d_over_lambda0")
         k0d = 2.0 * math.pi * d
     else:
-        k0d = column(_scalar(cfg.k0d, 1.0))
+        k0d = column("k0d")
         d = k0d / (2.0 * math.pi)
     return r, k0d, d
 
@@ -491,7 +527,7 @@ def _run_rate_sweep(cfg: SweepConfig, path: str) -> int:
 def _run_lindblad(cfg: SweepConfig, path: str) -> int:
     from . import dynamics as dyn
 
-    grid = (cfg.t or Range(0.0, 3.0, 31)).values()
+    grid = cfg.t.values()
     n_traj = cfg.n_traj
     if cfg.quick:
         grid = grid[:: max(1, grid.size // 11)]

@@ -182,6 +182,43 @@ class TestQuadrature:
             gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d))
         assert time.perf_counter() - start < 1.0
 
+    # |r| from 0.003 to 0.999 and k0d from 1e-3 to 300, both signs of r
+    @pytest.mark.parametrize("r", [sign * a for a in (0.003, 0.03, 0.3, 0.7,
+                                                      0.98, 0.999)
+                                   for sign in (1.0, -1.0)])
+    def test_peak_breakpoints_match_the_full_centre_walk(self, r):
+        def walk(r, k0d):
+            # every centre up to 1 + 16 h, as the route once built them
+            points = []
+            halfwidth = (1.0 - r * r) / (2.0 * abs(r) * k0d)
+            j = 0 if r > 0.0 else 1
+            while j * math.pi / k0d < 1.0 + 16.0 * halfwidth:
+                center = j * math.pi / k0d
+                for offset in (0.0, halfwidth, 4.0 * halfwidth,
+                               16.0 * halfwidth):
+                    for signed in ((center + offset, center - offset)
+                                   if offset else (center,)):
+                        points.extend((signed, -signed))
+                j += 2
+            return points
+
+        def inside(points):
+            # the engine keeps only edges in (-1, 1); +-0 are one edge
+            return {p + 0.0 for p in points if -1.0 < p < 1.0}
+
+        for k0d in (1e-3, 0.01, 0.1, 0.7, 1.0, math.pi, 10.0, 55.5, 300.0):
+            assert inside(cavity._peak_breakpoints(r, k0d)) == inside(
+                walk(r, k0d)), k0d
+
+    @pytest.mark.parametrize("r", [1e-8, -1e-12, 1e-300, 5e-324])
+    def test_tiny_reflectivity_builds_few_breakpoints(self, r):
+        start = time.perf_counter()
+        points = cavity._peak_breakpoints(r, 100.0)
+        assert time.perf_counter() - start < 0.1
+        assert len(points) <= 2 * 7 * (100.0 / math.pi + 4)
+        res = gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=1.0))
+        assert res.ratio == pytest.approx(1.0, abs=1e-7)
+
     def test_nonconvergence_budget(self):
         with pytest.raises(errors.NonConvergence):
             gamma_cavity_quadrature(

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import mirrorqed
-from mirrorqed import cli
+from mirrorqed import cli, sweeps
 
 from .test_sweeps import (CAVITY_HEADER, LINDBLAD_HEADER, MIRROR_HEADER,
                           read_csv)
@@ -245,6 +245,113 @@ def test_oversized_input_refused_before_allocation(tmp_path, argv):
     assert "memory budget" in proc.stderr
     assert "MemoryError" not in proc.stderr
     assert not (tmp_path / "big.csv").exists()
+
+
+def _run_capped(tmp_path, argv, *python_flags):
+    """(process, wall seconds) of one CLI call under the 512 MB cap."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *python_flags, "-c", _CAPPED_CLI, *argv,
+         "--out", str(tmp_path / "edge.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    return proc, time.perf_counter() - start
+
+
+def _edge_rows(tmp_path):
+    _, header, rows = read_csv(str(tmp_path / "edge.csv"))
+    return [dict(zip(header.split(","), row)) for row in rows]
+
+
+@pytest.mark.parametrize("k0d", ["1e9", "1e300", "1e308"])
+def test_huge_mirror_quadrature_refused_before_allocation(tmp_path, k0d):
+    # 1e9 once asked for a 7.45 GiB first level, 1e300 for more panels
+    # than numpy can index, and 2 * 1e308 overflows to an infinite rate
+    proc, wall = _run_capped(
+        tmp_path, ["mirror", "--method", "quadrature", "--k0d", k0d])
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [row["status"] for row in _edge_rows(tmp_path)] == [
+        "NonConvergence"]
+    assert wall < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["optical", "--r", "1e-6"],
+    ["cavity", "--method", "quadrature", "--r", "1e-8", "--k0d", "1"],
+])
+def test_tiny_reflectivity_cavity_quadrature_is_bounded(tmp_path, argv):
+    # the kernel peaks are 2 h = (1 - r^2) / (|r| k0d) wide, so tiny |r|
+    # puts their neighbourhood edges far outside (-1, 1)
+    proc, wall = _run_capped(tmp_path, argv)
+    assert proc.returncode == 0, proc.stderr
+    rows = _edge_rows(tmp_path)
+    assert rows and all(row["status"] == "ok" for row in rows)
+    assert wall < 2.0
+
+
+@pytest.mark.parametrize("argv,column", [
+    (["mirror", "--method", "closed", "--k0d", "1e300"], "ratio_closed"),
+    (["cavity", "--method", "series", "--r", "0.9", "--k0d", "1e300"],
+     "ratio_series"),
+])
+def test_huge_k0d_closed_forms_raise_no_overflow_warning(tmp_path, argv,
+                                                         column):
+    proc, wall = _run_capped(tmp_path, argv, "-W", "error::RuntimeWarning")
+    assert proc.returncode == 0, proc.stderr
+    (row,) = _edge_rows(tmp_path)
+    assert abs(float(row[column]) - 1.0) <= 1e-12
+    assert wall < 2.0
+
+
+@pytest.mark.parametrize("target", sweeps.TARGETS)
+def test_python_config_resolves_as_the_subcommand(target, capsys):
+    assert cli.main([target, "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert sweeps.dump_config(sweeps.SweepConfig(target=target)) + "\n" == (
+        dumped)
+
+
+def test_python_config_runs_the_subcommand_rows(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert cli.main(["subwavelength", "--k0d", "0.01", "--quick",
+                     "--out", str(out)]) == 0
+    from_cli = out.read_bytes()
+    out.unlink()
+    assert sweeps.run_sweep(sweeps.SweepConfig(
+        target="subwavelength", k0d=0.01, quick=True, out=str(out))) == 0
+    assert out.read_bytes() == from_cli
+    preamble, _, rows = read_csv(str(out))
+    assert "r = -0.99:0.99:199:linear" in preamble.splitlines()
+    assert len(rows) > 1
+
+
+@pytest.mark.parametrize("key,flag,raw", [
+    ("tol", "--tol", "x"),
+    ("n_traj", "--n-traj", "1.5"),
+])
+def test_bad_value_names_its_key_as_flag_and_config_line(tmp_path, capsys,
+                                                         key, flag, raw):
+    target = "lindblad" if key == "n_traj" else "cavity"
+    assert cli.main([target, flag, raw, "--dump-config"]) == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    assert cli.main([target, "--config", str(cfg_file), "--dump-config"]) == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["none", " run.csv"])
+def test_flag_text_gets_no_config_text_conventions(tmp_path, monkeypatch,
+                                                   capsys, out):
+    # config text strips values and reads none as unset; a flag is taken
+    # as given, so these paths, which a preamble cannot record, exit 2
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["cavity", "--r", "0.5", "--k0d", "1",
+                     "--out", out]) == 2
+    assert "would not read back" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepCommands:

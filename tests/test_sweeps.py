@@ -88,6 +88,31 @@ class TestSweepConfig:
         with pytest.raises(errors.ConfigError):
             sweeps.SweepConfig(**kwargs).validate()
 
+    def test_unset_keys_take_the_target_defaults(self):
+        cfg = sweeps.SweepConfig(target="optical")
+        assert (cfg.r, cfg.method) == (0.8, "quadrature")
+        assert cfg.k0d == sweeps.Range(20.0 * math.pi, 50.0 * math.pi, 25)
+        assert cfg.d_over_lambda0 is None and cfg.t is None
+        # a named separation replaces the default one
+        cfg = sweeps.SweepConfig(target="mirror", k0d=1.0)
+        assert (cfg.r, cfg.k0d, cfg.d_over_lambda0) == (-1.0, 1.0, None)
+        assert sweeps.SweepConfig(target="lindblad").t == sweeps.Range(
+            0.0, 3.0, 31)
+        # an unset axis in config text is unset, so it takes the default
+        items = sweeps.parse_config_items("target = cavity\nr = none\n")
+        assert sweeps.config_from_items(items).r == 0.5
+
+    def test_sweeping_another_axis_names_the_default_axis_flag(self):
+        with pytest.raises(errors.ConfigError, match="--r"):
+            sweeps.SweepConfig(target="subwavelength",
+                               k0d=sweeps.Range(0.01, 0.1, 3))
+
+    @pytest.mark.parametrize("line", ["method = none", "method = "])
+    def test_method_text_must_name_a_route(self, line):
+        items = sweeps.parse_config_items(f"target = cavity\n{line}\n")
+        with pytest.raises(errors.ConfigError, match="method"):
+            sweeps.config_from_items(items)
+
     def test_size_caps_admit_the_cap_and_reject_one_more(self):
         n = sweeps._MAX_GRID_POINTS
         for target, axis in (("mirror", "d_over_lambda0"), ("lindblad", "t")):
