@@ -13,6 +13,8 @@ Three independent routes to Gamma_cav / Gamma_free:
   must reject.
 
 The routes referee each other; sweeps can emit all three side by side.
+Each takes one cell (a CavitySpec, or scalars for the limits), giving a
+RateResult, or arrays for a grid, giving a RateGrid.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (DegenerateMirror, InvalidParams, NonConvergence,
                      TailTooLarge)
 from .geometry import DipoleOrientation
 from .kernels import interference_kernel
-from .results import Cells, RateResult
+from .results import Cells
 
 __all__ = [
     "CavitySpec",
@@ -47,8 +49,15 @@ SUBWAVELENGTH_SOFT_MAX = 0.3
 _N_MAX_CAP = 100_000
 
 
-def _check_cavity(cells: Cells, r_mir, k0d) -> None:
-    """Flag the cells outside the cavity domain (originals for messages)."""
+def _cavity_cells(spec) -> Cells:
+    """The cells of a CavitySpec or an (r_mir, k0d) pair, checked.
+
+    Flags the cells outside the cavity domain; a scalar cell raises, with
+    the original arguments in its message.
+    """
+    r_mir, k0d = ((spec.r_mir, spec.k0d) if isinstance(spec, CavitySpec)
+                  else spec)
+    cells = Cells(r_mir, k0d)
     r, k = cells.values
     cells.check(~(np.isfinite(r) & np.isfinite(k)), InvalidParams,
                 lambda: InvalidParams(
@@ -60,6 +69,7 @@ def _check_cavity(cells: Cells, r_mir, k0d) -> None:
                     f"got {r_mir!r}"))
     cells.check(~(k > 0.0), InvalidParams,
                 lambda: InvalidParams(f"k0d must be positive, got {k0d!r}"))
+    return cells
 
 
 @dataclass(frozen=True)
@@ -79,7 +89,7 @@ class CavitySpec:
     k0d: float
 
     def __post_init__(self):
-        _check_cavity(Cells(self.r_mir, self.k0d), self.r_mir, self.k0d)
+        _cavity_cells((self.r_mir, self.k0d))
 
     @property
     def t_mir_sq(self) -> float:
@@ -138,9 +148,9 @@ def default_n_max(r_mir: float, tail_tol: float) -> int:
     return min(max(n, 0), _N_MAX_CAP)
 
 
-def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
+def gamma_cavity_quadrature(spec, tol: float = 1e-9,
                             dhat: DipoleOrientation | None = None,
-                            max_evals: int = 40_000_000) -> RateResult:
+                            max_evals: int = 40_000_000):
     """Decay ratio by solid-angle quadrature of the resummed kernel.
 
     ratio = (3 / 8 pi) * int dOmega (transverse dipole weight)
@@ -160,45 +170,54 @@ def gamma_cavity_quadrature(spec: CavitySpec, tol: float = 1e-9,
     the breakpoints costs O(k0d) whatever r_mir is (see
     _peak_breakpoints), so the first gate bounds it.
 
+    ``spec`` is a CavitySpec for one cell, giving a RateResult, or an
+    ``(r_mir, k0d)`` pair of arrays for a grid, giving a RateGrid whose
+    cells are validated as CavitySpec validates one. Each cell of a grid
+    is integrated by its own solid_angle_integrate call, so it gets the
+    same bits alone and inside a grid.
+
     Raises
     ------
     NonConvergence
         If the node budget runs out (expected for very high finesse
         together with large k0d); reported, never masked. A first level
         that any gate prices over max_evals is refused before an
-        integrand is evaluated.
+        integrand is evaluated. On a grid: that cell's status.
     """
-    r, k0d = spec.r_mir, spec.k0d
+    cells = _cavity_cells(spec)
     if dhat is None:
         dhat = DipoleOrientation()
 
-    def integrand(theta, phi):
-        xi = np.cos(theta)
-        return (geometry.phi_mean_weight(dhat, xi)
-                * interference_kernel(r, k0d * xi))
+    def cell(r, k0d):
+        def integrand(theta, phi):
+            xi = np.cos(theta)
+            return (geometry.phi_mean_weight(dhat, xi)
+                    * interference_kernel(r, k0d * xi))
 
-    breakpoints: list[float] = []
-    if r != 0.0:
-        # the peaks inside (-1, 1) put at least k0d/pi - 3 panel edges
-        # there, each panel priced at EVALS_PER_PANEL, the engine's 2-D
-        # worst case for the first level
-        min_panels = k0d / math.pi - 3.0
-        min_evals = min_panels * geometry.EVALS_PER_PANEL
-        if min_evals > max_evals:
-            raise NonConvergence(
-                f"cavity quadrature: {k0d / math.pi:.3g} kernel peaks need "
-                f"more than {min_panels:.3g} panels on the first level; at "
-                f"{geometry.EVALS_PER_PANEL} evaluations per panel that is "
-                f"over the budget of {max_evals}", n_evals=0)
-        breakpoints = _peak_breakpoints(r, k0d)
-    sharpness = 2 if abs(r) > 0.9 else 1
-    resolution = sharpness * geometry.oscillation_nodes(k0d)
-    integral, err_int = geometry.solid_angle_integrate(
-        integrand, resolution=resolution, tol=tol,
-        xi_breakpoints=breakpoints or None, max_evals=max_evals)
-    coeff = 3.0 / (8.0 * math.pi)
-    return RateResult(ratio=coeff * integral.real, method="quadrature",
-                      err_estimate=coeff * err_int)
+        breakpoints: list[float] = []
+        if r != 0.0:
+            # the peaks inside (-1, 1) put at least k0d/pi - 3 panel edges
+            # there, each panel priced at EVALS_PER_PANEL, the engine's 2-D
+            # worst case for the first level
+            min_panels = k0d / math.pi - 3.0
+            min_evals = min_panels * geometry.EVALS_PER_PANEL
+            if min_evals > max_evals:
+                raise NonConvergence(
+                    f"cavity quadrature: {k0d / math.pi:.3g} kernel peaks "
+                    f"need more than {min_panels:.3g} panels on the first "
+                    f"level; at {geometry.EVALS_PER_PANEL} evaluations per "
+                    f"panel that is over the budget of {max_evals}",
+                    n_evals=0)
+            breakpoints = _peak_breakpoints(r, k0d)
+        sharpness = 2 if abs(r) > 0.9 else 1
+        resolution = sharpness * geometry.oscillation_nodes(k0d)
+        integral, err_int = geometry.solid_angle_integrate(
+            integrand, resolution=resolution, tol=tol,
+            xi_breakpoints=breakpoints or None, max_evals=max_evals)
+        coeff = 3.0 / (8.0 * math.pi)
+        return coeff * integral.real, coeff * err_int
+
+    return cells.each("quadrature", cell)
 
 
 def _peak_breakpoints(r: float, k0d: float) -> list[float]:
@@ -257,10 +276,7 @@ def gamma_cavity_series(spec, control: SeriesControl | None = None):
     """
     if control is None:
         control = SeriesControl()
-    r_mir, k0d = ((spec.r_mir, spec.k0d) if isinstance(spec, CavitySpec)
-                  else spec)
-    cells = Cells(r_mir, k0d)
-    _check_cavity(cells, r_mir, k0d)
+    cells = _cavity_cells(spec)
     live = np.flatnonzero(cells.ok)
     r = cells.values[0][live]
     r_u, inverse = np.unique(r, return_inverse=True)
@@ -308,7 +324,10 @@ def _series_sums(r, k0d, n_max: int):
         # on a negative base
         terms = np.abs(rb) ** j
         terms[:, ::2] *= np.sign(rb)
-        terms *= kernels.f_kernel(kb * j)
+        # a product past the float range is inf, where f is 0
+        with np.errstate(over="ignore"):
+            phases = kb * j
+        terms *= kernels.f_kernel(phases)
         # a pairwise sum per row, which unlike a BLAS dot does not
         # depend on where the row sits in memory: a cell sums alike
         # alone and inside a block
@@ -316,24 +335,16 @@ def _series_sums(r, k0d, n_max: int):
     return out
 
 
-def _check_limit_r(cells: Cells, r_mir) -> None:
-    r = cells.values[0]
-    cells.check((np.abs(r) >= 1.0) & (r != -1.0), DegenerateMirror,
-                lambda: DegenerateMirror(
-                    f"subwavelength limits require -1 <= r_mir < 1, "
-                    f"got {r_mir!r}"))
-
-
-def gamma_subwavelength_limit(r_mir: float) -> RateResult:
+def gamma_subwavelength_limit(r_mir):
     """Leading subwavelength decay ratio (1 + r_mir) / (1 - r_mir).
 
-    Valid for k0d -> 0. Accepts the r_mir = -1 endpoint (perfectly
-    reflecting phase-flipping mirrors), where the ratio is exactly 0;
-    r_mir = +1 diverges and raises DegenerateMirror.
+    Valid for k0d -> 0: it is gamma_subwavelength_2nd at k0d = 0, where
+    the correction and its err_estimate vanish. Accepts the r_mir = -1
+    endpoint (perfectly reflecting phase-flipping mirrors), where the
+    ratio is exactly 0; r_mir = +1 diverges and raises DegenerateMirror.
+    Scalars give a RateResult, arrays a RateGrid.
     """
-    _check_limit_r(Cells(r_mir), r_mir)
-    ratio = (1.0 + r_mir) / (1.0 - r_mir)
-    return RateResult(ratio=ratio, method="limit", err_estimate=0.0)
+    return gamma_subwavelength_2nd(r_mir, 0.0)
 
 
 def gamma_subwavelength_2nd(r_mir, k0d):
@@ -350,7 +361,11 @@ def gamma_subwavelength_2nd(r_mir, k0d):
     together) give a RateGrid with a status per cell.
     """
     cells = Cells(r_mir, k0d)
-    _check_limit_r(cells, r_mir)
+    r = cells.values[0]
+    cells.check((np.abs(r) >= 1.0) & (r != -1.0), DegenerateMirror,
+                lambda: DegenerateMirror(
+                    f"subwavelength limits require -1 <= r_mir < 1, "
+                    f"got {r_mir!r}"))
     cells.check(~(cells.values[1] >= 0.0), InvalidParams,
                 lambda: InvalidParams(f"k0d must be >= 0, got {k0d!r}"))
     live = cells.ok

@@ -30,10 +30,11 @@ def _f_direct(x):
     """s/x + c/(x*x) - s/(x*x*x) in that IEEE order, in three buffers.
 
     Past |x| ~ 1e102 the powers overflow to inf, which is harmless: the
-    terms they divide go to 0, as they should.
+    terms they divide go to 0, as they should. At |x| = inf sin and cos
+    are nan, and f takes its limit 0 there.
     """
-    s = np.sin(x)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sin(x)
         x2 = np.multiply(x, x)
         c = np.cos(x)
         c /= x2
@@ -42,6 +43,7 @@ def _f_direct(x):
     s /= x
     s += c
     s -= x2
+    s[np.isinf(x)] = 0.0
     return s
 
 

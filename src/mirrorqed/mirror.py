@@ -8,7 +8,8 @@ the mirror plane at distance d (entering only as k0*d):
   exp(-2i k0 d cos theta) over the full solid angle.
 
 The quadrature route exists to referee the closed form, not to replace
-it; both are exposed and sweeps can emit their difference.
+it; both are exposed and sweeps can emit their difference. Both take
+scalars (giving a RateResult) or arrays (giving a RateGrid).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import geometry, kernels
 from .errors import InvalidParams
 from .geometry import DipoleOrientation
-from .results import Cells, RateResult
+from .results import Cells
 
 __all__ = ["gamma_mirror_closed", "gamma_mirror_quadrature"]
 
@@ -67,14 +68,17 @@ def gamma_mirror_closed(re_r, k0d):
     cells = Cells(re_r, k0d)
     _check_mirror_args(cells, re_r, k0d)
     live = cells.ok
-    r, x = cells.values[0][live], 2.0 * cells.values[1][live]
+    r = cells.values[0][live]
+    # a k0d past half the float range gives x = inf, where f is 0
+    with np.errstate(over="ignore"):
+        x = 2.0 * cells.values[1][live]
     ratio = 1.0 + 1.5 * r * kernels.f_kernel(x)
     return cells.result("closed_form", ratio, _closed_form_err(r, x))
 
 
-def gamma_mirror_quadrature(re_r: float, k0d: float, tol: float = 1e-9,
+def gamma_mirror_quadrature(re_r, k0d, tol: float = 1e-9,
                             dhat: DipoleOrientation | None = None,
-                            max_evals: int = 40_000_000) -> RateResult:
+                            max_evals: int = 40_000_000):
     """Decay ratio by direct solid-angle quadrature of the interference term.
 
     ratio = 1 + (3 re_r / 8 pi) * Re int dOmega e^{-2 i k0d cos theta}
@@ -82,23 +86,35 @@ def gamma_mirror_quadrature(re_r: float, k0d: float, tol: float = 1e-9,
     closed form (geometry.phi_mean_weight). Used as the independent
     referee of gamma_mirror_closed; the two agree to quadrature accuracy.
 
+    Scalars give a RateResult and raise. Arrays (broadcast together)
+    give a RateGrid with a status per cell; each cell is still
+    integrated by its own solid_angle_integrate call, so it gets the
+    same bits alone and inside a grid:
+
+    >>> grid = gamma_mirror_quadrature([-1.0, -1.0], [1.0, 1e9])
+    >>> grid.status.tolist()
+    ['ok', 'NonConvergence']
+
     Raises
     ------
     NonConvergence
         Propagated from the quadrature engine.
     """
-    _check_mirror_args(Cells(re_r, k0d), re_r, k0d)
+    cells = Cells(re_r, k0d)
+    _check_mirror_args(cells, re_r, k0d)
     if dhat is None:
         dhat = DipoleOrientation()
 
-    def integrand(theta, phi):
-        xi = np.cos(theta)
-        return np.exp(-2j * k0d * xi) * geometry.phi_mean_weight(dhat, xi)
+    def cell(re_r, k0d):
+        def integrand(theta, phi):
+            xi = np.cos(theta)
+            return np.exp(-2j * k0d * xi) * geometry.phi_mean_weight(dhat, xi)
 
-    resolution = geometry.oscillation_nodes(2.0 * k0d)
-    integral, err_int = geometry.solid_angle_integrate(
-        integrand, resolution=resolution, tol=tol, max_evals=max_evals)
-    coeff = 3.0 * re_r / (8.0 * math.pi)
-    ratio = 1.0 + coeff * integral.real
-    err = abs(coeff) * err_int + _RATIO_ERR_FLOOR
-    return RateResult(ratio=float(ratio), method="quadrature", err_estimate=err)
+        resolution = geometry.oscillation_nodes(2.0 * k0d)
+        integral, err_int = geometry.solid_angle_integrate(
+            integrand, resolution=resolution, tol=tol, max_evals=max_evals)
+        coeff = 3.0 * re_r / (8.0 * math.pi)
+        return (1.0 + coeff * integral.real,
+                abs(coeff) * err_int + _RATIO_ERR_FLOOR)
+
+    return cells.each("quadrature", cell)

@@ -1,4 +1,11 @@
-"""Result containers for decay-ratio computations, one cell or a grid."""
+"""Result containers for decay-ratio computations, one cell or a grid.
+
+Every rate route takes scalars or arrays: Cells broadcasts the
+arguments, flags the cells outside the route's domain, and builds a
+RateResult for a scalar call or a RateGrid for an array call. A route
+computes its ok cells either in one array pass (Cells.result) or one
+cell at a time (Cells.each).
+"""
 
 from __future__ import annotations
 
@@ -92,6 +99,25 @@ class Cells:
             self.status[bad] = error.__name__
             self.ok = self.ok & ~bad
 
+    def each(self, method: str, cell):
+        """The route's answer from ``cell`` called on each ok cell alone.
+
+        ``cell`` takes one cell's arguments as Python floats and returns
+        its (ratio, err_estimate). A MirrorQEDError it raises becomes
+        that cell's status on a grid and is re-raised on a scalar call.
+        """
+        ratio = np.full(self.ok.size, math.nan)
+        err = np.full(self.ok.size, math.nan)
+        for i in np.flatnonzero(self.ok).tolist():
+            try:
+                ratio[i], err[i] = cell(*(v.item(i) for v in self.values))
+            except MirrorQEDError as exc:
+                if self.scalar:
+                    raise
+                self.status[i] = type(exc).__name__
+                self.ok[i] = False
+        return self.result(method, ratio[self.ok], err[self.ok])
+
     def result(self, method: str, ratio, err):
         """The route's answer from the ratio and error of the ok cells.
 
@@ -112,24 +138,3 @@ class Cells:
         return RateGrid(ratio=full_ratio.reshape(self.shape), method=method,
                         err_estimate=full_err.reshape(self.shape),
                         status=self.status.reshape(self.shape))
-
-
-def per_cell(route, method: str, *columns) -> RateGrid:
-    """Grid form of a route that takes one cell per call (quadrature).
-
-    Calls ``route`` once per cell of the column arrays, as Python floats;
-    a MirrorQEDError it raises becomes that cell's status.
-    """
-    n = len(columns[0])
-    ratio = np.full(n, math.nan)
-    err = np.full(n, math.nan)
-    status = np.full(n, "ok", dtype=object)
-    for i, args in enumerate(zip(*(np.asarray(c).tolist() for c in columns))):
-        try:
-            res = route(*args)
-        except MirrorQEDError as exc:
-            status[i] = type(exc).__name__
-        else:
-            ratio[i], err[i] = res.ratio, res.err_estimate
-    return RateGrid(ratio=ratio, method=method, err_estimate=err,
-                    status=status)

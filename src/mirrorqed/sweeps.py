@@ -20,7 +20,6 @@ from . import cavity as cavity_mod
 from . import mirror as mirror_mod
 from .errors import (ConfigError, DegenerateMirror, InvalidParams,
                      NonConvergence, TailTooLarge)
-from .results import per_cell
 
 __all__ = [
     "Range",
@@ -441,8 +440,8 @@ def _mirror_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
     want_quad = cfg.method in ("quadrature", "all")
 
     def quadrature(*cols):
-        return per_cell(lambda r, k: mirror_mod.gamma_mirror_quadrature(
-            r, k, tol=cfg.tol, max_evals=cfg.max_evals), "quadrature", *cols)
+        return mirror_mod.gamma_mirror_quadrature(
+            *cols, tol=cfg.tol, max_evals=cfg.max_evals)
 
     closed = quad = np.full(xs.size, math.nan)
     closed_err = quad_err = np.zeros(xs.size)
@@ -468,9 +467,8 @@ def _cavity_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
     status = np.full(xs.size, "ok", dtype=object)
 
     def quadrature(*cols):
-        return per_cell(lambda r_mir, k: cavity_mod.gamma_cavity_quadrature(
-            cavity_mod.CavitySpec(r_mir=r_mir, k0d=k), tol=cfg.tol,
-            max_evals=cfg.max_evals), "quadrature", *cols)
+        return cavity_mod.gamma_cavity_quadrature(
+            cols, tol=cfg.tol, max_evals=cfg.max_evals)
 
     def series(*cols):
         return cavity_mod.gamma_cavity_series(

@@ -180,40 +180,37 @@ def _mirror_checks(quick: bool):
     k0ds = _MIRROR_K0D_GRID if not quick else (0.01, 1.0, 50.0)
     rers = _MIRROR_RER_GRID if not quick else (-1.0, 0.0, 1.0)
     t0 = time.perf_counter()
-    worst = 0.0
-    worst_ratio = 0.0
-    for k0d in k0ds:
-        for re_r in rers:
-            c = mirror_mod.gamma_mirror_closed(re_r, k0d)
-            q = mirror_mod.gamma_mirror_quadrature(re_r, k0d)
-            worst = max(worst, abs(c.ratio - q.ratio))
-            denom = max(q.err_estimate + c.err_estimate, 1e-300)
-            worst_ratio = max(worst_ratio, abs(c.ratio - q.ratio) / denom)
+    k0d = np.array(k0ds)[:, None]
+    c = mirror_mod.gamma_mirror_closed(rers, k0d)
+    q = mirror_mod.gamma_mirror_quadrature(rers, k0d)
+    gap = np.abs(c.ratio - q.ratio)
+    worst_ratio = np.max(gap / np.maximum(q.err_estimate + c.err_estimate,
+                                          1e-300))
     dt = time.perf_counter() - t0
-    yield _below("mirror-oracle-grid", worst, 1e-6,
+    yield _below("mirror-oracle-grid", np.max(gap), 1e-6,
                  f"|closed - quadrature| over {len(k0ds) * len(rers)} cells "
                  f"in {dt:.2f} s")
     yield _below("mirror-quad-err-conservative", worst_ratio, 1.0,
                  "actual route gap vs reported error estimates")
 
-    worst = max(abs(mirror_mod.gamma_mirror_closed(re_r, 1e-2).ratio
-                    - (1.0 + re_r)) for re_r in _MIRROR_RER_GRID)
+    re_r = np.array(_MIRROR_RER_GRID)
+    worst = np.max(np.abs(mirror_mod.gamma_mirror_closed(re_r, 1e-2).ratio
+                          - (1.0 + re_r)))
     yield _below("mirror-near-field", worst, 1e-3,
                  "contact limit 1 + re_r at k0d = 1e-2")
-    worst = max(abs(mirror_mod.gamma_mirror_closed(re_r, 50.0).ratio - 1.0)
-                for re_r in _MIRROR_RER_GRID)
+    worst = np.max(np.abs(mirror_mod.gamma_mirror_closed(re_r, 50.0).ratio
+                          - 1.0))
     yield _below("mirror-far-field", worst, 1e-2,
                  "free-space recovery at k0d = 50")
 
-    worst = 0.0
-    for re_r in (-1.0, -0.5, 0.5, 1.0):
-        for k0d in (0.05, 0.7, 3.0, 12.0, 80.0):
-            ratio = mirror_mod.gamma_mirror_closed(re_r, k0d).ratio
-            bound = 1.5 * abs(re_r) * min(2.0 / 3.0,
-                                          kernels.f_envelope(2.0 * k0d))
-            worst = max(worst, abs(ratio - 1.0) / bound)
-            if not 0.0 <= ratio <= 2.0:
-                worst = math.inf
+    re_r = np.array([-1.0, -0.5, 0.5, 1.0])[:, None]
+    k0d = np.array([0.05, 0.7, 3.0, 12.0, 80.0])
+    ratio = mirror_mod.gamma_mirror_closed(re_r, k0d).ratio
+    bound = 1.5 * np.abs(re_r) * np.minimum(2.0 / 3.0,
+                                            kernels.f_envelope(2.0 * k0d))
+    worst = np.max(np.abs(ratio - 1.0) / bound)
+    if not np.all((0.0 <= ratio) & (ratio <= 2.0)):
+        worst = math.inf
     yield _below("mirror-envelope-and-range", worst, 1.0,
                  "|ratio - 1| within kernel envelope; ratio in [0, 2]")
 
@@ -236,79 +233,56 @@ def _cavity_checks(quick: bool):
                       measured=kmin, threshold=0.0,
                       detail="kernel minimum over random battery (must be > 0)")
 
-    rs = _ROUTE_R if not quick else (-0.5, 0.5)
-    k0ds = _ROUTE_K0D if not quick else (1.0, 10.0)
+    rs = np.array(_ROUTE_R if not quick else (-0.5, 0.5))
+    k0ds = np.array(_ROUTE_K0D if not quick else (1.0, 10.0))
     t0 = time.perf_counter()
-    worst = 0.0
-    worst_cell = ""
-    for r in rs:
-        for k0d in k0ds:
-            spec = cavity_mod.CavitySpec(r_mir=r, k0d=k0d)
-            q = cavity_mod.gamma_cavity_quadrature(spec)
-            s = cavity_mod.gamma_cavity_series(spec)
-            budget = max(q.err_estimate + s.err_estimate, 1e-12)
-            score = abs(q.ratio - s.ratio) / budget
-            if score > worst:
-                worst, worst_cell = score, f"r={r:g} k0d={k0d:g}"
+    grid = (rs[:, None], k0ds)
+    q = cavity_mod.gamma_cavity_quadrature(grid)
+    s = cavity_mod.gamma_cavity_series(grid)
+    budget = np.maximum(q.err_estimate + s.err_estimate, 1e-12)
+    score = np.abs(q.ratio - s.ratio) / budget
+    i, j = np.unravel_index(np.argmax(score), score.shape)
     dt = time.perf_counter() - t0
-    yield _below("cavity-route-equivalence", worst, 1.0,
+    yield _below("cavity-route-equivalence", score[i, j], 1.0,
                  f"series vs quadrature over combined error; worst at "
-                 f"{worst_cell}; {dt:.2f} s")
+                 f"r={rs[i]:g} k0d={k0ds[j]:g}; {dt:.2f} s")
 
-    worst = 0.0
-    for r in _SUBWL_R:
-        ratio = cavity_mod.gamma_cavity_quadrature(
-            cavity_mod.CavitySpec(r_mir=r, k0d=1e-3)).ratio
-        lim = cavity_mod.gamma_subwavelength_limit(r).ratio
-        worst = max(worst, abs(ratio - lim) / abs(lim))
-    yield _below("cavity-subwavelength-limit", worst, 1e-3,
+    rs = np.array(_SUBWL_R)
+    ratio = cavity_mod.gamma_cavity_quadrature((rs, 1e-3)).ratio
+    lim = cavity_mod.gamma_subwavelength_limit(rs).ratio
+    yield _below("cavity-subwavelength-limit",
+                 np.max(np.abs(ratio - lim) / np.abs(lim)), 1e-3,
                  "quadrature at k0d = 1e-3 vs (1+r)/(1-r)")
 
-    worst = 0.0
-    for r in (-0.9, -0.5, 0.0, 0.5):
-        q = cavity_mod.gamma_cavity_quadrature(
-            cavity_mod.CavitySpec(r_mir=r, k0d=0.1))
-        second = cavity_mod.gamma_subwavelength_2nd(r, 0.1)
-        worst = max(worst, abs(second.ratio - q.ratio) / abs(q.ratio))
+    # the last cell, r = +0.9, sits past the expansion's reach
+    rs = np.array([-0.9, -0.5, 0.0, 0.5, 0.9])
+    q = cavity_mod.gamma_cavity_quadrature((rs, 0.1)).ratio
+    second = cavity_mod.gamma_subwavelength_2nd(rs, 0.1)
+    worst = np.max(np.abs(second.ratio[:-1] - q[:-1]) / np.abs(q[:-1]))
     yield _below("cavity-subwavelength-2nd", worst, 5e-3,
                  "second order vs quadrature at k0d = 0.1, |r| <= 0.9 "
                  "excluding +0.9")
-    q = cavity_mod.gamma_cavity_quadrature(
-        cavity_mod.CavitySpec(r_mir=0.9, k0d=0.1))
-    second = cavity_mod.gamma_subwavelength_2nd(0.9, 0.1)
-    gap = abs(second.ratio - q.ratio)
-    yield _below("cavity-2nd-order-err-scale", gap,
-                 1.2 * second.err_estimate,
+    yield _below("cavity-2nd-order-err-scale", abs(second.ratio[-1] - q[-1]),
+                 1.2 * second.err_estimate[-1],
                  "r = +0.9, k0d = 0.1: truncation error within its own "
                  "next-order estimate")
 
-    rs = _OPTICAL_R if not quick else (-0.6, 0.6)
+    rs = np.array(_OPTICAL_R if not quick else (-0.6, 0.6))
     k0ds = _OPTICAL_K0D if not quick else (20.0 * math.pi,)
-    worst = 0.0
-    for r in rs:
-        for k0d in k0ds:
-            q = cavity_mod.gamma_cavity_quadrature(
-                cavity_mod.CavitySpec(r_mir=r, k0d=k0d))
-            worst = max(worst, abs(q.ratio - 1.0))
-    yield _below("cavity-optical-asymptote", worst, 0.05,
-                 "free-space recovery at k0d in {20 pi, 50 pi}")
+    q = cavity_mod.gamma_cavity_quadrature((rs[:, None], k0ds))
+    yield _below("cavity-optical-asymptote", np.max(np.abs(q.ratio - 1.0)),
+                 0.05, "free-space recovery at k0d in {20 pi, 50 pi}")
 
     k0ds = (0.01, 0.05, 0.09) if not quick else (0.05,)
-    min_margin = math.inf
-    worst_neutral = 0.0
     # rounding pins the center of the symmetric grid to exactly r = 0
-    for r in np.round(np.linspace(-0.99, 0.99, 21), 12):
-        for k0d in k0ds:
-            ratio = cavity_mod.gamma_cavity_quadrature(
-                cavity_mod.CavitySpec(r_mir=float(r), k0d=k0d)).ratio
-            if r == 0.0:
-                worst_neutral = max(worst_neutral, abs(ratio - 1.0))
-            else:
-                min_margin = min(min_margin, math.copysign(1.0, r)
-                                 * (ratio - 1.0))
+    rs = np.round(np.linspace(-0.99, 0.99, 21), 12)
+    ratio = cavity_mod.gamma_cavity_quadrature((rs[:, None], k0ds)).ratio
+    zero = rs == 0.0
+    min_margin = np.min(np.sign(rs[~zero])[:, None] * (ratio[~zero] - 1.0))
     yield _above("cavity-dichotomy-sign", min_margin, 0.0,
                  "sign(r) * (ratio - 1) over 21-point r grid, k0d < 0.1")
-    yield _below("cavity-dichotomy-neutral", worst_neutral, 1e-9,
+    yield _below("cavity-dichotomy-neutral",
+                 np.max(np.abs(ratio[zero] - 1.0)), 1e-9,
                  "ratio at r = 0 stays 1")
     ratio = cavity_mod.gamma_cavity_quadrature(
         cavity_mod.CavitySpec(r_mir=0.9, k0d=0.01)).ratio

@@ -169,6 +169,24 @@ class TestQuadrature:
             k0d = float(rng.uniform(0.05, 30.0))
             assert gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d)).ratio > 0.0
 
+    def test_grid_cells_match_single_cells_bit_for_bit(self):
+        r = np.array([0.5, -0.98, 0.0, 0.5, 1.0])
+        k0d = np.array([1.0, 3.0, 0.3, 1e6, 1.0])
+        grid = gamma_cavity_quadrature((r, k0d))
+        assert grid.method == "quadrature"
+        assert grid.status.tolist() == ["ok", "ok", "ok", "NonConvergence",
+                                        "DegenerateMirror"]
+        for i in range(3):
+            cell = gamma_cavity_quadrature(
+                CavitySpec(r_mir=r[i].item(), k0d=k0d[i].item()))
+            assert grid.ratio[i] == cell.ratio
+            assert grid.err_estimate[i] == cell.err_estimate
+        assert np.isnan(grid.ratio[3:]).all()
+        assert np.isnan(grid.err_estimate[3:]).all()
+        with pytest.raises(errors.NonConvergence) as refused:
+            gamma_cavity_quadrature(CavitySpec(r_mir=0.5, k0d=1e6))
+        assert refused.value.n_evals == 0
+
     @pytest.mark.parametrize("r", [0.5, -0.8])
     @pytest.mark.parametrize("k0d", [math.inf, math.nan, 1e6])
     def test_hopeless_inputs_fail_fast(self, r, k0d, monkeypatch):
@@ -375,8 +393,13 @@ class TestSeries:
 
 class TestSubwavelength:
     def test_limit_closed_form(self):
-        for r in (-0.99, -0.5, 0.0, 0.5, 0.9):
+        rs = (-0.99, -0.5, 0.0, 0.5, 0.9)
+        grid = gamma_subwavelength_limit(np.array(rs))
+        assert (grid.status == "ok").all()
+        assert (grid.err_estimate == 0.0).all()
+        for i, r in enumerate(rs):
             assert gamma_subwavelength_limit(r).ratio == (1.0 + r) / (1.0 - r)
+            assert grid.ratio[i] == (1.0 + r) / (1.0 - r)
 
     def test_limit_perfect_dark_mirror_is_zero(self):
         assert gamma_subwavelength_limit(-1.0).ratio == 0.0

@@ -295,6 +295,10 @@ def test_tiny_reflectivity_cavity_quadrature_is_bounded(tmp_path, argv):
     (["mirror", "--method", "closed", "--k0d", "1e300"], "ratio_closed"),
     (["cavity", "--method", "series", "--r", "0.9", "--k0d", "1e300"],
      "ratio_series"),
+    # 2 k0d and j k0d overflow to inf, where f is 0
+    (["mirror", "--method", "closed", "--k0d", "1e308"], "ratio_closed"),
+    (["cavity", "--method", "series", "--r", "0.9", "--k0d", "1e307"],
+     "ratio_series"),
 ])
 def test_huge_k0d_closed_forms_raise_no_overflow_warning(tmp_path, argv,
                                                          column):

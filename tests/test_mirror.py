@@ -105,6 +105,23 @@ class TestQuadratureRoute:
                 gap = abs(quad.ratio - closed.ratio)
                 assert gap <= quad.err_estimate + closed.err_estimate
 
+    def test_grid_cells_match_single_cells_bit_for_bit(self):
+        re_r = np.array([-1.0, 0.5, 0.8, -1.0, 1.5])
+        k0d = np.array([1e-3, math.pi / 2, 30.0, 1e9, 1.0])
+        grid = gamma_mirror_quadrature(re_r, k0d)
+        assert grid.method == "quadrature"
+        assert grid.status.tolist() == ["ok", "ok", "ok", "NonConvergence",
+                                        "InvalidParams"]
+        for i in range(3):
+            cell = gamma_mirror_quadrature(re_r[i].item(), k0d[i].item())
+            assert grid.ratio[i] == cell.ratio
+            assert grid.err_estimate[i] == cell.err_estimate
+        assert np.isnan(grid.ratio[3:]).all()
+        assert np.isnan(grid.err_estimate[3:]).all()
+        with pytest.raises(errors.NonConvergence) as refused:
+            gamma_mirror_quadrature(-1.0, 1e9)
+        assert refused.value.n_evals == 0
+
     @pytest.mark.parametrize("re_r", [-1.0, 0.5])
     @pytest.mark.parametrize("k0d", [math.inf, math.nan, 1e6])
     def test_hopeless_inputs_fail_fast(self, re_r, k0d, monkeypatch):

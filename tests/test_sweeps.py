@@ -328,10 +328,9 @@ class TestRateSweeps:
             out=str(tmp_path / "c.csv"))
         assert sweeps.run_sweep(mirror_cfg) == 0
         assert sweeps.run_sweep(cavity_cfg) == 0
-        # quadrature cells keep one call each
         assert calls == {"gamma_mirror_closed": 1,
-                         "gamma_mirror_quadrature": 30,
-                         "gamma_cavity_quadrature": 12,
+                         "gamma_mirror_quadrature": 1,
+                         "gamma_cavity_quadrature": 1,
                          "gamma_cavity_series": 1,
                          "gamma_subwavelength_2nd": 1}
 
