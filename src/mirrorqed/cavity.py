@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, kernels
-from .errors import (DegenerateMirror, InvalidParams, NonConvergence,
-                     TailTooLarge)
+from .errors import DegenerateMirror, InvalidParams, TailTooLarge
 from .geometry import DipoleOrientation
 from .kernels import interference_kernel
 from .results import Cells
@@ -148,9 +147,9 @@ def default_n_max(r_mir: float, tail_tol: float) -> int:
     return min(max(n, 0), _N_MAX_CAP)
 
 
-def gamma_cavity_quadrature(spec, tol: float = 1e-9,
+def gamma_cavity_quadrature(spec, tol: float = geometry.DEFAULT_TOL,
                             dhat: DipoleOrientation | None = None,
-                            max_evals: int = 40_000_000):
+                            max_evals: int = geometry.DEFAULT_MAX_EVALS):
     """Decay ratio by solid-angle quadrature of the resummed kernel.
 
     ratio = (3 / 8 pi) * int dOmega (transverse dipole weight)
@@ -162,13 +161,11 @@ def gamma_cavity_quadrature(spec, tol: float = 1e-9,
     engine as panel breakpoints so refinement cannot silently straddle a
     peak.
 
-    The budget gates run in this order, each before the work it prices:
-    the kernel peaks inside (-1, 1), k0d/pi of them, are priced at
-    EVALS_PER_PANEL per panel before any breakpoint is built; then the
-    engine prices the uniform panels of the resolution hint, then the
-    panels the breakpoints add, each before it allocates them. Building
-    the breakpoints costs O(k0d) whatever r_mir is (see
-    _peak_breakpoints), so the first gate bounds it.
+    Building the breakpoints costs O(k0d) whatever r_mir is (see
+    _peak_breakpoints), so the engine's first-level gate
+    (geometry.first_level_panels), which prices the resolution hint of
+    at least 8 k0d nodes, runs before they are built; a cell it refuses
+    builds none.
 
     ``spec`` is a CavitySpec for one cell, giving a RateResult, or an
     ``(r_mir, k0d)`` pair of arrays for a grid, giving a RateGrid whose
@@ -181,8 +178,8 @@ def gamma_cavity_quadrature(spec, tol: float = 1e-9,
     NonConvergence
         If the node budget runs out (expected for very high finesse
         together with large k0d); reported, never masked. A first level
-        that any gate prices over max_evals is refused before an
-        integrand is evaluated. On a grid: that cell's status.
+        that a gate prices over max_evals is refused before an integrand
+        is evaluated, with n_evals == 0. On a grid: that cell's status.
     """
     cells = _cavity_cells(spec)
     if dhat is None:
@@ -194,26 +191,13 @@ def gamma_cavity_quadrature(spec, tol: float = 1e-9,
             return (geometry.phi_mean_weight(dhat, xi)
                     * interference_kernel(r, k0d * xi))
 
-        breakpoints: list[float] = []
-        if r != 0.0:
-            # the peaks inside (-1, 1) put at least k0d/pi - 3 panel edges
-            # there, each panel priced at EVALS_PER_PANEL, the engine's 2-D
-            # worst case for the first level
-            min_panels = k0d / math.pi - 3.0
-            min_evals = min_panels * geometry.EVALS_PER_PANEL
-            if min_evals > max_evals:
-                raise NonConvergence(
-                    f"cavity quadrature: {k0d / math.pi:.3g} kernel peaks "
-                    f"need more than {min_panels:.3g} panels on the first "
-                    f"level; at {geometry.EVALS_PER_PANEL} evaluations per "
-                    f"panel that is over the budget of {max_evals}",
-                    n_evals=0)
-            breakpoints = _peak_breakpoints(r, k0d)
         sharpness = 2 if abs(r) > 0.9 else 1
         resolution = sharpness * geometry.oscillation_nodes(k0d)
+        geometry.first_level_panels(resolution, max_evals)
+        breakpoints = _peak_breakpoints(r, k0d) if r != 0.0 else None
         integral, err_int = geometry.solid_angle_integrate(
             integrand, resolution=resolution, tol=tol,
-            xi_breakpoints=breakpoints or None, max_evals=max_evals)
+            xi_breakpoints=breakpoints, max_evals=max_evals)
         coeff = 3.0 / (8.0 * math.pi)
         return coeff * integral.real, coeff * err_int
 

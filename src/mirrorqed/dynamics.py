@@ -114,6 +114,20 @@ def _density_matrix(rho, dim: int, name: str) -> np.ndarray:
     return rho
 
 
+def _check_rate(gamma_cav) -> None:
+    if not 0.0 <= gamma_cav < math.inf:
+        raise InvalidParams(
+            f"gamma_cav must be finite and >= 0, got {gamma_cav!r}")
+
+
+def _time_grid(t_grid, name: str = "t_grid") -> np.ndarray:
+    """t_grid as a float array of sample times, else InvalidParams."""
+    times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
+        raise InvalidParams(f"{name} must be 1-D, nonempty, >= 0")
+    return times
+
+
 @dataclass(frozen=True, eq=False)
 class AtomCavityState:
     """Density matrix of the atom-cavity system at a Fock truncation.
@@ -386,18 +400,14 @@ def evolve_single_rate(gamma_cav: float, rho_atom0,
     may be a scalar (sampled on 101 equally spaced points from 0) or an
     explicit array of sample times.
     """
-    if not 0.0 <= gamma_cav < math.inf:
-        raise InvalidParams(
-            f"gamma_cav must be finite and >= 0, got {gamma_cav!r}")
+    _check_rate(gamma_cav)
     rho0 = _density_matrix(rho_atom0, 2, "rho_atom")
     if np.ndim(t_final) == 0:
         if not float(t_final) >= 0.0:
             raise InvalidParams(f"t_final must be >= 0, got {t_final!r}")
         times = np.linspace(0.0, float(t_final), 101)
     else:
-        times = np.asarray(t_final, dtype=float)
-        if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
-            raise InvalidParams("time grid must be 1-D, nonempty, >= 0")
+        times = _time_grid(t_final, "time grid")
     decay = np.exp(-gamma_cav * times)
     half = np.exp(-0.5 * gamma_cav * times)
     rhos = np.empty((times.size, 2, 2), dtype=complex)
@@ -458,15 +468,11 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
     searchsorted per eigenstate), with no trajectory-by-time matrix.
     Transient memory is a small constant times jump_times.
     """
-    if not 0.0 <= gamma_cav < math.inf:
-        raise InvalidParams(
-            f"gamma_cav must be finite and >= 0, got {gamma_cav!r}")
+    _check_rate(gamma_cav)
     if n_traj < 1:
         raise InvalidParams(f"n_traj must be >= 1, got {n_traj!r}")
     rho0 = _density_matrix(rho_atom0, 2, "rho_atom")
-    times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
-        raise InvalidParams("t_grid must be 1-D, nonempty, >= 0")
+    times = _time_grid(t_grid)
 
     # mixed initial state: decompose into pure states, then select per draw
     evals, evecs = np.linalg.eigh(rho0)
@@ -579,9 +585,7 @@ def model_discrepancy(params: ModelParams, gamma_cav: float,
     whose phase max_rate * t_final exceeds 1e9, where rounding would
     pass about 2e-7 (at 1e150 the propagator overflows).
     """
-    times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
-        raise InvalidParams("t_grid must be 1-D, nonempty, >= 0")
+    times = _time_grid(t_grid)
     if np.any(np.diff(times) <= 0.0):
         raise InvalidParams("t_grid must be strictly increasing")
     if params.max_rate * times[-1] > _MAX_PHASE:

@@ -55,10 +55,17 @@ __all__ = [
     "phi_mean_weight",
     "oscillation_nodes",
     "solid_angle_integrate",
-    "EVALS_PER_PANEL",
+    "first_level_panels",
+    "DEFAULT_TOL",
+    "DEFAULT_MAX_EVALS",
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+#: Default relative tolerance of every quadrature route.
+DEFAULT_TOL = 1e-9
+#: Default integrand-evaluation budget of every quadrature route, per cell.
+DEFAULT_MAX_EVALS = 40_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +171,9 @@ _GL_WEIGHTS = np.array([
 _MAX_LEVELS = 16
 _PHI_CAP = 256
 _N_PHI_FIRST = 16
-#: Integrand evaluations one xi panel costs on the first level when the
-#: integrand depends on phi: the 2-D worst case the pre-allocation
-#: budget gates assume.
-EVALS_PER_PANEL = _GL_NODES.size * _N_PHI_FIRST
+# Integrand evaluations one xi panel costs on the first level when the
+# integrand depends on phi: the 2-D worst case the first-level gates price.
+_EVALS_PER_PANEL = _GL_NODES.size * _N_PHI_FIRST
 #: Roundoff floor on the reported error estimate, relative to max(1, |I|).
 _ERR_FLOOR = 4e-16
 
@@ -181,15 +187,41 @@ def _panel_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xi, w
 
 
-def _refuse_first_level(n_first, max_evals: int) -> None:
+def first_level_panels(resolution: int,
+                       max_evals: int = DEFAULT_MAX_EVALS) -> int:
+    """Uniform xi panels of the first level that ``resolution`` asks for.
+
+    This is the first budget gate of solid_angle_integrate, priced in
+    integer arithmetic before anything is allocated: each panel counts
+    its 2-D worst case of 16 xi nodes by 16 phi nodes. A caller that
+    does O(resolution) work of its own before integrating (the cavity's
+    peak breakpoints) calls it first. The default budget is the one
+    every quadrature route takes, DEFAULT_MAX_EVALS.
+
+    >>> first_level_panels(64)
+    4
+    >>> first_level_panels(3_200_000)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    ...
+    mirrorqed.errors.NonConvergence: ... needs up to 51200000 evaluations, ...
+
+    Raises
+    ------
+    NonConvergence
+        With n_evals == 0, if those panels could exceed max_evals.
+    """
+    n_panels = max(4, -(-resolution // 16))
+    n_first = _EVALS_PER_PANEL * n_panels
     if n_first > max_evals:
         raise NonConvergence(
             f"solid-angle quadrature: the first level needs up to {n_first} "
             f"evaluations, over the budget of {max_evals}", n_evals=0)
+    return n_panels
 
 
-def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
-                          xi_breakpoints=None, max_evals: int = 40_000_000):
+def solid_angle_integrate(integrand, resolution: int = 64,
+                          tol: float = DEFAULT_TOL, xi_breakpoints=None,
+                          max_evals: int = DEFAULT_MAX_EVALS):
     """Integrate a function over the unit sphere, sin(theta) weight included.
 
     Evaluates ``int_0^pi dtheta sin(theta) int_0^{2 pi} dphi
@@ -219,11 +251,11 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
     max_evals : int
         Budget of integrand evaluations across all levels, counted as
         returned values: one per xi node for a phi-independent integrand.
-        A first level that could exceed the budget, counting
-        EVALS_PER_PANEL per panel, is refused before it is allocated, in
-        two gates: the uniform panels that ``resolution`` asks for are
-        priced in integer arithmetic before any edge is built, then the
-        panels the breakpoints add are priced before any node is. A
+        A first level that could exceed the budget, counting each panel
+        at its 2-D worst case, is refused before it is allocated, in two
+        gates: the uniform panels that ``resolution`` asks for are priced
+        by first_level_panels before any edge is built, then the panels
+        the breakpoints add are priced before any node is. A
         refinement level starts only while the evaluations already made
         are below the budget. A refinement level is at most four times
         the one before, so no level exceeds 4 * max_evals evaluations.
@@ -248,8 +280,7 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
     if not tol > 0.0:
         raise InvalidParams(f"tol must be positive, got {tol}")
 
-    n_panels = max(4, -(-resolution // 16))
-    _refuse_first_level(EVALS_PER_PANEL * n_panels, max_evals)
+    n_panels = first_level_panels(resolution, max_evals)
     edges = np.linspace(-1.0, 1.0, int(n_panels) + 1)
     if xi_breakpoints is not None:
         pts = np.asarray(list(xi_breakpoints), dtype=float)
@@ -265,7 +296,9 @@ def solid_angle_integrate(integrand, resolution: int = 64, tol: float = 1e-9,
     value = None
     err = math.inf
     evals = 0
-    _refuse_first_level(EVALS_PER_PANEL * (edges.size - 1), max_evals)
+    # the same gate once the breakpoints have added their panels, at 16
+    # xi nodes a panel
+    first_level_panels(16 * (edges.size - 1), max_evals)
     for _ in range(_MAX_LEVELS):
         xi, w = _panel_points(edges)
         theta = np.arccos(np.clip(xi, -1.0, 1.0))

@@ -76,9 +76,9 @@ def gamma_mirror_closed(re_r, k0d):
     return cells.result("closed_form", ratio, _closed_form_err(r, x))
 
 
-def gamma_mirror_quadrature(re_r, k0d, tol: float = 1e-9,
+def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
                             dhat: DipoleOrientation | None = None,
-                            max_evals: int = 40_000_000):
+                            max_evals: int = geometry.DEFAULT_MAX_EVALS):
     """Decay ratio by direct solid-angle quadrature of the interference term.
 
     ratio = 1 + (3 re_r / 8 pi) * Re int dOmega e^{-2 i k0d cos theta}

@@ -17,9 +17,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import cavity as cavity_mod
+from . import geometry
 from . import mirror as mirror_mod
-from .errors import (ConfigError, DegenerateMirror, InvalidParams,
-                     NonConvergence, TailTooLarge)
+from .errors import ConfigError, InvalidParams
 
 __all__ = [
     "Range",
@@ -39,18 +39,6 @@ FIGURE_IDS = ("mirror_dielectric", "mirror_plasmonic",
               "subwl_plasmonic_vs_r", "subwl_plasmonic_vs_d")
 
 OUTDIR_ENV = "MIRRORQED_OUTDIR"
-
-# the methods each data target accepts; the CLI builds its subcommands
-# from this table
-_METHODS_BY_TARGET = {
-    "mirror": ("closed", "quadrature", "all"),
-    "cavity": ("quadrature", "series", "limit", "all"),
-    "subwavelength": ("quadrature", "series", "limit", "all"),
-    "optical": ("quadrature", "series", "all"),
-    "lindblad": ("all",),
-}
-
-TARGETS = tuple(_METHODS_BY_TARGET)
 
 # Sizes the user sets are capped so that one run stays within a memory
 # budget, and an oversized request is refused before anything is
@@ -105,17 +93,47 @@ class Range:
         return np.linspace(self.start, self.stop, self.count)
 
 
-# What each target runs for a key left unset. A k0d or d_over_lambda0
-# that is given replaces the default separation. The one Range-valued
-# default is the default axis, which --grid sweeps; to sweep another axis
-# (_AXIS_FLAGS), give it a single value. The method is "all" unless named.
-_TARGET_DEFAULTS = {
-    "mirror": {"r": -1.0, "d_over_lambda0": Range(0.01, 3.0, 101)},
-    "cavity": {"r": 0.5, "k0d": Range(0.01, 20.0, 200)},
-    "subwavelength": {"r": Range(-0.99, 0.99, 199), "k0d": 0.01},
-    "optical": {"r": 0.8, "method": "quadrature",
-                "k0d": Range(20.0 * math.pi, 50.0 * math.pi, 25)},
-    "lindblad": {"t": Range(0.0, 3.0, 31)},
+@dataclass(frozen=True)
+class _Target:
+    """What one data target runs.
+
+    ``routes`` are the methods it accepts besides "all", which runs every
+    one of them; ``defaults`` holds the value of each key left unset.
+    """
+
+    help: str
+    routes: tuple[str, ...]
+    defaults: dict
+
+    @property
+    def methods(self) -> tuple[str, ...]:
+        return (*self.routes, "all")
+
+
+# What each target runs, stated once: the CLI builds its subcommands,
+# their help lines and --method choices from this table. The routes are in
+# the order of their CSV columns; optical has no second-order (limit) route,
+# and lindblad runs its two models with no route to choose. Of the
+# defaults, a k0d or d_over_lambda0 that is given replaces the default
+# separation, and the one Range-valued default is the grid axis, which
+# --grid sweeps; to sweep another axis (_AXIS_FLAGS), give the grid axis a
+# single value. The method is "all" unless named.
+TARGETS = {
+    "mirror": _Target("single-mirror decay ratio sweep",
+                      ("closed", "quadrature"),
+                      {"r": -1.0, "d_over_lambda0": Range(0.01, 3.0, 101)}),
+    "cavity": _Target("two-mirror decay ratio sweep",
+                      ("quadrature", "series", "limit"),
+                      {"r": 0.5, "k0d": Range(0.01, 20.0, 200)}),
+    "subwavelength": _Target("small-separation cavity limits sweep",
+                             ("quadrature", "series", "limit"),
+                             {"r": Range(-0.99, 0.99, 199), "k0d": 0.01}),
+    "optical": _Target("large-separation cavity sweep",
+                       ("quadrature", "series"),
+                       {"r": 0.8, "method": "quadrature",
+                        "k0d": Range(20.0 * math.pi, 50.0 * math.pi, 25)}),
+    "lindblad": _Target("master-equation and quantum-jump comparison", (),
+                        {"t": Range(0.0, 3.0, 31)}),
 }
 _SEPARATION_AXES = ("k0d", "d_over_lambda0")
 _AXIS_FLAGS = {"r": "--r", "k0d": "--k0d", "d_over_lambda0": "--d-over-lambda"}
@@ -125,7 +143,7 @@ _AXIS_FLAGS = {"r": "--r", "k0d": "--k0d", "d_over_lambda0": "--d-over-lambda"}
 class SweepConfig:
     """Complete, dumpable description of one run.
 
-    Keys left unset (None) take the target's _TARGET_DEFAULTS when built:
+    Keys left unset (None) take the target's TARGETS defaults when built:
     a config built in Python runs, and its preamble records, what the
     subcommand runs.
     """
@@ -136,10 +154,10 @@ class SweepConfig:
     d_over_lambda0: float | Range | None = None
     t: Range | None = None
     method: str | None = None
-    tol: float = 1e-9
-    max_evals: int = 40_000_000
+    tol: float = geometry.DEFAULT_TOL
+    max_evals: int = geometry.DEFAULT_MAX_EVALS
     n_max: int | None = None
-    tail_tol: float = 1e-8
+    tail_tol: float = cavity_mod.SeriesControl.tail_tol
     g: float = 1.0
     kappa: float = 20.0
     gamma: float = 1.0
@@ -150,7 +168,8 @@ class SweepConfig:
     quick: bool = False
 
     def __post_init__(self):
-        defaults = {"method": "all", **_TARGET_DEFAULTS.get(self.target, {})}
+        target = TARGETS.get(self.target)
+        defaults = {"method": "all", **(target.defaults if target else {})}
         named = any(getattr(self, k) is not None for k in _SEPARATION_AXES)
         swept = [k for k in _AXIS_FLAGS if isinstance(getattr(self, k), Range)]
         for key, value in defaults.items():
@@ -168,21 +187,19 @@ class SweepConfig:
         """Raise ConfigError on any inconsistency; cheap, no computation."""
         if self.target not in TARGETS:
             raise ConfigError(f"unknown target {self.target!r}")
-        if self.method not in _METHODS_BY_TARGET[self.target]:
+        methods = TARGETS[self.target].methods
+        if self.method not in methods:
             raise ConfigError(
                 f"method {self.method!r} not available for target "
-                f"{self.target!r}; choose from "
-                f"{_METHODS_BY_TARGET[self.target]}")
+                f"{self.target!r}; choose from {methods}")
         if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol!r}")
-        if not self.tail_tol > 0.0:
-            raise ConfigError(f"tail_tol must be positive, got {self.tail_tol!r}")
+        try:
+            cavity_mod.SeriesControl(n_max=self.n_max, tail_tol=self.tail_tol)
+        except InvalidParams as exc:
+            raise ConfigError(str(exc)) from None
         if self.max_evals < 10_000:
             raise ConfigError(f"max_evals too small: {self.max_evals!r}")
-        if self.n_max is not None and not (
-                0 <= self.n_max <= cavity_mod._N_MAX_CAP):
-            raise ConfigError(f"n_max must lie in [0, "
-                              f"{cavity_mod._N_MAX_CAP}], got {self.n_max!r}")
         if not 1 <= self.n_traj <= _MAX_TRAJECTORIES:
             raise ConfigError(
                 f"n_traj must lie in [1, {_MAX_TRAJECTORIES}] (a "
@@ -222,6 +239,11 @@ class SweepConfig:
                     f"out {self.out!r} would not read back from the CSV "
                     "preamble: avoid '#' after whitespace, surrounding "
                     "whitespace, line breaks and the name none")
+
+    def routes(self) -> tuple[str, ...]:
+        """The routes the method names: one, or all of the target's."""
+        return (TARGETS[self.target].routes if self.method == "all"
+                else (self.method,))
 
 
 def _float_or_range(raw: str):
@@ -406,9 +428,6 @@ def _cell_params(cfg: SweepConfig, axis: str, xs: np.ndarray):
     return r, k0d, d
 
 
-_CELL_ERRORS = (NonConvergence, TailTooLarge, DegenerateMirror, InvalidParams)
-
-
 def _run_route(status: np.ndarray, grid, *columns, mask=True):
     """One route over the cells (where mask holds) whose rows are still ok.
 
@@ -436,8 +455,8 @@ def _shown(values: np.ndarray, show) -> list:
 def _mirror_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
     re_r, k0d, d = _cell_params(cfg, axis, xs)
     status = np.full(xs.size, "ok", dtype=object)
-    want_closed = cfg.method in ("closed", "all")
-    want_quad = cfg.method in ("quadrature", "all")
+    want_closed = "closed" in cfg.routes()
+    want_quad = "quadrature" in cfg.routes()
 
     def quadrature(*cols):
         return mirror_mod.gamma_mirror_quadrature(
@@ -476,12 +495,12 @@ def _cavity_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
                                            tail_tol=cfg.tail_tol))
 
     # each route with the cells it runs on, in the order they run
+    wanted = cfg.routes()
     routes = (
-        (quadrature, cfg.method in ("quadrature", "all")),
-        (series, cfg.method in ("series", "all")),
+        (quadrature, "quadrature" in wanted),
+        (series, "series" in wanted),
         (cavity_mod.gamma_subwavelength_2nd,
-         (cfg.method in ("limit", "all") and cfg.target != "optical")
-         & (k0d <= cavity_mod.SUBWAVELENGTH_SOFT_MAX)))
+         ("limit" in wanted) & (k0d <= cavity_mod.SUBWAVELENGTH_SOFT_MAX)))
     columns = [k0d.tolist(), r.tolist()]
     err = np.full(xs.size, -math.inf)
     applies = np.zeros(xs.size, dtype=bool)
@@ -504,12 +523,12 @@ _RATE_COLUMNS = {
                ["k0d", "r_mir", "ratio_quadrature", "ratio_series",
                 "ratio_limit_2nd", "err_estimate", "status", "method"]),
 }
-_RATE_COLUMNS["subwavelength"] = _RATE_COLUMNS["cavity"]
-_RATE_COLUMNS["optical"] = _RATE_COLUMNS["cavity"]
 
 
 def _run_rate_sweep(cfg: SweepConfig, path: str) -> int:
-    assemble, header = _RATE_COLUMNS[cfg.target]
+    # every rate target but mirror is a cavity
+    assemble, header = _RATE_COLUMNS[
+        "mirror" if cfg.target == "mirror" else "cavity"]
     axis, xs = _axis_values(cfg)
     if cfg.quick and xs.size > 25:
         xs = xs[:: max(1, xs.size // 25)]
@@ -539,7 +558,7 @@ def _run_lindblad(cfg: SweepConfig, path: str) -> int:
         disc = dyn.model_discrepancy(params, gamma_cav, grid)
         ens = dyn.unravel_jumps(gamma_cav, np.diag([0.0, 1.0]), n_traj,
                                 cfg.seed, grid)
-    except _CELL_ERRORS as exc:
+    except InvalidParams as exc:
         nan = [math.nan] * grid.size
         _write_csv(path, cfg, header,
                    [grid.tolist(), nan, nan, nan, nan,

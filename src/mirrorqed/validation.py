@@ -4,9 +4,10 @@ run_validation executes the whole battery (closed form vs quadrature
 oracles, limit recovery, series route equivalence, kernel properties,
 master-equation conservation laws, jump-ensemble statistics, CSV
 determinism) and returns a report with one measured deviation per
-check. The CLI validate subcommand prints it and maps the outcome to
-an exit code. fault_injection perturbs the f kernel additively so the
-sensitivity of the oracle checks can be demonstrated.
+check and the time of each check group. The CLI validate subcommand
+prints it and maps the outcome to an exit code. fault_injection perturbs
+the f kernel additively so the sensitivity of the oracle checks can be
+demonstrated.
 """
 
 from __future__ import annotations
@@ -52,9 +53,14 @@ class CheckResult:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: list[CheckResult] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+    #: (group, seconds) of each check group, in the order they ran
+    timings: list[tuple[str, float]] = field(default_factory=list)
     quick: bool = False
     fault_injection: float = 0.0
+
+    @property
+    def elapsed_seconds(self) -> float:
+        return sum(seconds for _, seconds in self.timings)
 
     @property
     def passed(self) -> bool:
@@ -71,6 +77,9 @@ class ValidationReport:
             lines.append(f"fault injection active: f kernel perturbed by "
                          f"{self.fault_injection:g}")
         lines.extend(c.line() for c in self.checks)
+        # never PASS or FAIL first: a line that starts so is a check
+        lines.extend(f"time  {group:<38s} {seconds:.3f} s"
+                     for group, seconds in self.timings)
         verdict = "all checks passed" if self.passed else (
             f"{self.n_failed} of {len(self.checks)} checks FAILED")
         lines.append(f"{verdict} in {self.elapsed_seconds:.1f} s")
@@ -179,17 +188,14 @@ def _f_kernel_checks(quick: bool):
 def _mirror_checks(quick: bool):
     k0ds = _MIRROR_K0D_GRID if not quick else (0.01, 1.0, 50.0)
     rers = _MIRROR_RER_GRID if not quick else (-1.0, 0.0, 1.0)
-    t0 = time.perf_counter()
     k0d = np.array(k0ds)[:, None]
     c = mirror_mod.gamma_mirror_closed(rers, k0d)
     q = mirror_mod.gamma_mirror_quadrature(rers, k0d)
     gap = np.abs(c.ratio - q.ratio)
     worst_ratio = np.max(gap / np.maximum(q.err_estimate + c.err_estimate,
                                           1e-300))
-    dt = time.perf_counter() - t0
     yield _below("mirror-oracle-grid", np.max(gap), 1e-6,
-                 f"|closed - quadrature| over {len(k0ds) * len(rers)} cells "
-                 f"in {dt:.2f} s")
+                 f"|closed - quadrature| over {len(k0ds) * len(rers)} cells")
     yield _below("mirror-quad-err-conservative", worst_ratio, 1.0,
                  "actual route gap vs reported error estimates")
 
@@ -235,17 +241,15 @@ def _cavity_checks(quick: bool):
 
     rs = np.array(_ROUTE_R if not quick else (-0.5, 0.5))
     k0ds = np.array(_ROUTE_K0D if not quick else (1.0, 10.0))
-    t0 = time.perf_counter()
     grid = (rs[:, None], k0ds)
     q = cavity_mod.gamma_cavity_quadrature(grid)
     s = cavity_mod.gamma_cavity_series(grid)
     budget = np.maximum(q.err_estimate + s.err_estimate, 1e-12)
     score = np.abs(q.ratio - s.ratio) / budget
     i, j = np.unravel_index(np.argmax(score), score.shape)
-    dt = time.perf_counter() - t0
     yield _below("cavity-route-equivalence", score[i, j], 1.0,
                  f"series vs quadrature over combined error; worst at "
-                 f"r={rs[i]:g} k0d={k0ds[j]:g}; {dt:.2f} s")
+                 f"r={rs[i]:g} k0d={k0ds[j]:g}")
 
     rs = np.array(_SUBWL_R)
     ratio = cavity_mod.gamma_cavity_quadrature((rs, 1e-3)).ratio
@@ -422,22 +426,23 @@ def _csv_checks(quick: bool, seed: int):
 def run_validation(quick: bool = False, fault_injection: float = 0.0,
                    seed: int = 20260819) -> ValidationReport:
     """Run every check; returns the report (never raises on check failure)."""
-    t0 = time.perf_counter()
     original_f = kernels.f_kernel
     if fault_injection:
         def faulty(x, _orig=original_f, _eps=fault_injection):
             return _orig(x) + _eps
         kernels.f_kernel = faulty
     checks: list[CheckResult] = []
+    timings: list[tuple[str, float]] = []
     try:
         for group in (_geometry_checks(quick), _freespace_checks(quick),
                       _f_kernel_checks(quick), _mirror_checks(quick),
-                      _cavity_checks(quick)):
+                      _cavity_checks(quick), _dynamics_checks(quick, seed),
+                      _csv_checks(quick, seed)):
+            start = time.perf_counter()
             checks.extend(group)
-        checks.extend(_dynamics_checks(quick, seed))
-        checks.extend(_csv_checks(quick, seed))
+            timings.append((group.__name__.strip("_"),
+                            time.perf_counter() - start))
     finally:
         kernels.f_kernel = original_f
-    elapsed = time.perf_counter() - t0
-    return ValidationReport(checks=checks, elapsed_seconds=elapsed,
-                            quick=quick, fault_injection=fault_injection)
+    return ValidationReport(checks=checks, timings=timings, quick=quick,
+                            fault_injection=fault_injection)

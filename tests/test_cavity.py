@@ -187,6 +187,31 @@ class TestQuadrature:
             gamma_cavity_quadrature(CavitySpec(r_mir=0.5, k0d=1e6))
         assert refused.value.n_evals == 0
 
+    def test_first_level_gate_runs_before_the_breakpoints(self, monkeypatch):
+        # k0d = 4e5 asks for 3.2e6 nodes, 51.2e6 evaluations at the 2-D
+        # price: over the default budget, so no breakpoint may be built
+        def never(*args):
+            raise AssertionError("breakpoints built")
+
+        monkeypatch.setattr(cavity, "_peak_breakpoints", never)
+        with pytest.raises(errors.NonConvergence) as refused:
+            gamma_cavity_quadrature(CavitySpec(r_mir=0.5, k0d=4e5))
+        assert refused.value.n_evals == 0
+        grid = gamma_cavity_quadrature((np.array([0.5, 0.5]),
+                                        np.array([4e5, 4e5])))
+        assert grid.status.tolist() == ["NonConvergence", "NonConvergence"]
+
+    @pytest.mark.parametrize("max_evals", [10_000, 200_000, 40_000_000])
+    def test_first_level_gate_covers_the_kernel_peaks(self, max_evals):
+        # the peaks inside (-1, 1) put at least k0d/pi - 3 panels on the
+        # first level, 256 evaluations each at the 2-D price; the gate on
+        # the resolution hint refuses every cell they price over budget
+        for k0d in np.geomspace(1e-3, 1e8, 500).tolist():
+            if (k0d / math.pi - 3.0) * 256 > max_evals:
+                with pytest.raises(errors.NonConvergence):
+                    geometry.first_level_panels(
+                        geometry.oscillation_nodes(k0d), max_evals)
+
     @pytest.mark.parametrize("r", [0.5, -0.8])
     @pytest.mark.parametrize("k0d", [math.inf, math.nan, 1e6])
     def test_hopeless_inputs_fail_fast(self, r, k0d, monkeypatch):

@@ -562,6 +562,53 @@ class TestValidateCommand:
                           "mirror-quad-err-conservative",
                           "cavity-route-equivalence"}
 
+    def test_timing_lines_are_not_check_lines(self, capsys):
+        assert cli.main(["validate", "--quick"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        timed = [line for line in lines if line.startswith("time ")]
+        assert len(timed) == 7
+        assert not any(line.startswith(("PASS", "FAIL")) for line in timed)
+
+    def test_seed_is_passed_on_only_when_given(self, capsys):
+        from mirrorqed import validation
+
+        def check_lines(argv):
+            assert cli.main(argv) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith(("PASS", "FAIL"))]
+
+        default = [c.line() for c in validation.run_validation(
+            quick=True).checks]
+        assert check_lines(["validate", "--quick"]) == default
+        assert check_lines(["validate", "--quick", "--seed", "5"]) != default
+
+
+class TestTargetTable:
+    def test_optical_all_runs_no_second_order_route(self, tmp_path, capsys):
+        rows = {}
+        for target in ("optical", "cavity"):
+            out = tmp_path / f"{target}.csv"
+            assert cli.main([target, "--method", "all", "--r", "0.5",
+                             "--k0d", "0.1", "--out", str(out)]) == 0
+            _, header, (row,) = read_csv(str(out))
+            rows[target] = dict(zip(header.split(","), row))
+        assert rows["optical"]["ratio_limit_2nd"] == ""
+        assert rows["cavity"]["ratio_limit_2nd"] != ""
+        for row in rows.values():
+            assert row["ratio_quadrature"] and row["ratio_series"]
+            assert row["status"] == "ok"
+
+    def test_optical_has_no_limit_method(self, capsys):
+        assert cli.main(["optical", "--method", "limit"]) == 2
+
+    @pytest.mark.parametrize("target", ["mirror", "cavity", "subwavelength",
+                                        "optical"])
+    def test_every_route_and_all_are_methods(self, target, capsys):
+        for method in (*sweeps.TARGETS[target].routes, "all"):
+            assert cli.main([target, "--method", method,
+                             "--dump-config"]) == 0
+            assert f"method = {method}" in capsys.readouterr().out
+
 
 def test_public_names_resolve():
     modules = [mirrorqed] + [

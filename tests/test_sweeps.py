@@ -82,6 +82,8 @@ class TestSweepConfig:
             dict(target="cavity", out=" run.csv"),
             dict(target="cavity", out="run\n.csv"),
             dict(target="cavity", out="none"),
+            dict(target="cavity", n_max=-1),
+            dict(target="cavity", tail_tol=0.0),
         ],
     )
     def test_validate_rejects(self, kwargs):
