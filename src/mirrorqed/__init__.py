@@ -34,7 +34,7 @@ _EXPORTS = {
                  "transverse_weight_sum"),
     "kernels": ("f_envelope", "f_kernel", "interference_kernel"),
     "mirror": ("gamma_mirror_closed", "gamma_mirror_quadrature"),
-    "results": ("METHODS", "RateGrid", "RateResult"),
+    "results": ("METHODS", "RateResult"),
     "sweeps": ("FIGURE_IDS", "Range", "SweepConfig", "dump_config",
                "parse_config_file", "reproduce_figure", "run_sweep"),
     "validation": ("ValidationReport", "run_validation"),

@@ -13,8 +13,8 @@ Three independent routes to Gamma_cav / Gamma_free:
   must reject.
 
 The routes referee each other; sweeps can emit all three side by side.
-Each takes one cell (a CavitySpec, or scalars for the limits), giving a
-RateResult, or arrays for a grid, giving a RateGrid.
+Each returns a RateResult: of floats for one cell (a CavitySpec, or
+scalars for the limits), of arrays for a grid.
 """
 
 from __future__ import annotations
@@ -167,11 +167,11 @@ def gamma_cavity_quadrature(spec, tol: float = geometry.DEFAULT_TOL,
     at least 8 k0d nodes, runs before they are built; a cell it refuses
     builds none.
 
-    ``spec`` is a CavitySpec for one cell, giving a RateResult, or an
-    ``(r_mir, k0d)`` pair of arrays for a grid, giving a RateGrid whose
-    cells are validated as CavitySpec validates one. Each cell of a grid
-    is integrated by its own solid_angle_integrate call, so it gets the
-    same bits alone and inside a grid.
+    ``spec`` is a CavitySpec for one cell, giving a RateResult of
+    floats, or an ``(r_mir, k0d)`` pair of arrays for a grid, giving one
+    of arrays whose cells are validated as CavitySpec validates one.
+    Each cell of a grid is integrated by its own solid_angle_integrate
+    call, so it gets the same bits alone and inside a grid.
 
     Raises
     ------
@@ -247,9 +247,9 @@ def gamma_cavity_series(spec, control: SeriesControl | None = None):
     (1 - |r|) plus a rounding floor 1e-14 (1 + 2 |r| / (1 - |r|)) that
     grows with the summed magnitude.
 
-    ``spec`` is a CavitySpec for one cell, giving a RateResult, or an
-    ``(r_mir, k0d)`` pair of arrays for a grid, giving a RateGrid whose
-    cells are validated as CavitySpec validates one. Cells that share
+    ``spec`` is a CavitySpec for one cell, giving a RateResult of
+    floats, or an ``(r_mir, k0d)`` pair of arrays for a grid, giving one
+    of arrays whose cells are validated as CavitySpec validates one. Cells that share
     r_mir share n_max and are summed together as one (cells x j) array.
 
     Raises
@@ -326,7 +326,7 @@ def gamma_subwavelength_limit(r_mir):
     the correction and its err_estimate vanish. Accepts the r_mir = -1
     endpoint (perfectly reflecting phase-flipping mirrors), where the
     ratio is exactly 0; r_mir = +1 diverges and raises DegenerateMirror.
-    Scalars give a RateResult, arrays a RateGrid.
+    Scalars give a RateResult of floats, arrays one of arrays.
     """
     return gamma_subwavelength_2nd(r_mir, 0.0)
 
@@ -341,8 +341,8 @@ def gamma_subwavelength_2nd(r_mir, k0d):
     the next omitted order, |limit| * ((2/5) r k0d^2/(1-r)^2)^2 -- a
     scale, not a bound.
 
-    Scalars give a RateResult and raise on a bad cell; arrays (broadcast
-    together) give a RateGrid with a status per cell.
+    Scalars give a RateResult of floats and raise on a bad cell; arrays
+    (broadcast together) give one of arrays with a status per cell.
     """
     cells = Cells(r_mir, k0d)
     r = cells.values[0]

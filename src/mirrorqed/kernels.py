@@ -1,4 +1,4 @@
-"""Scalar interference kernels shared by the mirror and cavity rates."""
+"""Interference kernels shared by the mirror and cavity rates."""
 
 from __future__ import annotations
 
@@ -77,19 +77,23 @@ def f_envelope(y):
         return 1.0 / ay + 1.0 / ay ** 2 + 1.0 / ay ** 3
 
 
-def interference_kernel(r_mir: float, x):
+def interference_kernel(r_mir, x):
     """Two-mirror intensity kernel t^2 |1 + r e^{-ix}|^2 / |1 - r^2 e^{-2ix}|^2.
 
     Closed resummation of the multiple-reflection amplitude series at
     phase x per pass. Nonnegative for all x; peaks where the round-trip
     phase 2x is a multiple of 2*pi, with height (1+r)/(1-r) at the even
-    resonances for r > 0 (odd ones for r < 0). Accepts scalar or array x.
+    resonances for r > 0 (odd ones for r < 0). Accepts scalars or arrays
+    of r_mir and x, broadcast together.
 
-    Raises DegenerateMirror for |r_mir| >= 1 (t = 0 makes the ratio 0/0).
+    Raises DegenerateMirror if any |r_mir| >= 1 (t = 0 makes the ratio
+    0/0).
     """
-    r = float(r_mir)
-    if abs(r) >= 1.0:
-        raise DegenerateMirror(f"|r_mir| must be < 1, got {r_mir!r}")
+    r = np.asarray(r_mir, dtype=float)
+    bad = np.abs(r) >= 1.0
+    if bad.any():
+        raise DegenerateMirror(
+            f"|r_mir| must be < 1, got {float(r[bad][0])!r}")
     x = np.asarray(x, dtype=float)
     t2 = 1.0 - r * r
     # cancellation-free forms of |1 + r e^{-ix}|^2 and |1 - r^2 e^{-2ix}|^2

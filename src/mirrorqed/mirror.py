@@ -9,7 +9,7 @@ the mirror plane at distance d (entering only as k0*d):
 
 The quadrature route exists to referee the closed form, not to replace
 it; both are exposed and sweeps can emit their difference. Both take
-scalars (giving a RateResult) or arrays (giving a RateGrid).
+scalars or arrays and return a RateResult of floats or of arrays.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ def gamma_mirror_closed(re_r, k0d):
     decay to zero at contact, a phase-preserving one (re_r = +1) doubles
     it. For k0d -> infinity the ratio returns to 1.
 
-    Scalars give a RateResult and raise InvalidParams outside the domain.
-    Arrays (broadcast together) give a RateGrid, computed in one pass,
-    with a status per cell instead of an exception.
+    Scalars give a RateResult of floats and raise InvalidParams outside
+    the domain. Arrays (broadcast together) give one of arrays, computed
+    in one pass, with a status per cell instead of an exception.
     """
     cells = Cells(re_r, k0d)
     _check_mirror_args(cells, re_r, k0d)
@@ -86,10 +86,10 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
     closed form (geometry.phi_mean_weight). Used as the independent
     referee of gamma_mirror_closed; the two agree to quadrature accuracy.
 
-    Scalars give a RateResult and raise. Arrays (broadcast together)
-    give a RateGrid with a status per cell; each cell is still
-    integrated by its own solid_angle_integrate call, so it gets the
-    same bits alone and inside a grid:
+    Scalars give a RateResult of floats and raise. Arrays (broadcast
+    together) give one of arrays with a status per cell; each cell is
+    still integrated by its own solid_angle_integrate call, so it gets
+    the same bits alone and inside a grid:
 
     >>> grid = gamma_mirror_quadrature([-1.0, -1.0], [1.0, 1e9])
     >>> grid.status.tolist()

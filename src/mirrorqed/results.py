@@ -1,10 +1,10 @@
 """Result containers for decay-ratio computations, one cell or a grid.
 
 Every rate route takes scalars or arrays: Cells broadcasts the
-arguments, flags the cells outside the route's domain, and builds a
-RateResult for a scalar call or a RateGrid for an array call. A route
-computes its ok cells either in one array pass (Cells.result) or one
-cell at a time (Cells.each).
+arguments, flags the cells outside the route's domain, and builds one
+RateResult, of floats for a scalar call and of arrays for an array
+call. A route computes its ok cells either in one array pass
+(Cells.result) or one cell at a time (Cells.each).
 """
 
 from __future__ import annotations
@@ -22,48 +22,44 @@ METHODS = ("closed_form", "quadrature", "series", "limit")
 
 @dataclass(frozen=True)
 class RateResult:
-    """A dimensionless decay ratio (rate over the free-space rate).
+    """Dimensionless decay ratios (rate over the free-space rate) of one route.
+
+    The one result type of every rate route. A scalar call gives Python
+    floats and ``status == "ok"``; an array call gives arrays of the
+    broadcast shape, with ``status`` per cell:
+
+    >>> from mirrorqed.mirror import gamma_mirror_closed
+    >>> one = gamma_mirror_closed(0.5, 1.0)
+    >>> type(one.ratio), type(one.err_estimate), one.status
+    (<class 'float'>, <class 'float'>, 'ok')
+    >>> grid = gamma_mirror_closed([0.5, 2.0], 1.0)
+    >>> grid.ratio.shape, grid.status.tolist()
+    ((2,), ['ok', 'InvalidParams'])
 
     Attributes
     ----------
-    ratio : float
-        Decay rate divided by the free-space rate.
+    ratio : float or ndarray
+        Decay rate divided by the free-space rate; nan in a failed cell.
     method : str
         One of METHODS; records which route produced the number so that
         downstream consumers never mix provenance silently.
-    err_estimate : float
+    err_estimate : float or ndarray
         Conservative estimate of the numerical error in ``ratio``
         (truncation bound for series, refinement delta for quadrature,
-        roundoff scale for closed forms).
+        roundoff scale for closed forms); nan in a failed cell.
+    status : str or ndarray
+        ``"ok"``, or per cell the name of the error class a call on that
+        cell alone would raise.
     """
 
-    ratio: float
+    ratio: float | np.ndarray
     method: str
-    err_estimate: float
+    err_estimate: float | np.ndarray
+    status: str | np.ndarray = "ok"
 
     def __post_init__(self):
-        if not math.isfinite(self.ratio):
-            raise InvalidParams(f"non-finite ratio {self.ratio!r}")
         if self.method not in METHODS:
             raise InvalidParams(f"unknown method {self.method!r}")
-        if not (self.err_estimate >= 0.0):
-            raise InvalidParams(f"negative err_estimate {self.err_estimate!r}")
-
-
-@dataclass(frozen=True)
-class RateGrid:
-    """Decay ratios of one route on a grid of cells.
-
-    The array form of RateResult, returned when a route is called with
-    array arguments. ``status`` holds, per cell, ``"ok"`` or the name of
-    the error class a call on that cell alone would raise; a failed cell
-    reads nan in ``ratio`` and ``err_estimate``.
-    """
-
-    ratio: np.ndarray
-    method: str
-    err_estimate: np.ndarray
-    status: np.ndarray
 
 
 class Cells:
@@ -119,22 +115,24 @@ class Cells:
         return self.result(method, ratio[self.ok], err[self.ok])
 
     def result(self, method: str, ratio, err):
-        """The route's answer from the ratio and error of the ok cells.
+        """The route's RateResult from the ratio and error of the ok cells.
 
-        A RateResult for a scalar call, else a RateGrid; a non-finite
-        ratio fails its cell as RateResult would.
+        An ok cell whose ratio is not finite or whose error is not >= 0
+        fails as InvalidParams; a scalar call raises it.
         """
+        full_ratio = np.full(self.ok.size, math.nan)
+        full_err = np.full(self.ok.size, math.nan)
+        full_ratio[self.ok] = ratio
+        full_err[self.ok] = err
+        self.check(~np.isfinite(full_ratio), InvalidParams,
+                   lambda: InvalidParams(
+                       f"non-finite ratio {float(full_ratio[0])!r}"))
+        self.check(~(full_err >= 0.0), InvalidParams,
+                   lambda: InvalidParams(
+                       f"negative err_estimate {float(full_err[0])!r}"))
+        full_ratio[~self.ok] = full_err[~self.ok] = math.nan
+        ratio, err, status = (a.reshape(self.shape)
+                              for a in (full_ratio, full_err, self.status))
         if self.scalar:
-            return RateResult(ratio=float(ratio[0]), method=method,
-                              err_estimate=float(err[0]))
-        live = self.ok
-        full_ratio = np.full(live.size, math.nan)
-        full_err = np.full(live.size, math.nan)
-        full_ratio[live] = ratio
-        full_err[live] = err
-        bad = ~np.isfinite(full_ratio)
-        self.check(bad, InvalidParams, None)
-        full_ratio[bad] = full_err[bad] = math.nan
-        return RateGrid(ratio=full_ratio.reshape(self.shape), method=method,
-                        err_estimate=full_err.reshape(self.shape),
-                        status=self.status.reshape(self.shape))
+            ratio, err, status = ratio.item(), err.item(), status.item()
+        return RateResult(ratio, method, err, status)

@@ -198,8 +198,12 @@ class SweepConfig:
             cavity_mod.SeriesControl(n_max=self.n_max, tail_tol=self.tail_tol)
         except InvalidParams as exc:
             raise ConfigError(str(exc)) from None
-        if self.max_evals < 10_000:
-            raise ConfigError(f"max_evals too small: {self.max_evals!r}")
+        # interim cap: a larger budget lets a first level past the gates
+        # that memory cannot hold
+        if not 10_000 <= self.max_evals <= geometry.DEFAULT_MAX_EVALS:
+            raise ConfigError(
+                f"max_evals must lie in [10000, {geometry.DEFAULT_MAX_EVALS}]"
+                f", got {self.max_evals!r}")
         if not 1 <= self.n_traj <= _MAX_TRAJECTORIES:
             raise ConfigError(
                 f"n_traj must lie in [1, {_MAX_TRAJECTORIES}] (a "
@@ -431,9 +435,9 @@ def _cell_params(cfg: SweepConfig, axis: str, xs: np.ndarray):
 def _run_route(status: np.ndarray, grid, *columns, mask=True):
     """One route over the cells (where mask holds) whose rows are still ok.
 
-    ``grid`` takes column arrays and returns a RateGrid. Its statuses go
-    into ``status`` in place, so the first route that fails on a row
-    names it. Returns ratio and err_estimate over every row, nan where
+    ``grid`` takes column arrays and returns a RateResult of arrays. Its
+    statuses go into ``status`` in place, so the first route that fails
+    on a row names it. Returns ratio and err_estimate over every row, nan where
     the route failed or did not run.
     """
     todo = (status == "ok") & mask

@@ -277,6 +277,18 @@ def test_huge_mirror_quadrature_refused_before_allocation(tmp_path, k0d):
     assert wall < 2.0
 
 
+def test_max_evals_above_its_default_refused(tmp_path):
+    # a budget of 1e30 once let a 7.45 GiB first level past both gates
+    proc, wall = _run_capped(
+        tmp_path, ["mirror", "--method", "quadrature", "--k0d", "1e9",
+                   "--max-evals", "1" + "0" * 30])
+    assert proc.returncode == 2, proc.stderr
+    assert "max_evals must lie in [10000, 40000000]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "edge.csv").exists()
+    assert wall < 2.0
+
+
 @pytest.mark.parametrize("argv", [
     ["optical", "--r", "1e-6"],
     ["cavity", "--method", "quadrature", "--r", "1e-8", "--k0d", "1"],

@@ -137,3 +137,17 @@ class TestInterferenceKernel:
             kernels.interference_kernel(1.0, 0.5)
         with pytest.raises(errors.DegenerateMirror):
             kernels.interference_kernel(-1.0, 0.5)
+
+    def test_array_r_matches_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        rs = rng.uniform(-0.999, 0.999, 17)
+        xs = rng.uniform(0.0, 40.0, 23)
+        grid = kernels.interference_kernel(rs[:, None], xs)
+        assert grid.shape == (17, 23)
+        rows = np.array([kernels.interference_kernel(float(r), xs)
+                         for r in rs])
+        assert grid.tobytes() == rows.tobytes()
+
+    def test_any_degenerate_r_in_an_array_rejected(self):
+        with pytest.raises(errors.DegenerateMirror, match="got 1.0"):
+            kernels.interference_kernel([0.5, 1.0], 0.0)
