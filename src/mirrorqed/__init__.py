@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 
 # home module of every public name
 _EXPORTS = {
-    "cavity": ("CavitySpec", "SeriesControl", "default_n_max",
-               "gamma_cavity_quadrature", "gamma_cavity_series",
-               "gamma_subwavelength_2nd", "gamma_subwavelength_limit"),
+    "cavity": ("SeriesControl", "default_n_max", "gamma_cavity_quadrature",
+               "gamma_cavity_series", "gamma_subwavelength_2nd",
+               "gamma_subwavelength_limit"),
     "dynamics": ("AtomCavityState", "DiscrepancyResult", "JCTrajectory",
                  "ModelParams", "TrajectoryEnsemble", "cooperativity",
                  "coupling_regime", "effective_decay_rate", "evolve_jc",

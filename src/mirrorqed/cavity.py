@@ -13,8 +13,8 @@ Three independent routes to Gamma_cav / Gamma_free:
   must reject.
 
 The routes referee each other; sweeps can emit all three side by side.
-Each returns a RateResult: of floats for one cell (a CavitySpec, or
-scalars for the limits), of arrays for a grid.
+Each takes scalars or arrays and returns a RateResult of floats or of
+arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .kernels import interference_kernel
 from .results import Cells
 
 __all__ = [
-    "CavitySpec",
     "SeriesControl",
     "interference_kernel",
     "gamma_cavity_quadrature",
@@ -48,14 +47,13 @@ SUBWAVELENGTH_SOFT_MAX = 0.3
 _N_MAX_CAP = 100_000
 
 
-def _cavity_cells(spec) -> Cells:
-    """The cells of a CavitySpec or an (r_mir, k0d) pair, checked.
+def _cavity_cells(r_mir, k0d) -> Cells:
+    """The cells of (r_mir, k0d), checked.
 
-    Flags the cells outside the cavity domain; a scalar cell raises, with
-    the original arguments in its message.
+    Flags the cells outside the cavity domain: |r_mir| < 1 and a finite
+    k0d > 0, the +-1 endpoints being served by the limits only. A scalar
+    cell raises, with the original arguments in its message.
     """
-    r_mir, k0d = ((spec.r_mir, spec.k0d) if isinstance(spec, CavitySpec)
-                  else spec)
     cells = Cells(r_mir, k0d)
     r, k = cells.values
     cells.check(~(np.isfinite(r) & np.isfinite(k)), InvalidParams,
@@ -69,31 +67,6 @@ def _cavity_cells(spec) -> Cells:
     cells.check(~(k > 0.0), InvalidParams,
                 lambda: InvalidParams(f"k0d must be positive, got {k0d!r}"))
     return cells
-
-
-@dataclass(frozen=True)
-class CavitySpec:
-    """Symmetric lossless cavity: real mirror rate and scaled separation.
-
-    Parameters
-    ----------
-    r_mir : float
-        Real reflection amplitude, strictly inside (-1, 1); the +-1 endpoints
-        are served by the analytic limit operations only.
-    k0d : float
-        Mirror separation times the transition wavenumber, > 0.
-    """
-
-    r_mir: float
-    k0d: float
-
-    def __post_init__(self):
-        _cavity_cells((self.r_mir, self.k0d))
-
-    @property
-    def t_mir_sq(self) -> float:
-        """Transmission rate squared, 1 - r_mir^2."""
-        return 1.0 - self.r_mir ** 2
 
 
 @dataclass(frozen=True)
@@ -113,8 +86,9 @@ class SeriesControl:
         if self.n_max is not None and self.n_max > _N_MAX_CAP:
             raise InvalidParams(
                 f"n_max must be <= {_N_MAX_CAP}, got {self.n_max!r}")
-        if not self.tail_tol > 0.0:
-            raise InvalidParams(f"tail_tol must be positive, got {self.tail_tol!r}")
+        if not 0.0 < self.tail_tol < math.inf:
+            raise InvalidParams(
+                f"tail_tol must be positive and finite, got {self.tail_tol!r}")
 
 
 def _series_tail_bound(r: float, n_max: int) -> float:
@@ -147,7 +121,7 @@ def default_n_max(r_mir: float, tail_tol: float) -> int:
     return min(max(n, 0), _N_MAX_CAP)
 
 
-def gamma_cavity_quadrature(spec, tol: float = geometry.DEFAULT_TOL,
+def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
                             dhat: DipoleOrientation | None = None,
                             max_evals: int = geometry.DEFAULT_MAX_EVALS):
     """Decay ratio by solid-angle quadrature of the resummed kernel.
@@ -167,11 +141,10 @@ def gamma_cavity_quadrature(spec, tol: float = geometry.DEFAULT_TOL,
     at least 8 k0d nodes, runs before they are built; a cell it refuses
     builds none.
 
-    ``spec`` is a CavitySpec for one cell, giving a RateResult of
-    floats, or an ``(r_mir, k0d)`` pair of arrays for a grid, giving one
-    of arrays whose cells are validated as CavitySpec validates one.
-    Each cell of a grid is integrated by its own solid_angle_integrate
-    call, so it gets the same bits alone and inside a grid.
+    Scalars give a RateResult of floats and raise. Arrays (broadcast
+    together) give one of arrays with a status per cell; each cell is
+    still integrated by its own solid_angle_integrate call, so it gets
+    the same bits alone and inside a grid.
 
     Raises
     ------
@@ -181,7 +154,7 @@ def gamma_cavity_quadrature(spec, tol: float = geometry.DEFAULT_TOL,
         that a gate prices over max_evals is refused before an integrand
         is evaluated, with n_evals == 0. On a grid: that cell's status.
     """
-    cells = _cavity_cells(spec)
+    cells = _cavity_cells(r_mir, k0d)
     if dhat is None:
         dhat = DipoleOrientation()
 
@@ -236,7 +209,7 @@ def _peak_breakpoints(r: float, k0d: float) -> list[float]:
     return edges
 
 
-def gamma_cavity_series(spec, control: SeriesControl | None = None):
+def gamma_cavity_series(r_mir, k0d, control: SeriesControl | None = None):
     """Decay ratio from the truncated image sum.
 
         ratio = 1 + 3 sum_{j=1}^{2 n_max + 1} r^j f(j k0d)
@@ -247,10 +220,14 @@ def gamma_cavity_series(spec, control: SeriesControl | None = None):
     (1 - |r|) plus a rounding floor 1e-14 (1 + 2 |r| / (1 - |r|)) that
     grows with the summed magnitude.
 
-    ``spec`` is a CavitySpec for one cell, giving a RateResult of
-    floats, or an ``(r_mir, k0d)`` pair of arrays for a grid, giving one
-    of arrays whose cells are validated as CavitySpec validates one. Cells that share
-    r_mir share n_max and are summed together as one (cells x j) array.
+    Scalars give a RateResult of floats and raise. Arrays (broadcast
+    together) give one of arrays with a status per cell; cells that share
+    r_mir share n_max and are summed together as one (cells x j) array:
+
+    >>> gamma_cavity_series(0.5, 1.0).status
+    'ok'
+    >>> gamma_cavity_series([0.5, 1.5], 1.0).status.tolist()
+    ['ok', 'DegenerateMirror']
 
     Raises
     ------
@@ -260,7 +237,7 @@ def gamma_cavity_series(spec, control: SeriesControl | None = None):
     """
     if control is None:
         control = SeriesControl()
-    cells = _cavity_cells(spec)
+    cells = _cavity_cells(r_mir, k0d)
     live = np.flatnonzero(cells.ok)
     r = cells.values[0][live]
     r_u, inverse = np.unique(r, return_inverse=True)

@@ -8,6 +8,7 @@ any output file is self-describing and byte-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -67,6 +68,10 @@ class Range:
         if not self.stop > self.start:
             raise ConfigError(
                 f"range stop must exceed start, got {self.start!r}:{self.stop!r}")
+        if not math.isfinite(self.stop - self.start):
+            raise ConfigError(
+                f"range span stop - start must be finite, got "
+                f"{self.start!r}:{self.stop!r}")
         if self.scale == "log" and not self.start > 0.0:
             raise ConfigError("log range requires start > 0")
 
@@ -390,16 +395,29 @@ def _column_text(cells: list) -> list[str]:
 _CSV_BLOCK_ROWS = 4096
 
 
+@contextlib.contextmanager
+def _output_file(path: str):
+    """path opened for writing text, its directory made first.
+
+    An OSError on the way, making the directory, opening or writing, is
+    a ConfigError: the output path cannot be written.
+    """
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from None
+
+
 def _write_csv(path: str, cfg: SweepConfig, header: list[str],
                columns: list[list]) -> None:
     """Write the config preamble, the header and rows given as equally
     long columns of cells."""
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
     lines = [f"# {line}" for line in dump_config(cfg).splitlines()]
     lines.append(",".join(header))
     n_rows = len(columns[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output_file(path) as fh:
         fh.write("\n".join(lines) + "\n")
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
             block = [_column_text(col[start:start + _CSV_BLOCK_ROWS])
@@ -432,19 +450,20 @@ def _cell_params(cfg: SweepConfig, axis: str, xs: np.ndarray):
     return r, k0d, d
 
 
-def _run_route(status: np.ndarray, grid, *columns, mask=True):
+def _run_route(status: np.ndarray, route, *columns, mask=True, **controls):
     """One route over the cells (where mask holds) whose rows are still ok.
 
-    ``grid`` takes column arrays and returns a RateResult of arrays. Its
-    statuses go into ``status`` in place, so the first route that fails
-    on a row names it. Returns ratio and err_estimate over every row, nan where
-    the route failed or did not run.
+    ``route`` is called on the column arrays and ``controls`` and returns
+    a RateResult of arrays. Its statuses go into ``status`` in place, so
+    the first route that fails on a row names it. Returns ratio and
+    err_estimate over every row, nan where the route failed or did not
+    run.
     """
     todo = (status == "ok") & mask
     ratio = np.full(status.size, math.nan)
     err = np.full(status.size, math.nan)
     if todo.any():
-        res = grid(*(c[todo] for c in columns))
+        res = route(*(c[todo] for c in columns), **controls)
         ratio[todo], err[todo] = res.ratio, res.err_estimate
         status[todo] = res.status
     return ratio, err
@@ -461,18 +480,15 @@ def _mirror_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
     status = np.full(xs.size, "ok", dtype=object)
     want_closed = "closed" in cfg.routes()
     want_quad = "quadrature" in cfg.routes()
-
-    def quadrature(*cols):
-        return mirror_mod.gamma_mirror_quadrature(
-            *cols, tol=cfg.tol, max_evals=cfg.max_evals)
-
     closed = quad = np.full(xs.size, math.nan)
     closed_err = quad_err = np.zeros(xs.size)
     if want_closed:
         closed, closed_err = _run_route(
             status, mirror_mod.gamma_mirror_closed, re_r, k0d)
     if want_quad:
-        quad, quad_err = _run_route(status, quadrature, re_r, k0d)
+        quad, quad_err = _run_route(
+            status, mirror_mod.gamma_mirror_quadrature, re_r, k0d,
+            tol=cfg.tol, max_evals=cfg.max_evals)
     # a failed row reads nan in both ratio columns, wanted or not
     failed = status != "ok"
     both = want_closed and want_quad
@@ -488,28 +504,24 @@ def _mirror_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
 def _cavity_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
     r, k0d, _ = _cell_params(cfg, axis, xs)
     status = np.full(xs.size, "ok", dtype=object)
-
-    def quadrature(*cols):
-        return cavity_mod.gamma_cavity_quadrature(
-            cols, tol=cfg.tol, max_evals=cfg.max_evals)
-
-    def series(*cols):
-        return cavity_mod.gamma_cavity_series(
-            cols, cavity_mod.SeriesControl(n_max=cfg.n_max,
-                                           tail_tol=cfg.tail_tol))
-
-    # each route with the cells it runs on, in the order they run
+    # each route with the cells it runs on and its controls, in the order
+    # they run
     wanted = cfg.routes()
     routes = (
-        (quadrature, "quadrature" in wanted),
-        (series, "series" in wanted),
+        (cavity_mod.gamma_cavity_quadrature, "quadrature" in wanted,
+         {"tol": cfg.tol, "max_evals": cfg.max_evals}),
+        (cavity_mod.gamma_cavity_series, "series" in wanted,
+         {"control": cavity_mod.SeriesControl(n_max=cfg.n_max,
+                                              tail_tol=cfg.tail_tol)}),
         (cavity_mod.gamma_subwavelength_2nd,
-         ("limit" in wanted) & (k0d <= cavity_mod.SUBWAVELENGTH_SOFT_MAX)))
+         ("limit" in wanted) & (k0d <= cavity_mod.SUBWAVELENGTH_SOFT_MAX),
+         {}))
     columns = [k0d.tolist(), r.tolist()]
     err = np.full(xs.size, -math.inf)
     applies = np.zeros(xs.size, dtype=bool)
-    for grid, cells in routes:
-        ratio, route_err = _run_route(status, grid, r, k0d, mask=cells)
+    for route, cells, controls in routes:
+        ratio, route_err = _run_route(status, route, r, k0d, mask=cells,
+                                      **controls)
         columns.append(_shown(ratio, cells))
         err = np.maximum(err, np.where(cells, route_err, -math.inf))
         applies |= cells
@@ -639,7 +651,6 @@ def reproduce_figure(figure_id: str, outdir: str | None = None,
     if figure_id not in FIGURE_IDS:
         raise ConfigError(f"figure id {figure_id!r} must be one of {FIGURE_IDS}")
     base = outdir or os.path.join(_default_outdir(), figure_id)
-    os.makedirs(base, exist_ok=True)
     manifest = [f"figure {figure_id}"]
     worst = 0
     for label, cfg in _figure_curves(figure_id, quick):
@@ -648,7 +659,6 @@ def reproduce_figure(figure_id: str, outdir: str | None = None,
         worst = max(worst, code)
         manifest.append(f"{os.path.basename(path)}: {label} "
                         f"target={cfg.target} method={cfg.method}")
-    with open(os.path.join(base, "manifest.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
+    with _output_file(os.path.join(base, "manifest.txt")) as fh:
         fh.write("\n".join(manifest) + "\n")
     return worst

@@ -24,6 +24,7 @@ from . import cavity as cavity_mod
 from . import dynamics as dyn
 from . import freespace, geometry, kernels
 from . import mirror as mirror_mod
+from .errors import InvalidParams
 
 __all__ = ["CheckResult", "ValidationReport", "run_validation"]
 
@@ -239,9 +240,8 @@ def _cavity_checks(quick: bool):
 
     rs = np.array(_ROUTE_R if not quick else (-0.5, 0.5))
     k0ds = np.array(_ROUTE_K0D if not quick else (1.0, 10.0))
-    grid = (rs[:, None], k0ds)
-    q = cavity_mod.gamma_cavity_quadrature(grid)
-    s = cavity_mod.gamma_cavity_series(grid)
+    q = cavity_mod.gamma_cavity_quadrature(rs[:, None], k0ds)
+    s = cavity_mod.gamma_cavity_series(rs[:, None], k0ds)
     budget = np.maximum(q.err_estimate + s.err_estimate, 1e-12)
     score = np.abs(q.ratio - s.ratio) / budget
     i, j = np.unravel_index(np.argmax(score), score.shape)
@@ -250,7 +250,7 @@ def _cavity_checks(quick: bool):
                  f"r={rs[i]:g} k0d={k0ds[j]:g}")
 
     rs = np.array(_SUBWL_R)
-    ratio = cavity_mod.gamma_cavity_quadrature((rs, 1e-3)).ratio
+    ratio = cavity_mod.gamma_cavity_quadrature(rs, 1e-3).ratio
     lim = cavity_mod.gamma_subwavelength_limit(rs).ratio
     yield _below("cavity-subwavelength-limit",
                  np.max(np.abs(ratio - lim) / np.abs(lim)), 1e-3,
@@ -258,7 +258,7 @@ def _cavity_checks(quick: bool):
 
     # the last cell, r = +0.9, sits past the expansion's reach
     rs = np.array([-0.9, -0.5, 0.0, 0.5, 0.9])
-    q = cavity_mod.gamma_cavity_quadrature((rs, 0.1)).ratio
+    q = cavity_mod.gamma_cavity_quadrature(rs, 0.1).ratio
     second = cavity_mod.gamma_subwavelength_2nd(rs, 0.1)
     worst = np.max(np.abs(second.ratio[:-1] - q[:-1]) / np.abs(q[:-1]))
     yield _below("cavity-subwavelength-2nd", worst, 5e-3,
@@ -271,14 +271,14 @@ def _cavity_checks(quick: bool):
 
     rs = np.array(_OPTICAL_R if not quick else (-0.6, 0.6))
     k0ds = _OPTICAL_K0D if not quick else (20.0 * math.pi,)
-    q = cavity_mod.gamma_cavity_quadrature((rs[:, None], k0ds))
+    q = cavity_mod.gamma_cavity_quadrature(rs[:, None], k0ds)
     yield _below("cavity-optical-asymptote", np.max(np.abs(q.ratio - 1.0)),
                  0.05, "free-space recovery at k0d in {20 pi, 50 pi}")
 
     k0ds = (0.01, 0.05, 0.09) if not quick else (0.05,)
     # rounding pins the center of the symmetric grid to exactly r = 0
     rs = np.round(np.linspace(-0.99, 0.99, 21), 12)
-    ratio = cavity_mod.gamma_cavity_quadrature((rs[:, None], k0ds)).ratio
+    ratio = cavity_mod.gamma_cavity_quadrature(rs[:, None], k0ds).ratio
     zero = rs == 0.0
     min_margin = np.min(np.sign(rs[~zero])[:, None] * (ratio[~zero] - 1.0))
     yield _above("cavity-dichotomy-sign", min_margin, 0.0,
@@ -286,8 +286,7 @@ def _cavity_checks(quick: bool):
     yield _below("cavity-dichotomy-neutral",
                  np.max(np.abs(ratio[zero] - 1.0)), 1e-9,
                  "ratio at r = 0 stays 1")
-    ratio = cavity_mod.gamma_cavity_quadrature(
-        cavity_mod.CavitySpec(r_mir=0.9, k0d=0.01)).ratio
+    ratio = cavity_mod.gamma_cavity_quadrature(0.9, 0.01).ratio
     yield _above("cavity-purcell-peak", ratio, 15.0,
                  "enhancement at r = 0.9, k0d = 0.01")
 
@@ -423,7 +422,12 @@ def _csv_checks(quick: bool, seed: int):
 
 def run_validation(quick: bool = False, fault_injection: float = 0.0,
                    seed: int = 20260819) -> ValidationReport:
-    """Run every check; returns the report (never raises on check failure)."""
+    """Run every check; returns the report (never raises on check failure).
+
+    A negative seed raises InvalidParams before any check runs.
+    """
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed!r}")
     original_f = kernels.f_kernel
     if fault_injection:
         def faulty(x, _orig=original_f, _eps=fault_injection):

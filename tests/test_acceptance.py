@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from mirrorqed import (
-    CavitySpec,
     cli,
     dynamics,
     gamma_cavity_quadrature,
@@ -76,7 +75,7 @@ def test_criterion_2_mirror_limits(acceptance_log):
 def test_criterion_3_subwavelength_forms(acceptance_log):
     worst_limit = 0.0
     for r in SUBWL_R_SET:
-        quad = gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=1e-3)).ratio
+        quad = gamma_cavity_quadrature(r, 1e-3).ratio
         target = gamma_subwavelength_limit(r).ratio
         if target != 0.0:
             worst_limit = max(worst_limit, abs(quad - target) / abs(target))
@@ -84,7 +83,7 @@ def test_criterion_3_subwavelength_forms(acceptance_log):
     for r in SUBWL_R_SET:
         if r == 0.9:
             continue  # see the strict-xfail companion test
-        quad = gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=0.1)).ratio
+        quad = gamma_cavity_quadrature(r, 0.1).ratio
         second = gamma_subwavelength_2nd(r, 0.1).ratio
         worst_2nd = max(worst_2nd, abs(second - quad) / abs(quad))
     ok = worst_limit < 1e-3 and worst_2nd < 5e-3
@@ -104,7 +103,7 @@ def test_criterion_3_subwavelength_forms(acceptance_log):
     "quadrature 14.568 by 16.5%, so the 0.5% bar is unattainable",
 )
 def test_criterion_3_second_order_bright_edge(acceptance_log):
-    quad = gamma_cavity_quadrature(CavitySpec(r_mir=0.9, k0d=0.1)).ratio
+    quad = gamma_cavity_quadrature(0.9, 0.1).ratio
     second = gamma_subwavelength_2nd(0.9, 0.1).ratio
     gap = abs(second - quad) / quad
     acceptance_log(
@@ -119,14 +118,13 @@ def test_criterion_4_optical_asymptote(acceptance_log):
     worst_one = 0.0
     for k0d in OPTICAL_K0D_SET:
         for r in OPTICAL_R_SET:
-            ratio = gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d)).ratio
+            ratio = gamma_cavity_quadrature(r, k0d).ratio
             worst_one = max(worst_one, abs(ratio - 1.0))
     worst_route = 0.0
     for k0d in ROUTE_K0D_SET:
         for r in ROUTE_R_SET:
-            spec = CavitySpec(r_mir=r, k0d=k0d)
-            quad = gamma_cavity_quadrature(spec)
-            ser = gamma_cavity_series(spec)
+            quad = gamma_cavity_quadrature(r, k0d)
+            ser = gamma_cavity_series(r, k0d)
             budget = max(quad.err_estimate + ser.err_estimate, 1e-12)
             worst_route = max(worst_route, abs(quad.ratio - ser.ratio) / budget)
     elapsed = time.perf_counter() - t0
@@ -164,14 +162,14 @@ def test_criterion_6_dichotomy(acceptance_log):
     k0d = 0.05
     violations = []
     for r in np.round(np.linspace(-0.99, 0.99, 21), 12):
-        ratio = gamma_cavity_quadrature(CavitySpec(r_mir=float(r), k0d=k0d)).ratio
+        ratio = gamma_cavity_quadrature(float(r), k0d).ratio
         if r > 0 and not ratio > 1.0:
             violations.append((float(r), ratio))
         elif r < 0 and not ratio < 1.0:
             violations.append((float(r), ratio))
         elif r == 0 and abs(ratio - 1.0) > 1e-9:
             violations.append((float(r), ratio))
-    bright = gamma_cavity_quadrature(CavitySpec(r_mir=0.9, k0d=0.01)).ratio
+    bright = gamma_cavity_quadrature(0.9, 0.01).ratio
     ok = not violations and bright > 15.0
     acceptance_log(
         f"criterion 6 {'PASS' if ok else 'FAIL'}: enhancement iff r > 0 on "

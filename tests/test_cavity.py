@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from mirrorqed import (
-    CavitySpec,
     SeriesControl,
     default_n_max,
     errors,
@@ -129,37 +128,40 @@ SECOND_ORDER_ORACLE = [
 ]
 
 
-class TestCavitySpec:
-    def test_valid_construction(self):
-        spec = CavitySpec(r_mir=0.5, k0d=1.0)
-        assert spec.t_mir_sq == pytest.approx(0.75, rel=1e-15)
+class TestCavityDomain:
+    """|r_mir| < 1 and a finite k0d > 0, as both routes check it."""
+
+    ROUTES = (gamma_cavity_quadrature, gamma_cavity_series)
 
     @pytest.mark.parametrize("r", [1.0, -1.0, 1.2, -3.0])
     def test_degenerate_mirror(self, r):
-        with pytest.raises(errors.DegenerateMirror):
-            CavitySpec(r_mir=r, k0d=1.0)
+        for route in self.ROUTES:
+            with pytest.raises(errors.DegenerateMirror):
+                route(r, 1.0)
 
     @pytest.mark.parametrize("k0d", [0.0, -1.0])
     def test_invalid_spacing(self, k0d):
-        with pytest.raises(errors.InvalidParams):
-            CavitySpec(r_mir=0.5, k0d=k0d)
+        for route in self.ROUTES:
+            with pytest.raises(errors.InvalidParams):
+                route(0.5, k0d)
 
     @pytest.mark.parametrize("r,k0d", [(math.nan, 1.0), (0.5, math.nan),
                                        (0.5, math.inf), (math.inf, 1.0)])
     def test_non_finite_rejected(self, r, k0d):
-        with pytest.raises(errors.InvalidParams):
-            CavitySpec(r_mir=r, k0d=k0d)
+        for route in self.ROUTES:
+            with pytest.raises(errors.InvalidParams):
+                route(r, k0d)
 
 
 class TestQuadrature:
     @pytest.mark.parametrize("r,k0d,expected", QUAD_ORACLE)
     def test_oracle_values(self, r, k0d, expected):
-        res = gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d))
+        res = gamma_cavity_quadrature(r, k0d)
         assert res.ratio == pytest.approx(expected, rel=1e-9)
         assert abs(res.ratio - expected) <= max(res.err_estimate, 1e-9 * expected)
 
     def test_r_zero_is_free_space(self):
-        res = gamma_cavity_quadrature(CavitySpec(r_mir=0.0, k0d=3.7))
+        res = gamma_cavity_quadrature(0.0, 3.7)
         assert res.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_ratio_positive(self):
@@ -167,24 +169,23 @@ class TestQuadrature:
         for _ in range(10):
             r = float(rng.uniform(-0.95, 0.95))
             k0d = float(rng.uniform(0.05, 30.0))
-            assert gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d)).ratio > 0.0
+            assert gamma_cavity_quadrature(r, k0d).ratio > 0.0
 
     def test_grid_cells_match_single_cells_bit_for_bit(self):
         r = np.array([0.5, -0.98, 0.0, 0.5, 1.0])
         k0d = np.array([1.0, 3.0, 0.3, 1e6, 1.0])
-        grid = gamma_cavity_quadrature((r, k0d))
+        grid = gamma_cavity_quadrature(r, k0d)
         assert grid.method == "quadrature"
         assert grid.status.tolist() == ["ok", "ok", "ok", "NonConvergence",
                                         "DegenerateMirror"]
         for i in range(3):
-            cell = gamma_cavity_quadrature(
-                CavitySpec(r_mir=r[i].item(), k0d=k0d[i].item()))
+            cell = gamma_cavity_quadrature(r[i].item(), k0d[i].item())
             assert grid.ratio[i] == cell.ratio
             assert grid.err_estimate[i] == cell.err_estimate
         assert np.isnan(grid.ratio[3:]).all()
         assert np.isnan(grid.err_estimate[3:]).all()
         with pytest.raises(errors.NonConvergence) as refused:
-            gamma_cavity_quadrature(CavitySpec(r_mir=0.5, k0d=1e6))
+            gamma_cavity_quadrature(0.5, 1e6)
         assert refused.value.n_evals == 0
 
     def test_first_level_gate_runs_before_the_breakpoints(self, monkeypatch):
@@ -195,10 +196,10 @@ class TestQuadrature:
 
         monkeypatch.setattr(cavity, "_peak_breakpoints", never)
         with pytest.raises(errors.NonConvergence) as refused:
-            gamma_cavity_quadrature(CavitySpec(r_mir=0.5, k0d=4e5))
+            gamma_cavity_quadrature(0.5, 4e5)
         assert refused.value.n_evals == 0
-        grid = gamma_cavity_quadrature((np.array([0.5, 0.5]),
-                                        np.array([4e5, 4e5])))
+        grid = gamma_cavity_quadrature(np.array([0.5, 0.5]),
+                                       np.array([4e5, 4e5]))
         assert grid.status.tolist() == ["NonConvergence", "NonConvergence"]
 
     @pytest.mark.parametrize("max_evals", [10_000, 200_000, 40_000_000])
@@ -222,7 +223,7 @@ class TestQuadrature:
         monkeypatch.setattr(cavity, "interference_kernel", never)
         start = time.perf_counter()
         with pytest.raises(errors.MirrorQEDError):
-            gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d))
+            gamma_cavity_quadrature(r, k0d)
         assert time.perf_counter() - start < 1.0
 
     # |r| from 0.003 to 0.999 and k0d from 1e-3 to 300, both signs of r
@@ -259,14 +260,12 @@ class TestQuadrature:
         points = cavity._peak_breakpoints(r, 100.0)
         assert time.perf_counter() - start < 0.1
         assert len(points) <= 2 * 7 * (100.0 / math.pi + 4)
-        res = gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=1.0))
+        res = gamma_cavity_quadrature(r, 1.0)
         assert res.ratio == pytest.approx(1.0, abs=1e-7)
 
     def test_nonconvergence_budget(self):
         with pytest.raises(errors.NonConvergence):
-            gamma_cavity_quadrature(
-                CavitySpec(r_mir=0.999, k0d=300.0), max_evals=200_000
-            )
+            gamma_cavity_quadrature(0.999, 300.0, max_evals=200_000)
 
     @pytest.mark.parametrize("dipole", REFERENCE_DIPOLES)
     @pytest.mark.parametrize("r,k0d", [(0.9, 1e-3), (0.5, math.pi),
@@ -278,8 +277,7 @@ class TestQuadrature:
         res, integral = rerun_over_2d_weight(
             monkeypatch, dhat,
             lambda xi: cavity.interference_kernel(r, k0d * xi),
-            lambda: gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d),
-                                            dhat=dhat))
+            lambda: gamma_cavity_quadrature(r, k0d, dhat=dhat))
         reference = 3.0 / (8.0 * math.pi) * integral
         assert abs(res.ratio - reference) <= 1e-14 * abs(reference)
 
@@ -288,20 +286,20 @@ class TestSeries:
     @pytest.mark.parametrize("r,k0d,n_max,expected", SERIES_ORACLE)
     def test_matches_direct_double_sum(self, r, k0d, n_max, expected):
         control = SeriesControl(n_max=n_max, tail_tol=1e-4)
-        res = gamma_cavity_series(CavitySpec(r_mir=r, k0d=k0d), control)
+        res = gamma_cavity_series(r, k0d, control)
         assert abs(res.ratio - expected) <= res.err_estimate
         assert res.method == "series"
 
     @pytest.mark.parametrize("r,k0d,n_max,expected", IMAGE_SUM_ORACLE)
     def test_matches_direct_image_sum(self, r, k0d, n_max, expected):
         control = SeriesControl(n_max=n_max, tail_tol=1.0)
-        res = gamma_cavity_series(CavitySpec(r_mir=r, k0d=k0d), control)
+        res = gamma_cavity_series(r, k0d, control)
         assert abs(res.ratio - expected) <= 1e-13
 
     @pytest.mark.parametrize("r", SERIES_GRID_R)
     def test_err_estimate_covers_mpmath(self, r):
         for k0d in SERIES_GRID_K0D:
-            res = gamma_cavity_series(CavitySpec(r_mir=r, k0d=k0d))
+            res = gamma_cavity_series(r, k0d)
             exact = oracles.cavity_ratio_mp(r, k0d, dps=20)
             assert abs(res.ratio - exact) <= res.err_estimate, k0d
 
@@ -319,37 +317,39 @@ class TestSeries:
                 assert n == 0 or err(ar, n - 1) > tol
 
     def test_tail_tol_below_rounding_floor_fails(self):
-        spec = CavitySpec(r_mir=0.5, k0d=1.0)
         assert cavity._series_rounding(0.5) > 2e-14
         assert default_n_max(0.5, 2e-14) == cavity._N_MAX_CAP
         with pytest.raises(errors.TailTooLarge) as exc:
-            gamma_cavity_series(spec, SeriesControl(tail_tol=2e-14))
+            gamma_cavity_series(0.5, 1.0, SeriesControl(tail_tol=2e-14))
         assert exc.value.bound > exc.value.tol
 
     def test_auto_depth_matches_quadrature(self):
         for r, k0d in [(0.5, 1.0), (-0.8, 3.0), (0.9, 0.7), (0.6, 20.0)]:
-            spec = CavitySpec(r_mir=r, k0d=k0d)
-            ser = gamma_cavity_series(spec)
-            quad = gamma_cavity_quadrature(spec)
+            ser = gamma_cavity_series(r, k0d)
+            quad = gamma_cavity_quadrature(r, k0d)
             gap = abs(ser.ratio - quad.ratio)
             assert gap <= max(ser.err_estimate + quad.err_estimate, 1e-12)
 
     @pytest.mark.parametrize("r,k0d,expected", SERIES_MP_ORACLE)
     def test_high_finesse_matches_mpmath(self, r, k0d, expected):
         control = SeriesControl()
-        res = gamma_cavity_series(CavitySpec(r_mir=r, k0d=k0d), control)
+        res = gamma_cavity_series(r, k0d, control)
         assert res.ratio == pytest.approx(expected, abs=1e-12)
         assert res.err_estimate <= control.tail_tol + 1e-14
 
     def test_r_zero_is_exactly_one(self):
-        assert gamma_cavity_series(CavitySpec(r_mir=0.0, k0d=2.0)).ratio == 1.0
+        assert gamma_cavity_series(0.0, 2.0).ratio == 1.0
 
     def test_tail_too_large(self):
         with pytest.raises(errors.TailTooLarge) as exc:
-            gamma_cavity_series(
-                CavitySpec(r_mir=0.9, k0d=1.0), SeriesControl(n_max=5, tail_tol=1e-8)
-            )
+            gamma_cavity_series(0.9, 1.0,
+                                SeriesControl(n_max=5, tail_tol=1e-8))
         assert exc.value.bound > exc.value.tol
+
+    @pytest.mark.parametrize("tail_tol", [math.inf, math.nan, 0.0])
+    def test_tail_tol_must_be_positive_and_finite(self, tail_tol):
+        with pytest.raises(errors.InvalidParams, match="tail_tol must be"):
+            SeriesControl(tail_tol=tail_tol)
 
     def test_n_max_above_cap_rejected(self):
         SeriesControl(n_max=cavity._N_MAX_CAP)
@@ -359,11 +359,11 @@ class TestSeries:
     def test_grid_matches_single_cells(self):
         r = np.array([-0.95, -0.5, 0.0, 0.3, 0.8, 0.8, 0.8])
         k0d = np.array([0.4, 2.0, 1.0, 7.5, 0.05, 3.0, 60.0])
-        grid = gamma_cavity_series((r, k0d))
+        grid = gamma_cavity_series(r, k0d)
         assert grid.method == "series"
         assert (grid.status == "ok").all()
         for i, (ri, ki) in enumerate(zip(r.tolist(), k0d.tolist())):
-            cell = gamma_cavity_series(CavitySpec(r_mir=ri, k0d=ki))
+            cell = gamma_cavity_series(ri, ki)
             assert abs(grid.ratio[i] - cell.ratio) <= 1e-13
             assert grid.err_estimate[i] == cell.err_estimate
 
@@ -371,11 +371,10 @@ class TestSeries:
         control = SeriesControl(n_max=20, tail_tol=1e-8)
         r = [0.5, 1.0, math.nan, 0.5, 0.95, -1.0]
         k0d = [1.0, 1.0, 1.0, 0.0, 1.0, 2.0]
-        grid = gamma_cavity_series((np.array(r), np.array(k0d)), control)
+        grid = gamma_cavity_series(np.array(r), np.array(k0d), control)
         for i, (ri, ki) in enumerate(zip(r, k0d)):
             try:
-                expected = gamma_cavity_series(
-                    CavitySpec(r_mir=ri, k0d=ki), control)
+                expected = gamma_cavity_series(ri, ki, control)
             except errors.MirrorQEDError as exc:
                 assert grid.status[i] == type(exc).__name__
                 assert math.isnan(grid.ratio[i])
@@ -394,14 +393,14 @@ class TestSeries:
         assert default_n_max(r, SeriesControl().tail_tol) == 13_005
         tracemalloc.start()
         try:
-            grid = gamma_cavity_series((r, k0d))
+            grid = gamma_cavity_series(r, k0d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
         assert (grid.status == "ok").all()
         for i in (0, 37, 99, 150, 199):
-            cell = gamma_cavity_series(CavitySpec(r_mir=r, k0d=float(k0d[i])))
+            cell = gamma_cavity_series(r, float(k0d[i]))
             assert abs(grid.ratio[i] - cell.ratio) <= 1e-13
 
     def test_default_depth_scales_with_reflectivity(self):
@@ -410,9 +409,10 @@ class TestSeries:
         assert 8 <= shallow < deep
 
     def test_err_estimate_covers_deeper_truncation(self):
-        spec = CavitySpec(r_mir=0.8, k0d=1.7)
-        coarse = gamma_cavity_series(spec, SeriesControl(n_max=30, tail_tol=1e-2))
-        fine = gamma_cavity_series(spec, SeriesControl(n_max=400, tail_tol=1e-12))
+        coarse = gamma_cavity_series(0.8, 1.7,
+                                     SeriesControl(n_max=30, tail_tol=1e-2))
+        fine = gamma_cavity_series(0.8, 1.7,
+                                   SeriesControl(n_max=400, tail_tol=1e-12))
         assert abs(coarse.ratio - fine.ratio) <= coarse.err_estimate
 
 
@@ -450,7 +450,7 @@ class TestSubwavelength:
     def test_second_order_agrees_with_quadrature_in_regime(self):
         for r in (-0.9, -0.5, 0.5):
             approx = gamma_subwavelength_2nd(r, 0.1).ratio
-            exact = gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=0.1)).ratio
+            exact = gamma_cavity_quadrature(r, 0.1).ratio
             assert abs(approx - exact) / exact < 5e-3
 
     def test_second_order_grid_matches_single_cells_bit_for_bit(self):
@@ -499,7 +499,7 @@ class TestPhysicalStructure:
     def test_bright_dark_dichotomy_near_contact(self):
         k0d = 0.01
         for r in np.round(np.linspace(-0.99, 0.99, 11), 12):
-            ratio = gamma_cavity_quadrature(CavitySpec(r_mir=float(r), k0d=k0d)).ratio
+            ratio = gamma_cavity_quadrature(float(r), k0d).ratio
             if r > 0:
                 assert ratio > 1.0
             elif r < 0:
@@ -509,8 +509,8 @@ class TestPhysicalStructure:
 
     def test_optical_regime_returns_to_free_space(self):
         for r, k0d in [(0.3, 20.0 * math.pi), (-0.8, 50.0 * math.pi)]:
-            ratio = gamma_cavity_quadrature(CavitySpec(r_mir=r, k0d=k0d)).ratio
+            ratio = gamma_cavity_quadrature(r, k0d).ratio
             assert abs(ratio - 1.0) < 0.05
 
     def test_strong_enhancement_for_bright_subwavelength(self):
-        assert gamma_cavity_quadrature(CavitySpec(r_mir=0.9, k0d=0.01)).ratio > 15.0
+        assert gamma_cavity_quadrature(0.9, 0.01).ratio > 15.0

@@ -47,6 +47,47 @@ class TestExitCodes:
         cfg_file.write_text("r = 1:2:x\n", encoding="utf-8")
         assert cli.main(["cavity", "--config", str(cfg_file)]) == 2
         assert "bad value for r" in capsys.readouterr().err
+        # a span stop - start that is not finite, where linspace would
+        # start the grid at nan
+        out = tmp_path / "span.csv"
+        for argv in (["mirror", "--r", "-1", "--grid", "0.1:inf:3"],
+                     ["cavity", "--r", "0.5", "--k0d", "0.1:1e400:3"],
+                     ["cavity", "--r=-1e308:1e308:3", "--k0d", "1"],
+                     ["lindblad", "--grid", "0:1e400:3"]):
+            assert cli.main([*argv, "--out", str(out)]) == 2, argv
+            err = capsys.readouterr().err
+            assert "range span stop - start must be finite" in err
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert not out.exists()
+        cfg_file.write_text("k0d = 0.1:1e400:3\n", encoding="utf-8")
+        assert cli.main(["cavity", "--config", str(cfg_file)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_infinite_tail_tol_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["cavity", "--method", "series", "--r", "0.5",
+                         "--k0d", "1", "--tail-tol", "inf",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: tail_tol must be positive and finite, "
+                       "got inf\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,out", [
+        (["cavity", "--quick"], "{dir}"),
+        (["cavity", "--quick"], "{file}/x.csv"),
+        (["figure", "mirror_dielectric", "--quick"], "{file}"),
+    ], ids=["csv-is-directory", "csv-under-file", "figure-dir-is-file"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, argv,
+                                            out):
+        # a directory, or a path under a file: exit 1 is kept for a
+        # failed validation
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = out.format(dir=tmp_path, file=tmp_path / "file")
+        assert cli.main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output ")
+        assert err.count("\n") == 1
 
     def test_config_error_reported_on_stderr(self, tmp_path, capsys):
         rc = cli.main(["cavity", "--k0d", "1.0", "--d-over-lambda", "0.5"])
@@ -580,6 +621,12 @@ class TestValidateCommand:
         timed = [line for line in lines if line.startswith("time ")]
         assert len(timed) == 7
         assert not any(line.startswith(("PASS", "FAIL")) for line in timed)
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert cli.main(["validate", "--quick", "--seed", "-5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "invalid parameters: seed must be >= 0, got -5\n"
 
     def test_seed_is_passed_on_only_when_given(self, capsys):
         from mirrorqed import validation

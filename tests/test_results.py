@@ -15,10 +15,8 @@ R, K0D = 0.7, 1.3
 ROUTES = [
     (mirror.gamma_mirror_closed, (R, K0D), ([R], [K0D])),
     (mirror.gamma_mirror_quadrature, (R, K0D), ([R], [K0D])),
-    (cavity.gamma_cavity_quadrature, (cavity.CavitySpec(r_mir=R, k0d=K0D),),
-     (([R], [K0D]),)),
-    (cavity.gamma_cavity_series, (cavity.CavitySpec(r_mir=R, k0d=K0D),),
-     (([R], [K0D]),)),
+    (cavity.gamma_cavity_quadrature, (R, K0D), ([R], [K0D])),
+    (cavity.gamma_cavity_series, (R, K0D), ([R], [K0D])),
     (cavity.gamma_subwavelength_2nd, (R, 0.1), ([R], [0.1])),
 ]
 
@@ -46,6 +44,11 @@ def test_public_names_hold_one_result_type():
     assert "RateGrid" not in mirrorqed.__all__
     with pytest.raises(AttributeError):
         mirrorqed.RateGrid
+    # every route takes its cells as positional (r, k0d) arguments
+    assert "CavitySpec" not in mirrorqed.__all__
+    assert not hasattr(cavity, "CavitySpec")
+    with pytest.raises(AttributeError):
+        mirrorqed.CavitySpec
 
 
 def test_positional_construction():

@@ -50,7 +50,9 @@ class TestRange:
 
     @pytest.mark.parametrize(
         "text",
-        ["1:2", "1:2:3:4:5", "a:2:3", "0:2:1", "2:1:5", "0:1:5:log", "1:2:3:cubic"],
+        ["1:2", "1:2:3:4:5", "a:2:3", "0:2:1", "2:1:5", "0:1:5:log", "1:2:3:cubic",
+         # a span that is not finite: linspace would start at nan
+         "0.1:inf:3", "0.1:1e400:3", "-1e308:1e308:3", "0:1e400:3"],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(errors.ConfigError):
@@ -85,6 +87,7 @@ class TestSweepConfig:
             dict(target="cavity", n_max=-1),
             dict(target="cavity", tail_tol=0.0),
             dict(target="cavity", max_evals=40_000_001),
+            dict(target="cavity", tail_tol=math.inf),
         ],
     )
     def test_validate_rejects(self, kwargs):
