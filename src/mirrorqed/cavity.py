@@ -108,9 +108,14 @@ def default_n_max(r_mir: float, tail_tol: float) -> int:
 
     Solves 2 |r|^(2 n + 2) / (1 - |r|) <= tail_tol - floor for n, capped
     at 1e5; a tail_tol the floor alone exceeds gets the cap, and the
-    series then fails with TailTooLarge.
+    series then fails with TailTooLarge. Raises InvalidParams unless
+    |r_mir| < 1 and tail_tol is finite.
     """
     ar = abs(r_mir)
+    if not (ar < 1.0 and math.isfinite(tail_tol)):
+        raise InvalidParams(
+            f"default_n_max needs |r_mir| < 1 and a finite tail_tol, got "
+            f"{r_mir!r}, {tail_tol!r}")
     budget = tail_tol - _series_rounding(ar)
     if budget <= 0.0:
         return _N_MAX_CAP

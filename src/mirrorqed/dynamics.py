@@ -13,8 +13,10 @@ conserves the difference of excitation numbers on the two sides of rho
 rho0 reaches only some entries of rho and the rest stay exactly 0.
 evolve_jc finds those entries from the nonzero pattern of L, builds one
 propagator on them for its uniform step and records only them: 5 of the
-144 entries for |e,0> at n_fock = 5. JCTrajectory.rhos rebuilds the
-dense record on demand, at the dense cost. model_discrepancy starts from
+144 entries for |e,0> at n_fock = 5. It builds only the columns of L
+that this search visits and the block on those entries, never the dense
+dim^2 x dim^2 matrix. JCTrajectory.rhos rebuilds the dense record on
+demand, at the dense cost. model_discrepancy starts from
 |e,0>, where every jump ends in |g,0> and never returns, so it needs
 only the two no-jump amplitudes of |e,0> and |g,1>: exact, with no Fock
 truncation. It caches one propagator per distinct grid span.
@@ -56,6 +58,9 @@ _DIAG_TOL = 1e-10
 _LEAK_TOL = 1e-8
 _STABILITY_CAP = 0.1
 _SPAN_RTOL = 1e-13
+#: Jump trajectories drawn at a time: one block's draws and temporaries
+#: take about 1 MB, and only jump_times (8 B per trajectory) is whole.
+_TRAJ_BLOCK = 1 << 14
 # model_discrepancy loses about eps * max_rate * t_final to rounding
 # (measured at most 0.7 times that up to 3e12), 2e-7 at this bound
 _MAX_PHASE = 1e9
@@ -175,20 +180,34 @@ class AtomCavityState:
         return float(np.dot(weights, self.rho.diagonal().real))
 
 
-def _liouvillian(params: ModelParams, n_fock: int) -> np.ndarray:
-    """Matrix of the master-equation generator on row-major vec(rho)."""
+def _liouvillian(params: ModelParams, n_fock: int, rows=None,
+                 cols=None) -> np.ndarray:
+    """Matrix of the master-equation generator on row-major vec(rho).
+
+    rows and cols are flat indices into vec(rho) (all of them when None);
+    only their block is built, from the dim x dim operators: entry
+    (i dim + j, k dim + l) of kron(x, y) is x[i, k] y[j, l]. Each entry
+    gets the bits it has in the whole matrix.
+    """
     sm, a = _atom_cavity_ops(n_fock)
     h = params.g * (sm @ a.conj().T + sm.conj().T @ a)
     dim = 2 * (n_fock + 1)
+    everything = np.arange(dim * dim)
+    row_i, row_j = np.divmod(everything if rows is None else rows, dim)
+    col_k, col_l = np.divmod(everything if cols is None else cols, dim)
+
+    def kron(x, y):
+        return x[np.ix_(row_i, col_k)] * y[np.ix_(row_j, col_l)]
+
     eye = np.eye(dim, dtype=complex)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    lv = -1j * (kron(h, eye) - kron(eye, h.T))
     for rate, op in ((params.kappa, a), (params.gamma, sm)):
         if rate == 0.0:
             continue
         opd_op = op.conj().T @ op
-        lv += rate * (np.kron(op, op.conj())
-                      - 0.5 * np.kron(opd_op, eye)
-                      - 0.5 * np.kron(eye, opd_op.T))
+        lv += rate * (kron(op, op.conj())
+                      - 0.5 * kron(opd_op, eye)
+                      - 0.5 * kron(eye, opd_op.T))
     return lv
 
 
@@ -306,20 +325,22 @@ class JCTrajectory:
                             + self._population(2 * n1 - 1)))
 
 
-def _reachable(lv: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Sorted flat indices of vec(rho) that exp(lv t) vec(rho) can reach.
+def _reachable(params: ModelParams, n_fock: int,
+               rho: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of vec(rho) that exp(L t) vec(rho) can reach.
 
     Starts from the nonzero entries of rho and of its transpose and adds
-    every entry that lv links to the set until it stops growing. lv maps
-    the span of the result into itself, so entries outside it stay 0.
+    every entry that L links to the set until it stops growing, building
+    only the columns of L at the entries added last. L maps the span of
+    the result into itself, so entries outside it stay 0.
     """
-    links = lv != 0.0
     reach = ((rho != 0.0) | (rho.T != 0.0)).ravel()
-    while True:
-        grown = reach | links[:, reach].any(axis=1)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
+    added = np.flatnonzero(reach)
+    while added.size:
+        linked = (_liouvillian(params, n_fock, cols=added) != 0.0).any(axis=1)
+        added = np.flatnonzero(linked & ~reach)
+        reach |= linked
+    return np.flatnonzero(reach)
 
 
 def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
@@ -329,15 +350,17 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
     Only the entries of vec(rho) that rho0 can reach are evolved: the
     nonzero entries of rho0, grown through the nonzero pattern of L
     until the set is closed. L maps their span into itself, so the
-    result is exact and every other entry stays 0. The exact propagator
-    P = exp(L h) on those entries is built once, and the record is
-    filled by doubling: rows m..2m-1 are rows 0..m-1 times P^m, then P^m
-    is squared, so n steps take log2(n) matrix products. dt sets only
-    the spacing of the record, not the accuracy. The spacing must
-    satisfy dt * max(g, kappa, gamma) < 0.1 (StepTooLarge otherwise) so
-    the record resolves the fastest rate; the actual spacing is
-    h = t_final / ceil(t_final / dt), so the grid lands on t_final
-    exactly. Population of the top Fock level is monitored and
+    result is exact and every other entry stays 0. L is built only on
+    the columns the search visits and on the block of those entries:
+    memory goes as dim^2 times the number of entries, not as dim^4. The
+    exact propagator P = exp(L h) on those entries is built once, and
+    the record is filled by doubling: rows m..2m-1 are rows 0..m-1 times
+    P^m, then P^m is squared, so n steps take log2(n) matrix products.
+    dt sets only the spacing of the record, not the accuracy. The
+    spacing must satisfy dt * max(g, kappa, gamma) < 0.1 (StepTooLarge
+    otherwise) so the record resolves the fastest rate; the actual
+    spacing is h = t_final / ceil(t_final / dt), so the grid lands on
+    t_final exactly. Population of the top Fock level is monitored and
     TruncationLeak raised if it ever exceeds 1e-8, since then the
     truncation basis is too small for the requested dynamics.
     """
@@ -352,12 +375,12 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
     n_steps = max(1, math.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
     h = t_final / n_steps if n_steps else 0.0
 
-    lv = _liouvillian(params, rho0.n_fock)
-    support = _reachable(lv, rho0.rho)
+    support = _reachable(params, rho0.n_fock, rho0.rho)
     out = np.empty((n_steps + 1, support.size), dtype=complex)
     out[0] = rho0.rho.ravel()[support]
     # transposed, because the record holds one state per row
-    prop_t = _expm(lv[np.ix_(support, support)] * h).T
+    lv = _liouvillian(params, rho0.n_fock, support, support)
+    prop_t = _expm(lv * h).T
     done = 1
     while done <= n_steps:
         take = min(done, n_steps + 1 - done)
@@ -427,6 +450,8 @@ class TrajectoryEnsemble:
     one entry per trajectory, +inf when that trajectory never jumped.
     Trajectory i was drawn from draws 2i and 2i+1 of the PCG64(seed)
     stream (see unravel_jumps), so any block of it can be regenerated.
+    jump_times is the one array kept per trajectory; the statistics are
+    accumulated block by block while the trajectories are drawn.
     """
 
     n_traj: int
@@ -464,9 +489,15 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
     on which eigenstate of rho_atom0 it started in, and after it is 0,
     so at each time the ensemble holds at most one value per eigenstate
     plus 0. Mean and sum of squared deviations follow exactly from the
-    per-eigenstate counts of jump times beyond t (one sort and one
-    searchsorted per eigenstate), with no trajectory-by-time matrix.
-    Transient memory is a small constant times jump_times.
+    per-eigenstate counts of jump times beyond t, with no
+    trajectory-by-time matrix.
+
+    Memory: trajectories are drawn from the stream in consecutive blocks
+    of _TRAJ_BLOCK, and each block adds its jump times to one histogram
+    per eigenstate over the sorted grid. Only jump_times (8 B per
+    trajectory) is kept whole; a block's draws and temporaries take
+    about 1 MB, and the statistics a few arrays of the grid's length.
+    The results do not depend on the block size.
     """
     _check_rate(gamma_cav)
     if n_traj < 1:
@@ -480,24 +511,36 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
     cdf = np.cumsum(probs / probs.sum())
     pe_pure = np.abs(evecs[1, :]) ** 2
 
-    draws = np.random.Generator(np.random.PCG64(seed)).random((n_traj, 2))
-    which = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"),
-                       cdf.size - 1)
-    pe0 = pe_pure[which]
-    pg0 = 1.0 - pe0
-    u = draws[:, 1]
+    # after[k, m]: trajectories started in eigenstate k whose jump comes
+    # after exactly m of the sorted grid times; the survivors at a time
+    # are those whose jump comes after it. A histogram over the grid
+    # costs each block O(block log T), where counting each block's
+    # survivors at every grid time would cost O(T).
+    order = np.argsort(times, kind="stable")
+    sorted_times = times[order]
+    after = np.zeros((pe_pure.size, times.size + 1), dtype=np.int64)
     jump_times = np.full(n_traj, np.inf)
-    if gamma_cav > 0.0:
-        jumps = u > pg0
-        jump_times[jumps] = (-np.log((u[jumps] - pg0[jumps]) / pe0[jumps])
-                             / gamma_cav)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for lo in range(0, n_traj, _TRAJ_BLOCK):
+        draws = rng.random((min(_TRAJ_BLOCK, n_traj - lo), 2))
+        which = np.minimum(np.searchsorted(cdf, draws[:, 0], side="right"),
+                           cdf.size - 1)
+        pe0 = pe_pure[which]
+        pg0 = 1.0 - pe0
+        u = draws[:, 1]
+        block = jump_times[lo:lo + u.size]
+        if gamma_cav > 0.0:
+            jumps = u > pg0
+            block[jumps] = (-np.log((u[jumps] - pg0[jumps]) / pe0[jumps])
+                            / gamma_cav)
+        for k in range(pe_pure.size):
+            np.add.at(after[k], np.searchsorted(
+                sorted_times, block[which == k], side="left"), 1)
 
     # counts[k, j]: trajectories started in eigenstate k, unjumped at
     # times[j]; values[k, j]: the population each of them holds there
     counts = np.empty((pe_pure.size, times.size))
-    for k in range(pe_pure.size):
-        jt = np.sort(jump_times[which == k])
-        counts[k] = jt.size - np.searchsorted(jt, times, side="right")
+    counts[:, order] = np.cumsum(after[:, :0:-1], axis=1)[:, ::-1]
     surv = np.exp(-gamma_cav * times)
     norm_sq = (1.0 - pe_pure)[:, None] + pe_pure[:, None] * surv
     # the pure excited state keeps population 1 where surv underflows to 0

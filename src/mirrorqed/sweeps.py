@@ -43,9 +43,14 @@ OUTDIR_ENV = "MIRRORQED_OUTDIR"
 
 # Sizes the user sets are capped so that one run stays within a memory
 # budget, and an oversized request is refused before anything is
-# allocated. tracemalloc measures 0.5-0.7 KiB per grid point of a rate
-# sweep or lindblad time grid and 65-73 B per jump trajectory; the caps
-# price them at 1 KiB and 128 B.
+# allocated. Rate sweeps and jump ensembles run in fixed blocks, so
+# tracemalloc measures what is kept whole: the axis array of a rate
+# sweep (8 B per grid point, besides 2-6 MiB for one block), about
+# 0.2 KiB per point of a lindblad time grid, and jump_times (8 B per
+# trajectory, besides about 1 MB for one block). The caps price them at
+# 1 KiB and 128 B, so the grid cap bounds the lindblad time grid and
+# the length (so the run time) of a rate sweep, and the trajectory cap
+# holds jump_times to 64 MiB.
 _MEMORY_BUDGET_BYTES = 1 << 30
 _MAX_GRID_POINTS = _MEMORY_BUDGET_BYTES // 1024
 _MAX_TRAJECTORIES = _MEMORY_BUDGET_BYTES // 128
@@ -357,19 +362,6 @@ def config_from_items(items: dict) -> SweepConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    """Cell text: repr for floats keeps full precision and round-trips.
-
-    float() first, so numpy scalars (np.float64 subclasses float) print
-    as plain numbers, not as their numpy repr.
-    """
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _default_outdir() -> str:
     return os.environ.get(OUTDIR_ENV, "") or os.getcwd()
 
@@ -380,19 +372,32 @@ def _resolve_out(cfg: SweepConfig, default_name: str) -> str:
     return os.path.join(_default_outdir(), default_name)
 
 
-def _column_text(cells: list) -> list[str]:
-    """_fmt of every cell, at the speed of float.__repr__ on a column
-    that holds only floats (the same text, since _fmt writes a float as
-    repr(float(value)))."""
-    try:
-        return list(map(float.__repr__, cells))
-    except TypeError:
-        return list(map(_fmt, cells))
+#: Rows computed, formatted and written at a time. A sweep runs its
+#: routes on one block of grid points, writes the block's text and frees
+#: it before the next, so its memory stays near 1 MB however long the
+#: grid; every route gives a cell the same bits alone and inside any
+#: block, so the CSV does not depend on this size.
+_BLOCK_ROWS = 1024
 
 
-#: Rows formatted and written at a time: the text of a block is freed
-#: before the next, so a long sweep's CSV never sits in memory whole.
-_CSV_BLOCK_ROWS = 4096
+def _column_text(column, n_rows: int) -> list[str]:
+    """CSV cells of one column of a block, picked by the column's kind.
+
+    A str is a constant column. A float array writes each value as
+    float.__repr__, which keeps full precision, round-trips, and writes
+    a numpy scalar as a plain number; a (values, show) pair writes its
+    values only where show holds and empty cells elsewhere. Any other
+    array (the status column) holds its cells' text.
+    """
+    if isinstance(column, str):
+        return [column] * n_rows
+    values, show = column if isinstance(column, tuple) else (column, True)
+    if values.dtype == object:
+        return values.tolist()
+    text = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.broadcast_to(show, values.shape)).tolist():
+        text[i] = ""
+    return text
 
 
 @contextlib.contextmanager
@@ -410,19 +415,25 @@ def _output_file(path: str):
         raise ConfigError(f"cannot write output {path!r}: {exc}") from None
 
 
-def _write_csv(path: str, cfg: SweepConfig, header: list[str],
-               columns: list[list]) -> None:
-    """Write the config preamble, the header and rows given as equally
-    long columns of cells."""
+@contextlib.contextmanager
+def _csv_output(path: str, cfg: SweepConfig, header: list[str]):
+    """The CSV at path, opened before anything is computed, with the
+    config preamble and the header written.
+
+    Yields write(columns), which writes one block of rows given as
+    equally long columns (see _column_text; the first is an array).
+    """
     lines = [f"# {line}" for line in dump_config(cfg).splitlines()]
     lines.append(",".join(header))
-    n_rows = len(columns[0])
+
+    def write(columns) -> None:
+        n_rows = len(columns[0])
+        text = [_column_text(col, n_rows) for col in columns]
+        fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+
     with _output_file(path) as fh:
         fh.write("\n".join(lines) + "\n")
-        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = [_column_text(col[start:start + _CSV_BLOCK_ROWS])
-                     for col in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+        yield write
 
 
 def _axis_values(cfg: SweepConfig):
@@ -469,12 +480,6 @@ def _run_route(status: np.ndarray, route, *columns, mask=True, **controls):
     return ratio, err
 
 
-def _shown(values: np.ndarray, show) -> list:
-    """CSV cells of a column: its values, empty where show is false."""
-    show = np.broadcast_to(show, values.shape)
-    return [v if s else None for v, s in zip(values.tolist(), show.tolist())]
-
-
 def _mirror_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
     re_r, k0d, d = _cell_params(cfg, axis, xs)
     status = np.full(xs.size, "ok", dtype=object)
@@ -492,12 +497,11 @@ def _mirror_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
     # a failed row reads nan in both ratio columns, wanted or not
     failed = status != "ok"
     both = want_closed and want_quad
-    columns = [d.tolist(), k0d.tolist(), re_r.tolist(),
-               _shown(closed, want_closed | failed),
-               _shown(quad, want_quad | failed),
-               _shown(np.abs(closed - quad), both & ~failed),
-               (closed_err + quad_err).tolist(),
-               [cfg.method] * xs.size, status.tolist()]
+    columns = [d, k0d, re_r,
+               (closed, want_closed | failed),
+               (quad, want_quad | failed),
+               (np.abs(closed - quad), both & ~failed),
+               closed_err + quad_err, cfg.method, status]
     return columns, int(np.count_nonzero(failed))
 
 
@@ -516,17 +520,16 @@ def _cavity_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
         (cavity_mod.gamma_subwavelength_2nd,
          ("limit" in wanted) & (k0d <= cavity_mod.SUBWAVELENGTH_SOFT_MAX),
          {}))
-    columns = [k0d.tolist(), r.tolist()]
+    columns = [k0d, r]
     err = np.full(xs.size, -math.inf)
     applies = np.zeros(xs.size, dtype=bool)
     for route, cells, controls in routes:
         ratio, route_err = _run_route(status, route, r, k0d, mask=cells,
                                       **controls)
-        columns.append(_shown(ratio, cells))
+        columns.append((ratio, cells))
         err = np.maximum(err, np.where(cells, route_err, -math.inf))
         applies |= cells
-    columns += [_shown(err, applies), status.tolist(),
-                [cfg.method] * xs.size]
+    columns += [(err, applies), status, cfg.method]
     return columns, int(np.count_nonzero(status != "ok"))
 
 
@@ -548,8 +551,12 @@ def _run_rate_sweep(cfg: SweepConfig, path: str) -> int:
     axis, xs = _axis_values(cfg)
     if cfg.quick and xs.size > 25:
         xs = xs[:: max(1, xs.size // 25)]
-    columns, n_failed = assemble(cfg, axis, xs)
-    _write_csv(path, cfg, header, columns)
+    n_failed = 0
+    with _csv_output(path, cfg, header) as write:
+        for lo in range(0, xs.size, _BLOCK_ROWS):
+            columns, failed = assemble(cfg, axis, xs[lo:lo + _BLOCK_ROWS])
+            write(columns)
+            n_failed += failed
     if n_failed:
         print(f"{n_failed} of {xs.size} cells failed; see status column "
               f"in {path}", file=sys.stderr)
@@ -570,22 +577,24 @@ def _run_lindblad(cfg: SweepConfig, path: str) -> int:
                  else dyn.effective_decay_rate(params))
     header = ["t", "pop_jc", "pop_single_rate", "pop_jump_mean",
               "pop_jump_stderr", "method", "status"]
-    try:
-        disc = dyn.model_discrepancy(params, gamma_cav, grid)
-        ens = dyn.unravel_jumps(gamma_cav, np.diag([0.0, 1.0]), n_traj,
-                                cfg.seed, grid)
-    except InvalidParams as exc:
-        nan = [math.nan] * grid.size
-        _write_csv(path, cfg, header,
-                   [grid.tolist(), nan, nan, nan, nan,
-                    ["lindblad"] * grid.size,
-                    [type(exc).__name__] * grid.size])
-        print(f"lindblad run failed: {exc}", file=sys.stderr)
+    failure = None
+    with _csv_output(path, cfg, header) as write:
+        try:
+            disc = dyn.model_discrepancy(params, gamma_cav, grid)
+            ens = dyn.unravel_jumps(gamma_cav, np.diag([0.0, 1.0]), n_traj,
+                                    cfg.seed, grid)
+            columns = [grid, disc.pop_jc, disc.pop_single,
+                       ens.excited_population, ens.stderr, "lindblad", "ok"]
+        except InvalidParams as exc:
+            failure = exc
+            columns = [grid, "nan", "nan", "nan", "nan", "lindblad",
+                       type(exc).__name__]
+        for lo in range(0, grid.size, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            write([c if isinstance(c, str) else c[rows] for c in columns])
+    if failure is not None:
+        print(f"lindblad run failed: {failure}", file=sys.stderr)
         return 3
-    _write_csv(path, cfg, header,
-               [grid.tolist(), disc.pop_jc.tolist(), disc.pop_single.tolist(),
-                ens.excited_population.tolist(), ens.stderr.tolist(),
-                ["lindblad"] * grid.size, ["ok"] * grid.size])
     return 0
 
 

@@ -316,6 +316,16 @@ class TestSeries:
                 assert err(ar, n) <= tol
                 assert n == 0 or err(ar, n - 1) > tol
 
+    @pytest.mark.parametrize("r,tail_tol", [
+        (0.5, math.inf), (0.5, math.nan), (1.5, 1e-8), (1.0, 1e-8),
+        (-1.0, 1e-8), (math.nan, 1e-8),
+    ])
+    def test_default_n_max_outside_its_domain_is_invalid(self, r, tail_tol):
+        # math.ceil of inf, int of nan and log of a negative once raised
+        # OverflowError or ValueError, and 1 - |r| = 0 ZeroDivisionError
+        with pytest.raises(errors.InvalidParams):
+            default_n_max(r, tail_tol)
+
     def test_tail_tol_below_rounding_floor_fails(self):
         assert cavity._series_rounding(0.5) > 2e-14
         assert default_n_max(0.5, 2e-14) == cavity._N_MAX_CAP

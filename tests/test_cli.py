@@ -89,6 +89,26 @@ class TestExitCodes:
         assert err.startswith("config error: cannot write output ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,module,routes", [
+        (["cavity", "--r", "0.999"], "cavity",
+         ("gamma_cavity_quadrature", "gamma_cavity_series",
+          "gamma_subwavelength_2nd")),
+        (["lindblad"], "dynamics", ("model_discrepancy", "unravel_jumps")),
+    ], ids=["cavity", "lindblad"])
+    def test_unwritable_out_refused_before_any_cell(self, tmp_path, capsys,
+                                                    monkeypatch, argv,
+                                                    module, routes):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell was computed")
+
+        module = importlib.import_module(f"mirrorqed.{module}")
+        for name in routes:
+            monkeypatch.setattr(module, name, refuse)
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output ")
+        assert err.count("\n") == 1
+
     def test_config_error_reported_on_stderr(self, tmp_path, capsys):
         rc = cli.main(["cavity", "--k0d", "1.0", "--d-over-lambda", "0.5"])
         assert rc == 2
@@ -342,6 +362,15 @@ def test_tiny_reflectivity_cavity_quadrature_is_bounded(tmp_path, argv):
     rows = _edge_rows(tmp_path)
     assert rows and all(row["status"] == "ok" for row in rows)
     assert wall < 2.0
+
+
+def test_largest_jump_ensemble_runs_under_the_cap(tmp_path):
+    # drawing all 8,388,608 trajectories at once ran out of memory here
+    proc, wall = _run_capped(
+        tmp_path, ["lindblad", "--n-traj", "8388608", "--grid", "0:3:11"])
+    assert proc.returncode == 0, proc.stderr
+    rows = _edge_rows(tmp_path)
+    assert len(rows) == 11 and all(row["status"] == "ok" for row in rows)
 
 
 @pytest.mark.parametrize("argv,column", [

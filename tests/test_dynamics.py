@@ -233,6 +233,40 @@ class TestReachableSupport:
         assert peak <= 5e6
 
 
+    @pytest.mark.parametrize("n_fock", [5, 15])
+    def test_support_and_block_match_the_dense_liouvillian(self, n_fock):
+        # reference: the closure over the dense matrix's nonzero pattern
+        for st in (mixed_multi_sector_state(n_fock),
+                   dynamics.AtomCavityState.excited_vacuum(n_fock)):
+            lv = dynamics._liouvillian(self.params, n_fock)
+            links = lv != 0.0
+            reach = ((st.rho != 0.0) | (st.rho.T != 0.0)).ravel()
+            while True:
+                grown = reach | links[:, reach].any(axis=1)
+                if np.array_equal(grown, reach):
+                    break
+                reach = grown
+            support = dynamics._reachable(self.params, n_fock, st.rho)
+            np.testing.assert_array_equal(support, np.flatnonzero(reach))
+            block = dynamics._liouvillian(self.params, n_fock, support,
+                                          support)
+            np.testing.assert_array_equal(block,
+                                          lv[np.ix_(support, support)])
+
+    def test_memory_does_not_grow_with_n_fock(self):
+        tracemalloc.start()
+        try:
+            traj = dynamics.evolve_jc(
+                params_weak(), dynamics.AtomCavityState.excited_vacuum(15),
+                t_final=1.0, dt=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.support.size == 5
+        # the dense 1024 x 1024 Liouvillian took 64 MiB with its temporaries
+        assert peak <= 2 << 20
+
+
 class TestSingleRate:
     def test_exact_exponential(self):
         rho0 = np.array([[0.3, 0.2], [0.2, 0.7]])
@@ -366,6 +400,32 @@ class TestQuantumJumps:
         small = dynamics.unravel_jumps(1.0, rho0, 50, 8, t)
         big = dynamics.unravel_jumps(1.0, rho0, 200, 8, t)
         np.testing.assert_array_equal(small.jump_times, big.jump_times[:50])
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.3])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch,
+                                                     gamma):
+        rho0 = np.array([[0.3, 0.1], [0.1, 0.7]])
+        t = np.array([0.0, 2.0, 0.5, 0.5, 1.0, 4.0])
+        runs = []
+        for block in (1, 7, dynamics._TRAJ_BLOCK):
+            monkeypatch.setattr(dynamics, "_TRAJ_BLOCK", block)
+            ens = dynamics.unravel_jumps(gamma, rho0, 1000, 13, t)
+            runs.append([a.tobytes() for a in (
+                ens.jump_times, ens.excited_population, ens.stderr)])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_memory_holds_one_float_per_trajectory(self):
+        t = np.linspace(0.0, 3.0, 51)
+        tracemalloc.start()
+        try:
+            ens = dynamics.unravel_jumps(1.0, np.diag([0.0, 1.0]), 10**6, 5,
+                                         t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.jump_times.nbytes == 8 * 10**6
+        # drawing every trajectory at once took 62.7 MiB
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("rho0", [
         np.diag([0.0, 1.0]),

@@ -4,11 +4,12 @@ import dataclasses
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mirrorqed import cavity, errors, mirror, sweeps
+from mirrorqed import cavity, dynamics, errors, mirror, sweeps
 
 MIRROR_HEADER = (
     "d_over_lambda0,k0d,re_r,ratio_closed,ratio_quadrature,"
@@ -205,9 +206,12 @@ class TestSweepConfig:
             sweeps.config_from_items({"r": 0.5})
 
 
-def test_fmt_writes_numpy_scalars_as_plain_numbers():
-    assert sweeps._fmt(np.float64(0.1)) == "0.1"
-    assert sweeps._fmt(0.1) == "0.1"
+def test_numpy_scalar_cells_write_as_plain_numbers():
+    values = np.array([np.float64(0.1), 0.1, math.nan])
+    assert sweeps._column_text(values, 3) == ["0.1", "0.1", "nan"]
+    shown = (values, np.array([True, False, True]))
+    assert sweeps._column_text(shown, 3) == ["0.1", "", "nan"]
+    assert sweeps._column_text("all", 2) == ["all", "all"]
 
 
 class TestRateSweeps:
@@ -366,6 +370,58 @@ class TestRateSweeps:
         assert sweeps.output_path(cfg) == str(tmp_path / "cavity.csv")
         assert sweeps.run_sweep(cfg) == 0
         assert os.path.exists(tmp_path / "cavity.csv")
+
+
+# One config per target; the cavity grid holds DegenerateMirror rows at
+# r = -1 and 1 and NonConvergence rows, which the 10,000-evaluation budget
+# refuses at k0d = 15.
+BLOCKED_RUNS = {
+    "mirror": dict(target="mirror", method="all", r=-1.0,
+                   d_over_lambda0=sweeps.Range(0.0, 2.0, 15)),
+    "cavity": dict(target="cavity", method="all",
+                   r=sweeps.Range(-1.0, 1.0, 17), k0d=15.0,
+                   max_evals=10_000),
+    "subwavelength": dict(target="subwavelength",
+                          r=sweeps.Range(-0.99, 0.99, 17), k0d=0.05),
+    "optical": dict(target="optical", r=0.8,
+                    k0d=sweeps.Range(20.0 * math.pi, 24.0 * math.pi, 9)),
+    "lindblad": dict(target="lindblad", t=sweeps.Range(0.0, 3.0, 31),
+                     n_traj=300, seed=7),
+}
+DEFAULT_BLOCKS = (sweeps._BLOCK_ROWS, dynamics._TRAJ_BLOCK)
+
+
+@pytest.mark.parametrize("target", BLOCKED_RUNS)
+def test_csv_bytes_do_not_depend_on_the_block_sizes(tmp_path, monkeypatch,
+                                                     target):
+    runs = []
+    for rows, trajectories in ((1, 1), (7, 7), DEFAULT_BLOCKS):
+        monkeypatch.setattr(sweeps, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(dynamics, "_TRAJ_BLOCK", trajectories)
+        out = tmp_path / f"{rows}.csv"
+        code = sweeps.run_sweep(sweeps.SweepConfig(**BLOCKED_RUNS[target],
+                                                   out=str(out)))
+        runs.append((code, out.read_text(encoding="utf-8").replace(
+            str(out), "OUT")))
+    assert runs[0] == runs[1] == runs[2]
+    if target == "cavity":
+        statuses = {row[-2] for row in read_csv(str(out))[2]}
+        assert statuses == {"ok", "DegenerateMirror", "NonConvergence"}
+
+
+def test_rate_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    cfg = sweeps.SweepConfig(
+        target="mirror", method="closed", r=-1.0,
+        d_over_lambda0=sweeps.Range(0.0, 5.0, 200_000),
+        out=str(tmp_path / "long.csv"))
+    tracemalloc.start()
+    try:
+        assert sweeps.run_sweep(cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # whole columns of Python floats and strings once took 59 MiB here
+    assert peak < 8 << 20
 
 
 class TestLindbladSweep:
