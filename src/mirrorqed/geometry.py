@@ -58,6 +58,7 @@ __all__ = [
     "first_level_panels",
     "DEFAULT_TOL",
     "DEFAULT_MAX_EVALS",
+    "ERR_FLOOR",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -174,8 +175,9 @@ _N_PHI_FIRST = 16
 # Integrand evaluations one xi panel costs on the first level when the
 # integrand depends on phi: the 2-D worst case the first-level gates price.
 _EVALS_PER_PANEL = _GL_NODES.size * _N_PHI_FIRST
-#: Roundoff floor on the reported error estimate, relative to max(1, |I|).
-_ERR_FLOOR = 4e-16
+#: Roundoff floor on the reported error estimate, relative to max(1, |I|);
+#: no smaller tol can converge.
+ERR_FLOOR = 4e-16
 
 
 def _panel_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +312,7 @@ def solid_angle_integrate(integrand, resolution: int = 64,
         value = complex((_TWO_PI / n_cols) * np.dot(w, vals.sum(axis=1)))
         if prev is not None:
             diff = abs(value - prev)
-            err = max(2.0 * diff, _ERR_FLOOR * max(1.0, abs(value)))
+            err = max(2.0 * diff, ERR_FLOOR * max(1.0, abs(value)))
             if err <= tol * max(1.0, abs(value)):
                 return value, err
         prev = value

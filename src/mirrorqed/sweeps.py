@@ -202,8 +202,10 @@ class SweepConfig:
             raise ConfigError(
                 f"method {self.method!r} not available for target "
                 f"{self.target!r}; choose from {methods}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol!r}")
+        if not self.tol >= geometry.ERR_FLOOR:
+            raise ConfigError(
+                f"tol must be >= {geometry.ERR_FLOOR:g}, the quadrature's "
+                f"error floor, got {self.tol!r}")
         try:
             cavity_mod.SeriesControl(n_max=self.n_max, tail_tol=self.tail_tol)
         except InvalidParams as exc:

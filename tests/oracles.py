@@ -13,7 +13,9 @@ package under test, using different numerical schemes than the library:
 * polarization frame: e_H and e_V built from cross products instead of
   the library's explicit trigonometric components;
 * master-equation dynamics: scipy.integrate.solve_ivp at tight tolerance
-  instead of the library's Pade matrix-exponential propagator.
+  instead of the library's Pade matrix-exponential propagator;
+* no-jump amplitude: mpmath's expm of the 2x2 H_eff at 60 digits instead
+  of the library's closed form.
 
 Running ``python -m tests.oracles`` prints the table of reference values
 that the test modules freeze as literals.
@@ -314,6 +316,26 @@ def solve_jc_reference(g: float, kappa: float, gamma: float,
     n_e = np.kron(np.diag([0.0, 1.0]), np.eye(n_fock + 1))
     pops = np.real(np.einsum("tij,ji->t", rhos, n_e.astype(complex)))
     return rhos, pops
+
+
+def no_jump_population_mp(g: float, kappa: float, gamma: float, times,
+                          dps: int = 60) -> np.ndarray:
+    """|<e,0| exp(-i H_eff t) |e,0>|^2 from mpmath's expm at dps digits.
+
+    H_eff = [[-i gamma/2, g], [g, -i kappa/2]] is the no-jump generator
+    on (|e,0>, |g,1>); every jump leaves that subspace for good, so this
+    is the excited population of the two-channel model from |e,0>.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        gm, km, ym = (mp.mpf(repr(float(v))) for v in (g, kappa, gamma))
+        h_eff = mp.matrix([[-1j * ym / 2, gm], [gm, -1j * km / 2]])
+        pops = []
+        for t in times:
+            c_e0 = mp.expm(-1j * h_eff * mp.mpf(repr(float(t))))[0, 0]
+            pops.append(float(abs(c_e0) ** 2))
+        return np.array(pops)
 
 
 def slow_decay_rate_exact(g: float, kappa: float, gamma: float) -> float:

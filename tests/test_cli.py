@@ -73,6 +73,22 @@ class TestExitCodes:
                        "got inf\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["5e-324", "1e-16"])
+    @pytest.mark.parametrize("target", ["mirror", "cavity", "subwavelength",
+                                        "optical"])
+    def test_tol_below_the_error_floor_is_usage_error(self, tmp_path, capsys,
+                                                      target, tol):
+        # no cell can converge below the floor: each one once spent its
+        # whole max_evals budget before the run exited 3
+        out = tmp_path / "s.csv"
+        start = time.perf_counter()
+        assert cli.main([target, f"--tol={tol}", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"config error: tol must be >= 4e-16, the quadrature's error "
+            f"floor, got {float(tol)!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,out", [
         (["cavity", "--quick"], "{dir}"),
         (["cavity", "--quick"], "{file}/x.csv"),
@@ -371,6 +387,17 @@ def test_largest_jump_ensemble_runs_under_the_cap(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = _edge_rows(tmp_path)
     assert len(rows) == 11 and all(row["status"] == "ok" for row in rows)
+
+
+def test_long_log_grid_lindblad_takes_seconds(tmp_path):
+    # every span of a log grid differs; a scan over one cached propagator
+    # per span made this run quadratic, about 20 minutes
+    proc, wall = _run_capped(
+        tmp_path, ["lindblad", "--grid=0.001:3:100000:log", "--n-traj=1000"])
+    assert proc.returncode == 0, proc.stderr
+    rows = _edge_rows(tmp_path)
+    assert len(rows) == 100_000 and all(row["status"] == "ok" for row in rows)
+    assert wall < 5.0
 
 
 @pytest.mark.parametrize("argv,column", [

@@ -502,6 +502,66 @@ class TestModelDiscrepancy:
         _, ref = oracles.solve_jc_reference(g, kappa, gamma, 5, t)
         np.testing.assert_allclose(res.pop_jc, ref, rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("grid", ["linear", "geomspace"])
+    @pytest.mark.parametrize("g, kappa, gamma", [
+        (2.25, 10.0, 1.0),    # exceptional point g = (kappa - gamma)/4
+        (2.5, 11.0, 1.0),     # exceptional point
+        (0.0, 5.0, 1.0),
+        (1.0, 0.0, 1.0),
+        (1.0, 20.0, 0.0),
+        (0.0, 0.0, 0.0),
+        (1000.0, 1.0, 1.0),   # strong coupling: the phase |w| t dominates
+        (1.0, 1e4, 1.0),      # stiff: w - i a would cancel (1.4e-13)
+    ])
+    def test_population_within_rounding_bound_of_mpmath(self, g, kappa,
+                                                        gamma, grid):
+        from . import oracles
+
+        if grid == "linear":
+            t = np.linspace(0.0, 3.0, 21)
+        else:
+            t = np.concatenate([[0.0], np.geomspace(1e-3, 3.0, 20)])
+        p = dynamics.ModelParams(g=g, kappa=kappa, gamma=gamma)
+        res = dynamics.model_discrepancy(p, gamma_cav=1.0, t_grid=t)
+        ref = oracles.no_jump_population_mp(g, kappa, gamma, t)
+        # the bound stated in model_discrepancy's docstring, with Re w
+        re_w = math.sqrt(max(g * g - ((gamma - kappa) / 4.0) ** 2, 0.0))
+        bound = 16.0 * np.finfo(float).eps * (1.0 + re_w * t)
+        assert np.all(np.abs(res.pop_jc - ref) <= bound)
+
+    @pytest.mark.parametrize("g, kappa, gamma", [
+        (1.0, 20.0, 1.0), (2.25, 10.0, 1.0), (1000.0, 1.0, 1.0)])
+    def test_each_time_does_not_depend_on_the_grid(self, g, kappa, gamma):
+        p = dynamics.ModelParams(g=g, kappa=kappa, gamma=gamma)
+        t = np.concatenate([[0.0], np.geomspace(1e-3, 3.0, 40)])
+        res = dynamics.model_discrepancy(p, gamma_cav=1.0, t_grid=t)
+        alone = [dynamics.model_discrepancy(p, 1.0, [0.0, tk]).pop_jc[-1]
+                 for tk in t[1:]]
+        assert res.pop_jc[0] == 1.0
+        assert res.pop_jc[1:].tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** 1019, 2.0 ** -600])
+    def test_rates_and_times_rescale_exactly(self, scale):
+        # g^2 overflows at g = 2^600 and underflows at 2^-600, and kappa =
+        # 20 * 2^1019 is within a factor 2 of the largest float; only the
+        # products of rates and times enter the populations
+        t = np.linspace(0.0, 3.0, 13)
+        unit = dynamics.model_discrepancy(
+            dynamics.ModelParams(g=1.0, kappa=20.0, gamma=1.0), 1.0, t)
+        scaled = dynamics.model_discrepancy(
+            dynamics.ModelParams(g=scale, kappa=20.0 * scale, gamma=scale),
+            1.0, t / scale)
+        assert scaled.pop_jc.tobytes() == unit.pop_jc.tobytes()
+
+    def test_subnormal_coupling_is_exact_without_warnings(self):
+        # in units of g the times are subnormal, where a division by
+        # x = 2 i w t would overflow
+        p = dynamics.ModelParams(g=5e-324, kappa=0.0, gamma=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = dynamics.model_discrepancy(p, 0.0, [0.0, 1.0, 1e300])
+        assert res.pop_jc.tolist() == [1.0, 1.0, 1.0]
+
     def test_grid_must_increase_from_zero(self):
         p = params_weak()
         with pytest.raises(errors.InvalidParams):
