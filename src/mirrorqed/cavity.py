@@ -153,6 +153,9 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
 
     Raises
     ------
+    InvalidParams
+        If tol < geometry.ERR_FLOOR, the engine's error floor, which no
+        cell can meet. On a grid: each cell's status.
     NonConvergence
         If the node budget runs out (expected for very high finesse
         together with large k0d); reported, never masked. A first level

@@ -7,7 +7,8 @@ sweeps.TARGETS. Flags override config-file values, and
 sweeps.SweepConfig fills in its target's defaults for the rest; a flag
 parses as its config key does (sweeps._PARSERS). --dump-config echoes
 the fully resolved configuration without running. validate passes
---seed on only when it is given, so run_validation keeps the default.
+--seed on only when it is given, so run_validation keeps the default;
+its --quick is still accepted but selects nothing.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the self-check suite")
     p.add_argument("--quick", action="store_true", default=None,
-                   help="reduced battery, well under 30 s")
+                   help="accepted for compatibility; the battery always "
+                        "runs complete")
     p.add_argument("--inject-fault", dest="inject_fault", type=float,
                    default=0.0, metavar="EPS",
                    help="add EPS to the f kernel to demonstrate "
@@ -138,7 +140,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from . import validation
 
         report = validation.run_validation(
-            quick=bool(args.quick), fault_injection=args.inject_fault,
+            fault_injection=args.inject_fault,
             **({} if args.seed is None else {"seed": args.seed}))
         print(report.summary())
         return 0 if report.passed else 1

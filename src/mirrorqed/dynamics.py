@@ -529,8 +529,11 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
         block = jump_times[lo:lo + u.size]
         if gamma_cav > 0.0:
             jumps = u > pg0
-            block[jumps] = (-np.log((u[jumps] - pg0[jumps]) / pe0[jumps])
-                            / gamma_cav)
+            # a subnormal gamma_cav puts the jump time past the largest
+            # float; +inf is right, as no grid time reaches it
+            with np.errstate(over="ignore"):
+                block[jumps] = (-np.log((u[jumps] - pg0[jumps])
+                                        / pe0[jumps]) / gamma_cav)
         for k in range(pe_pure.size):
             np.add.at(after[k], np.searchsorted(
                 sorted_times, block[which == k], side="left"), 1)
@@ -539,7 +542,8 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
     # times[j]; values[k, j]: the population each of them holds there
     counts = np.empty((pe_pure.size, times.size))
     counts[:, order] = np.cumsum(after[:, :0:-1], axis=1)[:, ::-1]
-    surv = np.exp(-gamma_cav * times)
+    with np.errstate(over="ignore"):  # overflow only where surv is 0
+        surv = np.exp(-gamma_cav * times)
     norm_sq = (1.0 - pe_pure)[:, None] + pe_pure[:, None] * surv
     # the pure excited state keeps population 1 where surv underflows to 0
     values = np.divide(pe_pure[:, None] * surv, norm_sq,
@@ -631,11 +635,14 @@ def model_discrepancy(params: ModelParams, gamma_cav: float,
     times = _time_grid(t_grid)
     if np.any(np.diff(times) <= 0.0):
         raise InvalidParams("t_grid must be strictly increasing")
-    if params.max_rate * times[-1] > _MAX_PHASE:
+    # a Python float product: one that overflows reads inf, with no warning
+    phase = params.max_rate * float(times[-1])
+    if phase > _MAX_PHASE:
         raise InvalidParams(
-            f"max_rate * t_final = {params.max_rate * times[-1]:.3g} "
+            f"max_rate * t_final = {phase:.3g} "
             f"exceeds {_MAX_PHASE:.0e}: the populations are not resolved "
             "in double precision")
+    _check_rate(gamma_cav)
 
     # exact rescaling to rates in units 2^k ~ max_rate: g^2 cannot overflow
     k = math.frexp(params.max_rate)[1]
@@ -650,8 +657,9 @@ def model_discrepancy(params: ModelParams, gamma_cav: float,
     c_e0 = np.exp(-1j * s * tau) * (1.0 + e / 2.0 - lin)
     pop_jc = np.abs(c_e0) ** 2
 
-    pop_single = evolve_single_rate(gamma_cav, np.diag([0.0, 1.0]),
-                                    times).excited_population
+    # gamma_cav t overflows only where exp(-gamma_cav t) is 0 anyway
+    with np.errstate(over="ignore"):
+        pop_single = np.exp(-gamma_cav * times)
     return DiscrepancyResult(times=times, pop_jc=pop_jc,
                              pop_single=pop_single)
 

@@ -79,6 +79,8 @@ def gamma_free_quadrature(emitter: EmitterSpec, tol: float = 1e-10) -> float:
 
     Raises
     ------
+    InvalidParams
+        If tol < geometry.ERR_FLOOR, the engine's error floor.
     NonConvergence
         Propagated from the quadrature engine.
     """

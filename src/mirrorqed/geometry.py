@@ -271,7 +271,7 @@ def solid_angle_integrate(integrand, resolution: int = 64,
     Raises
     ------
     InvalidParams
-        If resolution < 8 or tol <= 0.
+        If resolution < 8 or tol < ERR_FLOOR, which no estimate can meet.
     NonConvergence
         If the budget is exhausted before two levels agree; the exception
         carries the best value and its estimated error (value None when
@@ -279,8 +279,9 @@ def solid_angle_integrate(integrand, resolution: int = 64,
     """
     if resolution < 8:
         raise InvalidParams(f"resolution must be >= 8, got {resolution}")
-    if not tol > 0.0:
-        raise InvalidParams(f"tol must be positive, got {tol}")
+    if not tol >= ERR_FLOOR:
+        raise InvalidParams(f"tol must be >= {ERR_FLOOR:g}, the error "
+                            f"floor, got {tol}")
 
     n_panels = first_level_panels(resolution, max_evals)
     edges = np.linspace(-1.0, 1.0, int(n_panels) + 1)

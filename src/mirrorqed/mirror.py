@@ -97,6 +97,9 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
 
     Raises
     ------
+    InvalidParams
+        If tol < geometry.ERR_FLOOR, the engine's error floor, which no
+        cell can meet. On a grid: each cell's status.
     NonConvergence
         Propagated from the quadrature engine.
     """

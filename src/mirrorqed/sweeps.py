@@ -456,7 +456,9 @@ def _cell_params(cfg: SweepConfig, axis: str, xs: np.ndarray):
     r = column("r")
     if cfg.d_over_lambda0 is not None:
         d = column("d_over_lambda0")
-        k0d = 2.0 * math.pi * d
+        # an overflowing d reads k0d = inf, which the routes refuse per cell
+        with np.errstate(over="ignore"):
+            k0d = 2.0 * math.pi * d
     else:
         k0d = column("k0d")
         d = k0d / (2.0 * math.pi)

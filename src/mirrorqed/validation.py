@@ -56,7 +56,6 @@ class ValidationReport:
     checks: list[CheckResult] = field(default_factory=list)
     #: (group, seconds) of each check group, in the order they ran
     timings: list[tuple[str, float]] = field(default_factory=list)
-    quick: bool = False
     fault_injection: float = 0.0
 
     @property
@@ -72,8 +71,7 @@ class ValidationReport:
         return sum(not c.passed for c in self.checks)
 
     def summary(self) -> str:
-        mode = "quick" if self.quick else "full"
-        lines = [f"validation ({mode} mode, {len(self.checks)} checks)"]
+        lines = [f"validation ({len(self.checks)} checks)"]
         if self.fault_injection:
             lines.append(f"fault injection active: f kernel perturbed by "
                          f"{self.fault_injection:g}")
@@ -104,9 +102,9 @@ def _above(name, measured, threshold, detail="") -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _geometry_checks(quick: bool):
+def _geometry_checks():
     rng = np.random.default_rng(7041995)
-    n = 64 if quick else 256
+    n = 256
     thetas = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, n)
     phis = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, n)
     xi = rng.uniform(-1.0, 1.0, n)
@@ -150,7 +148,7 @@ def _geometry_checks(quick: bool):
                  1e-12, "transverse weight vs 8 pi / 3")
 
 
-def _freespace_checks(quick: bool):
+def _freespace_checks():
     em = freespace.EmitterSpec(omega0=2.0 * math.pi * 4e14,
                                dipole_magnitude=1e-10)
     si = freespace.gamma_free_si(em)
@@ -169,7 +167,7 @@ def _freespace_checks(quick: bool):
                  "rate independent of dipole orientation")
 
 
-def _f_kernel_checks(quick: bool):
+def _f_kernel_checks():
     yield _below("fkernel-zero", abs(kernels.f_kernel(0.0) - 2.0 / 3.0), 0.0,
                  "exact limit value at x = 0")
     x0 = kernels.F_TAYLOR_CROSSOVER
@@ -186,17 +184,15 @@ def _f_kernel_checks(quick: bool):
                  "global maximum sits at x = 0")
 
 
-def _mirror_checks(quick: bool):
-    k0ds = _MIRROR_K0D_GRID if not quick else (0.01, 1.0, 50.0)
-    rers = _MIRROR_RER_GRID if not quick else (-1.0, 0.0, 1.0)
-    k0d = np.array(k0ds)[:, None]
-    c = mirror_mod.gamma_mirror_closed(rers, k0d)
-    q = mirror_mod.gamma_mirror_quadrature(rers, k0d)
+def _mirror_checks():
+    k0d = np.array(_MIRROR_K0D_GRID)[:, None]
+    c = mirror_mod.gamma_mirror_closed(_MIRROR_RER_GRID, k0d)
+    q = mirror_mod.gamma_mirror_quadrature(_MIRROR_RER_GRID, k0d)
     gap = np.abs(c.ratio - q.ratio)
     worst_ratio = np.max(gap / np.maximum(q.err_estimate + c.err_estimate,
                                           1e-300))
     yield _below("mirror-oracle-grid", np.max(gap), 1e-6,
-                 f"|closed - quadrature| over {len(k0ds) * len(rers)} cells")
+                 f"|closed - quadrature| over {c.ratio.size} cells")
     yield _below("mirror-quad-err-conservative", worst_ratio, 1.0,
                  "actual route gap vs reported error estimates")
 
@@ -222,7 +218,7 @@ def _mirror_checks(quick: bool):
                  "|ratio - 1| within kernel envelope; ratio in [0, 2]")
 
 
-def _cavity_checks(quick: bool):
+def _cavity_checks():
     rs = np.linspace(-0.95, 0.95, 39)
     expect = (1.0 + rs) / (1.0 - rs)
     worst_id = np.max(np.abs(cavity_mod.interference_kernel(rs, 0.0) - expect)
@@ -238,8 +234,8 @@ def _cavity_checks(quick: bool):
                       measured=kmin, threshold=0.0,
                       detail="kernel minimum over random battery (must be > 0)")
 
-    rs = np.array(_ROUTE_R if not quick else (-0.5, 0.5))
-    k0ds = np.array(_ROUTE_K0D if not quick else (1.0, 10.0))
+    rs = np.array(_ROUTE_R)
+    k0ds = np.array(_ROUTE_K0D)
     q = cavity_mod.gamma_cavity_quadrature(rs[:, None], k0ds)
     s = cavity_mod.gamma_cavity_series(rs[:, None], k0ds)
     budget = np.maximum(q.err_estimate + s.err_estimate, 1e-12)
@@ -269,13 +265,12 @@ def _cavity_checks(quick: bool):
                  "r = +0.9, k0d = 0.1: truncation error within its own "
                  "next-order estimate")
 
-    rs = np.array(_OPTICAL_R if not quick else (-0.6, 0.6))
-    k0ds = _OPTICAL_K0D if not quick else (20.0 * math.pi,)
-    q = cavity_mod.gamma_cavity_quadrature(rs[:, None], k0ds)
+    q = cavity_mod.gamma_cavity_quadrature(np.array(_OPTICAL_R)[:, None],
+                                           _OPTICAL_K0D)
     yield _below("cavity-optical-asymptote", np.max(np.abs(q.ratio - 1.0)),
                  0.05, "free-space recovery at k0d in {20 pi, 50 pi}")
 
-    k0ds = (0.01, 0.05, 0.09) if not quick else (0.05,)
+    k0ds = (0.01, 0.05, 0.09)
     # rounding pins the center of the symmetric grid to exactly r = 0
     rs = np.round(np.linspace(-0.99, 0.99, 21), 12)
     ratio = cavity_mod.gamma_cavity_quadrature(rs[:, None], k0ds).ratio
@@ -291,7 +286,7 @@ def _cavity_checks(quick: bool):
                  "enhancement at r = 0.9, k0d = 0.01")
 
 
-def _dynamics_checks(quick: bool, seed: int):
+def _dynamics_checks(seed: int):
     params = dyn.ModelParams(g=1.0, kappa=20.0, gamma=1.0)
     run = dyn.evolve_jc(params, dyn.AtomCavityState.excited_vacuum(),
                         10.0, 5e-4)
@@ -343,7 +338,7 @@ def _dynamics_checks(quick: bool, seed: int):
                  "closed-form population and coherence at t = 1")
 
     grid = np.linspace(0.0, 3.0, 31)
-    n_traj = 300 if quick else 1000
+    n_traj = 1000
     ens = dyn.unravel_jumps(1.0, np.diag([0.0, 1.0]), n_traj, seed, grid)
     ana = np.exp(-grid)
     dev = np.abs(ens.excited_population - ana)
@@ -360,18 +355,16 @@ def _dynamics_checks(quick: bool, seed: int):
                       measured=0.0 if same else 1.0, threshold=0.0,
                       detail="identical seed reproduces identical ensemble")
 
-    if not quick:
-        small = dyn.unravel_jumps(1.0, np.diag([0.0, 1.0]), 500, seed, grid)
-        big = dyn.unravel_jumps(1.0, np.diag([0.0, 1.0]), 2000, seed, grid)
-        ratio = float(np.mean(big.stderr[1:] / small.stderr[1:]))
-        yield _below("jumps-stderr-scaling", abs(ratio - 0.5) / 0.5, 0.2,
-                     "quadrupling n_traj halves stderr")
+    small = dyn.unravel_jumps(1.0, np.diag([0.0, 1.0]), 500, seed, grid)
+    big = dyn.unravel_jumps(1.0, np.diag([0.0, 1.0]), 2000, seed, grid)
+    ratio = float(np.mean(big.stderr[1:] / small.stderr[1:]))
+    yield _below("jumps-stderr-scaling", abs(ratio - 0.5) / 0.5, 0.2,
+                 "quadrupling n_traj halves stderr")
 
     c = 0.01
     p_weak = dyn.ModelParams(g=1.0, kappa=100.0, gamma=1.0)
-    grid_w = (np.linspace(0.0, 5.0, 26) if quick
-              else np.linspace(0.0, 10.0, 51))
-    disc = dyn.model_discrepancy(p_weak, 1.0 * (1.0 + 2.0 * c), grid_w)
+    disc = dyn.model_discrepancy(p_weak, 1.0 * (1.0 + 2.0 * c),
+                                 np.linspace(0.0, 10.0, 51))
     yield _below("dynamics-discrepancy-weak", disc.max_abs, 0.02,
                  "two models agree at C = 0.01")
     disc0 = dyn.model_discrepancy(dyn.ModelParams(g=0.0, kappa=1.0,
@@ -379,15 +372,13 @@ def _dynamics_checks(quick: bool, seed: int):
                                   1.0, np.linspace(0.0, 5.0, 26))
     yield _below("dynamics-discrepancy-decoupled", disc0.max_abs, 1e-8,
                  "models coincide when g = 0")
-    if not quick:
-        p_strong = dyn.ModelParams(g=10.0, kappa=10.0, gamma=1.0)
-        disc2 = dyn.model_discrepancy(p_strong, 1.0,
-                                      np.linspace(0.0, 10.0, 51))
-        yield _above("dynamics-discrepancy-strong", disc2.max_abs, 0.1,
-                     "single rate misses Rabi oscillations at C = 10")
+    p_strong = dyn.ModelParams(g=10.0, kappa=10.0, gamma=1.0)
+    disc2 = dyn.model_discrepancy(p_strong, 1.0, np.linspace(0.0, 10.0, 51))
+    yield _above("dynamics-discrepancy-strong", disc2.max_abs, 0.1,
+                 "single rate misses Rabi oscillations at C = 10")
 
 
-def _csv_checks(quick: bool, seed: int):
+def _csv_checks(seed: int):
     from . import sweeps
 
     with tempfile.TemporaryDirectory(prefix="mirrorqed-validate-") as tmp:
@@ -420,7 +411,7 @@ def _csv_checks(quick: bool, seed: int):
                           detail="byte-identical reruns " + " ".join(details))
 
 
-def run_validation(quick: bool = False, fault_injection: float = 0.0,
+def run_validation(fault_injection: float = 0.0,
                    seed: int = 20260819) -> ValidationReport:
     """Run every check; returns the report (never raises on check failure).
 
@@ -436,15 +427,14 @@ def run_validation(quick: bool = False, fault_injection: float = 0.0,
     checks: list[CheckResult] = []
     timings: list[tuple[str, float]] = []
     try:
-        for group in (_geometry_checks(quick), _freespace_checks(quick),
-                      _f_kernel_checks(quick), _mirror_checks(quick),
-                      _cavity_checks(quick), _dynamics_checks(quick, seed),
-                      _csv_checks(quick, seed)):
+        for group in (_geometry_checks(), _freespace_checks(),
+                      _f_kernel_checks(), _mirror_checks(), _cavity_checks(),
+                      _dynamics_checks(seed), _csv_checks(seed)):
             start = time.perf_counter()
             checks.extend(group)
             timings.append((group.__name__.strip("_"),
                             time.perf_counter() - start))
     finally:
         kernels.f_kernel = original_f
-    return ValidationReport(checks=checks, timings=timings, quick=quick,
+    return ValidationReport(checks=checks, timings=timings,
                             fault_injection=fault_injection)

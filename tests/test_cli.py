@@ -467,6 +467,54 @@ def test_flag_text_gets_no_config_text_conventions(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+# the input-domain table: every numeric flag of every target, at each edge
+# value, given both as a flag and as a config line
+_RATE_KEYS = {"--r": "r", "--k0d": "k0d", "--d-over-lambda": "d_over_lambda0",
+              "--tol": "tol", "--max-evals": "max_evals", "--n-max": "n_max",
+              "--tail-tol": "tail_tol", "--seed": "seed"}
+_LINDBLAD_KEYS = {"--g": "g", "--kappa": "kappa", "--gamma": "gamma",
+                  "--gamma-cav": "gamma_cav", "--n-traj": "n_traj",
+                  "--seed": "seed"}
+_EDGE_VALUES = ("nan", "inf", "-inf", "-0", "5e-324", "1e308", "0", "-1", "1")
+_EDGE_TABLE = [
+    (target, flag, key, value)
+    for target, spec in sweeps.TARGETS.items()
+    for flag, key in (_RATE_KEYS if spec.routes else _LINDBLAD_KEYS).items()
+    for value in _EDGE_VALUES
+]
+
+
+def _finite_or_text(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return True
+
+
+@pytest.mark.parametrize("target,flag,key,value", _EDGE_TABLE)
+def test_input_domain_edge_keeps_the_exit_contract(tmp_path, capsys, target,
+                                                   flag, key, value):
+    cfg_file = tmp_path / "edge.cfg"
+    cfg_file.write_text(f"{key} = {value}\n", encoding="utf-8")
+    axis, grid = next((k, v) for k, v in sweeps.TARGETS[target].defaults.items()
+                      if isinstance(v, sweeps.Range))
+    extra = [] if axis == key else [f"--grid={grid.start!r}:{grid.stop!r}:3"]
+    out = tmp_path / "edge.csv"
+    for argv in ([target, f"{flag}={value}", *extra],
+                 [target, "--config", str(cfg_file), *extra]):
+        code = cli.main([*argv, f"--out={out}"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, err)
+        if code != 0:
+            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+        if code != 2:
+            _, header, rows = read_csv(str(out))
+            status = header.split(",").index("status")
+            for row in rows:
+                if row[status] == "ok":
+                    assert all(map(_finite_or_text, row)), (argv, row)
+
+
 class TestSweepCommands:
     def test_cavity_single_point(self, tmp_path, capsys):
         out = str(tmp_path / "c.csv")
@@ -648,13 +696,20 @@ class TestConfigPlumbing:
 
 class TestValidateCommand:
     def test_quick_passes(self, capsys):
+        # --quick is still accepted, and runs the same complete battery
         assert cli.main(["validate", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "FAIL" not in out
+        quick = capsys.readouterr().out.splitlines()
+        assert cli.main(["validate"]) == 0
+        full = capsys.readouterr().out.splitlines()
+        assert quick[0] == full[0] == "validation (43 checks)"
+        checks = [line for line in quick if line.startswith(("PASS", "FAIL"))]
+        assert len(checks) == 43
+        assert all(line.startswith("PASS") for line in checks)
+        assert checks == [line for line in full
+                          if line.startswith(("PASS", "FAIL"))]
 
     def test_injected_fault_caught(self, capsys):
-        assert cli.main(["validate", "--quick", "--inject-fault", "1e-3"]) == 1
+        assert cli.main(["validate", "--inject-fault", "1e-3"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
 
@@ -672,14 +727,14 @@ class TestValidateCommand:
                           "cavity-route-equivalence"}
 
     def test_timing_lines_are_not_check_lines(self, capsys):
-        assert cli.main(["validate", "--quick"]) == 0
+        assert cli.main(["validate"]) == 0
         lines = capsys.readouterr().out.splitlines()
         timed = [line for line in lines if line.startswith("time ")]
         assert len(timed) == 7
         assert not any(line.startswith(("PASS", "FAIL")) for line in timed)
 
     def test_negative_seed_is_usage_error(self, capsys):
-        assert cli.main(["validate", "--quick", "--seed", "-5"]) == 2
+        assert cli.main(["validate", "--seed", "-5"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "invalid parameters: seed must be >= 0, got -5\n"
@@ -692,10 +747,9 @@ class TestValidateCommand:
             return [line for line in capsys.readouterr().out.splitlines()
                     if line.startswith(("PASS", "FAIL"))]
 
-        default = [c.line() for c in validation.run_validation(
-            quick=True).checks]
-        assert check_lines(["validate", "--quick"]) == default
-        assert check_lines(["validate", "--quick", "--seed", "5"]) != default
+        default = [c.line() for c in validation.run_validation().checks]
+        assert check_lines(["validate"]) == default
+        assert check_lines(["validate", "--seed", "5"]) != default
 
 
 class TestTargetTable:

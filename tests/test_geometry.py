@@ -152,11 +152,13 @@ class TestSolidAngleIntegrate:
         assert err_one == pytest.approx(err_two, rel=1e-6)
 
     def test_phi_independent_column_counts_xi_nodes(self):
-        # tol below the roundoff floor never converges; levels of 64, 128,
-        # ... xi nodes run until 3000 are spent: 64 * (2**6 - 1) in all
+        # at tol = ERR_FLOOR only two levels that agree to rounding would
+        # converge, and these never do; levels of 64, 128, ... xi nodes
+        # run until 3000 are spent: 64 * (2**6 - 1) in all
         fn = lambda theta, phi: np.cos(40.0 * np.cos(theta))
         with pytest.raises(errors.NonConvergence) as exc:
-            geometry.solid_angle_integrate(fn, tol=1e-16, max_evals=3000)
+            geometry.solid_angle_integrate(fn, tol=geometry.ERR_FLOOR,
+                                          max_evals=3000)
         assert exc.value.n_evals == 64 * (2 ** 6 - 1)
 
     def test_invalid_arguments(self):
@@ -165,6 +167,8 @@ class TestSolidAngleIntegrate:
             geometry.solid_angle_integrate(fn, resolution=4)
         with pytest.raises(errors.InvalidParams):
             geometry.solid_angle_integrate(fn, tol=0.0)
+        with pytest.raises(errors.InvalidParams):
+            geometry.solid_angle_integrate(fn, tol=1e-16)
 
 
 def test_oscillation_nodes_scales_with_rate():

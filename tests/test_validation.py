@@ -6,42 +6,42 @@ from mirrorqed import gamma_mirror_closed, kernels, validation
 
 
 @pytest.fixture(scope="module")
-def quick_report():
-    return validation.run_validation(quick=True)
+def report():
+    return validation.run_validation()
 
 
 @pytest.fixture(scope="module")
 def fault_report():
-    return validation.run_validation(quick=True, fault_injection=1e-3)
+    return validation.run_validation(fault_injection=1e-3)
 
 
 class TestCleanRun:
-    def test_all_checks_pass(self, quick_report):
-        failed = [c.name for c in quick_report.checks if not c.passed]
+    def test_all_checks_pass(self, report):
+        failed = [c.name for c in report.checks if not c.passed]
         assert failed == []
-        assert quick_report.passed
-        assert quick_report.n_failed == 0
+        assert report.passed
+        assert report.n_failed == 0
 
-    def test_report_is_nonempty_and_timed(self, quick_report):
-        assert len(quick_report.checks) >= 25
-        assert quick_report.quick
-        assert 0.0 < quick_report.elapsed_seconds < 30.0
+    def test_report_is_nonempty_and_timed(self, report):
+        assert len(report.checks) >= 25
+        assert 0.0 < report.elapsed_seconds < 30.0
 
-    def test_check_names_unique(self, quick_report):
-        names = [c.name for c in quick_report.checks]
+    def test_check_names_unique(self, report):
+        names = [c.name for c in report.checks]
         assert len(names) == len(set(names))
 
-    def test_summary_lines(self, quick_report):
-        text = quick_report.summary()
-        assert text.count("PASS") >= len(quick_report.checks)
+    def test_summary_lines(self, report):
+        text = report.summary()
+        assert text.splitlines()[0] == "validation (43 checks)"
+        assert text.count("PASS") >= len(report.checks)
         assert "FAIL" not in text
-        for check in quick_report.checks:
+        for check in report.checks:
             assert check.line().startswith("PASS")
 
-    def test_deterministic_given_seed(self, quick_report):
-        again = validation.run_validation(quick=True)
+    def test_deterministic_given_seed(self, report):
+        again = validation.run_validation()
         assert [c.measured for c in again.checks] == [
-            c.measured for c in quick_report.checks
+            c.measured for c in report.checks
         ]
 
 
@@ -50,13 +50,7 @@ class TestBatteryShape:
 
     WEIGHT_CHECKS = {"geometry-weight-completeness", "geometry-phi-average"}
 
-    def test_quick_battery_has_41_checks(self, quick_report):
-        names = {c.name for c in quick_report.checks}
-        assert len(quick_report.checks) == 41
-        assert self.WEIGHT_CHECKS <= names
-
-    def test_full_battery_has_43_checks(self):
-        report = validation.run_validation()
+    def test_full_battery_has_43_checks(self, report):
         names = {c.name for c in report.checks}
         assert report.passed
         assert len(report.checks) == 43
