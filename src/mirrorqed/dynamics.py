@@ -60,6 +60,9 @@ _STABILITY_CAP = 0.1
 #: Jump trajectories drawn at a time: one block's draws and temporaries
 #: take about 1 MB, and only jump_times (8 B per trajectory) is whole.
 _TRAJ_BLOCK = 1 << 14
+#: Rows of the record one product of evolve_jc's doubling fill writes:
+#: a larger product grows BLAS's work buffers, not the speed.
+_FILL_BLOCK = 1 << 10
 # model_discrepancy's rounding bound 16 eps (1 + |Re w| t) reaches 4e-6 here
 _MAX_PHASE = 1e9
 
@@ -252,6 +255,13 @@ class JCTrajectory:
     vec(rho)) at times[t]; every other entry of rho is exactly 0 at every
     time (see evolve_jc). support is sorted and closed under transpose,
     so entry (i, j) is recorded whenever (j, i) is.
+
+    The observables read states one column at a time: the populations
+    from the reached diagonal columns, hermiticity_error from each pair
+    of mirrored columns (k, mirror[k]). Their temporaries take a few
+    arrays of length T, whatever dim is. populations and rhos build the
+    dense (T, dim) and (T, dim, dim) arrays on every read; no observable
+    uses them.
     """
 
     times: np.ndarray
@@ -271,32 +281,48 @@ class JCTrajectory:
         out[:, self.support] = self.states
         return out.reshape(-1, dim, dim)
 
-    def _population(self, level: int) -> np.ndarray:
-        """Population of one basis level per time; 0 if never reached."""
-        flat = level * (self.dim + 1)
-        k = int(np.searchsorted(self.support, flat))
-        if k < self.support.size and self.support[k] == flat:
-            return self.states[:, k].real
-        return np.zeros(self.times.size)
+    def _diagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reached levels, in order, and the columns of their populations."""
+        row, col = np.divmod(self.support, self.dim)
+        cols = np.flatnonzero(row == col)
+        return row[cols], cols
+
+    def _diagonal_sum(self, weights: np.ndarray) -> np.ndarray:
+        """sum over levels of weights[level] * population, per time."""
+        total = np.zeros(self.times.size)
+        for level, k in zip(*self._diagonal()):
+            if weights[level]:
+                total += weights[level] * self.states[:, k].real
+        return total
 
     @property
     def populations(self) -> np.ndarray:
         """Diagonal of rho per time, shape (T, dim)."""
-        pops = np.empty((self.times.size, self.dim))
-        for level in range(self.dim):
-            pops[:, level] = self._population(level)
+        pops = np.zeros((self.times.size, self.dim))
+        levels, cols = self._diagonal()
+        pops[:, levels] = self.states[:, cols].real
         return pops
 
     @property
+    def population_bounds(self) -> tuple[float, float]:
+        """Least and largest population of any level at any time.
+
+        A level that is never reached holds population 0 throughout.
+        """
+        levels, cols = self._diagonal()
+        columns = [self.states[:, k].real for k in cols]
+        unreached = [0.0] if levels.size < self.dim else []
+        return (float(np.min([c.min() for c in columns] + unreached)),
+                float(np.max([c.max() for c in columns] + unreached)))
+
+    @property
     def excited_population(self) -> np.ndarray:
-        n1 = self.n_fock + 1
-        return self.populations[:, n1:].sum(axis=1)
+        return self._diagonal_sum(np.repeat([0.0, 1.0], self.n_fock + 1))
 
     @property
     def photon_number(self) -> np.ndarray:
-        n1 = self.n_fock + 1
-        weights = np.tile(np.arange(n1, dtype=float), 2)
-        return self.populations @ weights
+        return self._diagonal_sum(
+            np.tile(np.arange(self.n_fock + 1, dtype=float), 2))
 
     @property
     def excitation_number(self) -> np.ndarray:
@@ -304,7 +330,7 @@ class JCTrajectory:
 
     @property
     def trace_error(self) -> float:
-        traces = self.populations.sum(axis=1)
+        traces = self._diagonal_sum(np.ones(self.dim))
         return float(np.max(np.abs(traces - 1.0)))
 
     @property
@@ -312,15 +338,17 @@ class JCTrajectory:
         dim = self.dim
         row, col = np.divmod(self.support, dim)
         mirror = np.searchsorted(self.support, col * dim + row)
-        return float(np.max(np.abs(self.states
-                                   - self.states[:, mirror].conj())))
+        # |a - conj(b)| = |b - conj(a)|: one column of each pair suffices
+        return float(np.max([
+            np.max(np.abs(self.states[:, k] - self.states[:, m].conj()))
+            for k, m in enumerate(mirror) if k <= m]))
 
     @property
     def top_fock_max(self) -> float:
         """Largest population ever seen in the highest Fock level."""
-        n1 = self.n_fock + 1
-        return float(np.max(self._population(n1 - 1)
-                            + self._population(2 * n1 - 1)))
+        top = np.zeros(self.dim)
+        top[[self.n_fock, -1]] = 1.0
+        return float(np.max(self._diagonal_sum(top)))
 
 
 def _reachable(params: ModelParams, n_fock: int,
@@ -353,7 +381,12 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
     memory goes as dim^2 times the number of entries, not as dim^4. The
     exact propagator P = exp(L h) on those entries is built once, and
     the record is filled by doubling: rows m..2m-1 are rows 0..m-1 times
-    P^m, then P^m is squared, so n steps take log2(n) matrix products.
+    P^m, then P^m is squared, so n steps take log2(n) doublings. Each
+    doubling's rows are split into equal blocks of at most _FILL_BLOCK
+    (1,024), one matrix product each, so BLAS's work buffers stay small.
+    A product computes each row on its own, so the record has the bits
+    one product per doubling gives; no block has one row unless the
+    doubling has, as numpy's one-row product (gemv) rounds differently.
     dt sets only the spacing of the record, not the accuracy. The
     spacing must satisfy dt * max(g, kappa, gamma) < 0.1 (StepTooLarge
     otherwise) so the record resolves the fastest rate; the actual
@@ -382,7 +415,11 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
     done = 1
     while done <= n_steps:
         take = min(done, n_steps + 1 - done)
-        np.matmul(out[:take], prop_t, out=out[done:done + take])
+        # equal blocks: none has a single row unless take is 1
+        parts = -(-take // _FILL_BLOCK)
+        edges = [take * i // parts for i in range(parts + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            np.matmul(out[lo:hi], prop_t, out=out[done + lo:done + hi])
         done += take
         prop_t = prop_t @ prop_t
     traj = JCTrajectory(times=h * np.arange(n_steps + 1),
@@ -429,8 +466,10 @@ def evolve_single_rate(gamma_cav: float, rho_atom0,
         times = np.linspace(0.0, float(t_final), 101)
     else:
         times = _time_grid(t_final, "time grid")
-    decay = np.exp(-gamma_cav * times)
-    half = np.exp(-0.5 * gamma_cav * times)
+    # gamma_cav t overflows only where both exponentials are 0 anyway
+    with np.errstate(over="ignore"):
+        decay = np.exp(-gamma_cav * times)
+        half = np.exp(-0.5 * gamma_cav * times)
     rhos = np.empty((times.size, 2, 2), dtype=complex)
     rhos[:, 1, 1] = rho0[1, 1].real * decay
     rhos[:, 0, 0] = 1.0 - rhos[:, 1, 1]
@@ -665,12 +704,24 @@ def model_discrepancy(params: ModelParams, gamma_cav: float,
 
 
 def fit_decay_rate(times, pops, t_min: float, t_max: float) -> float:
-    """Decay rate from a straight-line fit to log population on a window."""
+    """Decay rate from a straight-line fit to log population on a window.
+
+    The samples with t_min <= t <= t_max and positive population enter a
+    least-squares line through (t, log pop); the rate is minus its slope,
+    in closed form on centred times: -sum(dt dy) / sum(dt^2), with dt and
+    dy the deviations from the window's means. InvalidParams if fewer
+    than two samples, or fewer than two distinct times, are in the window.
+    """
     times = np.asarray(times, dtype=float)
     pops = np.asarray(pops, dtype=float)
     mask = (times >= t_min) & (times <= t_max) & (pops > 0.0)
     if int(mask.sum()) < 2:
         raise InvalidParams(
             "decay-rate fit needs at least two positive samples in window")
-    slope = np.polyfit(times[mask], np.log(pops[mask]), 1)[0]
-    return -float(slope)
+    dt = times[mask] - times[mask].mean()
+    spread = float(np.dot(dt, dt))
+    if not spread > 0.0:
+        raise InvalidParams(
+            "decay-rate fit needs two distinct times in the window")
+    log_pops = np.log(pops[mask])
+    return -float(np.dot(dt, log_pops - log_pops.mean())) / spread

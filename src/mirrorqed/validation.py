@@ -294,10 +294,9 @@ def _dynamics_checks(seed: int):
                  "10/gamma run, dt = 5e-4")
     yield _below("dynamics-hermiticity", run.hermiticity_error, 1e-10,
                  "same run")
-    pops = run.populations
+    low, high = run.population_bounds
     # 0.0 first, so a minimum of 0.0 reports +0.0 rather than -0.0
-    bound_violation = max(0.0, float(-np.min(pops)),
-                          float(np.max(pops) - 1.0))
+    bound_violation = max(0.0, -low, high - 1.0)
     yield _below("dynamics-population-bounds", bound_violation, 1e-9,
                  "diagonal entries within [0, 1]")
     yield _below("dynamics-top-fock-occupation", run.top_fock_max, 1e-8,

@@ -232,6 +232,65 @@ class TestReachableSupport:
         # the dense (T, 144) complex record alone would take 46 MB
         assert peak <= 5e6
 
+    def test_observables_of_the_validate_run_read_no_dense_history(self):
+        traj = dynamics.evolve_jc(
+            params_weak(), dynamics.AtomCavityState.excited_vacuum(),
+            t_final=10.0, dt=5e-4)
+        tracemalloc.start()
+        try:
+            values = (traj.trace_error, traj.hermiticity_error,
+                      traj.excited_population, traj.photon_number,
+                      traj.top_fock_max, traj.population_bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == 6
+        # one (T, 12) float array of the populations alone takes 1.9 MB
+        assert peak <= 1e6
+
+    @pytest.mark.parametrize("state, tol", [
+        ("mixed", 1e-15),
+        ("excited", 0.0),
+    ])
+    def test_observables_match_the_dense_formulas(self, state, tol):
+        st = (mixed_multi_sector_state() if state == "mixed"
+              else dynamics.AtomCavityState.excited_vacuum())
+        traj = dynamics.evolve_jc(self.params, st, t_final=2.0, dt=0.01)
+        rhos = traj.rhos
+        pops = np.einsum("tii->ti", rhos).real
+        n1 = traj.n_fock + 1
+        dense = {
+            "excited_population": pops[:, n1:].sum(axis=1),
+            "photon_number": pops @ np.tile(np.arange(n1, dtype=float), 2),
+            "trace_error": np.max(np.abs(pops.sum(axis=1) - 1.0)),
+            "hermiticity_error": np.max(np.abs(
+                rhos - rhos.conj().transpose(0, 2, 1))),
+            "top_fock_max": np.max(pops[:, n1 - 1] + pops[:, -1]),
+            "population_bounds": (pops.min(), pops.max()),
+        }
+        dense["excitation_number"] = (dense["excited_population"]
+                                      + dense["photon_number"])
+        for name, want in dense.items():
+            got = np.asarray(getattr(traj, name))
+            assert np.max(np.abs(got - want)) <= tol, name
+
+    @pytest.mark.parametrize("t_final, dt", [
+        (10.0, 5e-4),      # the validate run: the last doubling has 3,617 rows
+        (3.072, 1e-3),     # a doubling of 1,025 rows
+        (7.777, 1e-3),
+    ])
+    def test_blocked_fill_equals_one_product_per_doubling(self, monkeypatch,
+                                                          t_final, dt):
+        for st in (dynamics.AtomCavityState.excited_vacuum(),
+                   mixed_multi_sector_state()):
+            blocked = dynamics.evolve_jc(self.params, st, t_final, dt)
+            n_steps = blocked.times.size - 1
+            assert n_steps > 2 * dynamics._FILL_BLOCK
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_FILL_BLOCK", n_steps)
+                whole = dynamics.evolve_jc(self.params, st, t_final, dt)
+            assert blocked.states.tobytes() == whole.states.tobytes()
+
 
     @pytest.mark.parametrize("n_fock", [5, 15])
     def test_support_and_block_match_the_dense_liouvillian(self, n_fock):
@@ -290,6 +349,15 @@ class TestSingleRate:
         traj = dynamics.evolve_single_rate(0.8, rho0, np.linspace(0.0, 2.0, 9))
         traces = np.einsum("tii->t", traj.rhos).real
         np.testing.assert_allclose(traces, 1.0, atol=1e-14)
+
+    def test_overflowing_rate_decays_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = dynamics.evolve_single_rate(1e308, np.diag([0.0, 1.0]),
+                                               3.0)
+        assert traj.excited_population[0] == 1.0
+        assert traj.excited_population[1:].tolist() == [0.0] * 100
+        assert traj.rhos[1:, 0, 0].real.tolist() == [1.0] * 100
 
     def test_zero_rate_is_frozen(self):
         traj = dynamics.evolve_single_rate(0.0, np.diag([0.2, 0.8]), 2.0)
@@ -601,3 +669,24 @@ class TestFitDecayRate:
         pops = np.exp(-t)
         with pytest.raises(errors.InvalidParams):
             dynamics.fit_decay_rate(t, pops, 9.0, 10.0)
+
+    def test_window_without_spread_rejected(self):
+        with pytest.raises(errors.InvalidParams, match="two distinct times"):
+            dynamics.fit_decay_rate(np.array([2.0, 2.0]),
+                                    np.array([0.5, 0.25]), 1.0, 3.0)
+
+    def test_closed_form_matches_polyfit(self):
+        from . import oracles
+
+        traj = dynamics.evolve_jc(
+            params_weak(), dynamics.AtomCavityState.excited_vacuum(),
+            t_final=10.0, dt=5e-4)
+        rng = np.random.default_rng(12)
+        t = np.sort(rng.uniform(0.0, 8.0, 400))
+        noisy = 0.8 * np.exp(-0.9 * t + rng.normal(scale=0.05, size=t.size))
+        for times, pops, lo, hi in ((traj.times, traj.excited_population,
+                                     1.0, 6.0),
+                                    (t, noisy, 0.5, 7.5)):
+            got = dynamics.fit_decay_rate(times, pops, lo, hi)
+            want = oracles.fit_log_slope(times, pops, lo, hi)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
