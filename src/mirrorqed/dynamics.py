@@ -709,8 +709,10 @@ def fit_decay_rate(times, pops, t_min: float, t_max: float) -> float:
     The samples with t_min <= t <= t_max and positive population enter a
     least-squares line through (t, log pop); the rate is minus its slope,
     in closed form on centred times: -sum(dt dy) / sum(dt^2), with dt and
-    dy the deviations from the window's means. InvalidParams if fewer
-    than two samples, or fewer than two distinct times, are in the window.
+    dy the deviations from the window's means. The sums are numpy's
+    pairwise sums, not BLAS dot products, whose rounding and speed depend
+    on the thread count. InvalidParams if fewer than two samples, or
+    fewer than two distinct times, are in the window.
     """
     times = np.asarray(times, dtype=float)
     pops = np.asarray(pops, dtype=float)
@@ -719,9 +721,9 @@ def fit_decay_rate(times, pops, t_min: float, t_max: float) -> float:
         raise InvalidParams(
             "decay-rate fit needs at least two positive samples in window")
     dt = times[mask] - times[mask].mean()
-    spread = float(np.dot(dt, dt))
+    spread = float(np.sum(dt * dt))
     if not spread > 0.0:
         raise InvalidParams(
             "decay-rate fit needs two distinct times in the window")
     log_pops = np.log(pops[mask])
-    return -float(np.dot(dt, log_pops - log_pops.mean())) / spread
+    return -float(np.sum(dt * (log_pops - log_pops.mean()))) / spread

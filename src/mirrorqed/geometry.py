@@ -24,19 +24,19 @@ azimuthal mean has the closed form phi_mean_weight,
     (1 / 2 pi) int dphi (w_H + w_V)
         = [(1 + xi^2)(1 - d_x^2) + 2 d_x^2 (1 - xi^2)] / 2,
 
-so an integrand whose other factors depend on xi = cos theta alone needs
-no phi quadrature at all.
+so every rate integrand, whose other factors depend on xi = cos theta
+alone, needs no phi quadrature at all.
 
 The quadrature engine integrates smooth (possibly oscillatory) functions
-over the full solid angle with a product rule: composite 16-point
-Gauss-Legendre panels in xi = cos theta (the substitution absorbs the
-sin theta Jacobian) crossed with a uniform trapezoid in phi, which is
-spectrally accurate for the periodic integrands that occur here. An
-integrand that does not depend on phi may return a (n_xi, 1) array, which
-the engine reads as constant along phi, so it costs one evaluation per xi
-node; the evaluation budget max_evals counts returned values. Panels
-are doubled until two levels agree, and callers integrating sharply
-peaked kernels can pass breakpoints so panel edges land on the peaks.
+of theta over the full solid angle: composite 16-point Gauss-Legendre
+panels in xi = cos theta (the substitution absorbs the sin theta
+Jacobian), times 2 pi for the phi integral. Integrands keep a
+(theta, phi) call shape but are always called with phi = None, so one
+that depends on phi fails loudly instead of being integrated wrongly.
+Panels are doubled until two levels agree; each level is evaluated and
+summed in fixed blocks of panels, without BLAS. Callers integrating
+sharply peaked kernels can pass breakpoints so panel edges land on the
+peaks.
 """
 
 from __future__ import annotations
@@ -170,11 +170,13 @@ _GL_WEIGHTS = np.array([
     0.027152459411754176])
 
 _MAX_LEVELS = 16
-_PHI_CAP = 256
-_N_PHI_FIRST = 16
-# Integrand evaluations one xi panel costs on the first level when the
-# integrand depends on phi: the 2-D worst case the first-level gates price.
-_EVALS_PER_PANEL = _GL_NODES.size * _N_PHI_FIRST
+# Panels evaluated and summed at once (16,384 nodes), as sweeps._BLOCK_ROWS.
+_BLOCK_PANELS = 1024
+# Integrand evaluations the first-level gates price per panel: 16 xi by
+# 16 phi nodes, the panel of the former 2-D rule. A panel costs 16 now;
+# the price stays until it is re-measured, because repricing changes
+# which cells the gates refuse.
+_EVALS_PER_PANEL = 256
 #: Roundoff floor on the reported error estimate, relative to max(1, |I|);
 #: no smaller tol can converge.
 ERR_FLOOR = 4e-16
@@ -195,10 +197,10 @@ def first_level_panels(resolution: int,
 
     This is the first budget gate of solid_angle_integrate, priced in
     integer arithmetic before anything is allocated: each panel counts
-    its 2-D worst case of 16 xi nodes by 16 phi nodes. A caller that
-    does O(resolution) work of its own before integrating (the cavity's
-    peak breakpoints) calls it first. The default budget is the one
-    every quadrature route takes, DEFAULT_MAX_EVALS.
+    _EVALS_PER_PANEL = 256 evaluations, 16 times its 16 nodes. A caller
+    that does O(resolution) work of its own before integrating (the
+    cavity's peak breakpoints) calls it first. The default budget is the
+    one every quadrature route takes, DEFAULT_MAX_EVALS.
 
     >>> first_level_panels(64)
     4
@@ -224,24 +226,23 @@ def first_level_panels(resolution: int,
 def solid_angle_integrate(integrand, resolution: int = 64,
                           tol: float = DEFAULT_TOL, xi_breakpoints=None,
                           max_evals: int = DEFAULT_MAX_EVALS):
-    """Integrate a function over the unit sphere, sin(theta) weight included.
+    """Integrate a function of theta over the unit sphere.
 
-    Evaluates ``int_0^pi dtheta sin(theta) int_0^{2 pi} dphi
-    integrand(theta, phi)`` by composite Gauss-Legendre panels in
-    xi = cos(theta) crossed with a periodic trapezoid in phi, doubling
-    the panel count (and the phi nodes, up to a cap) until two successive
-    levels agree to ``tol`` relative to max(1, |I|). The phi sum is
-    divided by the phi length of the returned array, so an integrand
-    that ignores phi and returns a (n_xi, 1) array is integrated with one
-    evaluation per xi node.
+    Evaluates ``2 pi int_0^pi dtheta sin(theta) integrand(theta, None)``
+    by composite Gauss-Legendre panels in xi = cos(theta), doubling the
+    panel count until two successive levels agree to ``tol`` relative to
+    max(1, |I|). Each level is evaluated in blocks of 1,024 panels
+    (16,384 nodes), each block is summed by numpy's pairwise sum, and the
+    block sums are added in panel order, so the value does not depend on
+    the BLAS thread count.
 
     Parameters
     ----------
     integrand : callable
-        Vectorized function of broadcast arrays (theta, phi), shaped
-        (n_xi, 1) and (1, n_phi), returning float or complex values of
-        shape (n_xi, n_phi), or (n_xi, 1) when it does not depend on phi;
-        must be finite on the open domain.
+        Vectorized function ``integrand(theta, phi)``, called with a 1-D
+        array theta and phi = None; returns float or complex values of
+        theta's shape, finite on the open domain. A function of phi is
+        not supported: integrate its phi mean (phi_mean_weight) instead.
     resolution : int
         Node-count hint for the xi axis at the first level; raise it for
         oscillatory integrands (see oscillation_nodes). Must be >= 8.
@@ -251,16 +252,16 @@ def solid_angle_integrate(integrand, resolution: int = 64,
         Points in (-1, 1) that panel edges should land on, e.g. locations
         and graded neighborhoods of sharp kernel peaks.
     max_evals : int
-        Budget of integrand evaluations across all levels, counted as
-        returned values: one per xi node for a phi-independent integrand.
-        A first level that could exceed the budget, counting each panel
-        at its 2-D worst case, is refused before it is allocated, in two
-        gates: the uniform panels that ``resolution`` asks for are priced
-        by first_level_panels before any edge is built, then the panels
-        the breakpoints add are priced before any node is. A
+        Budget of integrand evaluations across all levels, one per xi
+        node. A first level that could exceed the budget, each panel
+        priced at _EVALS_PER_PANEL, is refused before it is allocated, in
+        two gates: the uniform panels that ``resolution`` asks for are
+        priced by first_level_panels before any edge is built, then the
+        panels the breakpoints add are priced before any node is. A
         refinement level starts only while the evaluations already made
-        are below the budget. A refinement level is at most four times
-        the one before, so no level exceeds 4 * max_evals evaluations.
+        are below the budget. A refinement level is at most twice the one
+        before, and only its panel edges, not its nodes, are allocated
+        whole.
 
     Returns
     -------
@@ -294,7 +295,6 @@ def solid_angle_integrate(integrand, resolution: int = 64,
             keep = np.concatenate([[True], np.diff(edges) > 1e-12])
             edges = edges[keep]
 
-    n_phi = _N_PHI_FIRST
     prev = None
     value = None
     err = math.inf
@@ -303,14 +303,14 @@ def solid_angle_integrate(integrand, resolution: int = 64,
     # xi nodes a panel
     first_level_panels(16 * (edges.size - 1), max_evals)
     for _ in range(_MAX_LEVELS):
-        xi, w = _panel_points(edges)
-        theta = np.arccos(np.clip(xi, -1.0, 1.0))
-        phi = (_TWO_PI / n_phi) * np.arange(n_phi)
-        vals = np.asarray(integrand(theta[:, None], phi[None, :]))
-        evals += vals.size
-        # a (n_xi, 1) integrand is constant along phi
-        n_cols = vals.shape[1]
-        value = complex((_TWO_PI / n_cols) * np.dot(w, vals.sum(axis=1)))
+        total = 0j
+        for lo in range(0, edges.size - 1, _BLOCK_PANELS):
+            xi, w = _panel_points(edges[lo:lo + _BLOCK_PANELS + 1])
+            theta = np.arccos(np.clip(xi, -1.0, 1.0))
+            vals = np.broadcast_to(integrand(theta, None), theta.shape)
+            evals += vals.size
+            total += complex(np.sum(w * vals))
+        value = _TWO_PI * total
         if prev is not None:
             diff = abs(value - prev)
             err = max(2.0 * diff, ERR_FLOOR * max(1.0, abs(value)))
@@ -323,7 +323,6 @@ def solid_angle_integrate(integrand, resolution: int = 64,
                 f"two-level agreement at tol={tol:g} (err~{err:.3g})",
                 value=value, err_estimate=err, n_evals=evals)
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
-        n_phi = min(2 * n_phi, _PHI_CAP)
     raise NonConvergence(
         f"solid-angle quadrature: no convergence after {_MAX_LEVELS} levels "
         f"({evals} evaluations, err~{err:.3g})",

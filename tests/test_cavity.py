@@ -8,6 +8,9 @@ oracle.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -60,12 +63,13 @@ REFERENCE_DIPOLES = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -0.4, 0.5)]
 
 
 def rerun_over_2d_weight(monkeypatch, dhat, factor, route):
-    """Run ``route`` and redo its engine call over the full (theta, phi) grid.
+    """Run ``route`` and redo its engine call over the full 2-D weight.
 
-    The redo integrates transverse_weight_sum(dhat, theta, phi) *
-    factor(cos theta) with the resolution, breakpoints, tolerance and
-    budget the route passed to the engine. Returns the route's result and
-    the real part of the 2-D integral.
+    The redo integrates the 16-node phi mean of
+    transverse_weight_sum(dhat, theta, phi), exact for this degree-2
+    trigonometric weight, times factor(cos theta), with the resolution,
+    breakpoints, tolerance and budget the route passed to the engine.
+    Returns the route's result and the real part of the redone integral.
     """
     engine = geometry.solid_angle_integrate
     calls = []
@@ -77,9 +81,11 @@ def rerun_over_2d_weight(monkeypatch, dhat, factor, route):
     monkeypatch.setattr(geometry, "solid_angle_integrate", spy)
     result = route()
     (kwargs,) = calls
+    phis = (math.pi / 8) * np.arange(16)
     value, _ = engine(
-        lambda theta, phi: (geometry.transverse_weight_sum(dhat, theta, phi)
-                            * factor(np.cos(theta))), **kwargs)
+        lambda theta, phi: (
+            geometry.transverse_weight_sum(dhat, theta[:, None], phis)
+            .mean(axis=1) * factor(np.cos(theta))), **kwargs)
     return result, value.real
 
 
@@ -159,6 +165,21 @@ class TestQuadrature:
         res = gamma_cavity_quadrature(r, k0d)
         assert res.ratio == pytest.approx(expected, rel=1e-9)
         assert abs(res.ratio - expected) <= max(res.err_estimate, 1e-9 * expected)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot product of more than 10,000 elements
+        # across threads and rounds differently; this cell's level sums
+        # are longer than that
+        code = ("import math; from mirrorqed import gamma_cavity_quadrature; "
+                "print(gamma_cavity_quadrature(0.8, 50 * math.pi).ratio.hex())")
+        bits = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, timeout=60,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")}
+        assert len(bits) == 1, bits
 
     def test_r_zero_is_free_space(self):
         res = gamma_cavity_quadrature(0.0, 3.7)

@@ -354,6 +354,22 @@ def test_huge_mirror_quadrature_refused_before_allocation(tmp_path, k0d):
     assert wall < 2.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["mirror", "--method", "quadrature", "--k0d", "1e5", "--tol", "4e-16"],
+    ["cavity", "--method", "quadrature", "--r", "0.999", "--k0d", "3000",
+     "--tol", "4e-16"],
+])
+def test_quadrature_level_memory_is_bounded(tmp_path, argv):
+    # a tolerance at the error floor runs the whole budget; allocating
+    # each refinement level whole once ran out of memory under the cap
+    proc, _ = _run_capped(tmp_path, argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+    assert [row["status"] for row in _edge_rows(tmp_path)] == [
+        "NonConvergence"]
+
+
 def test_max_evals_above_its_default_refused(tmp_path):
     # a budget of 1e30 once let a 7.45 GiB first level past both gates
     proc, wall = _run_capped(

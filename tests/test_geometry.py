@@ -85,20 +85,25 @@ class TestSolidAngleIntegrate:
                               weights.view(np.int64))
 
     def test_constant_integrand_gives_4pi(self):
-        # integrands must broadcast over both angle arrays
-        fn = lambda theta, phi: np.ones(np.broadcast(theta, phi).shape)
+        fn = lambda theta, phi: np.ones_like(theta)
         val, err = geometry.solid_angle_integrate(fn)
         assert val.real == pytest.approx(4.0 * math.pi, abs=1e-12)
         assert abs(val.imag) < 1e-12
         assert err < 1e-9
 
     def test_transverse_weight_gives_8pi_over_3(self):
+        # the engine integrates the weight's closed phi mean; the 2-D
+        # weight itself is checked by the independent trapezoid
         dhat = geometry.DipoleOrientation(vec=np.array([0.0, 0.0, 1.0]))
         val, err = geometry.solid_angle_integrate(
-            lambda theta, phi: geometry.transverse_weight_sum(dhat, theta, phi)
+            lambda theta, phi: geometry.phi_mean_weight(dhat, np.cos(theta))
         )
         assert val.real == pytest.approx(8.0 * math.pi / 3.0, abs=1e-11)
         assert err < 1e-9
+        two_d, _ = oracles.sphere_integral_refined(
+            lambda theta, phi: geometry.transverse_weight_sum(dhat, theta, phi),
+            tol=1e-10)
+        assert two_d.real == pytest.approx(8.0 * math.pi / 3.0, abs=1e-10)
 
     def test_weighted_plane_wave_matches_sinc_family(self):
         # weight * exp(-2j*k0d*cos(theta)) integrates to 4*pi times the
@@ -106,50 +111,68 @@ class TestSolidAngleIntegrate:
         f_2pi = 0.02533029591058437
         dhat = geometry.DipoleOrientation(vec=np.array([0.0, 0.0, 1.0]))
         fn = lambda theta, phi: np.exp(-2j * math.pi * np.cos(theta)) * (
-            geometry.transverse_weight_sum(dhat, theta, phi)
+            geometry.phi_mean_weight(dhat, np.cos(theta))
         )
         val, err = geometry.solid_angle_integrate(fn)
         assert val.real == pytest.approx(4.0 * math.pi * f_2pi, abs=1e-10)
         assert abs(val.imag) < 1e-10
         assert err < 1e-8
+        two_d, _ = oracles.sphere_integral_refined(
+            lambda theta, phi: np.exp(-2j * math.pi * np.cos(theta))
+            * geometry.transverse_weight_sum(dhat, theta, phi), tol=1e-10)
+        assert two_d.real == pytest.approx(4.0 * math.pi * f_2pi, abs=1e-10)
 
     def test_bare_plane_wave_is_sinc(self):
         # without the weight the sphere integral is 4*pi*sin(a)/a at a = 2*k0d
         a = 1.4
-        fn = lambda theta, phi: np.exp(-1j * a * np.cos(theta)) + 0.0 * phi
+        fn = lambda theta, phi: np.exp(-1j * a * np.cos(theta))
         val, _ = geometry.solid_angle_integrate(fn)
         assert val.real == pytest.approx(4.0 * math.pi * math.sin(a) / a, abs=1e-10)
 
     def test_breakpoints_do_not_change_smooth_result(self):
-        fn = lambda theta, phi: np.cos(theta) ** 2 + 0.0 * phi
+        fn = lambda theta, phi: np.cos(theta) ** 2
         plain, _ = geometry.solid_angle_integrate(fn)
         split, _ = geometry.solid_angle_integrate(fn, xi_breakpoints=[-0.4, 0.0, 0.7])
         assert plain.real == pytest.approx(4.0 * math.pi / 3.0, abs=1e-11)
         assert split.real == pytest.approx(plain.real, abs=1e-11)
 
     def test_breakpoints_outside_open_interval_ignored(self):
-        fn = lambda theta, phi: np.sin(theta) + 0.0 * phi
+        fn = lambda theta, phi: np.sin(theta)
         val, _ = geometry.solid_angle_integrate(fn, xi_breakpoints=[-1.0, 1.0, 2.5])
         ref, _ = geometry.solid_angle_integrate(fn)
         assert val.real == pytest.approx(ref.real, abs=1e-11)
 
     def test_nonconvergence_carries_partial_result(self):
-        fn = lambda theta, phi: np.cos(40.0 * np.cos(theta)) * np.cos(6 * phi) ** 2
+        fn = lambda theta, phi: np.cos(1000.0 * np.cos(theta))
         with pytest.raises(errors.NonConvergence) as exc:
             geometry.solid_angle_integrate(fn, tol=1e-15, max_evals=3000)
         assert exc.value.n_evals >= 3000
         assert np.isfinite(exc.value.err_estimate)
         assert exc.value.value is not None
 
-    def test_phi_independent_column_matches_broadcast_grid(self):
-        column = lambda theta, phi: (np.exp(-1.3j * np.cos(theta))
-                                     * (1.0 + np.cos(theta) ** 2))
-        grid = lambda theta, phi: np.broadcast_to(
-            column(theta, phi), np.broadcast(theta, phi).shape)
-        one, err_one = geometry.solid_angle_integrate(column)
-        two, err_two = geometry.solid_angle_integrate(grid)
-        assert abs(one - two) <= 1e-15 * abs(two)
-        assert err_one == pytest.approx(err_two, rel=1e-6)
+    def test_integrand_gets_no_phi(self):
+        # a phi-dependent integrand fails loudly instead of being
+        # integrated as if it were constant in phi
+        with pytest.raises(TypeError):
+            geometry.solid_angle_integrate(
+                lambda theta, phi: np.cos(theta) * np.cos(phi) ** 2)
+
+    def test_levels_run_in_panel_blocks(self, monkeypatch):
+        # a level of 4,096 panels (65,536 nodes) runs in calls of at most
+        # one block, and its block sums agree with one sum over the level
+        fn = lambda theta, phi: np.exp(-500j * np.cos(theta))
+        sizes = []
+
+        def spy(theta, phi):
+            sizes.append(theta.size)
+            return fn(theta, phi)
+
+        value, _ = geometry.solid_angle_integrate(spy, resolution=65_536)
+        assert max(sizes) == 16 * geometry._BLOCK_PANELS
+        assert sum(sizes) > 4 * 16 * geometry._BLOCK_PANELS
+        monkeypatch.setattr(geometry, "_BLOCK_PANELS", 1 << 20)
+        whole, _ = geometry.solid_angle_integrate(fn, resolution=65_536)
+        assert abs(value - whole) <= 1e-14 * abs(whole)
 
     def test_phi_independent_column_counts_xi_nodes(self):
         # at tol = ERR_FLOOR only two levels that agree to rounding would
