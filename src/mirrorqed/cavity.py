@@ -308,9 +308,10 @@ def gamma_subwavelength_limit(r_mir):
     """Leading subwavelength decay ratio (1 + r_mir) / (1 - r_mir).
 
     Valid for k0d -> 0: it is gamma_subwavelength_2nd at k0d = 0, where
-    the correction and its err_estimate vanish. Accepts the r_mir = -1
-    endpoint (perfectly reflecting phase-flipping mirrors), where the
-    ratio is exactly 0; r_mir = +1 diverges and raises DegenerateMirror.
+    the correction vanishes and err_estimate is the rounding floor
+    4e-16 |ratio|. Accepts the r_mir = -1 endpoint (perfectly reflecting
+    phase-flipping mirrors), where the ratio is exactly 0; r_mir = +1
+    diverges and raises DegenerateMirror.
     Scalars give a RateResult of floats, arrays one of arrays.
     """
     return gamma_subwavelength_2nd(r_mir, 0.0)
@@ -322,9 +323,15 @@ def gamma_subwavelength_2nd(r_mir, k0d):
     ratio = (1+r)/(1-r) * [1 - (2/5) r k0d^2 / (1-r)^2]. The expansion
     parameter is r k0d^2/(1-r)^2, so highly reflective plasmonic mirrors
     (r near +1) exhaust its validity well before k0d ~ 0.3; a soft
-    warning marks k0d beyond that edge. err_estimate is the magnitude of
-    the next omitted order, |limit| * ((2/5) r k0d^2/(1-r)^2)^2 -- a
-    scale, not a bound.
+    warning marks k0d beyond that edge.
+
+    err_estimate is |t4| + 2|t6| + 4e-16 |limit|, limit = (1+r)/(1-r):
+    the next two omitted orders of the small-k0d series, t4 = 3 c4 k0d^4
+    Li_{-4}(r) and t6 = 3 c6 k0d^6 Li_{-6}(r) with c4 = 1/140 and
+    c6 = -1/5670 the Taylor coefficients of f_kernel, plus the rounding
+    of the closed form. The t6 term counts twice because for r < 0 the
+    orders do not alternate. It bounds the truncation error against an
+    mpmath quadrature at |r| <= 0.9, k0d <= 0.1.
 
     Scalars give a RateResult of floats and raise on a bad cell; arrays
     (broadcast together) give one of arrays with a status per cell.
@@ -349,5 +356,13 @@ def gamma_subwavelength_2nd(r_mir, k0d):
         limit = (1.0 + r) / (1.0 - r)
         correction = 0.4 * r * k ** 2 / (1.0 - r) ** 2
         ratio = limit * (1.0 - correction)
-        err = np.abs(limit) * correction ** 2
+        # Li_{-n}(r) = sum over j >= 1 of j^n r^j, in closed form
+        li4 = r * (1.0 + r * (11.0 + r * (11.0 + r))) / (1.0 - r) ** 5
+        li6 = r * (1.0 + r * (57.0 + r * (302.0 + r * (302.0 + r * (
+            57.0 + r))))) / (1.0 - r) ** 7
+        # a polylog that is 0 (r = 0 or -1) makes its order 0 even where
+        # the power of k0d overflows
+        t4 = np.where(li4 == 0.0, 0.0, 3.0 * kernels._F_C4 * k ** 4 * li4)
+        t6 = np.where(li6 == 0.0, 0.0, 3.0 * kernels._F_C6 * k ** 6 * li6)
+        err = np.abs(t4) + 2.0 * np.abs(t6) + 4e-16 * np.abs(limit)
     return cells.result("limit", ratio, err)

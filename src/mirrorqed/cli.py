@@ -7,8 +7,7 @@ sweeps.TARGETS. Flags override config-file values, and
 sweeps.SweepConfig fills in its target's defaults for the rest; a flag
 parses as its config key does (sweeps._PARSERS). --dump-config echoes
 the fully resolved configuration without running. validate passes
---seed on only when it is given, so run_validation keeps the default;
-its --quick is still accepted but selects nothing.
+--seed on only when it is given, so run_validation keeps the default.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output CSV path (default: "
                         f"<target>.csv under ${sweeps.OUTDIR_ENV} or cwd)")
     parser.add_argument("--seed", help="RNG seed recorded in output")
-    parser.add_argument("--quick", action="store_true", default=None,
-                        help="thin grids for a fast smoke run")
     parser.add_argument("--config", metavar="FILE",
                         help="key = value config file; flags override it")
     parser.add_argument("--dump-config", action="store_true", default=None,
@@ -90,13 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="emit CSV data for a published figure")
     p.add_argument("figure_id", choices=FIGURE_IDS)
     p.add_argument("--out", help="output directory for the curve files")
-    p.add_argument("--quick", action="store_true", default=None,
-                   help="thin grids for a fast smoke run")
 
     p = sub.add_parser("validate", help="run the self-check suite")
-    p.add_argument("--quick", action="store_true", default=None,
-                   help="accepted for compatibility; the battery always "
-                        "runs complete")
     p.add_argument("--inject-fault", dest="inject_fault", type=float,
                    default=0.0, metavar="EPS",
                    help="add EPS to the f kernel to demonstrate "
@@ -145,8 +137,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(report.summary())
         return 0 if report.passed else 1
     if command == "figure":
-        code = sweeps.reproduce_figure(args.figure_id, outdir=args.out,
-                                       quick=bool(args.quick))
+        code = sweeps.reproduce_figure(args.figure_id, outdir=args.out)
         print(f"figure data written for {args.figure_id}")
         return code
 

@@ -259,9 +259,8 @@ class JCTrajectory:
     The observables read states one column at a time: the populations
     from the reached diagonal columns, hermiticity_error from each pair
     of mirrored columns (k, mirror[k]). Their temporaries take a few
-    arrays of length T, whatever dim is. populations and rhos build the
-    dense (T, dim) and (T, dim, dim) arrays on every read; no observable
-    uses them.
+    arrays of length T, whatever dim is. rhos builds the dense
+    (T, dim, dim) array on every read; no observable uses it.
     """
 
     times: np.ndarray
@@ -294,14 +293,6 @@ class JCTrajectory:
             if weights[level]:
                 total += weights[level] * self.states[:, k].real
         return total
-
-    @property
-    def populations(self) -> np.ndarray:
-        """Diagonal of rho per time, shape (T, dim)."""
-        pops = np.zeros((self.times.size, self.dim))
-        levels, cols = self._diagonal()
-        pops[:, levels] = self.states[:, cols].real
-        return pops
 
     @property
     def population_bounds(self) -> tuple[float, float]:

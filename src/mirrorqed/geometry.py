@@ -258,10 +258,10 @@ def solid_angle_integrate(integrand, resolution: int = 64,
         two gates: the uniform panels that ``resolution`` asks for are
         priced by first_level_panels before any edge is built, then the
         panels the breakpoints add are priced before any node is. A
-        refinement level starts only while the evaluations already made
-        are below the budget. A refinement level is at most twice the one
-        before, and only its panel edges, not its nodes, are allocated
-        whole.
+        refinement level, twice the panels of the one before, runs only
+        if the evaluations already made plus its own (16 per panel) stay
+        within the budget, so n_evals never exceeds max_evals. Only a level's
+        panel edges, not its nodes, are allocated whole.
 
     Returns
     -------
@@ -317,10 +317,12 @@ def solid_angle_integrate(integrand, resolution: int = 64,
             if err <= tol * max(1.0, abs(value)):
                 return value, err
         prev = value
-        if evals >= max_evals:
+        # the next level, twice the panels, is priced before it runs
+        if evals + 32 * (edges.size - 1) > max_evals:
             raise NonConvergence(
                 f"solid-angle quadrature: {evals} evaluations without "
-                f"two-level agreement at tol={tol:g} (err~{err:.3g})",
+                f"two-level agreement at tol={tol:g} (err~{err:.3g}); the "
+                f"next level would exceed the budget of {max_evals}",
                 value=value, err_estimate=err, n_evals=evals)
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
     raise NonConvergence(

@@ -175,7 +175,6 @@ class SweepConfig:
     n_traj: int = 1000
     seed: int = 12345
     out: str | None = None
-    quick: bool = False
 
     def __post_init__(self):
         target = TARGETS.get(self.target)
@@ -270,19 +269,13 @@ def _float_or_range(raw: str):
                          f"got {raw!r} ({exc})") from None
 
 
-def _bool(raw: str) -> bool:
-    if raw not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {raw!r}")
-    return raw == "true"
-
-
 # how each field's text is parsed, in config text and in CLI flags
 _PARSERS = {
     "target": str, "r": _float_or_range, "k0d": _float_or_range,
     "d_over_lambda0": _float_or_range, "t": Range.parse, "method": str,
     "tol": float, "max_evals": int, "n_max": int, "tail_tol": float,
     "g": float, "kappa": float, "gamma": float, "gamma_cav": float,
-    "n_traj": int, "seed": int, "out": str, "quick": _bool,
+    "n_traj": int, "seed": int, "out": str,
 }
 # config text reads "none" as unset, except for method, which always resolves
 _NONE_FIELDS = {f.name for f in fields(SweepConfig)
@@ -294,8 +287,6 @@ def _dump_value(value) -> str:
         return "none"
     if isinstance(value, Range):
         return value.dump()
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -553,8 +544,6 @@ def _run_rate_sweep(cfg: SweepConfig, path: str) -> int:
     assemble, header = _RATE_COLUMNS[
         "mirror" if cfg.target == "mirror" else "cavity"]
     axis, xs = _axis_values(cfg)
-    if cfg.quick and xs.size > 25:
-        xs = xs[:: max(1, xs.size // 25)]
     n_failed = 0
     with _csv_output(path, cfg, header) as write:
         for lo in range(0, xs.size, _BLOCK_ROWS):
@@ -572,10 +561,6 @@ def _run_lindblad(cfg: SweepConfig, path: str) -> int:
     from . import dynamics as dyn
 
     grid = cfg.t.values()
-    n_traj = cfg.n_traj
-    if cfg.quick:
-        grid = grid[:: max(1, grid.size // 11)]
-        n_traj = min(n_traj, 200)
     params = dyn.ModelParams(g=cfg.g, kappa=cfg.kappa, gamma=cfg.gamma)
     gamma_cav = (cfg.gamma_cav if cfg.gamma_cav is not None
                  else dyn.effective_decay_rate(params))
@@ -585,8 +570,8 @@ def _run_lindblad(cfg: SweepConfig, path: str) -> int:
     with _csv_output(path, cfg, header) as write:
         try:
             disc = dyn.model_discrepancy(params, gamma_cav, grid)
-            ens = dyn.unravel_jumps(gamma_cav, np.diag([0.0, 1.0]), n_traj,
-                                    cfg.seed, grid)
+            ens = dyn.unravel_jumps(gamma_cav, np.diag([0.0, 1.0]),
+                                    cfg.n_traj, cfg.seed, grid)
             columns = [grid, disc.pop_jc, disc.pop_single,
                        ens.excited_population, ens.stderr, "lindblad", "ok"]
         except InvalidParams as exc:
@@ -622,24 +607,21 @@ def run_sweep(cfg: SweepConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _figure_curves(figure_id: str, quick: bool):
+def _figure_curves(figure_id: str):
     """(curve label, SweepConfig) pairs reproducing each published curve."""
-    def npts(n):
-        return min(51, n) if quick else n
-
     curves = []
     if figure_id in ("mirror_dielectric", "mirror_plasmonic"):
         rs = ((-1.0, -0.8, -0.6, -0.4, -0.2)
               if figure_id == "mirror_dielectric" else
               (0.2, 0.4, 0.6, 0.8, 1.0))
-        grid = Range(0.0, 2.0, npts(401))
+        grid = Range(0.0, 2.0, 401)
         for r in rs:
             curves.append((f"r{r:+.2f}", SweepConfig(
                 target="mirror", r=r, d_over_lambda0=grid, method="closed")))
     elif figure_id in ("subwl_dielectric_vs_r", "subwl_plasmonic_vs_r"):
-        r_grid = (Range(-1.0, 0.0, npts(201))
+        r_grid = (Range(-1.0, 0.0, 201)
                   if figure_id == "subwl_dielectric_vs_r"
-                  else Range(0.0, 0.99, npts(199)))
+                  else Range(0.0, 0.99, 199))
         for k0d in (0.001, 0.05, 0.1):
             curves.append((f"k0d{k0d:g}", SweepConfig(
                 target="subwavelength", r=r_grid, k0d=k0d, method="limit")))
@@ -647,28 +629,27 @@ def _figure_curves(figure_id: str, quick: bool):
         for r in (-0.9, -0.7, -0.5, -0.3):
             curves.append((f"r{r:+.2f}", SweepConfig(
                 target="subwavelength", r=r,
-                k0d=Range(1e-4, 0.3, npts(200)), method="limit")))
+                k0d=Range(1e-4, 0.3, 200), method="limit")))
     elif figure_id == "subwl_plasmonic_vs_d":
         for r in (0.3, 0.5, 0.7, 0.9):
             curves.append((f"r{r:+.2f}", SweepConfig(
                 target="subwavelength", r=r,
-                k0d=Range(1e-4, 0.12, npts(240)), method="limit")))
+                k0d=Range(1e-4, 0.12, 240), method="limit")))
     else:
         raise ConfigError(f"unknown figure id {figure_id!r}")
     return curves
 
 
-def reproduce_figure(figure_id: str, outdir: str | None = None,
-                     quick: bool = False) -> int:
+def reproduce_figure(figure_id: str, outdir: str | None = None) -> int:
     """Emit one CSV per curve of the named figure plus a manifest file."""
     if figure_id not in FIGURE_IDS:
         raise ConfigError(f"figure id {figure_id!r} must be one of {FIGURE_IDS}")
     base = outdir or os.path.join(_default_outdir(), figure_id)
     manifest = [f"figure {figure_id}"]
     worst = 0
-    for label, cfg in _figure_curves(figure_id, quick):
+    for label, cfg in _figure_curves(figure_id):
         path = os.path.join(base, f"{figure_id}_{label}.csv")
-        code = run_sweep(replace(cfg, out=path, quick=False))
+        code = run_sweep(replace(cfg, out=path))
         worst = max(worst, code)
         manifest.append(f"{os.path.basename(path)}: {label} "
                         f"target={cfg.target} method={cfg.method}")

@@ -452,7 +452,8 @@ class TestSubwavelength:
         rs = (-0.99, -0.5, 0.0, 0.5, 0.9)
         grid = gamma_subwavelength_limit(np.array(rs))
         assert (grid.status == "ok").all()
-        assert (grid.err_estimate == 0.0).all()
+        # the rounding floor of the closed form, as for the second order
+        assert (grid.err_estimate == 4e-16 * np.abs(grid.ratio)).all()
         for i, r in enumerate(rs):
             assert gamma_subwavelength_limit(r).ratio == (1.0 + r) / (1.0 - r)
             assert grid.ratio[i] == (1.0 + r) / (1.0 - r)
@@ -470,6 +471,15 @@ class TestSubwavelength:
     def test_second_order_oracle(self, r, k0d, expected):
         res = gamma_subwavelength_2nd(r, k0d)
         assert res.ratio == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("k0d", [1e-3, 1e-2, 0.05, 0.1])
+    @pytest.mark.parametrize("r", [-0.9, -0.5, -0.1, 0.1, 0.5, 0.9])
+    def test_second_order_err_estimate_bounds_its_truncation(self, r, k0d):
+        # for r < 0 the omitted orders do not alternate: |t4| + |t6|
+        # alone falls short of the truncation at r = -0.9, k0d = 0.1
+        res = gamma_subwavelength_2nd(r, k0d)
+        exact = float(oracles.cavity_ratio_mp(r, k0d))
+        assert abs(res.ratio - exact) <= res.err_estimate
 
     def test_second_order_reduces_to_limit_at_contact(self):
         for r in (-0.7, 0.4):

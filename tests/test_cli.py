@@ -90,9 +90,9 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,out", [
-        (["cavity", "--quick"], "{dir}"),
-        (["cavity", "--quick"], "{file}/x.csv"),
-        (["figure", "mirror_dielectric", "--quick"], "{file}"),
+        (["cavity"], "{dir}"),
+        (["cavity"], "{file}/x.csv"),
+        (["figure", "mirror_dielectric"], "{file}"),
     ], ids=["csv-is-directory", "csv-under-file", "figure-dir-is-file"])
     def test_unwritable_out_is_config_error(self, tmp_path, capsys, argv,
                                             out):
@@ -178,10 +178,28 @@ class TestExitCodes:
 
 
 @pytest.mark.parametrize("argv", [
-    ["lindblad", "--g", "1e200", "--quick"],
-    ["lindblad", "--g", "1e150", "--quick"],
+    ["mirror"], ["cavity"], ["subwavelength"], ["optical"], ["lindblad"],
+    ["figure", "mirror_dielectric"], ["validate"],
+], ids=lambda argv: argv[0])
+def test_quick_mode_is_gone(tmp_path, capsys, argv):
+    # every run has one size, so --quick and a quick key are usage errors
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if argv[0] != "validate" else []
+    assert cli.main([*argv, "--quick", *extra]) == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
+    if argv[0] not in ("figure", "validate"):
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("quick = true\n", encoding="utf-8")
+        assert cli.main([*argv, "--config", str(cfg_file), *extra]) == 2
+        assert "unknown config key 'quick'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lindblad", "--g", "1e200"],
+    ["lindblad", "--g", "1e150"],
     ["lindblad", "--g", "1e200", "--gamma-cav", "1"],
-    ["lindblad", "--gamma-cav", "inf", "--quick"],
+    ["lindblad", "--gamma-cav", "inf"],
 ])
 def test_overflowing_lindblad_rates_fail_typed(tmp_path, argv, capsys):
     # warnings are errors under pytest, so an overflow in the
@@ -201,7 +219,8 @@ def test_overflowing_lindblad_rates_fail_typed(tmp_path, argv, capsys):
 # their status, nan and empty cells, must come out byte for byte. The one
 # cell allowed to move is ratio_series in an ok row: the frozen values are
 # BLAS dot products, whose rounding depends on memory alignment, while the
-# series grid sums each row pairwise.
+# series grid sums each row pairwise. The limit rows carry the err_estimate
+# of the second-order error |t4| + 2|t6| + 4e-16 |limit|.
 FROZEN_ROWS = {
     ("mirror", "--method", "closed", "--r=-1.5:0.5:5", "--k0d", "1"): [
         "0.15915494309189535,1.0,-1.5,nan,nan,,nan,closed,InvalidParams",
@@ -211,11 +230,11 @@ FROZEN_ROWS = {
         "0.15915494309189535,1.0,0.5,1.1777123694421339,,,5.640625e-16,closed,ok",
     ],
     ("subwavelength", "--method", "limit", "--r", "0.5:1.0:6", "--k0d", "0.01"): [
-        "0.01,0.5,,,2.99976,1.9200000000000003e-08,ok,limit",
-        "0.01,0.6,,,3.9994,8.999999999999999e-08,ok,limit",
-        "0.01,0.7,,,5.664903703703703,5.484773662551437e-07,ok,limit",
-        "0.01,0.8,,,8.9928,5.76000000000001e-06,ok,limit",
-        "0.01,0.9,,,18.931600000000003,0.0002462400000000004,ok,limit",
+        "0.01,0.5,,,2.99976,3.2152769453968254e-08,ok,limit",
+        "0.01,0.6,,,3.9994,1.4794108890158726e-07,ok,limit",
+        "0.01,0.7,,,5.664903703703703,8.919634386330735e-07,ok,limit",
+        "0.01,0.8,,,8.9928,9.323371622647631e-06,ok,limit",
+        "0.01,0.9,,,18.931600000000003,0.0004013956303885529,ok,limit",
         "0.01,1.0,,,nan,nan,DegenerateMirror,limit",
     ],
     ("cavity", "--method", "series", "--r", "0.5", "--k0d", "0:1:5"): [
@@ -444,12 +463,12 @@ def test_python_config_resolves_as_the_subcommand(target, capsys):
 
 def test_python_config_runs_the_subcommand_rows(tmp_path, capsys):
     out = tmp_path / "s.csv"
-    assert cli.main(["subwavelength", "--k0d", "0.01", "--quick",
+    assert cli.main(["subwavelength", "--k0d", "0.01",
                      "--out", str(out)]) == 0
     from_cli = out.read_bytes()
     out.unlink()
     assert sweeps.run_sweep(sweeps.SweepConfig(
-        target="subwavelength", k0d=0.01, quick=True, out=str(out))) == 0
+        target="subwavelength", k0d=0.01, out=str(out))) == 0
     assert out.read_bytes() == from_cli
     preamble, _, rows = read_csv(str(out))
     assert "r = -0.99:0.99:199:linear" in preamble.splitlines()
@@ -565,16 +584,16 @@ class TestSweepCommands:
         assert row["status"] == "ok"
 
     def test_mirror_default_output_location(self, outdir, capsys):
-        rc = cli.main(["mirror", "--quick"])
+        rc = cli.main(["mirror"])
         assert rc == 0
         path = outdir / "mirror.csv"
         assert path.exists()
         _, _, rows = read_csv(str(path))
-        assert 5 <= len(rows) <= 60
+        assert len(rows) == 101
 
     def test_subwavelength_default_axis_is_reflectivity(self, tmp_path):
         out = str(tmp_path / "s.csv")
-        assert cli.main(["subwavelength", "--quick", "--out", out]) == 0
+        assert cli.main(["subwavelength", "--out", out]) == 0
         _, header, rows = read_csv(out)
         rs = [float(r[1]) for r in rows]
         assert min(rs) < -0.9
@@ -582,7 +601,7 @@ class TestSweepCommands:
 
     def test_optical_defaults_far_regime(self, tmp_path):
         out = str(tmp_path / "o.csv")
-        assert cli.main(["optical", "--quick", "--out", out]) == 0
+        assert cli.main(["optical", "--out", out]) == 0
         _, header, rows = read_csv(out)
         k0ds = [float(r[0]) for r in rows]
         assert min(k0ds) >= 60.0
@@ -600,9 +619,9 @@ class TestSweepCommands:
                 if cell:
                     float(cell)
 
-    def test_lindblad_quick(self, tmp_path):
+    def test_lindblad_default_run(self, tmp_path):
         out = str(tmp_path / "l.csv")
-        assert cli.main(["lindblad", "--quick", "--out", out]) == 0
+        assert cli.main(["lindblad", "--out", out]) == 0
         _, header, rows = read_csv(out)
         assert header == LINDBLAD_HEADER
         assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
@@ -621,8 +640,8 @@ class TestSweepCommands:
 
     def test_figure_command(self, tmp_path):
         outdir = str(tmp_path / "fig")
-        assert cli.main(["figure", "subwl_plasmonic_vs_r", "--out", outdir,
-                         "--quick"]) == 0
+        assert cli.main(["figure", "subwl_plasmonic_vs_r", "--out",
+                         outdir]) == 0
         names = os.listdir(outdir)
         assert "manifest.txt" in names
         assert any(n.endswith(".csv") for n in names)
@@ -711,19 +730,6 @@ class TestConfigPlumbing:
 
 
 class TestValidateCommand:
-    def test_quick_passes(self, capsys):
-        # --quick is still accepted, and runs the same complete battery
-        assert cli.main(["validate", "--quick"]) == 0
-        quick = capsys.readouterr().out.splitlines()
-        assert cli.main(["validate"]) == 0
-        full = capsys.readouterr().out.splitlines()
-        assert quick[0] == full[0] == "validation (43 checks)"
-        checks = [line for line in quick if line.startswith(("PASS", "FAIL"))]
-        assert len(checks) == 43
-        assert all(line.startswith("PASS") for line in checks)
-        assert checks == [line for line in full
-                          if line.startswith(("PASS", "FAIL"))]
-
     def test_injected_fault_caught(self, capsys):
         assert cli.main(["validate", "--inject-fault", "1e-3"]) == 1
         out = capsys.readouterr().out
@@ -858,7 +864,7 @@ print(json.dumps(report))
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path):
     runs = [["--version"]] + [
-        [target, "--quick", f"--out={tmp_path / target}.csv"]
+        [target, f"--out={tmp_path / target}.csv"]
         for target in ("mirror", "cavity", "subwavelength", "optical",
                        "lindblad")]
     proc = subprocess.run(

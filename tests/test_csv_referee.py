@@ -95,6 +95,26 @@ def test_other_differences_are_violations(dirs, capsys, name, row, column,
     assert f"VIOLATION {message}" in capsys.readouterr().out
 
 
+def test_preamble_differences_are_named_key_by_key(dirs, capsys):
+    old, new = dirs
+    path = new / "cavity.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    tol = next(ln for ln in lines if ln.startswith("# tol = "))[8:]
+    lines = [ln for ln in lines if not ln.startswith("# seed = ")]
+    lines = [ln.replace(f"# tol = {tol}", "# tol = 0.5") for ln in lines]
+    lines.insert(0, "# extra = 1")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert referee.main([str(old), str(new)]) == 1
+    out = capsys.readouterr().out
+    violations = [ln for ln in out.splitlines() if ln.startswith("VIOLATION")]
+    assert violations == [
+        f"VIOLATION cavity.csv: preamble tol {tol} -> 0.5",
+        "VIOLATION cavity.csv: preamble key seed only in the parent",
+        "VIOLATION cavity.csv: preamble key extra only in the change",
+    ]
+    assert out.splitlines()[-1].endswith("violations: 3")
+
+
 def test_unpaired_file_is_a_violation(dirs, capsys):
     old, new = dirs
     (new / "lindblad.csv").unlink()

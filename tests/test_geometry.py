@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mirrorqed import errors, geometry
+from mirrorqed import cavity, errors, geometry, mirror
 
 from . import oracles
 
@@ -146,7 +146,7 @@ class TestSolidAngleIntegrate:
         fn = lambda theta, phi: np.cos(1000.0 * np.cos(theta))
         with pytest.raises(errors.NonConvergence) as exc:
             geometry.solid_angle_integrate(fn, tol=1e-15, max_evals=3000)
-        assert exc.value.n_evals >= 3000
+        assert exc.value.n_evals <= 3000
         assert np.isfinite(exc.value.err_estimate)
         assert exc.value.value is not None
 
@@ -177,12 +177,25 @@ class TestSolidAngleIntegrate:
     def test_phi_independent_column_counts_xi_nodes(self):
         # at tol = ERR_FLOOR only two levels that agree to rounding would
         # converge, and these never do; levels of 64, 128, ... xi nodes
-        # run until 3000 are spent: 64 * (2**6 - 1) in all
+        # run while the next still fits in 3000: 64 * (2**5 - 1) in all
         fn = lambda theta, phi: np.cos(40.0 * np.cos(theta))
         with pytest.raises(errors.NonConvergence) as exc:
             geometry.solid_angle_integrate(fn, tol=geometry.ERR_FLOOR,
                                           max_evals=3000)
-        assert exc.value.n_evals == 64 * (2 ** 6 - 1)
+        assert exc.value.n_evals == 64 * (2 ** 5 - 1)
+
+    @pytest.mark.parametrize("max_evals", [10_000, 30_000, 100_000])
+    @pytest.mark.parametrize("route,args", [
+        (mirror.gamma_mirror_quadrature, (-1.0, 30.0)),
+        (cavity.gamma_cavity_quadrature, (0.999, 3.0)),
+    ], ids=["mirror", "cavity"])
+    def test_routes_hold_the_evaluation_budget(self, route, args, max_evals):
+        # each refinement level is priced before it runs, so a cell that
+        # cannot converge stops within its budget
+        with pytest.raises(errors.NonConvergence) as exc:
+            route(*args, tol=geometry.ERR_FLOOR, max_evals=max_evals)
+        assert 0 < exc.value.n_evals <= max_evals
+        assert exc.value.value is not None
 
     def test_invalid_arguments(self):
         fn = lambda theta, phi: np.ones_like(theta)

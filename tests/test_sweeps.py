@@ -157,14 +157,14 @@ class TestSweepConfig:
                 d_over_lambda0=0.25, t=sweeps.Range(0.0, 1.0, 3),
                 method="series", tol=1e-10, max_evals=123_456, n_max=7,
                 tail_tol=1e-6, g=2.0, kappa=3.5, gamma=0.5, gamma_cav=1.5,
-                n_traj=77, seed=0, out="run.csv", quick=True),
+                n_traj=77, seed=0, out="run.csv"),
             sweeps.SweepConfig(
                 target="lindblad", r=sweeps.Range(-0.5, 0.5, 3), k0d=0.3,
                 d_over_lambda0=sweeps.Range(0.1, 1.0, 4),
                 t=sweeps.Range(0.01, 3.0, 31, "log"), method="quadrature",
                 tol=0.5, max_evals=10_000, n_max=0, tail_tol=0.25, g=0.0,
                 kappa=0.0, gamma=0.0, gamma_cav=0.0, n_traj=1, seed=2**40,
-                out="none.csv", quick=True),
+                out="none.csv"),
         ],
         ids=["rate", "lindblad"],
     )
@@ -176,9 +176,17 @@ class TestSweepConfig:
         items = sweeps.parse_config_items(sweeps.dump_config(cfg))
         assert sweeps.SweepConfig(**items) == cfg
 
+    def test_quick_is_neither_a_field_nor_a_parameter(self, tmp_path):
+        with pytest.raises(TypeError):
+            sweeps.SweepConfig(target="mirror", quick=True)
+        with pytest.raises(TypeError):
+            sweeps.reproduce_figure("mirror_dielectric",
+                                    outdir=str(tmp_path), quick=True)
+        assert not os.listdir(tmp_path)
+
     @pytest.mark.parametrize(
         "line",
-        ["quick = yes", "n_traj = 1.5", "t = 0.5", "tol = none",
+        ["quick = true", "n_traj = 1.5", "t = 0.5", "tol = none",
          "n_fock = 5", "dt = 0.001", "figure = none"],
     )
     def test_parse_rejects_bad_line(self, line):
@@ -257,7 +265,7 @@ class TestRateSweeps:
         row = dict(zip(header.split(","), rows[0]))
         assert row["ratio_limit_2nd"] == ""
 
-    def test_swept_axis_ordering_and_quick(self, tmp_path):
+    def test_swept_axis_ordering(self, tmp_path):
         full = str(tmp_path / "full.csv")
         cfg = sweeps.SweepConfig(target="subwavelength",
                                  r=sweeps.Range(-0.9, 0.9, 181), k0d=0.01,
@@ -267,14 +275,6 @@ class TestRateSweeps:
         assert len(rows) == 181
         rs = [float(r[1]) for r in rows]
         assert rs == sorted(rs)
-
-        quick = str(tmp_path / "quick.csv")
-        qcfg = sweeps.SweepConfig(target="subwavelength",
-                                  r=sweeps.Range(-0.9, 0.9, 181), k0d=0.01,
-                                  method="limit", out=quick, quick=True)
-        assert sweeps.run_sweep(qcfg) == 0
-        _, _, qrows = read_csv(quick)
-        assert 10 <= len(qrows) < 60
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -457,10 +457,10 @@ class TestLindbladSweep:
 
 
 class TestFigures:
-    def test_all_figures_quick(self, tmp_path):
+    def test_all_figures(self, tmp_path):
         for fig in sweeps.FIGURE_IDS:
             outdir = str(tmp_path / fig)
-            assert sweeps.reproduce_figure(fig, outdir=outdir, quick=True) == 0
+            assert sweeps.reproduce_figure(fig, outdir=outdir) == 0
             names = sorted(os.listdir(outdir))
             assert "manifest.txt" in names
             curves = [n for n in names if n.endswith(".csv")]
@@ -470,8 +470,7 @@ class TestFigures:
 
     def test_mirror_plasmonic_contact_intercepts(self, tmp_path):
         outdir = str(tmp_path / "fig")
-        assert sweeps.reproduce_figure("mirror_plasmonic", outdir=outdir,
-                                       quick=True) == 0
+        assert sweeps.reproduce_figure("mirror_plasmonic", outdir=outdir) == 0
         for name in sorted(os.listdir(outdir)):
             if not name.endswith(".csv"):
                 continue
@@ -485,8 +484,8 @@ class TestFigures:
 
     def test_subwavelength_suppression_curve_shape(self, tmp_path):
         outdir = str(tmp_path / "fig")
-        assert sweeps.reproduce_figure("subwl_dielectric_vs_r", outdir=outdir,
-                                       quick=True) == 0
+        assert sweeps.reproduce_figure("subwl_dielectric_vs_r",
+                                       outdir=outdir) == 0
         name = [n for n in os.listdir(outdir) if "k0d0.001" in n][0]
         _, header, rows = read_csv(os.path.join(outdir, name))
         cols = header.split(",")
@@ -500,8 +499,8 @@ class TestFigures:
 
     def test_enhancement_decays_with_spacing(self, tmp_path):
         outdir = str(tmp_path / "fig")
-        assert sweeps.reproduce_figure("subwl_plasmonic_vs_d", outdir=outdir,
-                                       quick=True) == 0
+        assert sweeps.reproduce_figure("subwl_plasmonic_vs_d",
+                                       outdir=outdir) == 0
         for name in os.listdir(outdir):
             if not name.endswith(".csv"):
                 continue

@@ -5,17 +5,19 @@ Usage:
     python tools/csv_referee.py --write SRC OUT [--seeds 7 11]
 
 Compare mode pairs the CSVs of the two directories by file name. For
-each pair it requires equal preambles (apart from ``# out =``), equal
-headers, equal row counts and identical cells outside the value columns
-(the axis columns and ``method``). In a file with an ``err_estimate``
-column the value columns are ``ratio_*`` and ``abs_diff``; each of their
-cells is counted as identical, moved within max(err_old, err_new) of its
-row's ``err_estimate``, or moved beyond it. ``err_estimate`` cells may
-change and are counted. A file without ``err_estimate`` (``lindblad``)
-must be identical line for line. Every ``status`` change is reported. A
-file on one side only, a cell moved beyond its error, a status change
-or any other difference is a violation; the exit status is 1 if there
-is one, else 0.
+each pair it compares the preambles key by key (apart from ``# out =``)
+and names each key on one side only or with a changed value. It
+requires equal headers, equal row counts and identical cells outside
+the value columns (the axis columns and ``method``). In a file with an
+``err_estimate`` column the value columns are ``ratio_*`` and
+``abs_diff``; each of their cells is counted as identical, moved within
+max(err_old, err_new) of its row's ``err_estimate``, or moved beyond
+it. ``err_estimate`` cells may change and are counted. A file without
+``err_estimate`` (``lindblad``) must be identical line for line. Every
+``status`` change is reported. A file on one side only, a preamble key
+that differs, a cell moved beyond its error, a status change or any
+other difference is a violation; the exit status is 1 if there is one,
+else 0.
 
 Write mode runs every CSV-writing invocation of the benchmark workloads
 (``SRC/perfbench/workloads.py``) at the given seeds, in process, through
@@ -37,11 +39,11 @@ _OUT_LINE = "# out = "
 
 
 def _read(path):
-    """(preamble lines without ``# out =``, header, rows of cells)."""
+    """({preamble key: value} without ``out``, header, rows of cells)."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    preamble = [ln for ln in lines
-                if ln.startswith("# ") and not ln.startswith(_OUT_LINE)]
+    preamble = dict(ln[2:].partition(" = ")[::2] for ln in lines
+                    if ln.startswith("# ") and not ln.startswith(_OUT_LINE))
     body = [ln for ln in lines if not ln.startswith("# ")]
     if not body:
         return preamble, "", []
@@ -91,8 +93,13 @@ def compare_files(name, old_path, new_path):
     bad = tally.violations.append
     old_pre, old_head, old_rows = _read(old_path)
     new_pre, new_head, new_rows = _read(new_path)
-    if old_pre != new_pre:
-        bad(f"{name}: preambles differ")
+    for key in [*old_pre, *(k for k in new_pre if k not in old_pre)]:
+        if key not in new_pre:
+            bad(f"{name}: preamble key {key} only in the parent")
+        elif key not in old_pre:
+            bad(f"{name}: preamble key {key} only in the change")
+        elif old_pre[key] != new_pre[key]:
+            bad(f"{name}: preamble {key} {old_pre[key]} -> {new_pre[key]}")
     if old_head != new_head:
         bad(f"{name}: headers differ: {old_head!r} vs {new_head!r}")
         return tally
