@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # home module of every public name
 _EXPORTS = {
-    "cavity": ("SeriesControl", "default_n_max", "gamma_cavity_quadrature",
+    "cavity": ("default_n_max", "gamma_cavity_quadrature",
                "gamma_cavity_series", "gamma_subwavelength_2nd",
                "gamma_subwavelength_limit"),
     "dynamics": ("AtomCavityState", "DiscrepancyResult", "JCTrajectory",

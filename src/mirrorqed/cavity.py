@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .kernels import interference_kernel
 from .results import Cells
 
 __all__ = [
-    "SeriesControl",
     "interference_kernel",
     "gamma_cavity_quadrature",
     "gamma_cavity_series",
@@ -43,6 +41,9 @@ __all__ = [
 
 #: Soft validity edge of the second-order subwavelength expansion.
 SUBWAVELENGTH_SOFT_MAX = 0.3
+
+#: The series' default bound on its tail plus rounding.
+DEFAULT_TAIL_TOL = 1e-8
 
 _N_MAX_CAP = 100_000
 
@@ -69,26 +70,11 @@ def _cavity_cells(r_mir, k0d) -> Cells:
     return cells
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for the image sum.
-
-    n_max = None lets the library pick the smallest order whose error
-    bound meets tail_tol (see default_n_max).
-    """
-
-    n_max: int | None = None
-    tail_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.n_max is not None and self.n_max < 0:
-            raise InvalidParams(f"n_max must be >= 0, got {self.n_max!r}")
-        if self.n_max is not None and self.n_max > _N_MAX_CAP:
-            raise InvalidParams(
-                f"n_max must be <= {_N_MAX_CAP}, got {self.n_max!r}")
-        if not 0.0 < self.tail_tol < math.inf:
-            raise InvalidParams(
-                f"tail_tol must be positive and finite, got {self.tail_tol!r}")
+def _check_tail_tol(tail_tol: float) -> None:
+    """Raise InvalidParams unless 0 < tail_tol < inf."""
+    if not 0.0 < tail_tol < math.inf:
+        raise InvalidParams(
+            f"tail_tol must be positive and finite, got {tail_tol!r}")
 
 
 def _series_tail_bound(r: float, n_max: int) -> float:
@@ -217,20 +203,21 @@ def _peak_breakpoints(r: float, k0d: float) -> list[float]:
     return edges
 
 
-def gamma_cavity_series(r_mir, k0d, control: SeriesControl | None = None):
+def gamma_cavity_series(r_mir, k0d, tail_tol: float = DEFAULT_TAIL_TOL):
     """Decay ratio from the truncated image sum.
 
         ratio = 1 + 3 sum_{j=1}^{2 n_max + 1} r^j f(j k0d)
 
     Each pass across the cavity adds the two images j mirror separations
-    away, with reflection amplitude r^j; nothing is resummed. The
-    reported err_estimate is the tail bound 2 |r|^(2 n_max + 2) /
-    (1 - |r|) plus a rounding floor 1e-14 (1 + 2 |r| / (1 - |r|)) that
-    grows with the summed magnitude.
+    away, with reflection amplitude r^j; nothing is resummed. The order
+    n_max is the smallest whose error meets tail_tol (default_n_max), and
+    the reported err_estimate is that error: the tail bound
+    2 |r|^(2 n_max + 2) / (1 - |r|) plus a rounding floor
+    1e-14 (1 + 2 |r| / (1 - |r|)) that grows with the summed magnitude.
 
     Scalars give a RateResult of floats and raise. Arrays (broadcast
     together) give one of arrays with a status per cell; cells that share
-    r_mir share n_max and are summed together as one (cells x j) array:
+    |r_mir| share n_max and are summed together as one (cells x j) array:
 
     >>> gamma_cavity_series(0.5, 1.0).status
     'ok'
@@ -239,29 +226,29 @@ def gamma_cavity_series(r_mir, k0d, control: SeriesControl | None = None):
 
     Raises
     ------
+    InvalidParams
+        Unless 0 < tail_tol < inf.
     TailTooLarge
-        If the error bound at the chosen n_max exceeds control.tail_tol
-        (on a grid: that cell's status).
+        If no order up to the cap of 100,000 meets tail_tol, as when the
+        rounding floor alone exceeds it (on a grid: that cell's status).
     """
-    if control is None:
-        control = SeriesControl()
+    _check_tail_tol(tail_tol)
     cells = _cavity_cells(r_mir, k0d)
     live = np.flatnonzero(cells.ok)
     r = cells.values[0][live]
     r_u, inverse = np.unique(r, return_inverse=True)
-    n_u = [control.n_max if control.n_max is not None
-           else default_n_max(x, control.tail_tol) for x in r_u.tolist()]
+    n_u = [default_n_max(x, tail_tol) for x in r_u.tolist()]
     err_u = [_series_tail_bound(x, n) + _series_rounding(x)
              for x, n in zip(r_u.tolist(), n_u)]
     err = np.zeros(cells.status.size)
     n_max = np.zeros(cells.status.size, dtype=int)
     err[live] = np.asarray(err_u)[inverse]
     n_max[live] = np.asarray(n_u, dtype=int)[inverse]
-    cells.check(err > control.tail_tol, TailTooLarge,
+    cells.check(err > tail_tol, TailTooLarge,
                 lambda: TailTooLarge(
                     f"series error bound {err[0]:.3g} exceeds tail_tol "
-                    f"{control.tail_tol:.3g} at n_max={n_max[0]}",
-                    bound=float(err[0]), tol=control.tail_tol))
+                    f"{tail_tol:.3g} at n_max={n_max[0]}",
+                    bound=float(err[0]), tol=tail_tol))
 
     ok = cells.ok
     r, k, orders = cells.values[0][ok], cells.values[1][ok], n_max[ok]

@@ -50,10 +50,9 @@ def _add_rate_flags(parser: argparse.ArgumentParser, methods) -> None:
     parser.add_argument("--tol", help="quadrature tolerance")
     parser.add_argument("--max-evals", dest="max_evals",
                         help="quadrature evaluation budget per cell")
-    parser.add_argument("--n-max", dest="n_max",
-                        help="series truncation order (default: automatic)")
     parser.add_argument("--tail-tol", dest="tail_tol",
-                        help="series tail bound tolerance")
+                        help="series tail plus rounding bound; the series "
+                        "sums the fewest passes that meet it")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -63,6 +63,9 @@ _TRAJ_BLOCK = 1 << 14
 #: Rows of the record one product of evolve_jc's doubling fill writes:
 #: a larger product grows BLAS's work buffers, not the speed.
 _FILL_BLOCK = 1 << 10
+#: Largest record evolve_jc allocates: the 1 GiB budget behind the sweep
+#: caps (sweeps._MEMORY_BUDGET_BYTES).
+_RECORD_BUDGET_BYTES = 1 << 30
 # model_discrepancy's rounding bound 16 eps (1 + |Re w| t) reaches 4e-6 here
 _MAX_PHASE = 1e9
 
@@ -384,7 +387,9 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
     spacing is h = t_final / ceil(t_final / dt), so the grid lands on
     t_final exactly. Population of the top Fock level is monitored and
     TruncationLeak raised if it ever exceeds 1e-8, since then the
-    truncation basis is too small for the requested dynamics.
+    truncation basis is too small for the requested dynamics. A record
+    of more than 1 GiB (16 B per reached entry per step) is refused with
+    InvalidParams before it is allocated.
     """
     if not t_final >= 0.0:
         raise InvalidParams(f"t_final must be >= 0, got {t_final!r}")
@@ -394,10 +399,21 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
         raise StepTooLarge(
             f"dt*max_rate = {dt * params.max_rate:.3g} >= {_STABILITY_CAP}; "
             "reduce dt so the record resolves the fastest rate")
-    n_steps = max(1, math.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
+    steps = t_final / dt
+    if not math.isfinite(steps):
+        raise InvalidParams(
+            f"t_final / dt must be finite, got {t_final!r} / {dt!r}")
+    n_steps = max(1, math.ceil(steps - 1e-12)) if t_final > 0 else 0
     h = t_final / n_steps if n_steps else 0.0
 
     support = _reachable(params, rho0.n_fock, rho0.rho)
+    record_bytes = (n_steps + 1) * support.size * 16
+    if record_bytes > _RECORD_BUDGET_BYTES:
+        raise InvalidParams(
+            f"a record of {steps:.3g} steps of {support.size} entries "
+            f"takes {record_bytes / 2**30:.3g} GiB, more than the "
+            f"{_RECORD_BUDGET_BYTES >> 30} GiB memory budget; raise dt or "
+            "lower t_final")
     out = np.empty((n_steps + 1, support.size), dtype=complex)
     out[0] = rho0.rho.ravel()[support]
     # transposed, because the record holds one state per row

@@ -155,7 +155,8 @@ class SweepConfig:
 
     Keys left unset (None) take the target's TARGETS defaults when built:
     a config built in Python runs, and its preamble records, what the
-    subcommand runs.
+    subcommand runs. The series has one control, tail_tol: the order it
+    sums is derived from it (cavity.default_n_max).
     """
 
     target: str
@@ -166,8 +167,7 @@ class SweepConfig:
     method: str | None = None
     tol: float = geometry.DEFAULT_TOL
     max_evals: int = geometry.DEFAULT_MAX_EVALS
-    n_max: int | None = None
-    tail_tol: float = cavity_mod.SeriesControl.tail_tol
+    tail_tol: float = cavity_mod.DEFAULT_TAIL_TOL
     g: float = 1.0
     kappa: float = 20.0
     gamma: float = 1.0
@@ -206,7 +206,7 @@ class SweepConfig:
                 f"tol must be >= {geometry.ERR_FLOOR:g}, the quadrature's "
                 f"error floor, got {self.tol!r}")
         try:
-            cavity_mod.SeriesControl(n_max=self.n_max, tail_tol=self.tail_tol)
+            cavity_mod._check_tail_tol(self.tail_tol)
         except InvalidParams as exc:
             raise ConfigError(str(exc)) from None
         # interim cap: a larger budget lets a first level past the gates
@@ -273,7 +273,7 @@ def _float_or_range(raw: str):
 _PARSERS = {
     "target": str, "r": _float_or_range, "k0d": _float_or_range,
     "d_over_lambda0": _float_or_range, "t": Range.parse, "method": str,
-    "tol": float, "max_evals": int, "n_max": int, "tail_tol": float,
+    "tol": float, "max_evals": int, "tail_tol": float,
     "g": float, "kappa": float, "gamma": float, "gamma_cav": float,
     "n_traj": int, "seed": int, "out": str,
 }
@@ -510,8 +510,7 @@ def _cavity_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
         (cavity_mod.gamma_cavity_quadrature, "quadrature" in wanted,
          {"tol": cfg.tol, "max_evals": cfg.max_evals}),
         (cavity_mod.gamma_cavity_series, "series" in wanted,
-         {"control": cavity_mod.SeriesControl(n_max=cfg.n_max,
-                                              tail_tol=cfg.tail_tol)}),
+         {"tail_tol": cfg.tail_tol}),
         (cavity_mod.gamma_subwavelength_2nd,
          ("limit" in wanted) & (k0d <= cavity_mod.SUBWAVELENGTH_SOFT_MAX),
          {}))

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from mirrorqed import (
-    SeriesControl,
     default_n_max,
     errors,
     gamma_cavity_quadrature,
@@ -89,7 +88,8 @@ def rerun_over_2d_weight(monkeypatch, dhat, factor, route):
     return result, value.real
 
 
-# (r_mir, k0d, n_max, ratio) from the direct truncated double sum.
+# (r_mir, k0d, n_max, ratio) from the direct truncated double sum, against
+# the image sum at the same order: 1 + 3 * cavity._series_sums(r, k0d, n_max).
 SERIES_ORACLE = [
     (0.5, 1.0, 40, 1.9084091045673994),
     (-0.8, 0.3, 60, 0.11210819972278241),
@@ -303,19 +303,21 @@ class TestQuadrature:
         assert abs(res.ratio - reference) <= 1e-14 * abs(reference)
 
 
+def image_sum(r, k0d, n_max):
+    """The series route's sum at a pinned order n_max."""
+    return 1.0 + 3.0 * cavity._series_sums(np.array([r]), np.array([k0d]),
+                                           n_max)[0]
+
+
 class TestSeries:
     @pytest.mark.parametrize("r,k0d,n_max,expected", SERIES_ORACLE)
     def test_matches_direct_double_sum(self, r, k0d, n_max, expected):
-        control = SeriesControl(n_max=n_max, tail_tol=1e-4)
-        res = gamma_cavity_series(r, k0d, control)
-        assert abs(res.ratio - expected) <= res.err_estimate
-        assert res.method == "series"
+        err = cavity._series_tail_bound(r, n_max) + cavity._series_rounding(r)
+        assert abs(image_sum(r, k0d, n_max) - expected) <= err
 
     @pytest.mark.parametrize("r,k0d,n_max,expected", IMAGE_SUM_ORACLE)
     def test_matches_direct_image_sum(self, r, k0d, n_max, expected):
-        control = SeriesControl(n_max=n_max, tail_tol=1.0)
-        res = gamma_cavity_series(r, k0d, control)
-        assert abs(res.ratio - expected) <= 1e-13
+        assert abs(image_sum(r, k0d, n_max) - expected) <= 1e-13
 
     @pytest.mark.parametrize("r", SERIES_GRID_R)
     def test_err_estimate_covers_mpmath(self, r):
@@ -351,7 +353,7 @@ class TestSeries:
         assert cavity._series_rounding(0.5) > 2e-14
         assert default_n_max(0.5, 2e-14) == cavity._N_MAX_CAP
         with pytest.raises(errors.TailTooLarge) as exc:
-            gamma_cavity_series(0.5, 1.0, SeriesControl(tail_tol=2e-14))
+            gamma_cavity_series(0.5, 1.0, tail_tol=2e-14)
         assert exc.value.bound > exc.value.tol
 
     def test_auto_depth_matches_quadrature(self):
@@ -363,29 +365,34 @@ class TestSeries:
 
     @pytest.mark.parametrize("r,k0d,expected", SERIES_MP_ORACLE)
     def test_high_finesse_matches_mpmath(self, r, k0d, expected):
-        control = SeriesControl()
-        res = gamma_cavity_series(r, k0d, control)
+        res = gamma_cavity_series(r, k0d)
+        assert res.method == "series"
         assert res.ratio == pytest.approx(expected, abs=1e-12)
-        assert res.err_estimate <= control.tail_tol + 1e-14
+        assert res.err_estimate <= cavity.DEFAULT_TAIL_TOL + 1e-14
 
     def test_r_zero_is_exactly_one(self):
         assert gamma_cavity_series(0.0, 2.0).ratio == 1.0
 
-    def test_tail_too_large(self):
+    def test_order_past_the_cap_is_tail_too_large(self):
+        # |r| so near 1 that the tail needs more than _N_MAX_CAP passes,
+        # with the rounding floor (2e-9) under tail_tol
+        assert default_n_max(0.99999, 1e-8) == cavity._N_MAX_CAP
         with pytest.raises(errors.TailTooLarge) as exc:
-            gamma_cavity_series(0.9, 1.0,
-                                SeriesControl(n_max=5, tail_tol=1e-8))
-        assert exc.value.bound > exc.value.tol
+            gamma_cavity_series(0.99999, 1.0)
+        assert exc.value.bound > exc.value.tol == 1e-8
 
-    @pytest.mark.parametrize("tail_tol", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("tail_tol", [math.inf, math.nan, 0.0, -1e-8])
     def test_tail_tol_must_be_positive_and_finite(self, tail_tol):
-        with pytest.raises(errors.InvalidParams, match="tail_tol must be"):
-            SeriesControl(tail_tol=tail_tol)
+        for r, k0d in ((0.5, 1.0), ([0.5, 0.9], 1.0)):
+            with pytest.raises(errors.InvalidParams, match="tail_tol must be"):
+                gamma_cavity_series(r, k0d, tail_tol=tail_tol)
 
-    def test_n_max_above_cap_rejected(self):
-        SeriesControl(n_max=cavity._N_MAX_CAP)
-        with pytest.raises(errors.InvalidParams, match="n_max must be <="):
-            SeriesControl(n_max=cavity._N_MAX_CAP + 1)
+    def test_n_max_is_not_a_control(self):
+        assert not hasattr(cavity, "SeriesControl")
+        with pytest.raises(TypeError):
+            gamma_cavity_series(0.5, 1.0, n_max=5)
+        with pytest.raises(TypeError):
+            gamma_cavity_series(0.5, 1.0, control=None)
 
     def test_grid_matches_single_cells(self):
         r = np.array([-0.95, -0.5, 0.0, 0.3, 0.8, 0.8, 0.8])
@@ -399,13 +406,14 @@ class TestSeries:
             assert grid.err_estimate[i] == cell.err_estimate
 
     def test_grid_statuses_name_the_single_cell_errors(self):
-        control = SeriesControl(n_max=20, tail_tol=1e-8)
+        # the rounding floor is 3e-14 at r = 0.5 and 3.9e-13 at r = 0.95
+        tail_tol = 1e-13
         r = [0.5, 1.0, math.nan, 0.5, 0.95, -1.0]
         k0d = [1.0, 1.0, 1.0, 0.0, 1.0, 2.0]
-        grid = gamma_cavity_series(np.array(r), np.array(k0d), control)
+        grid = gamma_cavity_series(np.array(r), np.array(k0d), tail_tol)
         for i, (ri, ki) in enumerate(zip(r, k0d)):
             try:
-                expected = gamma_cavity_series(ri, ki, control)
+                expected = gamma_cavity_series(ri, ki, tail_tol)
             except errors.MirrorQEDError as exc:
                 assert grid.status[i] == type(exc).__name__
                 assert math.isnan(grid.ratio[i])
@@ -421,7 +429,7 @@ class TestSeries:
         # n_max = 13,005 at r = 0.999: an unblocked (200 x j) grid holds
         # about 42 MB per temporary
         r, k0d = 0.999, np.linspace(0.05, 20.0, 200)
-        assert default_n_max(r, SeriesControl().tail_tol) == 13_005
+        assert default_n_max(r, cavity.DEFAULT_TAIL_TOL) == 13_005
         tracemalloc.start()
         try:
             grid = gamma_cavity_series(r, k0d)
@@ -439,12 +447,17 @@ class TestSeries:
         deep = default_n_max(0.97, 1e-8)
         assert 8 <= shallow < deep
 
-    def test_err_estimate_covers_deeper_truncation(self):
-        coarse = gamma_cavity_series(0.8, 1.7,
-                                     SeriesControl(n_max=30, tail_tol=1e-2))
-        fine = gamma_cavity_series(0.8, 1.7,
-                                   SeriesControl(n_max=400, tail_tol=1e-12))
-        assert abs(coarse.ratio - fine.ratio) <= coarse.err_estimate
+    @pytest.mark.parametrize("tail_tol", [1e-2, 1e-8, 1e-12])
+    @pytest.mark.parametrize("r", [0.1, -0.5, 0.8, -0.9, 0.98])
+    def test_err_estimate_covers_deeper_truncation(self, r, tail_tol):
+        # every order past the derived one moves the value by less than
+        # the err_estimate it reports, so no user-set order could help
+        n = default_n_max(r, tail_tol)
+        for k0d in (0.05, 1.7, 20.0):
+            res = gamma_cavity_series(r, k0d, tail_tol)
+            for deeper in (n + 1, 2 * n + 5, 3 * n + 50):
+                gap = abs(image_sum(r, k0d, deeper) - res.ratio)
+                assert gap <= res.err_estimate, (k0d, deeper)
 
 
 class TestSubwavelength:

@@ -158,15 +158,6 @@ class TestExitCodes:
         row = dict(zip(header.split(","), rows[0]))
         assert row["status"] == "NonConvergence"
 
-    def test_n_max_above_cap_is_usage_error(self, tmp_path, capsys):
-        start = time.perf_counter()
-        rc = cli.main(["cavity", "--method", "series", "--k0d", "1",
-                       "--n-max", "1000000000",
-                       "--out", str(tmp_path / "n.csv")])
-        assert time.perf_counter() - start < 1.0
-        assert rc == 2
-        assert "n_max" in capsys.readouterr().err
-
     def test_partial_failure_exits_three(self, tmp_path, capsys):
         out = str(tmp_path / "hard.csv")
         rc = cli.main([
@@ -195,6 +186,22 @@ def test_quick_mode_is_gone(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["mirror", "cavity", "subwavelength",
+                                    "optical"])
+def test_n_max_is_gone(tmp_path, capsys, target):
+    # the series order is derived from tail_tol, so --n-max and an n_max
+    # key (as in the preamble of an older CSV) are usage errors
+    out = tmp_path / "out.csv"
+    assert cli.main([target, "--n-max", "5", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --n-max" in capsys.readouterr().err
+    cfg_file = tmp_path / "old.cfg"
+    cfg_file.write_text("n_max = 5\n", encoding="utf-8")
+    assert cli.main([target, "--config", str(cfg_file),
+                     "--out", str(out)]) == 2
+    assert "unknown config key 'n_max'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["lindblad", "--g", "1e200"],
     ["lindblad", "--g", "1e150"],
@@ -220,7 +227,10 @@ def test_overflowing_lindblad_rates_fail_typed(tmp_path, argv, capsys):
 # cell allowed to move is ratio_series in an ok row: the frozen values are
 # BLAS dot products, whose rounding depends on memory alignment, while the
 # series grid sums each row pairwise. The limit rows carry the err_estimate
-# of the second-order error |t4| + 2|t6| + 4e-16 |limit|.
+# of the second-order error |t4| + 2|t6| + 4e-16 |limit|. The series r
+# sweep was frozen at a pinned order of 50; it now runs at tail_tol 1e-13,
+# which gives the same statuses, and its ok rows carry that order's
+# err_estimate.
 FROZEN_ROWS = {
     ("mirror", "--method", "closed", "--r=-1.5:0.5:5", "--k0d", "1"): [
         "0.15915494309189535,1.0,-1.5,nan,nan,,nan,closed,InvalidParams",
@@ -245,9 +255,9 @@ FROZEN_ROWS = {
         "1.0,0.5,,1.9084091046523992,,3.725320298461914e-09,ok,series",
     ],
     ("cavity", "--method", "series", "--r", "0.5:0.9999:4", "--k0d", "1",
-     "--n-max", "50"): [
-        "1.0,0.5,,1.9084091045674003,,3e-14,ok,series",
-        "1.0,0.6666333333333333,,2.1629286318776817,,5.000052565892872e-14,ok,series",
+     "--tail-tol", "1e-13"): [
+        "1.0,0.5,,1.9084091045674003,,8.684341886080801e-14,ok,series",
+        "1.0,0.6666333333333333,,2.1629286318776817,,9.886709950578546e-14,ok,series",
         "1.0,0.8332666666666666,,nan,,nan,TailTooLarge,series",
         "1.0,0.9999,,nan,,nan,TailTooLarge,series",
     ],
@@ -290,7 +300,7 @@ DOUBLE_SUM_SERIES = {
         (1.9084091046718004, 5.029151902923583e-09),
     ],
     ("cavity", "--method", "series", "--r", "0.5:0.9999:4", "--k0d", "1",
-     "--n-max", "50"): [
+     "--tail-tol", "1e-13"): [
         (1.9084091045673999, 1.0000000000000002e-14),
         (2.1629286318776813, 1.0009201938053807e-14),
         None,
@@ -505,7 +515,7 @@ def test_flag_text_gets_no_config_text_conventions(tmp_path, monkeypatch,
 # the input-domain table: every numeric flag of every target, at each edge
 # value, given both as a flag and as a config line
 _RATE_KEYS = {"--r": "r", "--k0d": "k0d", "--d-over-lambda": "d_over_lambda0",
-              "--tol": "tol", "--max-evals": "max_evals", "--n-max": "n_max",
+              "--tol": "tol", "--max-evals": "max_evals",
               "--tail-tol": "tail_tol", "--seed": "seed"}
 _LINDBLAD_KEYS = {"--g": "g", "--kappa": "kappa", "--gamma": "gamma",
                   "--gamma-cav": "gamma_cav", "--n-traj": "n_traj",
@@ -655,7 +665,7 @@ _ROUND_TRIP_FLAGS = {
     "cavity": ["--r", "0.8", "--grid", "0.1:10:50:log", "--tol", "1e-10"],
     "subwavelength": ["--k0d", "0.05", "--grid=-0.5:0.5:11",
                       "--method", "limit"],
-    "optical": ["--r", "-0.8", "--method", "series", "--n-max", "50"],
+    "optical": ["--r", "-0.8", "--method", "series", "--tail-tol", "1e-12"],
     "lindblad": ["--g", "2", "--grid", "0:1:11", "--n-traj", "50",
                  "--seed", "3"],
 }

@@ -148,6 +148,26 @@ class TestEvolveJC:
                 dt=0.01,
             )
 
+    @pytest.mark.parametrize("t_final", [math.inf, 1e300, 1e12, 2e4])
+    def test_record_past_the_memory_budget_is_refused(self, t_final):
+        # t_final = 2e4 asks for 2e7 steps x 5 entries x 16 B = 1.6 GB;
+        # the larger ones once raised OverflowError, ValueError and
+        # MemoryError from the allocation
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.InvalidParams,
+                               match="finite|memory budget"):
+                dynamics.evolve_jc(
+                    dynamics.ModelParams(1.0, 20.0, 1.0),
+                    dynamics.AtomCavityState.excited_vacuum(),
+                    t_final=t_final,
+                    dt=1e-3,
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_truncation_leak_detected(self):
         # n_fock = 1 cannot hold the photon emitted by the excited atom
         p = dynamics.ModelParams(g=1.0, kappa=0.0, gamma=0.0)

@@ -79,13 +79,11 @@ class TestSweepConfig:
             dict(target="cavity", max_evals=100),
             dict(target="cavity", tol=0.0),
             dict(target="lindblad", n_traj=0),
-            dict(target="cavity", n_max=100_001),
             dict(target="cavity", out="run #1.csv"),
             dict(target="cavity", out="#1.csv"),
             dict(target="cavity", out=" run.csv"),
             dict(target="cavity", out="run\n.csv"),
             dict(target="cavity", out="none"),
-            dict(target="cavity", n_max=-1),
             dict(target="cavity", tail_tol=0.0),
             dict(target="cavity", max_evals=40_000_001),
             dict(target="cavity", tail_tol=math.inf),
@@ -155,14 +153,14 @@ class TestSweepConfig:
             sweeps.SweepConfig(
                 target="cavity", r=0.8, k0d=sweeps.Range(0.1, 10.0, 50, "log"),
                 d_over_lambda0=0.25, t=sweeps.Range(0.0, 1.0, 3),
-                method="series", tol=1e-10, max_evals=123_456, n_max=7,
+                method="series", tol=1e-10, max_evals=123_456,
                 tail_tol=1e-6, g=2.0, kappa=3.5, gamma=0.5, gamma_cav=1.5,
                 n_traj=77, seed=0, out="run.csv"),
             sweeps.SweepConfig(
                 target="lindblad", r=sweeps.Range(-0.5, 0.5, 3), k0d=0.3,
                 d_over_lambda0=sweeps.Range(0.1, 1.0, 4),
                 t=sweeps.Range(0.01, 3.0, 31, "log"), method="quadrature",
-                tol=0.5, max_evals=10_000, n_max=0, tail_tol=0.25, g=0.0,
+                tol=0.5, max_evals=10_000, tail_tol=0.25, g=0.0,
                 kappa=0.0, gamma=0.0, gamma_cav=0.0, n_traj=1, seed=2**40,
                 out="none.csv"),
         ],
@@ -183,6 +181,11 @@ class TestSweepConfig:
             sweeps.reproduce_figure("mirror_dielectric",
                                     outdir=str(tmp_path), quick=True)
         assert not os.listdir(tmp_path)
+
+    def test_n_max_is_not_a_field(self):
+        # the series order is derived from tail_tol (cavity.default_n_max)
+        with pytest.raises(TypeError):
+            sweeps.SweepConfig(target="cavity", n_max=50)
 
     @pytest.mark.parametrize(
         "line",
