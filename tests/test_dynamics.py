@@ -168,6 +168,38 @@ class TestEvolveJC:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("dt", [5e-324, 1e-300, 1e-8])
+    def test_step_count_past_the_memory_budget_is_refused(self, dt):
+        # the same refusal reached from dt: 1 / 5e-324 overflows to inf,
+        # and 1e8 steps x 5 entries x 16 B is 8 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.InvalidParams,
+                               match="finite|memory budget"):
+                dynamics.evolve_jc(
+                    dynamics.ModelParams(1.0, 20.0, 1.0),
+                    dynamics.AtomCavityState.excited_vacuum(),
+                    t_final=1.0,
+                    dt=dt,
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_record_at_the_memory_budget_is_kept(self, monkeypatch):
+        # the budget refuses a record larger than it, not one that fills it
+        p = dynamics.ModelParams(1.0, 20.0, 1.0)
+        rho0 = dynamics.AtomCavityState.excited_vacuum()
+        support = dynamics._reachable(p, rho0.n_fock, rho0.rho)
+        record_bytes = (1000 + 1) * support.size * 16
+        monkeypatch.setattr(dynamics, "_RECORD_BUDGET_BYTES", record_bytes)
+        traj = dynamics.evolve_jc(p, rho0, t_final=1.0, dt=1e-3)
+        assert traj.times.size == 1001
+        monkeypatch.setattr(dynamics, "_RECORD_BUDGET_BYTES", record_bytes - 1)
+        with pytest.raises(errors.InvalidParams, match="memory budget"):
+            dynamics.evolve_jc(p, rho0, t_final=1.0, dt=1e-3)
+
     def test_truncation_leak_detected(self):
         # n_fock = 1 cannot hold the photon emitted by the excited atom
         p = dynamics.ModelParams(g=1.0, kappa=0.0, gamma=0.0)

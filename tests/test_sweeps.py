@@ -87,6 +87,8 @@ class TestSweepConfig:
             dict(target="cavity", tail_tol=0.0),
             dict(target="cavity", max_evals=40_000_001),
             dict(target="cavity", tail_tol=math.inf),
+            dict(target="cavity", tail_tol=math.nan),
+            dict(target="cavity", tail_tol=-1e-8),
         ],
     )
     def test_validate_rejects(self, kwargs):
@@ -321,6 +323,37 @@ class TestRateSweeps:
             if cells["status"] == "ok":
                 assert all(float(cells[c]) >= 0.0 for c in ratio_columns
                            if cells[c]), cells
+
+    @pytest.mark.parametrize("tail_tol", [1e-2, 1e-5, 1e-8, 1e-13])
+    @pytest.mark.parametrize("target", ["cavity", "subwavelength", "optical"])
+    def test_series_column_runs_at_the_configured_tail_tol(self, tmp_path,
+                                                           target, tail_tol):
+        # tail_tol is the series' one control: every row, failed or not, is
+        # the route's own cell at that tail_tol (at 1e-13 the rounding floor
+        # fails the subwavelength rows near |r| = 1 with TailTooLarge)
+        out = str(tmp_path / "series.csv")
+        cfg = sweeps.SweepConfig(target=target, method="series",
+                                 tail_tol=tail_tol, out=out)
+        code = sweeps.run_sweep(cfg)
+        _, header, rows = read_csv(out)
+        assert len(rows) == (cfg.r if isinstance(cfg.r, sweeps.Range)
+                             else cfg.k0d).count
+        n_failed = 0
+        for row in rows:
+            cells = dict(zip(header.split(","), row))
+            r, k0d = float(cells["r_mir"]), float(cells["k0d"])
+            try:
+                cell = cavity.gamma_cavity_series(r, k0d, tail_tol=tail_tol)
+            except errors.MirrorQEDError as exc:
+                assert cells["status"] == type(exc).__name__
+                assert cells["ratio_series"] == "nan"
+                n_failed += 1
+                continue
+            assert cells["status"] == "ok"
+            assert float(cells["err_estimate"]) == cell.err_estimate
+            assert cell.err_estimate <= tail_tol
+            assert abs(float(cells["ratio_series"]) - cell.ratio) <= 1e-13
+        assert code == (3 if n_failed else 0)
 
     def test_cavity_sweep_starts_no_thread(self, tmp_path, monkeypatch):
         def refuse(self):
