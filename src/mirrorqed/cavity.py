@@ -128,9 +128,10 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
 
     Building the breakpoints costs O(k0d) whatever r_mir is (see
     _peak_breakpoints), so the engine's first-level gate
-    (geometry.first_level_panels), which prices the resolution hint of
-    at least 8 k0d nodes, runs before they are built; a cell it refuses
-    builds none.
+    (geometry.first_level_panels) runs before they are built, on the
+    uniform panels of the resolution hint plus the bound
+    14 (ceil(k0d / pi) + 4) on the breakpoints, one panel each, in
+    integer arithmetic; a cell it refuses builds none.
 
     Scalars give a RateResult of floats and raise. Arrays (broadcast
     together) give one of arrays with a status per cell; each cell is
@@ -160,8 +161,9 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
 
         sharpness = 2 if abs(r) > 0.9 else 1
         resolution = sharpness * geometry.oscillation_nodes(k0d)
-        geometry.first_level_panels(resolution, max_evals)
-        breakpoints = _peak_breakpoints(r, k0d) if r != 0.0 else None
+        n_breaks = 14 * (math.ceil(k0d / math.pi) + 4) if r != 0.0 else 0
+        geometry.first_level_panels(resolution + 16 * n_breaks, max_evals)
+        breakpoints = _peak_breakpoints(r, k0d) if n_breaks else None
         integral, err_int = geometry.solid_angle_integrate(
             integrand, resolution=resolution, tol=tol,
             xi_breakpoints=breakpoints, max_evals=max_evals)
@@ -179,10 +181,11 @@ def _peak_breakpoints(r: float, k0d: float) -> list[float]:
     Each gets edges at c_j + s for the seven shifts s in {0, +-h, +-4h,
     +-16h}, mirrored to -(c_j + s). Only edges inside (-1, 1) matter, so
     for each shift only the centres within 1 of -s are generated, with a
-    margin of two for rounding: at most k0d/pi + 4 per shift however
-    small |r| makes h. A shift whose window reaches j = 2^53 is skipped:
-    that takes |r| < 3e-16, where the kernel is flat to rounding and
-    such an edge would mark no peak.
+    margin of two for rounding: at most ceil(k0d/pi) + 4 centres per
+    shift however small |r| makes h, so 14 (ceil(k0d/pi) + 4) edges. A
+    shift whose window reaches j = 2^53 is skipped: that takes
+    |r| < 3e-16, where the kernel is flat to rounding and such an edge
+    would mark no peak.
     """
     den = 2.0 * abs(r) * k0d
     halfwidth = (1.0 - r * r) / den if den > 0.0 else math.inf

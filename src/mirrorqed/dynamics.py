@@ -132,8 +132,9 @@ def _check_rate(gamma_cav) -> None:
 def _time_grid(t_grid, name: str = "t_grid") -> np.ndarray:
     """t_grid as a float array of sample times, else InvalidParams."""
     times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
-        raise InvalidParams(f"{name} must be 1-D, nonempty, >= 0")
+    if (times.ndim != 1 or times.size == 0
+            or not np.all((times >= 0.0) & (times < math.inf))):
+        raise InvalidParams(f"{name} must be 1-D, nonempty, finite, >= 0")
     return times
 
 
@@ -468,8 +469,9 @@ def evolve_single_rate(gamma_cav: float, rho_atom0,
     _check_rate(gamma_cav)
     rho0 = _density_matrix(rho_atom0, 2, "rho_atom")
     if np.ndim(t_final) == 0:
-        if not float(t_final) >= 0.0:
-            raise InvalidParams(f"t_final must be >= 0, got {t_final!r}")
+        if not 0.0 <= float(t_final) < math.inf:
+            raise InvalidParams(
+                f"t_final must be finite and >= 0, got {t_final!r}")
         times = np.linspace(0.0, float(t_final), 101)
     else:
         times = _time_grid(t_final, "time grid")

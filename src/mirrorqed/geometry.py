@@ -36,7 +36,7 @@ that depends on phi fails loudly instead of being integrated wrongly.
 Panels are doubled until two levels agree; each level is evaluated and
 summed in fixed blocks of panels, without BLAS. Callers integrating
 sharply peaked kernels can pass breakpoints so panel edges land on the
-peaks.
+peaks. Every level is priced at its 16 nodes a panel before it runs.
 """
 
 from __future__ import annotations
@@ -172,11 +172,6 @@ _GL_WEIGHTS = np.array([
 _MAX_LEVELS = 16
 # Panels evaluated and summed at once (16,384 nodes), as sweeps._BLOCK_ROWS.
 _BLOCK_PANELS = 1024
-# Integrand evaluations the first-level gates price per panel: 16 xi by
-# 16 phi nodes, the panel of the former 2-D rule. A panel costs 16 now;
-# the price stays until it is re-measured, because repricing changes
-# which cells the gates refuse.
-_EVALS_PER_PANEL = 256
 #: Roundoff floor on the reported error estimate, relative to max(1, |I|);
 #: no smaller tol can converge.
 ERR_FLOOR = 4e-16
@@ -195,31 +190,34 @@ def first_level_panels(resolution: int,
                        max_evals: int = DEFAULT_MAX_EVALS) -> int:
     """Uniform xi panels of the first level that ``resolution`` asks for.
 
-    This is the first budget gate of solid_angle_integrate, priced in
-    integer arithmetic before anything is allocated: each panel counts
-    _EVALS_PER_PANEL = 256 evaluations, 16 times its 16 nodes. A caller
-    that does O(resolution) work of its own before integrating (the
-    cavity's peak breakpoints) calls it first. The default budget is the
-    one every quadrature route takes, DEFAULT_MAX_EVALS.
+    This is the budget gate of solid_angle_integrate, priced in integer
+    arithmetic before anything is allocated. A panel costs its 16 nodes
+    on the first level and 32 on the level that must confirm it, since
+    one level alone never converges: 48 evaluations a panel. A
+    breakpoint adds at most one panel, so a caller prices it as 16 more
+    nodes of ``resolution``; one that builds its breakpoints itself (the
+    cavity's peak breakpoints) calls this first, with a bound on their
+    number. The default budget is the one every quadrature route takes,
+    DEFAULT_MAX_EVALS.
 
     >>> first_level_panels(64)
     4
-    >>> first_level_panels(3_200_000)  # doctest: +ELLIPSIS
+    >>> first_level_panels(16_000_000)  # doctest: +ELLIPSIS
     Traceback (most recent call last):
     ...
-    mirrorqed.errors.NonConvergence: ... needs up to 51200000 evaluations, ...
+    mirrorqed.errors.NonConvergence: ... need up to 48000000 evaluations, ...
 
     Raises
     ------
     NonConvergence
         With n_evals == 0, if those panels could exceed max_evals.
     """
-    n_panels = max(4, -(-resolution // 16))
-    n_first = _EVALS_PER_PANEL * n_panels
-    if n_first > max_evals:
+    n_panels = max(4, -(-resolution // _GL_NODES.size))
+    price = 3 * _GL_NODES.size * n_panels
+    if price > max_evals:
         raise NonConvergence(
-            f"solid-angle quadrature: the first level needs up to {n_first} "
-            f"evaluations, over the budget of {max_evals}", n_evals=0)
+            f"solid-angle quadrature: the first two levels need up to "
+            f"{price} evaluations, over the budget of {max_evals}", n_evals=0)
     return n_panels
 
 
@@ -253,15 +251,14 @@ def solid_angle_integrate(integrand, resolution: int = 64,
         and graded neighborhoods of sharp kernel peaks.
     max_evals : int
         Budget of integrand evaluations across all levels, one per xi
-        node. A first level that could exceed the budget, each panel
-        priced at _EVALS_PER_PANEL, is refused before it is allocated, in
-        two gates: the uniform panels that ``resolution`` asks for are
-        priced by first_level_panels before any edge is built, then the
-        panels the breakpoints add are priced before any node is. A
-        refinement level, twice the panels of the one before, runs only
+        node. One gate (first_level_panels) runs before any edge is
+        built: it prices the uniform panels that ``resolution`` asks for
+        and one more panel per breakpoint inside (-1, 1), each at 48
+        evaluations, for the first level and the level that confirms it.
+        A refinement level, twice the panels of the one before, runs only
         if the evaluations already made plus its own (16 per panel) stay
-        within the budget, so n_evals never exceeds max_evals. Only a level's
-        panel edges, not its nodes, are allocated whole.
+        within the budget, so n_evals never exceeds max_evals. Only a
+        level's panel edges, not its nodes, are allocated whole.
 
     Returns
     -------
@@ -276,7 +273,7 @@ def solid_angle_integrate(integrand, resolution: int = 64,
     NonConvergence
         If the budget is exhausted before two levels agree; the exception
         carries the best value and its estimated error (value None when
-        the first level alone is over the budget).
+        the gate refuses the first level, with n_evals == 0).
     """
     if resolution < 8:
         raise InvalidParams(f"resolution must be >= 8, got {resolution}")
@@ -284,24 +281,23 @@ def solid_angle_integrate(integrand, resolution: int = 64,
         raise InvalidParams(f"tol must be >= {ERR_FLOOR:g}, the error "
                             f"floor, got {tol}")
 
-    n_panels = first_level_panels(resolution, max_evals)
+    pts = np.asarray([] if xi_breakpoints is None else list(xi_breakpoints),
+                     dtype=float)
+    pts = pts[(pts > -1.0) & (pts < 1.0)]
+    n_panels = max(4, -(-resolution // _GL_NODES.size))
+    # the one first-level gate: each breakpoint adds at most one panel
+    first_level_panels(_GL_NODES.size * (n_panels + pts.size), max_evals)
     edges = np.linspace(-1.0, 1.0, int(n_panels) + 1)
-    if xi_breakpoints is not None:
-        pts = np.asarray(list(xi_breakpoints), dtype=float)
-        pts = pts[(pts > -1.0) & (pts < 1.0)]
-        if pts.size:
-            edges = np.sort(np.concatenate([edges, pts]))
-            # drop repeated edges and edges closer than resolvable spacing
-            keep = np.concatenate([[True], np.diff(edges) > 1e-12])
-            edges = edges[keep]
+    if pts.size:
+        edges = np.sort(np.concatenate([edges, pts]))
+        # drop repeated edges and edges closer than resolvable spacing
+        keep = np.concatenate([[True], np.diff(edges) > 1e-12])
+        edges = edges[keep]
 
     prev = None
     value = None
     err = math.inf
     evals = 0
-    # the same gate once the breakpoints have added their panels, at 16
-    # xi nodes a panel
-    first_level_panels(16 * (edges.size - 1), max_evals)
     for _ in range(_MAX_LEVELS):
         total = 0j
         for lo in range(0, edges.size - 1, _BLOCK_PANELS):
@@ -318,7 +314,7 @@ def solid_angle_integrate(integrand, resolution: int = 64,
                 return value, err
         prev = value
         # the next level, twice the panels, is priced before it runs
-        if evals + 32 * (edges.size - 1) > max_evals:
+        if evals + 2 * _GL_NODES.size * (edges.size - 1) > max_evals:
             raise NonConvergence(
                 f"solid-angle quadrature: {evals} evaluations without "
                 f"two-level agreement at tol={tol:g} (err~{err:.3g}); the "

@@ -210,8 +210,9 @@ class TestQuadrature:
         assert refused.value.n_evals == 0
 
     def test_first_level_gate_runs_before_the_breakpoints(self, monkeypatch):
-        # k0d = 4e5 asks for 3.2e6 nodes, 51.2e6 evaluations at the 2-D
-        # price: over the default budget, so no breakpoint may be built
+        # k0d = 4e5 asks for 2e5 uniform panels and up to 1,782,592
+        # breakpoints, 95.2e6 evaluations at 48 a panel: over the default
+        # budget, so no breakpoint may be built
         def never(*args):
             raise AssertionError("breakpoints built")
 
@@ -224,15 +225,58 @@ class TestQuadrature:
         assert grid.status.tolist() == ["NonConvergence", "NonConvergence"]
 
     @pytest.mark.parametrize("max_evals", [10_000, 200_000, 40_000_000])
-    def test_first_level_gate_covers_the_kernel_peaks(self, max_evals):
-        # the peaks inside (-1, 1) put at least k0d/pi - 3 panels on the
-        # first level, 256 evaluations each at the 2-D price; the gate on
-        # the resolution hint refuses every cell they price over budget
-        for k0d in np.geomspace(1e-3, 1e8, 500).tolist():
-            if (k0d / math.pi - 3.0) * 256 > max_evals:
-                with pytest.raises(errors.NonConvergence):
-                    geometry.first_level_panels(
-                        geometry.oscillation_nodes(k0d), max_evals)
+    @pytest.mark.parametrize("r", [0.5, -0.98])
+    def test_first_level_gate_prices_the_first_two_levels(self, monkeypatch,
+                                                          r, max_evals):
+        # an admitted cell's first level, and the level of twice its
+        # panels that must confirm it, fit the budget: 3 x its nodes; a
+        # refused cell builds no breakpoint and evaluates nothing
+        class SecondLevel(Exception):
+            pass
+
+        build, panel_points = cavity._peak_breakpoints, geometry._panel_points
+        built, first = [], []
+
+        def spy_breakpoints(*args):
+            built.append(args)
+            return build(*args)
+
+        def spy_points(edges):
+            if edges[0] == -1.0 and first:  # every level starts at -1
+                raise SecondLevel
+            first.append(16 * (edges.size - 1))
+            return panel_points(edges)
+
+        monkeypatch.setattr(cavity, "_peak_breakpoints", spy_breakpoints)
+        monkeypatch.setattr(geometry, "_panel_points", spy_points)
+        admitted = refused = 0
+        for k0d in np.geomspace(1e-3, 1e8, 45).tolist():
+            built.clear()
+            first.clear()
+            try:
+                gamma_cavity_quadrature(r, k0d, max_evals=max_evals)
+            except SecondLevel:
+                assert built and 3 * sum(first) <= max_evals, k0d
+                admitted += 1
+            except errors.NonConvergence as exc:
+                assert exc.n_evals == 0, k0d
+                assert not built and not first, k0d
+                refused += 1
+        assert admitted and refused
+
+    @pytest.mark.parametrize("k0d", [3e5, 5e6, 1e308])
+    def test_refused_cell_allocates_nothing(self, k0d):
+        # the gate prices the breakpoints from their bound, in integers,
+        # before one is built; at 3e5 they once took 39.7 MiB to refuse
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.NonConvergence) as refused:
+                gamma_cavity_quadrature(0.5, k0d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused.value.n_evals == 0
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("r", [0.5, -0.8])
     @pytest.mark.parametrize("k0d", [math.inf, math.nan, 1e6])

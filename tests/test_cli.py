@@ -400,7 +400,8 @@ def test_quadrature_level_memory_is_bounded(tmp_path, argv):
 
 
 def test_max_evals_above_its_default_refused(tmp_path):
-    # a budget of 1e30 once let a 7.45 GiB first level past both gates
+    # the cap bounds one cell's time; a budget of 1e30 once let a
+    # 7.45 GiB first level past the gates
     proc, wall = _run_capped(
         tmp_path, ["mirror", "--method", "quadrature", "--k0d", "1e9",
                    "--max-evals", "1" + "0" * 30])

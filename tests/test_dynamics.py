@@ -688,6 +688,29 @@ class TestModelDiscrepancy:
             dynamics.model_discrepancy(p, 1.0, np.array([0.5, 0.2, 1.0]))
 
 
+@pytest.mark.parametrize("route, t", [
+    ("discrepancy", [0.0, math.nan]),
+    ("jumps", [0.0, math.nan]),
+    ("jumps", [0.0, math.inf]),
+    ("single", [0.0, math.nan]),
+    ("single", [0.0, math.inf]),
+    ("single", math.inf),
+], ids=["discrepancy-nan", "jumps-nan", "jumps-inf", "single-nan",
+        "single-inf", "single-scalar-inf"])
+def test_non_finite_times_are_refused(route, t):
+    # NaN passes a test of t < 0, and an infinite horizon has no grid
+    rho0 = np.diag([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(errors.InvalidParams, match="finite"):
+            if route == "discrepancy":
+                dynamics.model_discrepancy(params_weak(), 1.0, t)
+            elif route == "jumps":
+                dynamics.unravel_jumps(1.0, rho0, 10, 1, t)
+            else:
+                dynamics.evolve_single_rate(1.0, rho0, t)
+
+
 class TestExpm:
     """The Pade propagator against scipy's expm on the model Liouvillian."""
 

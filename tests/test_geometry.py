@@ -197,6 +197,19 @@ class TestSolidAngleIntegrate:
         assert 0 < exc.value.n_evals <= max_evals
         assert exc.value.value is not None
 
+    @pytest.mark.parametrize("route,referee,args", [
+        (mirror.gamma_mirror_quadrature, mirror.gamma_mirror_closed,
+         (-1.0, 5e5)),
+        (cavity.gamma_cavity_quadrature, cavity.gamma_cavity_series,
+         (0.5, 1e5)),
+    ], ids=["mirror", "cavity"])
+    def test_far_cells_fit_the_default_budget(self, route, referee, args):
+        # priced at their 16 nodes a panel, these first levels fit the
+        # default budget; at 256 a panel both were refused
+        res, ref = route(*args), referee(*args)
+        assert res.status == "ok"
+        assert abs(res.ratio - ref.ratio) <= res.err_estimate + ref.err_estimate
+
     def test_invalid_arguments(self):
         fn = lambda theta, phi: np.ones_like(theta)
         with pytest.raises(errors.InvalidParams):
