@@ -47,6 +47,9 @@ DEFAULT_TAIL_TOL = 1e-8
 
 _N_MAX_CAP = 100_000
 
+# The in-plane dipole the series assumes (all have one phi mean).
+_DIPOLE = DipoleOrientation()
+
 
 def _cavity_cells(r_mir, k0d) -> Cells:
     """The cells of (r_mir, k0d), checked.
@@ -113,7 +116,6 @@ def default_n_max(r_mir: float, tail_tol: float) -> int:
 
 
 def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
-                            dhat: DipoleOrientation | None = None,
                             max_evals: int = geometry.DEFAULT_MAX_EVALS):
     """Decay ratio by solid-angle quadrature of the resummed kernel.
 
@@ -130,8 +132,10 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     _peak_breakpoints), so the engine's first-level gate
     (geometry.first_level_panels) runs before they are built, on the
     uniform panels of the resolution hint plus the bound
-    14 (ceil(k0d / pi) + 4) on the breakpoints, one panel each, in
-    integer arithmetic; a cell it refuses builds none.
+    7 ceil(k0d / pi) + 40 on the breakpoints, one panel each, in integer
+    arithmetic; a cell it refuses builds none. At the default budget it
+    refuses k0d above 305,438.2 for 0 < |r_mir| <= 0.9, above 258,131
+    for |r_mir| > 0.9 and above 1,666,666 for r_mir = 0.
 
     Scalars give a RateResult of floats and raise. Arrays (broadcast
     together) give one of arrays with a status per cell; each cell is
@@ -150,18 +154,16 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
         is evaluated, with n_evals == 0. On a grid: that cell's status.
     """
     cells = _cavity_cells(r_mir, k0d)
-    if dhat is None:
-        dhat = DipoleOrientation()
 
     def cell(r, k0d):
         def integrand(theta, phi):
             xi = np.cos(theta)
-            return (geometry.phi_mean_weight(dhat, xi)
+            return (geometry.phi_mean_weight(_DIPOLE, xi)
                     * interference_kernel(r, k0d * xi))
 
         sharpness = 2 if abs(r) > 0.9 else 1
         resolution = sharpness * geometry.oscillation_nodes(k0d)
-        n_breaks = 14 * (math.ceil(k0d / math.pi) + 4) if r != 0.0 else 0
+        n_breaks = _breakpoint_bound(k0d) if r != 0.0 else 0
         geometry.first_level_panels(resolution + 16 * n_breaks, max_evals)
         breakpoints = _peak_breakpoints(r, k0d) if n_breaks else None
         integral, err_int = geometry.solid_angle_integrate(
@@ -173,6 +175,37 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     return cells.each("quadrature", cell)
 
 
+def _breakpoint_bound(k0d: float) -> int:
+    """7 c + 40, c = ceil(k0d / pi): no r gives more _peak_breakpoints.
+
+    Proof. Write S = k0d / pi, so c = ceil(S). Shift s walks the j of
+    one parity p, from the first at or above max(p, floor((-1 - s) S) - 2)
+    to ceil((1 - s) S) + 2, and adds two edges per j; a shift whose top
+    (1 - s) S is not in [0, 2^53) adds none.
+
+    * s = 0 walks p .. c + 2: at most floor(c / 2) + 2 values of j.
+    * A pair of shifts +-o (o > 0) has tops u = (1 - o) S and
+      v = (1 + o) S, and the -o shift starts from -u, as the +o one
+      does from -v. If u >= 0, both start at p and walk
+      floor((ceil u + 2 - p) / 2) + floor((ceil v + 2 - p) / 2) + 2
+      values. If u < 0, the +o shift adds none and the -o one starts at
+      floor(-u) - 2 = -ceil(u) - 2 or later. Either way the pair walks
+      at most floor((ceil u + ceil v) / 2) + 4 values.
+    * Exactly, u + v = 2 S <= 2 c, so ceil u + ceil v <= 2 c + 1 and a
+      pair walks at most c + 4 values: 2 (floor(c / 2) + 2 + 3 (c + 4))
+      <= 7 (c + 4) edges, which r = 0.01, k0d = 803.4 reaches.
+    * In floats, u and v are each rounded twice (1 -+ o, then times S),
+      by a relative 2^-53 each time, and (1 + o) S < 2^53 (1 + 2^-51)
+      when v is kept. So each is within 2 (1 + 2^-50) of its exact value,
+      and within 1 + 2^-50 when v < 2^52. With ceil x < x + 1, that
+      gives ceil u + ceil v <= 2 c + 4 when v < 2^52; above, v is an
+      integer, ceil v = v, and ceil u + ceil v <= 2 c + 5. A pair then
+      walks at most c + 6 values: 2 (floor(c / 2) + 2 + 3 (c + 6))
+      <= 7 c + 40 edges.
+    """
+    return 7 * math.ceil(k0d / math.pi) + 40
+
+
 def _peak_breakpoints(r: float, k0d: float) -> list[float]:
     """Panel edges at the kernel peaks and their graded neighbourhoods.
 
@@ -181,11 +214,10 @@ def _peak_breakpoints(r: float, k0d: float) -> list[float]:
     Each gets edges at c_j + s for the seven shifts s in {0, +-h, +-4h,
     +-16h}, mirrored to -(c_j + s). Only edges inside (-1, 1) matter, so
     for each shift only the centres within 1 of -s are generated, with a
-    margin of two for rounding: at most ceil(k0d/pi) + 4 centres per
-    shift however small |r| makes h, so 14 (ceil(k0d/pi) + 4) edges. A
-    shift whose window reaches j = 2^53 is skipped: that takes
-    |r| < 3e-16, where the kernel is flat to rounding and such an edge
-    would mark no peak.
+    margin of two for rounding: however small |r| makes h, that is at
+    most _breakpoint_bound(k0d) edges. A shift whose window reaches
+    j = 2^53 is skipped: that takes |r| < 3e-16, where the kernel is
+    flat to rounding and such an edge would mark no peak.
     """
     den = 2.0 * abs(r) * k0d
     halfwidth = (1.0 - r * r) / den if den > 0.0 else math.inf

@@ -48,8 +48,6 @@ def _add_rate_flags(parser: argparse.ArgumentParser, methods) -> None:
     parser.add_argument("--method", choices=methods,
                         help="which computation routes to run")
     parser.add_argument("--tol", help="quadrature tolerance")
-    parser.add_argument("--max-evals", dest="max_evals",
-                        help="quadrature evaluation budget per cell")
     parser.add_argument("--tail-tol", dest="tail_tol",
                         help="series tail plus rounding bound; the series "
                         "sums the fewest passes that meet it")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -111,6 +112,9 @@ def _density_matrix(rho, dim: int, name: str) -> np.ndarray:
     rho = np.array(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise InvalidParams(f"{name} must be {dim}x{dim}, got shape {rho.shape}")
+    # a nan or inf entry would compare false against every check below
+    if not np.isfinite(rho).all():
+        raise InvalidParams(f"{name} has a non-finite entry")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > _HERM_TOL:
         raise InvalidParams(f"{name} not Hermitian (deviation {herm:.3g})")
@@ -127,6 +131,19 @@ def _check_rate(gamma_cav) -> None:
     if not 0.0 <= gamma_cav < math.inf:
         raise InvalidParams(
             f"gamma_cav must be finite and >= 0, got {gamma_cav!r}")
+
+
+def _whole_number(value, name: str, least: int) -> int:
+    """value as an int >= least (an integer type, not a float), else
+    InvalidParams."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise InvalidParams(
+            f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise InvalidParams(f"{name} must be >= {least}, got {value!r}")
+    return number
 
 
 def _time_grid(t_grid, name: str = "t_grid") -> np.ndarray:
@@ -546,8 +563,8 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
     The results do not depend on the block size.
     """
     _check_rate(gamma_cav)
-    if n_traj < 1:
-        raise InvalidParams(f"n_traj must be >= 1, got {n_traj!r}")
+    n_traj = _whole_number(n_traj, "n_traj", 1)
+    seed = _whole_number(seed, "seed", 0)
     rho0 = _density_matrix(rho_atom0, 2, "rho_atom")
     times = _time_grid(t_grid)
 

@@ -19,6 +19,9 @@ from .geometry import DipoleOrientation
 
 __all__ = ["EmitterSpec", "gamma_free_si", "gamma_free_quadrature"]
 
+#: Relative tolerance of gamma_free_quadrature.
+_QUAD_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class EmitterSpec:
@@ -33,6 +36,12 @@ class EmitterSpec:
         elementary charge is factored separately in the rate formula).
     dhat : DipoleOrientation
         Unit vector of the dipole; defaults to (0, 0, 1).
+
+    Raises
+    ------
+    InvalidParams
+        Unless omega0 and dipole_magnitude are positive and finite and
+        the free-space rate they give is finite.
     """
 
     omega0: float
@@ -40,11 +49,19 @@ class EmitterSpec:
     dhat: DipoleOrientation = field(default_factory=DipoleOrientation)
 
     def __post_init__(self):
-        if not self.omega0 > 0.0:
-            raise InvalidParams(f"omega0 must be positive, got {self.omega0!r}")
-        if not self.dipole_magnitude > 0.0:
+        for name in ("omega0", "dipole_magnitude"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise InvalidParams(
+                    f"{name} must be positive and finite, got {value!r}")
+        try:
+            rate = gamma_free_si(self)
+        except OverflowError:  # a float power past the float range
+            rate = math.inf
+        if rate == math.inf:
             raise InvalidParams(
-                f"dipole_magnitude must be positive, got {self.dipole_magnitude!r}")
+                f"the free-space rate of omega0 = {self.omega0!r}, "
+                f"dipole_magnitude = {self.dipole_magnitude!r} overflows")
 
     @property
     def k0(self) -> float:
@@ -69,24 +86,22 @@ def gamma_free_si(emitter: EmitterSpec) -> float:
     return num / den
 
 
-def gamma_free_quadrature(emitter: EmitterSpec, tol: float = 1e-10) -> float:
+def gamma_free_quadrature(emitter: EmitterSpec) -> float:
     """Free-space decay rate via the pre-integration angular form.
 
     Integrates the transverse dipole weight over the full solid angle and
     applies the same prefactor as gamma_free_si divided by the angular
-    normalization 8*pi/3; agrees with gamma_free_si to quadrature accuracy
+    normalization 8*pi/3; agrees with gamma_free_si to 1e-10 relative
     for any orientation (free space is isotropic).
 
     Raises
     ------
-    InvalidParams
-        If tol < geometry.ERR_FLOOR, the engine's error floor.
     NonConvergence
         Propagated from the quadrature engine.
     """
     integrand = lambda theta, phi: geometry.phi_mean_weight(
         emitter.dhat, np.cos(theta))
-    integral, _err = geometry.solid_angle_integrate(integrand, tol=tol)
+    integral, _err = geometry.solid_angle_integrate(integrand, tol=_QUAD_TOL)
     prefactor = (ELEMENTARY_CHARGE ** 2 * emitter.dipole_magnitude ** 2
                  * emitter.omega0 ** 3
                  / (8.0 * math.pi ** 2 * SPEED_OF_LIGHT ** 3

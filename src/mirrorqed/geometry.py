@@ -83,10 +83,15 @@ class DipoleOrientation:
         v = np.asarray(self.vec, dtype=float)
         if v.shape != (3,):
             raise InvalidParams(f"dipole orientation must be a 3-vector, got {v.shape}")
-        n = float(np.linalg.norm(v))
-        if not n > 0.0:
+        if not np.isfinite(v).all():
+            raise InvalidParams(f"dipole orientation must be finite, got {v}")
+        # scaled to a largest component of 1 first, so that the norm
+        # neither overflows nor underflows; a unit vector keeps its bits
+        top = float(np.max(np.abs(v)))
+        if not top > 0.0:
             raise InvalidParams("dipole orientation must be nonzero")
-        object.__setattr__(self, "vec", v / n)
+        v = v / top
+        object.__setattr__(self, "vec", v / float(np.linalg.norm(v)))
 
 
 def transverse_weight_sum(dhat: DipoleOrientation, theta, phi):

@@ -28,6 +28,9 @@ __all__ = ["gamma_mirror_closed", "gamma_mirror_quadrature"]
 # Roundoff floor of assembling the ratio itself.
 _RATIO_ERR_FLOOR = 4e-16
 
+# The in-plane dipole the closed form assumes (all have one phi mean).
+_DIPOLE = DipoleOrientation()
+
 
 def _closed_form_err(re_r, x):
     """Roundoff bound on 1 + 1.5 * re_r * f(x), elementwise.
@@ -77,7 +80,6 @@ def gamma_mirror_closed(re_r, k0d):
 
 
 def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
-                            dhat: DipoleOrientation | None = None,
                             max_evals: int = geometry.DEFAULT_MAX_EVALS):
     """Decay ratio by direct solid-angle quadrature of the interference term.
 
@@ -105,13 +107,12 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
     """
     cells = Cells(re_r, k0d)
     _check_mirror_args(cells, re_r, k0d)
-    if dhat is None:
-        dhat = DipoleOrientation()
 
     def cell(re_r, k0d):
         def integrand(theta, phi):
             xi = np.cos(theta)
-            return np.exp(-2j * k0d * xi) * geometry.phi_mean_weight(dhat, xi)
+            return (np.exp(-2j * k0d * xi)
+                    * geometry.phi_mean_weight(_DIPOLE, xi))
 
         resolution = geometry.oscillation_nodes(2.0 * k0d)
         integral, err_int = geometry.solid_angle_integrate(

@@ -156,7 +156,9 @@ class SweepConfig:
     Keys left unset (None) take the target's TARGETS defaults when built:
     a config built in Python runs, and its preamble records, what the
     subcommand runs. The series has one control, tail_tol: the order it
-    sums is derived from it (cavity.default_n_max).
+    sums is derived from it (cavity.default_n_max). The quadrature has
+    one, tol: every cell runs at the default evaluation budget,
+    geometry.DEFAULT_MAX_EVALS.
     """
 
     target: str
@@ -166,7 +168,6 @@ class SweepConfig:
     t: Range | None = None
     method: str | None = None
     tol: float = geometry.DEFAULT_TOL
-    max_evals: int = geometry.DEFAULT_MAX_EVALS
     tail_tol: float = cavity_mod.DEFAULT_TAIL_TOL
     g: float = 1.0
     kappa: float = 20.0
@@ -209,13 +210,6 @@ class SweepConfig:
             cavity_mod._check_tail_tol(self.tail_tol)
         except InvalidParams as exc:
             raise ConfigError(str(exc)) from None
-        # interim cap on one cell's time: a level holds only its edges,
-        # but cavity r = -0.999, k0d = 1e5 spends 36,154,720 evaluations
-        # in 1.6 s (2-CPU Intel Xeon)
-        if not 10_000 <= self.max_evals <= geometry.DEFAULT_MAX_EVALS:
-            raise ConfigError(
-                f"max_evals must lie in [10000, {geometry.DEFAULT_MAX_EVALS}]"
-                f", got {self.max_evals!r}")
         if not 1 <= self.n_traj <= _MAX_TRAJECTORIES:
             raise ConfigError(
                 f"n_traj must lie in [1, {_MAX_TRAJECTORIES}] (a "
@@ -274,7 +268,7 @@ def _float_or_range(raw: str):
 _PARSERS = {
     "target": str, "r": _float_or_range, "k0d": _float_or_range,
     "d_over_lambda0": _float_or_range, "t": Range.parse, "method": str,
-    "tol": float, "max_evals": int, "tail_tol": float,
+    "tol": float, "tail_tol": float,
     "g": float, "kappa": float, "gamma": float, "gamma_cav": float,
     "n_traj": int, "seed": int, "out": str,
 }
@@ -489,7 +483,7 @@ def _mirror_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
     if want_quad:
         quad, quad_err = _run_route(
             status, mirror_mod.gamma_mirror_quadrature, re_r, k0d,
-            tol=cfg.tol, max_evals=cfg.max_evals)
+            tol=cfg.tol)
     # a failed row reads nan in both ratio columns, wanted or not
     failed = status != "ok"
     both = want_closed and want_quad
@@ -509,7 +503,7 @@ def _cavity_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
     wanted = cfg.routes()
     routes = (
         (cavity_mod.gamma_cavity_quadrature, "quadrature" in wanted,
-         {"tol": cfg.tol, "max_evals": cfg.max_evals}),
+         {"tol": cfg.tol}),
         (cavity_mod.gamma_cavity_series, "series" in wanted,
          {"tail_tol": cfg.tail_tol}),
         (cavity_mod.gamma_subwavelength_2nd,

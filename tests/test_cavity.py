@@ -57,15 +57,12 @@ QUAD_ORACLE = [
     (-0.8, 50.0 * math.pi, 0.9999173484698828),
 ]
 
-# the default in-plane dipole, one along the mirror normal, and a generic one
-REFERENCE_DIPOLES = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -0.4, 0.5)]
-
-
-def rerun_over_2d_weight(monkeypatch, dhat, factor, route):
+def rerun_over_2d_weight(monkeypatch, factor, route):
     """Run ``route`` and redo its engine call over the full 2-D weight.
 
     The redo integrates the 16-node phi mean of
-    transverse_weight_sum(dhat, theta, phi), exact for this degree-2
+    transverse_weight_sum(dhat, theta, phi) for the default in-plane
+    dipole, which every route computes, exact for this degree-2
     trigonometric weight, times factor(cos theta), with the resolution,
     breakpoints, tolerance and budget the route passed to the engine.
     Returns the route's result and the real part of the redone integral.
@@ -80,6 +77,7 @@ def rerun_over_2d_weight(monkeypatch, dhat, factor, route):
     monkeypatch.setattr(geometry, "solid_angle_integrate", spy)
     result = route()
     (kwargs,) = calls
+    dhat = geometry.DipoleOrientation()
     phis = (math.pi / 8) * np.arange(16)
     value, _ = engine(
         lambda theta, phi: (
@@ -210,8 +208,8 @@ class TestQuadrature:
         assert refused.value.n_evals == 0
 
     def test_first_level_gate_runs_before_the_breakpoints(self, monkeypatch):
-        # k0d = 4e5 asks for 2e5 uniform panels and up to 1,782,592
-        # breakpoints, 95.2e6 evaluations at 48 a panel: over the default
+        # k0d = 4e5 asks for 2e5 uniform panels and up to 891,308
+        # breakpoints, 52.4e6 evaluations at 48 a panel: over the default
         # budget, so no breakpoint may be built
         def never(*args):
             raise AssertionError("breakpoints built")
@@ -268,10 +266,11 @@ class TestQuadrature:
     def test_refused_cell_allocates_nothing(self, k0d):
         # the gate prices the breakpoints from their bound, in integers,
         # before one is built; at 3e5 they once took 39.7 MiB to refuse
+        # (at r = 0.5, which the default budget admits up to 305,438.2)
         tracemalloc.start()
         try:
             with pytest.raises(errors.NonConvergence) as refused:
-                gamma_cavity_quadrature(0.5, k0d)
+                gamma_cavity_quadrature(0.98, k0d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -319,6 +318,47 @@ class TestQuadrature:
             assert inside(cavity._peak_breakpoints(r, k0d)) == inside(
                 walk(r, k0d)), k0d
 
+    # 30 values of r from +-1e-300 to +-0.999999, each over 500 k0d in
+    # [1e-4, 3e4]: the gate prices what every one of them builds
+    @pytest.mark.parametrize("r", [sign * a for a in (
+        1e-300, 1e-100, 1e-16, 3e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.3,
+        0.5, 0.7, 0.9, 0.99, 0.999999) for sign in (1.0, -1.0)])
+    def test_peak_breakpoints_within_their_bound(self, r):
+        for k0d in np.geomspace(1e-4, 3e4, 500).tolist():
+            assert len(cavity._peak_breakpoints(r, k0d)) <= (
+                cavity._breakpoint_bound(k0d)), k0d
+
+    def test_breakpoint_bound_is_nearly_reached(self):
+        # the exact-arithmetic maximum 7 (ceil(k0d / pi) + 4) is reached;
+        # the bound adds 12 edges for rounding
+        k0d = 803.4
+        assert len(cavity._peak_breakpoints(0.01, k0d)) == 1820 == (
+            7 * (math.ceil(k0d / math.pi) + 4))
+        assert cavity._breakpoint_bound(k0d) == 1820 + 12
+
+    @pytest.mark.parametrize("r,admitted,refused", [
+        (0.5, 305_438.2, 305_438.21), (-0.9, 305_438.2, 305_438.21),
+        (0.95, 258_131.0, 258_131.01), (-0.999, 258_131.0, 258_131.01),
+        (0.0, 1_666_666.0, 1_666_666.01)])
+    def test_default_budget_refuses_above_the_stated_k0d(self, monkeypatch,
+                                                          r, admitted,
+                                                          refused):
+        # the thresholds the route's docstring and the README state: the
+        # largest k0d whose first level the gate admits, and one just above
+        class Admitted(Exception):
+            pass
+
+        def admit(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(cavity, "_peak_breakpoints", admit)
+        monkeypatch.setattr(geometry, "solid_angle_integrate", admit)
+        with pytest.raises(Admitted):
+            gamma_cavity_quadrature(r, admitted)
+        with pytest.raises(errors.NonConvergence) as exc:
+            gamma_cavity_quadrature(r, refused)
+        assert exc.value.n_evals == 0
+
     @pytest.mark.parametrize("r", [1e-8, -1e-12, 1e-300, 5e-324])
     def test_tiny_reflectivity_builds_few_breakpoints(self, r):
         start = time.perf_counter()
@@ -332,17 +372,14 @@ class TestQuadrature:
         with pytest.raises(errors.NonConvergence):
             gamma_cavity_quadrature(0.999, 300.0, max_evals=200_000)
 
-    @pytest.mark.parametrize("dipole", REFERENCE_DIPOLES)
     @pytest.mark.parametrize("r,k0d", [(0.9, 1e-3), (0.5, math.pi),
                                        (0.98, 3.0), (-0.98, 10.0),
                                        (0.8, 100.0)])
-    def test_matches_two_dimensional_weight(self, r, k0d, dipole,
-                                            monkeypatch):
-        dhat = geometry.DipoleOrientation(vec=np.array(dipole))
+    def test_matches_two_dimensional_weight(self, r, k0d, monkeypatch):
         res, integral = rerun_over_2d_weight(
-            monkeypatch, dhat,
+            monkeypatch,
             lambda xi: cavity.interference_kernel(r, k0d * xi),
-            lambda: gamma_cavity_quadrature(r, k0d, dhat=dhat))
+            lambda: gamma_cavity_quadrature(r, k0d))
         reference = 3.0 / (8.0 * math.pi) * integral
         assert abs(res.ratio - reference) <= 1e-14 * abs(reference)
 

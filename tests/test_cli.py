@@ -79,7 +79,7 @@ class TestExitCodes:
     def test_tol_below_the_error_floor_is_usage_error(self, tmp_path, capsys,
                                                       target, tol):
         # no cell can converge below the floor: each one once spent its
-        # whole max_evals budget before the run exited 3
+        # whole evaluation budget before the run exited 3
         out = tmp_path / "s.csv"
         start = time.perf_counter()
         assert cli.main([target, f"--tol={tol}", "--out", str(out)]) == 2
@@ -159,10 +159,11 @@ class TestExitCodes:
         assert row["status"] == "NonConvergence"
 
     def test_partial_failure_exits_three(self, tmp_path, capsys):
+        # the default budget refuses this cell before any evaluation
         out = str(tmp_path / "hard.csv")
         rc = cli.main([
-            "cavity", "--r", "0.999", "--k0d", "300", "--method", "quadrature",
-            "--max-evals", "200000", "--out", out,
+            "cavity", "--r", "0.999", "--k0d", "2e6", "--method", "quadrature",
+            "--out", out,
         ])
         assert rc == 3
         assert os.path.exists(out)
@@ -202,6 +203,23 @@ def test_n_max_is_gone(tmp_path, capsys, target):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["mirror", "cavity", "subwavelength",
+                                    "optical"])
+def test_max_evals_is_gone(tmp_path, capsys, target):
+    # every quadrature cell runs at the default budget of 40,000,000
+    # evaluations, so --max-evals and a max_evals key (as in the preamble
+    # of an older CSV) are usage errors
+    out = tmp_path / "out.csv"
+    assert cli.main([target, "--max-evals", "200000", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --max-evals" in capsys.readouterr().err
+    cfg_file = tmp_path / "old.cfg"
+    cfg_file.write_text("max_evals = 40000000\n", encoding="utf-8")
+    assert cli.main([target, "--config", str(cfg_file),
+                     "--out", str(out)]) == 2
+    assert "unknown config key 'max_evals'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["lindblad", "--g", "1e200"],
     ["lindblad", "--g", "1e150"],
@@ -230,7 +248,10 @@ def test_overflowing_lindblad_rates_fail_typed(tmp_path, argv, capsys):
 # of the second-order error |t4| + 2|t6| + 4e-16 |limit|. The series r
 # sweep was frozen at a pinned order of 50; it now runs at tail_tol 1e-13,
 # which gives the same statuses, and its ok rows carry that order's
-# err_estimate.
+# err_estimate. The NonConvergence rows were frozen at k0d = 250:300:3
+# under a 200,000-evaluation budget, which is no longer a setting; they
+# now run at k0d = 2e6:3e6:3, which the default budget refuses, and
+# differ from the frozen rows only in k0d.
 FROZEN_ROWS = {
     ("mirror", "--method", "closed", "--r=-1.5:0.5:5", "--k0d", "1"): [
         "0.15915494309189535,1.0,-1.5,nan,nan,,nan,closed,InvalidParams",
@@ -261,11 +282,10 @@ FROZEN_ROWS = {
         "1.0,0.8332666666666666,,nan,,nan,TailTooLarge,series",
         "1.0,0.9999,,nan,,nan,TailTooLarge,series",
     ],
-    ("cavity", "--method", "all", "--r", "0.999", "--k0d", "250:300:3",
-     "--max-evals", "200000"): [
-        "250.0,0.999,nan,nan,,nan,NonConvergence,all",
-        "275.0,0.999,nan,nan,,nan,NonConvergence,all",
-        "300.0,0.999,nan,nan,,nan,NonConvergence,all",
+    ("cavity", "--method", "all", "--r", "0.999", "--k0d", "2e6:3e6:3"): [
+        "2000000.0,0.999,nan,nan,,nan,NonConvergence,all",
+        "2500000.0,0.999,nan,nan,,nan,NonConvergence,all",
+        "3000000.0,0.999,nan,nan,,nan,NonConvergence,all",
     ],
 }
 
@@ -399,19 +419,6 @@ def test_quadrature_level_memory_is_bounded(tmp_path, argv):
         "NonConvergence"]
 
 
-def test_max_evals_above_its_default_refused(tmp_path):
-    # the cap bounds one cell's time; a budget of 1e30 once let a
-    # 7.45 GiB first level past the gates
-    proc, wall = _run_capped(
-        tmp_path, ["mirror", "--method", "quadrature", "--k0d", "1e9",
-                   "--max-evals", "1" + "0" * 30])
-    assert proc.returncode == 2, proc.stderr
-    assert "max_evals must lie in [10000, 40000000]" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "edge.csv").exists()
-    assert wall < 2.0
-
-
 @pytest.mark.parametrize("argv", [
     ["optical", "--r", "1e-6"],
     ["cavity", "--method", "quadrature", "--r", "1e-8", "--k0d", "1"],
@@ -516,8 +523,7 @@ def test_flag_text_gets_no_config_text_conventions(tmp_path, monkeypatch,
 # the input-domain table: every numeric flag of every target, at each edge
 # value, given both as a flag and as a config line
 _RATE_KEYS = {"--r": "r", "--k0d": "k0d", "--d-over-lambda": "d_over_lambda0",
-              "--tol": "tol", "--max-evals": "max_evals",
-              "--tail-tol": "tail_tol", "--seed": "seed"}
+              "--tol": "tol", "--tail-tol": "tail_tol", "--seed": "seed"}
 _LINDBLAD_KEYS = {"--g": "g", "--kappa": "kappa", "--gamma": "gamma",
                   "--gamma-cav": "gamma_cav", "--n-traj": "n_traj",
                   "--seed": "seed"}

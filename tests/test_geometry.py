@@ -54,6 +54,26 @@ class TestDipoleWeight:
         with pytest.raises(errors.InvalidParams):
             geometry.DipoleOrientation(vec=np.zeros(3))
 
+    @pytest.mark.parametrize("vec,unit", [
+        # the norm of the first overflowed, and the vector was stored as 0;
+        # the norm of the next two underflowed, and they were refused
+        ((1e300, 1e300, 0.0), (1.0, 1.0, 0.0)),
+        ((1e-200, 1e-200, 0.0), (1.0, 1.0, 0.0)),
+        ((5e-324, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((1.5e308, -1.5e308, 1.5e308), (1.0, -1.0, 1.0)),
+        ((0.0, 0.0, 7.0), (0.0, 0.0, 1.0)),
+    ])
+    def test_extreme_components_normalise(self, vec, unit):
+        # scaled to a largest component of 1 before the norm is taken, so
+        # a vector and any multiple of it are one orientation, bit for bit
+        dhat = geometry.DipoleOrientation(vec=np.array(vec))
+        assert dhat.vec.tolist() == geometry.DipoleOrientation(
+            vec=np.array(unit)).vec.tolist()
+        assert abs(np.linalg.norm(dhat.vec) - 1.0) <= 2.3e-16
+
+    def test_default_dipole_keeps_its_bits(self):
+        assert geometry.DipoleOrientation().vec.tolist() == [0.0, 0.0, 1.0]
+
 
 class TestPhiMeanWeight:
     """The closed phi mean against a phi average of the frame weights."""

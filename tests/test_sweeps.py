@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mirrorqed import cavity, dynamics, errors, mirror, sweeps
+from mirrorqed import (cavity, dynamics, errors, freespace, geometry, mirror,
+                       sweeps)
 
 MIRROR_HEADER = (
     "d_over_lambda0,k0d,re_r,ratio_closed,ratio_quadrature,"
@@ -76,7 +77,6 @@ class TestSweepConfig:
             dict(target="cavity", r=sweeps.Range(0, 0.5, 3), k0d=sweeps.Range(1, 2, 3)),
             dict(target="cavity", t=sweeps.Range(0, 3, 5)),
             dict(target="lindblad", t=sweeps.Range(-1.0, 3.0, 5)),
-            dict(target="cavity", max_evals=100),
             dict(target="cavity", tol=0.0),
             dict(target="lindblad", n_traj=0),
             dict(target="cavity", out="run #1.csv"),
@@ -85,7 +85,6 @@ class TestSweepConfig:
             dict(target="cavity", out="run\n.csv"),
             dict(target="cavity", out="none"),
             dict(target="cavity", tail_tol=0.0),
-            dict(target="cavity", max_evals=40_000_001),
             dict(target="cavity", tail_tol=math.inf),
             dict(target="cavity", tail_tol=math.nan),
             dict(target="cavity", tail_tol=-1e-8),
@@ -155,14 +154,14 @@ class TestSweepConfig:
             sweeps.SweepConfig(
                 target="cavity", r=0.8, k0d=sweeps.Range(0.1, 10.0, 50, "log"),
                 d_over_lambda0=0.25, t=sweeps.Range(0.0, 1.0, 3),
-                method="series", tol=1e-10, max_evals=123_456,
-                tail_tol=1e-6, g=2.0, kappa=3.5, gamma=0.5, gamma_cav=1.5,
-                n_traj=77, seed=0, out="run.csv"),
+                method="series", tol=1e-10, tail_tol=1e-6, g=2.0,
+                kappa=3.5, gamma=0.5, gamma_cav=1.5, n_traj=77, seed=0,
+                out="run.csv"),
             sweeps.SweepConfig(
                 target="lindblad", r=sweeps.Range(-0.5, 0.5, 3), k0d=0.3,
                 d_over_lambda0=sweeps.Range(0.1, 1.0, 4),
                 t=sweeps.Range(0.01, 3.0, 31, "log"), method="quadrature",
-                tol=0.5, max_evals=10_000, tail_tol=0.25, g=0.0,
+                tol=0.5, tail_tol=0.25, g=0.0,
                 kappa=0.0, gamma=0.0, gamma_cav=0.0, n_traj=1, seed=2**40,
                 out="none.csv"),
         ],
@@ -188,6 +187,11 @@ class TestSweepConfig:
         # the series order is derived from tail_tol (cavity.default_n_max)
         with pytest.raises(TypeError):
             sweeps.SweepConfig(target="cavity", n_max=50)
+
+    def test_max_evals_is_not_a_field(self):
+        # every quadrature cell runs at geometry.DEFAULT_MAX_EVALS
+        with pytest.raises(TypeError):
+            sweeps.SweepConfig(target="cavity", max_evals=10_000)
 
     @pytest.mark.parametrize(
         "line",
@@ -217,6 +221,22 @@ class TestSweepConfig:
     def test_config_requires_target(self):
         with pytest.raises(errors.ConfigError, match="target"):
             sweeps.config_from_items({"r": 0.5})
+
+
+@pytest.mark.parametrize("route,args,keyword", [
+    (mirror.gamma_mirror_quadrature, (-1.0, 1.0),
+     {"dhat": geometry.DipoleOrientation()}),
+    (cavity.gamma_cavity_quadrature, (0.5, 1.0),
+     {"dhat": geometry.DipoleOrientation()}),
+    (freespace.gamma_free_quadrature,
+     (freespace.EmitterSpec(omega0=1e15, dipole_magnitude=1e-29),),
+     {"tol": 1e-10}),
+], ids=["mirror-dhat", "cavity-dhat", "freespace-tol"])
+def test_removed_route_keywords(route, args, keyword):
+    # the rate routes compute the in-plane dipole, and the free-space
+    # quadrature runs at one tolerance
+    with pytest.raises(TypeError):
+        route(*args, **keyword)
 
 
 def test_numpy_scalar_cells_write_as_plain_numbers():
@@ -294,8 +314,9 @@ class TestRateSweeps:
 
     def test_failed_cell_marks_status_and_exit_code(self, tmp_path, capsys):
         out = str(tmp_path / "hard.csv")
-        cfg = sweeps.SweepConfig(target="cavity", r=0.999, k0d=300.0,
-                                 method="quadrature", max_evals=200_000, out=out)
+        # the default budget refuses this cell before any evaluation
+        cfg = sweeps.SweepConfig(target="cavity", r=0.999, k0d=2e6,
+                                 method="quadrature", out=out)
         assert sweeps.run_sweep(cfg) == 3
         _, header, rows = read_csv(out)
         row = dict(zip(header.split(","), rows[0]))
@@ -409,15 +430,13 @@ class TestRateSweeps:
 
 
 # One config per target; the cavity grid holds DegenerateMirror rows at
-# r = -1 and 1 and NonConvergence rows: at k0d = 30 the 10,000-evaluation
-# budget refuses every r != 0, whose breakpoints the gate prices at up to
-# 196 panels.
+# r = -1 and 1 and NonConvergence rows: at k0d = 2e6 the default budget
+# refuses every other r, r = 0 included, before any evaluation.
 BLOCKED_RUNS = {
     "mirror": dict(target="mirror", method="all", r=-1.0,
                    d_over_lambda0=sweeps.Range(0.0, 2.0, 15)),
     "cavity": dict(target="cavity", method="all",
-                   r=sweeps.Range(-1.0, 1.0, 17), k0d=30.0,
-                   max_evals=10_000),
+                   r=sweeps.Range(-1.0, 1.0, 17), k0d=2e6),
     "subwavelength": dict(target="subwavelength",
                           r=sweeps.Range(-0.99, 0.99, 17), k0d=0.05),
     "optical": dict(target="optical", r=0.8,
@@ -443,7 +462,7 @@ def test_csv_bytes_do_not_depend_on_the_block_sizes(tmp_path, monkeypatch,
     assert runs[0] == runs[1] == runs[2]
     if target == "cavity":
         statuses = {row[-2] for row in read_csv(str(out))[2]}
-        assert statuses == {"ok", "DegenerateMirror", "NonConvergence"}
+        assert statuses == {"DegenerateMirror", "NonConvergence"}
 
 
 def test_rate_sweep_memory_does_not_grow_with_the_grid(tmp_path):
