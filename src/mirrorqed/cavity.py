@@ -142,6 +142,16 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     still integrated by its own solid_angle_integrate call, so it gets
     the same bits alone and inside a grid.
 
+    err_estimate is coeff * (the engine's estimate), coeff = 3 / (8 pi),
+    plus geometry.ERR_FLOOR * max(1, |ratio|) for what the engine cannot
+    see. Its floor covers the rounding of its own sum, not of the ratio:
+    coeff is rounded once and its product with the integral once more,
+    together at most u |ratio| with u = 2^-53. Nor does it cover the
+    rounding of each integrand value, a few u relative: the kernel is a
+    dozen rounded operations on a nonnegative integrand, so their errors
+    reach the integral undamped. ERR_FLOOR = 3.6 u takes both, floored
+    like the engine's at max(1, |ratio|).
+
     Raises
     ------
     InvalidParams
@@ -156,8 +166,7 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     cells = _cavity_cells(r_mir, k0d)
 
     def cell(r, k0d):
-        def integrand(theta, phi):
-            xi = np.cos(theta)
+        def integrand(xi, phi):
             return (geometry.phi_mean_weight(_DIPOLE, xi)
                     * interference_kernel(r, k0d * xi))
 
@@ -170,7 +179,9 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
             integrand, resolution=resolution, tol=tol,
             xi_breakpoints=breakpoints, max_evals=max_evals)
         coeff = 3.0 / (8.0 * math.pi)
-        return coeff * integral.real, coeff * err_int
+        ratio = coeff * integral.real
+        rounding = geometry.ERR_FLOOR * max(1.0, abs(ratio))
+        return ratio, coeff * err_int + rounding
 
     return cells.each("quadrature", cell)
 

@@ -8,9 +8,9 @@ the SI value is the normalization baseline for every other rate module.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import geometry
 from .constants import ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
@@ -21,6 +21,10 @@ __all__ = ["EmitterSpec", "gamma_free_si", "gamma_free_quadrature"]
 
 #: Relative tolerance of gamma_free_quadrature.
 _QUAD_TOL = 1e-10
+
+# e^2 / (3 pi c^3 eps0 hbar), the free-space rate at |D| = omega0 = 1.
+_SI_SCALE = ELEMENTARY_CHARGE ** 2 / (
+    3.0 * math.pi * SPEED_OF_LIGHT ** 3 * VACUUM_PERMITTIVITY * HBAR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +44,9 @@ class EmitterSpec:
     Raises
     ------
     InvalidParams
-        Unless omega0 and dipole_magnitude are positive and finite and
-        the free-space rate they give is finite.
+        Unless omega0 and dipole_magnitude are positive and finite real
+        numbers and the free-space rate they give is a positive normal
+        float (neither overflowing nor underflowing).
     """
 
     omega0: float
@@ -51,17 +56,19 @@ class EmitterSpec:
     def __post_init__(self):
         for name in ("omega0", "dipole_magnitude"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise InvalidParams(
-                    f"{name} must be positive and finite, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0.0 < value < math.inf):
+                raise InvalidParams(f"{name} must be a positive and finite "
+                                    f"real number, got {value!r}")
         try:
             rate = gamma_free_si(self)
-        except OverflowError:  # a float power past the float range
+        except OverflowError:  # ldexp past the float range
             rate = math.inf
-        if rate == math.inf:
+        if not sys.float_info.min <= rate < math.inf:
             raise InvalidParams(
                 f"the free-space rate of omega0 = {self.omega0!r}, "
-                f"dipole_magnitude = {self.dipole_magnitude!r} overflows")
+                f"dipole_magnitude = {self.dipole_magnitude!r} is "
+                f"{rate!r}, outside the normal float range")
 
     @property
     def k0(self) -> float:
@@ -78,12 +85,15 @@ def gamma_free_si(emitter: EmitterSpec) -> float:
     """Free-space decay rate in 1/s.
 
     Gamma = e^2 |D|^2 omega0^3 / (3 pi c^3 eps0 hbar), independent of the
-    dipole orientation.
+    dipole orientation. |D| and omega0 enter as frexp mantissas, their
+    binary exponents summed apart and applied by one ldexp, so no
+    intermediate leaves the normal range while Gamma is in it (D^2
+    alone is subnormal below D = 1.5e-154).
     """
-    num = (ELEMENTARY_CHARGE ** 2 * emitter.dipole_magnitude ** 2
-           * emitter.omega0 ** 3)
-    den = 3.0 * math.pi * SPEED_OF_LIGHT ** 3 * VACUUM_PERMITTIVITY * HBAR
-    return num / den
+    d_mant, d_exp = math.frexp(emitter.dipole_magnitude)
+    w_mant, w_exp = math.frexp(emitter.omega0)
+    mant = _SI_SCALE * d_mant ** 2 * w_mant ** 3
+    return math.ldexp(mant, 2 * d_exp + 3 * w_exp)
 
 
 def gamma_free_quadrature(emitter: EmitterSpec) -> float:
@@ -99,11 +109,6 @@ def gamma_free_quadrature(emitter: EmitterSpec) -> float:
     NonConvergence
         Propagated from the quadrature engine.
     """
-    integrand = lambda theta, phi: geometry.phi_mean_weight(
-        emitter.dhat, np.cos(theta))
+    integrand = lambda xi, phi: geometry.phi_mean_weight(emitter.dhat, xi)
     integral, _err = geometry.solid_angle_integrate(integrand, tol=_QUAD_TOL)
-    prefactor = (ELEMENTARY_CHARGE ** 2 * emitter.dipole_magnitude ** 2
-                 * emitter.omega0 ** 3
-                 / (8.0 * math.pi ** 2 * SPEED_OF_LIGHT ** 3
-                    * VACUUM_PERMITTIVITY * HBAR))
-    return prefactor * float(np.real(integral))
+    return gamma_free_si(emitter) * (3.0 / (8.0 * math.pi)) * integral.real

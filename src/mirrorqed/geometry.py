@@ -28,11 +28,13 @@ so every rate integrand, whose other factors depend on xi = cos theta
 alone, needs no phi quadrature at all.
 
 The quadrature engine integrates smooth (possibly oscillatory) functions
-of theta over the full solid angle: composite 16-point Gauss-Legendre
-panels in xi = cos theta (the substitution absorbs the sin theta
-Jacobian), times 2 pi for the phi integral. Integrands keep a
-(theta, phi) call shape but are always called with phi = None, so one
-that depends on phi fails loudly instead of being integrated wrongly.
+of xi = cos theta over the full solid angle: composite 16-point
+Gauss-Legendre panels in xi (the substitution absorbs the sin theta
+Jacobian), times 2 pi for the phi integral. Integrands are called as
+integrand(xi, None) on the nodes themselves, with no round trip through
+theta. The second argument is always None, so one that depends on phi
+fails loudly instead of being integrated wrongly; it remains only
+because benchmark tracers wrap the two-argument call.
 Panels are doubled until two levels agree; each level is evaluated and
 summed in fixed blocks of panels, without BLAS. Callers integrating
 sharply peaked kernels can pass breakpoints so panel edges land on the
@@ -80,7 +82,17 @@ class DipoleOrientation:
     vec: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float)
+        try:
+            v = np.asarray(self.vec)
+        except ValueError as exc:  # a ragged nesting
+            raise InvalidParams(
+                f"dipole orientation must be a 3-vector, got {self.vec!r}"
+            ) from exc
+        # integers or floats: no bool, complex, string or object entries
+        if v.dtype.kind not in "iuf":
+            raise InvalidParams(f"dipole orientation must be real numbers, "
+                                f"got {self.vec!r}")
+        v = v.astype(float)
         if v.shape != (3,):
             raise InvalidParams(f"dipole orientation must be a 3-vector, got {v.shape}")
         if not np.isfinite(v).all():
@@ -229,23 +241,29 @@ def first_level_panels(resolution: int,
 def solid_angle_integrate(integrand, resolution: int = 64,
                           tol: float = DEFAULT_TOL, xi_breakpoints=None,
                           max_evals: int = DEFAULT_MAX_EVALS):
-    """Integrate a function of theta over the unit sphere.
+    """Integrate a function of xi = cos(theta) over the unit sphere.
 
-    Evaluates ``2 pi int_0^pi dtheta sin(theta) integrand(theta, None)``
-    by composite Gauss-Legendre panels in xi = cos(theta), doubling the
-    panel count until two successive levels agree to ``tol`` relative to
-    max(1, |I|). Each level is evaluated in blocks of 1,024 panels
-    (16,384 nodes), each block is summed by numpy's pairwise sum, and the
-    block sums are added in panel order, so the value does not depend on
-    the BLAS thread count.
+    Evaluates ``2 pi int_{-1}^{1} dxi integrand(xi, None)`` by composite
+    Gauss-Legendre panels in xi, doubling the panel count until two
+    successive levels agree to ``tol`` relative to max(1, |I|). Each
+    level is evaluated in blocks of 1,024 panels (16,384 nodes), each
+    block is summed by numpy's pairwise sum, and the block sums are added
+    in panel order, so the value does not depend on the BLAS thread
+    count.
+
+    >>> value, err = solid_angle_integrate(lambda xi, _: xi ** 2)
+    >>> abs(value - 4.0 * math.pi / 3.0) < 1e-14
+    True
 
     Parameters
     ----------
     integrand : callable
-        Vectorized function ``integrand(theta, phi)``, called with a 1-D
-        array theta and phi = None; returns float or complex values of
-        theta's shape, finite on the open domain. A function of phi is
+        Vectorized function ``integrand(xi, phi)``, called with a 1-D
+        array of nodes xi in (-1, 1) and phi = None; returns float or
+        complex values of xi's shape, finite there. A function of phi is
         not supported: integrate its phi mean (phi_mean_weight) instead.
+        The always-None second argument stays only because benchmark
+        tracers forward a two-argument call.
     resolution : int
         Node-count hint for the xi axis at the first level; raise it for
         oscillatory integrands (see oscillation_nodes). Must be >= 8.
@@ -307,8 +325,7 @@ def solid_angle_integrate(integrand, resolution: int = 64,
         total = 0j
         for lo in range(0, edges.size - 1, _BLOCK_PANELS):
             xi, w = _panel_points(edges[lo:lo + _BLOCK_PANELS + 1])
-            theta = np.arccos(np.clip(xi, -1.0, 1.0))
-            vals = np.broadcast_to(integrand(theta, None), theta.shape)
+            vals = np.broadcast_to(integrand(xi, None), xi.shape)
             evals += vals.size
             total += complex(np.sum(w * vals))
         value = _TWO_PI * total

@@ -95,7 +95,9 @@ def interference_kernel(r_mir, x):
         raise DegenerateMirror(
             f"|r_mir| must be < 1, got {float(r[bad][0])!r}")
     x = np.asarray(x, dtype=float)
-    t2 = 1.0 - r * r
+    # 1 - r^2 as a product: one of the factors is exact for |r| >= 1/2,
+    # where 1 - r * r would lose |r|^2 / (1 - r^2) ulps
+    t2 = (1.0 - r) * (1.0 + r)
     # cancellation-free forms of |1 + r e^{-ix}|^2 and |1 - r^2 e^{-2ix}|^2
     num = (1.0 + r) ** 2 - 4.0 * r * np.sin(0.5 * x) ** 2
     den = t2 * t2 + 4.0 * (r * np.sin(x)) ** 2

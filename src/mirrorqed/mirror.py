@@ -109,8 +109,7 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
     _check_mirror_args(cells, re_r, k0d)
 
     def cell(re_r, k0d):
-        def integrand(theta, phi):
-            xi = np.cos(theta)
+        def integrand(xi, phi):
             return (np.exp(-2j * k0d * xi)
                     * geometry.phi_mean_weight(_DIPOLE, xi))
 

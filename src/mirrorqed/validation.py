@@ -137,12 +137,12 @@ def _geometry_checks():
                  "summed polarization weight, default dipole")
 
     val, _ = geometry.solid_angle_integrate(
-        lambda t, p: np.ones_like(t), tol=1e-12)
+        lambda xi, p: np.ones_like(xi), tol=1e-12)
     yield _below("quadrature-sphere-area",
                  abs(val.real - 4.0 * math.pi) / (4.0 * math.pi), 1e-12,
                  "unit integrand vs 4 pi")
     val, _ = geometry.solid_angle_integrate(
-        lambda t, p: geometry.phi_mean_weight(dhat, np.cos(t)), tol=1e-12)
+        lambda xi, p: geometry.phi_mean_weight(dhat, xi), tol=1e-12)
     yield _below("quadrature-transverse-weight",
                  abs(val.real - 8.0 * math.pi / 3.0) / (8.0 * math.pi / 3.0),
                  1e-12, "transverse weight vs 8 pi / 3")

@@ -63,8 +63,9 @@ def rerun_over_2d_weight(monkeypatch, factor, route):
     The redo integrates the 16-node phi mean of
     transverse_weight_sum(dhat, theta, phi) for the default in-plane
     dipole, which every route computes, exact for this degree-2
-    trigonometric weight, times factor(cos theta), with the resolution,
-    breakpoints, tolerance and budget the route passed to the engine.
+    trigonometric weight, at theta = arccos(xi) and times factor(xi),
+    with the resolution, breakpoints, tolerance and budget the route
+    passed to the engine.
     Returns the route's result and the real part of the redone integral.
     """
     engine = geometry.solid_angle_integrate
@@ -80,9 +81,9 @@ def rerun_over_2d_weight(monkeypatch, factor, route):
     dhat = geometry.DipoleOrientation()
     phis = (math.pi / 8) * np.arange(16)
     value, _ = engine(
-        lambda theta, phi: (
-            geometry.transverse_weight_sum(dhat, theta[:, None], phis)
-            .mean(axis=1) * factor(np.cos(theta))), **kwargs)
+        lambda xi, phi: (
+            geometry.transverse_weight_sum(dhat, np.arccos(xi)[:, None], phis)
+            .mean(axis=1) * factor(xi)), **kwargs)
     return result, value.real
 
 
@@ -371,6 +372,18 @@ class TestQuadrature:
     def test_nonconvergence_budget(self):
         with pytest.raises(errors.NonConvergence):
             gamma_cavity_quadrature(0.999, 300.0, max_evals=200_000)
+
+    @pytest.mark.parametrize("r,k0d", [
+        (-0.8, 1.0), (0.2, 10.0), (0.8, 0.05), (0.98, 1.5),
+        (0.6, 50.0 * math.pi), (0.99, 0.01)])
+    def test_err_estimate_covers_rounding(self, r, k0d):
+        # cells of validate's grids whose error is all rounding: each is
+        # covered only because err_estimate counts the rounding of the
+        # ratio and of the integrand, and (0.99, 0.01) only because the
+        # kernel forms 1 - r^2 without cancellation
+        res = gamma_cavity_quadrature(r, k0d)
+        exact = oracles.cavity_ratio_mp(r, k0d)
+        assert abs(res.ratio - exact) <= res.err_estimate
 
     @pytest.mark.parametrize("r,k0d", [(0.9, 1e-3), (0.5, math.pi),
                                        (0.98, 3.0), (-0.98, 10.0),

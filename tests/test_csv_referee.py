@@ -55,6 +55,7 @@ def test_two_runs_of_one_tree_are_identical(dirs, capsys):
     assert "0 moved within error, 0 moved beyond error" in total
     assert "status changes: 0" in total
     assert "identical rows in files without err_estimate: 4" in total
+    assert "preamble keys changed: 0" in total
     assert total.endswith("violations: 0")
 
 
@@ -112,7 +113,25 @@ def test_preamble_differences_are_named_key_by_key(dirs, capsys):
         "VIOLATION cavity.csv: preamble key seed only in the parent",
         "VIOLATION cavity.csv: preamble key extra only in the change",
     ]
-    assert out.splitlines()[-1].endswith("violations: 3")
+    assert out.splitlines()[-1].endswith(
+        "preamble keys changed: 3; violations: 3")
+
+
+def test_deleted_preamble_key_is_counted_apart_from_cells(dirs, capsys):
+    # a config key deleted from every file reads as three preamble
+    # changes and no moved cell, not as three unexplained violations
+    old, new = dirs
+    for name in _RUNS:
+        path = new / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(ln for ln in lines
+                                  if not ln.startswith("# seed = ")) + "\n",
+                        encoding="utf-8")
+    assert referee.main([str(old), str(new)]) == 1
+    total = capsys.readouterr().out.splitlines()[-1]
+    assert "0 moved within error, 0 moved beyond error" in total
+    assert "status changes: 0" in total
+    assert total.endswith("preamble keys changed: 3; violations: 3")
 
 
 def test_unpaired_file_is_a_violation(dirs, capsys):

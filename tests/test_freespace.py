@@ -1,6 +1,7 @@
 """Free-space rate: SI closed form against an inline recompute and quadrature."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +54,28 @@ class TestRate:
             assert gamma_free_si(em) == pytest.approx(
                 reference_rate(omega0, dipole), rel=1e-13
             )
+
+    @pytest.mark.parametrize("omega0", [1.0, 1e15, 1e20])
+    @pytest.mark.parametrize("dipole", [1e-150, 1e-140, 1e-10, 1e100])
+    def test_si_matches_mpmath_across_the_float_range(self, dipole, omega0):
+        # e^2 D^2 is subnormal below D = 1e-135, long before the rate is:
+        # the rate must stay exact to a few ulps wherever it is a normal
+        # float, and be refused where it is not (D = 1e-150, omega0 = 1)
+        import mpmath as mp
+
+        with mp.workdps(40):
+            exact = (mp.mpf(E_CHARGE) ** 2 * mp.mpf(dipole) ** 2
+                     * mp.mpf(omega0) ** 3
+                     / (3 * mp.pi * mp.mpf(EPS0) * mp.mpf(HBAR)
+                        * mp.mpf(C_LIGHT) ** 3))
+            normal = sys.float_info.min <= exact <= sys.float_info.max
+            if not normal:
+                with pytest.raises(errors.InvalidParams):
+                    EmitterSpec(omega0=omega0, dipole_magnitude=dipole)
+                return
+            rate = gamma_free_si(
+                EmitterSpec(omega0=omega0, dipole_magnitude=dipole))
+            assert abs(rate - exact) <= 2e-15 * exact
 
     def test_cubic_frequency_scaling(self):
         a = gamma_free_si(EmitterSpec(omega0=1e15, dipole_magnitude=1e-29))

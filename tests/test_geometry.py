@@ -105,7 +105,7 @@ class TestSolidAngleIntegrate:
                               weights.view(np.int64))
 
     def test_constant_integrand_gives_4pi(self):
-        fn = lambda theta, phi: np.ones_like(theta)
+        fn = lambda xi, phi: np.ones_like(xi)
         val, err = geometry.solid_angle_integrate(fn)
         assert val.real == pytest.approx(4.0 * math.pi, abs=1e-12)
         assert abs(val.imag) < 1e-12
@@ -116,8 +116,7 @@ class TestSolidAngleIntegrate:
         # weight itself is checked by the independent trapezoid
         dhat = geometry.DipoleOrientation(vec=np.array([0.0, 0.0, 1.0]))
         val, err = geometry.solid_angle_integrate(
-            lambda theta, phi: geometry.phi_mean_weight(dhat, np.cos(theta))
-        )
+            lambda xi, phi: geometry.phi_mean_weight(dhat, xi))
         assert val.real == pytest.approx(8.0 * math.pi / 3.0, abs=1e-11)
         assert err < 1e-9
         two_d, _ = oracles.sphere_integral_refined(
@@ -130,9 +129,8 @@ class TestSolidAngleIntegrate:
         # shared sinc-family kernel at 2*k0d; frozen from mpmath at k0d = pi.
         f_2pi = 0.02533029591058437
         dhat = geometry.DipoleOrientation(vec=np.array([0.0, 0.0, 1.0]))
-        fn = lambda theta, phi: np.exp(-2j * math.pi * np.cos(theta)) * (
-            geometry.phi_mean_weight(dhat, np.cos(theta))
-        )
+        fn = lambda xi, phi: np.exp(-2j * math.pi * xi) * (
+            geometry.phi_mean_weight(dhat, xi))
         val, err = geometry.solid_angle_integrate(fn)
         assert val.real == pytest.approx(4.0 * math.pi * f_2pi, abs=1e-10)
         assert abs(val.imag) < 1e-10
@@ -145,25 +143,25 @@ class TestSolidAngleIntegrate:
     def test_bare_plane_wave_is_sinc(self):
         # without the weight the sphere integral is 4*pi*sin(a)/a at a = 2*k0d
         a = 1.4
-        fn = lambda theta, phi: np.exp(-1j * a * np.cos(theta))
+        fn = lambda xi, phi: np.exp(-1j * a * xi)
         val, _ = geometry.solid_angle_integrate(fn)
         assert val.real == pytest.approx(4.0 * math.pi * math.sin(a) / a, abs=1e-10)
 
     def test_breakpoints_do_not_change_smooth_result(self):
-        fn = lambda theta, phi: np.cos(theta) ** 2
+        fn = lambda xi, phi: xi ** 2
         plain, _ = geometry.solid_angle_integrate(fn)
         split, _ = geometry.solid_angle_integrate(fn, xi_breakpoints=[-0.4, 0.0, 0.7])
         assert plain.real == pytest.approx(4.0 * math.pi / 3.0, abs=1e-11)
         assert split.real == pytest.approx(plain.real, abs=1e-11)
 
     def test_breakpoints_outside_open_interval_ignored(self):
-        fn = lambda theta, phi: np.sin(theta)
+        fn = lambda xi, phi: np.sqrt(1.0 - xi ** 2)  # sin(theta)
         val, _ = geometry.solid_angle_integrate(fn, xi_breakpoints=[-1.0, 1.0, 2.5])
         ref, _ = geometry.solid_angle_integrate(fn)
         assert val.real == pytest.approx(ref.real, abs=1e-11)
 
     def test_nonconvergence_carries_partial_result(self):
-        fn = lambda theta, phi: np.cos(1000.0 * np.cos(theta))
+        fn = lambda xi, phi: np.cos(1000.0 * xi)
         with pytest.raises(errors.NonConvergence) as exc:
             geometry.solid_angle_integrate(fn, tol=1e-15, max_evals=3000)
         assert exc.value.n_evals <= 3000
@@ -175,17 +173,17 @@ class TestSolidAngleIntegrate:
         # integrated as if it were constant in phi
         with pytest.raises(TypeError):
             geometry.solid_angle_integrate(
-                lambda theta, phi: np.cos(theta) * np.cos(phi) ** 2)
+                lambda xi, phi: xi * np.cos(phi) ** 2)
 
     def test_levels_run_in_panel_blocks(self, monkeypatch):
         # a level of 4,096 panels (65,536 nodes) runs in calls of at most
         # one block, and its block sums agree with one sum over the level
-        fn = lambda theta, phi: np.exp(-500j * np.cos(theta))
+        fn = lambda xi, phi: np.exp(-500j * xi)
         sizes = []
 
-        def spy(theta, phi):
-            sizes.append(theta.size)
-            return fn(theta, phi)
+        def spy(xi, phi):
+            sizes.append(xi.size)
+            return fn(xi, phi)
 
         value, _ = geometry.solid_angle_integrate(spy, resolution=65_536)
         assert max(sizes) == 16 * geometry._BLOCK_PANELS
@@ -198,7 +196,7 @@ class TestSolidAngleIntegrate:
         # at tol = ERR_FLOOR only two levels that agree to rounding would
         # converge, and these never do; levels of 64, 128, ... xi nodes
         # run while the next still fits in 3000: 64 * (2**5 - 1) in all
-        fn = lambda theta, phi: np.cos(40.0 * np.cos(theta))
+        fn = lambda xi, phi: np.cos(400.0 * xi)
         with pytest.raises(errors.NonConvergence) as exc:
             geometry.solid_angle_integrate(fn, tol=geometry.ERR_FLOOR,
                                           max_evals=3000)
@@ -206,16 +204,32 @@ class TestSolidAngleIntegrate:
 
     @pytest.mark.parametrize("max_evals", [10_000, 30_000, 100_000])
     @pytest.mark.parametrize("route,args", [
-        (mirror.gamma_mirror_quadrature, (-1.0, 30.0)),
-        (cavity.gamma_cavity_quadrature, (0.999, 3.0)),
+        (mirror.gamma_mirror_quadrature, (-1.0, 181.0)),
+        (cavity.gamma_cavity_quadrature, (0.9999, 3.0)),
     ], ids=["mirror", "cavity"])
     def test_routes_hold_the_evaluation_budget(self, route, args, max_evals):
         # each refinement level is priced before it runs, so a cell that
-        # cannot converge stops within its budget
+        # cannot converge stops within its budget; at the largest budget
+        # the mirror cell ends 32x above the error floor, the cavity cell
+        # at 1.4e-9
         with pytest.raises(errors.NonConvergence) as exc:
             route(*args, tol=geometry.ERR_FLOOR, max_evals=max_evals)
         assert 0 < exc.value.n_evals <= max_evals
         assert exc.value.value is not None
+
+    @pytest.mark.parametrize("route,referee", [
+        (lambda: mirror.gamma_mirror_quadrature(
+            -1.0, 30.0, tol=geometry.ERR_FLOOR, max_evals=100_000),
+         lambda: mirror.gamma_mirror_closed(-1.0, 30.0).ratio),
+        (lambda: cavity.gamma_cavity_quadrature(0.98, 50.0, tol=1e-15),
+         lambda: oracles.cavity_ratio_mp(0.98, 50.0)),
+    ], ids=["mirror", "cavity"])
+    def test_nodes_in_xi_converge_at_the_floor(self, route, referee):
+        # integrands evaluated at the xi nodes themselves carry no
+        # cos(arccos(xi)) rounding, so two levels can agree to the floor
+        res = route()
+        assert res.status == "ok"
+        assert abs(res.ratio - referee()) <= res.err_estimate
 
     @pytest.mark.parametrize("route,referee,args", [
         (mirror.gamma_mirror_quadrature, mirror.gamma_mirror_closed,
@@ -231,7 +245,7 @@ class TestSolidAngleIntegrate:
         assert abs(res.ratio - ref.ratio) <= res.err_estimate + ref.err_estimate
 
     def test_invalid_arguments(self):
-        fn = lambda theta, phi: np.ones_like(theta)
+        fn = lambda xi, phi: np.ones_like(xi)
         with pytest.raises(errors.InvalidParams):
             geometry.solid_angle_integrate(fn, resolution=4)
         with pytest.raises(errors.InvalidParams):

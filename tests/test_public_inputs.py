@@ -52,6 +52,13 @@ CASES = {
     "emitter-dipole-magnitude-inf": lambda: _free_rate(2.5e15, math.inf),
     "emitter-omega0-1e200": lambda: _free_rate(1e200, 1e-10),
     "emitter-dipole-magnitude-1e200": lambda: _free_rate(2.5e15, 1e200),
+    "emitter-rate-subnormal": lambda: _free_rate(1.0, 1e-150),
+    "emitter-omega0-string": lambda: _free_rate("1", 1e-10),
+    "emitter-omega0-none": lambda: _free_rate(None, 1e-10),
+    "emitter-omega0-bool": lambda: _free_rate(True, 1e-10),
+    "dipole-complex": lambda: geometry.DipoleOrientation(vec=[1j, 0, 1]),
+    "dipole-string": lambda: geometry.DipoleOrientation(vec=["a", 0, 1]),
+    "dipole-ragged": lambda: geometry.DipoleOrientation(vec=[1, [0, 1], 2]),
     "unravel_jumps-seed-negative": lambda: _jumps(seed=-1),
     "unravel_jumps-seed-fractional": lambda: _jumps(seed=1.5),
     "unravel_jumps-n_traj-fractional": lambda: _jumps(n_traj=1.5),

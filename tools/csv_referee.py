@@ -6,7 +6,8 @@ Usage:
 
 Compare mode pairs the CSVs of the two directories by file name. For
 each pair it compares the preambles key by key (apart from ``# out =``)
-and names each key on one side only or with a changed value. It
+and names each key on one side only or with a changed value; the
+summary counts those keys apart from the cells. It
 requires equal headers, equal row counts and identical cells outside
 the value columns (the axis columns and ``method``). In a file with an
 ``err_estimate`` column the value columns are ``ratio_*`` and
@@ -67,12 +68,13 @@ class Tally:
     def __init__(self):
         self.identical = self.within = self.beyond = 0
         self.err_changed = self.status_changed = self.exact_rows = 0
+        self.preamble_changed = 0  # keys on one side only or changed
         self.worst = 0.0  # largest move of a value cell over its error
         self.violations = []
 
     def add(self, other):
         for name in ("identical", "within", "beyond", "err_changed",
-                     "status_changed", "exact_rows"):
+                     "status_changed", "exact_rows", "preamble_changed"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.worst = max(self.worst, other.worst)
         self.violations += other.violations
@@ -83,7 +85,8 @@ class Tally:
                 f"(worst move {self.worst:.3g} of its error); err_estimate "
                 f"cells changed: {self.err_changed}; status changes: "
                 f"{self.status_changed}; identical rows in files without "
-                f"err_estimate: {self.exact_rows}; violations: "
+                f"err_estimate: {self.exact_rows}; preamble keys changed: "
+                f"{self.preamble_changed}; violations: "
                 f"{len(self.violations)}")
 
 
@@ -94,6 +97,7 @@ def compare_files(name, old_path, new_path):
     old_pre, old_head, old_rows = _read(old_path)
     new_pre, new_head, new_rows = _read(new_path)
     for key in [*old_pre, *(k for k in new_pre if k not in old_pre)]:
+        tally.preamble_changed += old_pre.get(key) != new_pre.get(key)
         if key not in new_pre:
             bad(f"{name}: preamble key {key} only in the parent")
         elif key not in old_pre:
