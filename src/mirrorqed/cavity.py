@@ -20,13 +20,13 @@ arrays.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 
 import numpy as np
 
 from . import geometry, kernels
 from .errors import DegenerateMirror, InvalidParams, TailTooLarge
-from .geometry import DipoleOrientation
 from .kernels import interference_kernel
 from .results import Cells
 
@@ -46,9 +46,6 @@ SUBWAVELENGTH_SOFT_MAX = 0.3
 DEFAULT_TAIL_TOL = 1e-8
 
 _N_MAX_CAP = 100_000
-
-# The in-plane dipole the series assumes (all have one phi mean).
-_DIPOLE = DipoleOrientation()
 
 
 def _cavity_cells(r_mir, k0d) -> Cells:
@@ -74,8 +71,8 @@ def _cavity_cells(r_mir, k0d) -> Cells:
 
 
 def _check_tail_tol(tail_tol: float) -> None:
-    """Raise InvalidParams unless 0 < tail_tol < inf."""
-    if not 0.0 < tail_tol < math.inf:
+    """Raise InvalidParams unless tail_tol is a real number in (0, inf)."""
+    if not (isinstance(tail_tol, numbers.Real) and 0.0 < tail_tol < math.inf):
         raise InvalidParams(
             f"tail_tol must be positive and finite, got {tail_tol!r}")
 
@@ -120,10 +117,9 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     """Decay ratio by solid-angle quadrature of the resummed kernel.
 
     ratio = (3 / 8 pi) * int dOmega (transverse dipole weight)
-    * interference_kernel(r_mir, k0d cos theta). The kernel depends on
-    theta alone, so the weight enters through its closed phi mean
-    (geometry.phi_mean_weight): one integrand value per xi node. Near
-    |r_mir| -> 1 the kernel develops sharp resonance peaks in cos theta;
+    * interference_kernel(r_mir, k0d cos theta), by
+    geometry.ratio_quadrature, whose rounding rule err_estimate follows.
+    Near |r_mir| -> 1 the kernel develops sharp resonance peaks in cos theta;
     their locations and graded neighborhoods are passed to the quadrature
     engine as panel breakpoints so refinement cannot silently straddle a
     peak.
@@ -142,21 +138,11 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     still integrated by its own solid_angle_integrate call, so it gets
     the same bits alone and inside a grid.
 
-    err_estimate is coeff * (the engine's estimate), coeff = 3 / (8 pi),
-    plus geometry.ERR_FLOOR * max(1, |ratio|) for what the engine cannot
-    see. Its floor covers the rounding of its own sum, not of the ratio:
-    coeff is rounded once and its product with the integral once more,
-    together at most u |ratio| with u = 2^-53. Nor does it cover the
-    rounding of each integrand value, a few u relative: the kernel is a
-    dozen rounded operations on a nonnegative integrand, so their errors
-    reach the integral undamped. ERR_FLOOR = 3.6 u takes both, floored
-    like the engine's at max(1, |ratio|).
-
     Raises
     ------
     InvalidParams
-        If tol < geometry.ERR_FLOOR, the engine's error floor, which no
-        cell can meet. On a grid: each cell's status.
+        If tol is not a real >= geometry.ERR_FLOOR or max_evals is not
+        an integer. On a grid: each cell's status.
     NonConvergence
         If the node budget runs out (expected for very high finesse
         together with large k0d); reported, never masked. A first level
@@ -166,22 +152,14 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     cells = _cavity_cells(r_mir, k0d)
 
     def cell(r, k0d):
-        def integrand(xi, phi):
-            return (geometry.phi_mean_weight(_DIPOLE, xi)
-                    * interference_kernel(r, k0d * xi))
-
         sharpness = 2 if abs(r) > 0.9 else 1
         resolution = sharpness * geometry.oscillation_nodes(k0d)
         n_breaks = _breakpoint_bound(k0d) if r != 0.0 else 0
         geometry.first_level_panels(resolution + 16 * n_breaks, max_evals)
-        breakpoints = _peak_breakpoints(r, k0d) if n_breaks else None
-        integral, err_int = geometry.solid_angle_integrate(
-            integrand, resolution=resolution, tol=tol,
-            xi_breakpoints=breakpoints, max_evals=max_evals)
-        coeff = 3.0 / (8.0 * math.pi)
-        ratio = coeff * integral.real
-        rounding = geometry.ERR_FLOOR * max(1.0, abs(ratio))
-        return ratio, coeff * err_int + rounding
+        return geometry.ratio_quadrature(
+            lambda xi: interference_kernel(r, k0d * xi), resolution, tol,
+            max_evals,
+            xi_breakpoints=_peak_breakpoints(r, k0d) if n_breaks else None)
 
     return cells.each("quadrature", cell)
 

@@ -4,8 +4,8 @@ Two independent routes to Gamma_mir / Gamma_free for a dipole lying in
 the mirror plane at distance d (entering only as k0*d):
 
 * a closed form, 1 + (3 Re r / 2) * f(2 k0 d) with the shared kernel f;
-* an angular quadrature of the interference integrand
-  exp(-2i k0 d cos theta) over the full solid angle.
+* an angular quadrature of Re r cos(2 k0 d cos theta), the real part of
+  the interference term, over the full solid angle.
 
 The quadrature route exists to referee the closed form, not to replace
 it; both are exposed and sweeps can emit their difference. Both take
@@ -20,16 +20,9 @@ import numpy as np
 
 from . import geometry, kernels
 from .errors import InvalidParams
-from .geometry import DipoleOrientation
 from .results import Cells
 
 __all__ = ["gamma_mirror_closed", "gamma_mirror_quadrature"]
-
-# Roundoff floor of assembling the ratio itself.
-_RATIO_ERR_FLOOR = 4e-16
-
-# The in-plane dipole the closed form assumes (all have one phi mean).
-_DIPOLE = DipoleOrientation()
 
 
 def _closed_form_err(re_r, x):
@@ -42,7 +35,7 @@ def _closed_form_err(re_r, x):
     f_err = np.full(x.shape, 4e-16)
     direct = np.abs(x) >= kernels.F_TAYLOR_CROSSOVER
     f_err[direct] = 2.5e-16 * kernels.f_envelope(x[direct])
-    return 1.5 * np.abs(re_r) * f_err + _RATIO_ERR_FLOOR
+    return 1.5 * np.abs(re_r) * f_err + geometry.ERR_FLOOR
 
 
 def _check_mirror_args(cells: Cells, re_r, k0d) -> None:
@@ -83,10 +76,10 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
                             max_evals: int = geometry.DEFAULT_MAX_EVALS):
     """Decay ratio by direct solid-angle quadrature of the interference term.
 
-    ratio = 1 + (3 re_r / 8 pi) * Re int dOmega e^{-2 i k0d cos theta}
-    * (transverse dipole weight), with the phi integral of the weight in
-    closed form (geometry.phi_mean_weight). Used as the independent
-    referee of gamma_mirror_closed; the two agree to quadrature accuracy.
+    ratio = 1 + (3 / 8 pi) * int dOmega re_r cos(2 k0d cos theta)
+    * (transverse dipole weight), by geometry.ratio_quadrature, whose
+    rounding rule err_estimate follows. Used as the independent referee
+    of gamma_mirror_closed; the two agree to quadrature accuracy.
 
     Scalars give a RateResult of floats and raise. Arrays (broadcast
     together) give one of arrays with a status per cell; each cell is
@@ -100,8 +93,8 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
     Raises
     ------
     InvalidParams
-        If tol < geometry.ERR_FLOOR, the engine's error floor, which no
-        cell can meet. On a grid: each cell's status.
+        If tol is not a real >= geometry.ERR_FLOOR or max_evals is not
+        an integer. On a grid: each cell's status.
     NonConvergence
         Propagated from the quadrature engine.
     """
@@ -109,15 +102,8 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
     _check_mirror_args(cells, re_r, k0d)
 
     def cell(re_r, k0d):
-        def integrand(xi, phi):
-            return (np.exp(-2j * k0d * xi)
-                    * geometry.phi_mean_weight(_DIPOLE, xi))
-
-        resolution = geometry.oscillation_nodes(2.0 * k0d)
-        integral, err_int = geometry.solid_angle_integrate(
-            integrand, resolution=resolution, tol=tol, max_evals=max_evals)
-        coeff = 3.0 * re_r / (8.0 * math.pi)
-        return (1.0 + coeff * integral.real,
-                abs(coeff) * err_int + _RATIO_ERR_FLOOR)
+        return geometry.ratio_quadrature(
+            lambda xi: re_r * np.cos(2.0 * k0d * xi),
+            geometry.oscillation_nodes(2.0 * k0d), tol, max_evals, offset=1.0)
 
     return cells.each("quadrature", cell)

@@ -62,18 +62,31 @@ class RateResult:
             raise InvalidParams(f"unknown method {self.method!r}")
 
 
+def _real_array(value) -> np.ndarray:
+    """value as a float array; TypeError for complex, string or bytes."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biufO":
+        raise TypeError
+    return array.astype(float, copy=False)
+
+
 class Cells:
     """The arguments of a rate route, broadcast to one grid of cells.
 
-    Validation runs check by check, and a cell keeps the first error that
-    flags it. When every argument is a scalar, the grid is one cell and a
-    flagged cell raises its error instead, so a scalar call keeps the
-    typed exceptions of the scalar API.
+    Arguments that are not real numbers, or do not broadcast together,
+    raise InvalidParams, on a grid too. Validation runs check by check,
+    and a cell keeps the first error that flags it. When every argument
+    is a scalar, the grid is one cell and a flagged cell raises its error
+    instead, so a scalar call keeps the typed exceptions of the scalar
+    API.
     """
 
     def __init__(self, *args):
-        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                       for a in args))
+        try:
+            arrays = np.broadcast_arrays(*(_real_array(a) for a in args))
+        except (TypeError, ValueError):
+            raise InvalidParams(f"the arguments must be real numbers that "
+                                f"broadcast together, got {args!r}") from None
         self.shape = arrays[0].shape
         self.scalar = self.shape == ()
         #: the arguments as flat float arrays, one entry per cell

@@ -226,8 +226,9 @@ class SweepConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.kappa < 0.0 or self.gamma < 0.0:
             raise ConfigError("kappa and gamma must be >= 0")
-        if self.gamma_cav is not None and self.gamma_cav < 0.0:
-            raise ConfigError(f"gamma_cav must be >= 0, got {self.gamma_cav!r}")
+        if self.gamma_cav is not None and not 0.0 <= self.gamma_cav < math.inf:
+            raise ConfigError(f"gamma_cav must be finite and >= 0, got "
+                              f"{self.gamma_cav!r}")
         if self.k0d is not None and self.d_over_lambda0 is not None:
             raise ConfigError("k0d and d_over_lambda0 are mutually exclusive")
         n_ranges = sum(isinstance(v, Range)

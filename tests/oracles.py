@@ -255,6 +255,21 @@ def cavity_ratio_mp(r: float, k0d: float, dps: int = 30) -> float:
         return float(mp.mpf(3) / 8 * val)
 
 
+def mirror_ratio_mp(re_r: float, k0d: float, dps: int = 30) -> float:
+    """Single-mirror decay ratio 1 + (3 re_r / 2) f(2 k0d) to dps digits.
+
+    The three terms of f cancel to |f| ~ x^3 times their size near x = 0,
+    so they are summed at 2 dps digits: dps correct ones for x >= 1e-10.
+    """
+    import mpmath as mp
+
+    with mp.workdps(2 * dps):
+        x = 2 * mp.mpf(repr(float(k0d)))
+        f = (mp.mpf(2) / 3 if x == 0 else
+             mp.sin(x) / x + mp.cos(x) / x ** 2 - mp.sin(x) / x ** 3)
+        return float(1 + mp.mpf(3) / 2 * mp.mpf(repr(float(re_r))) * f)
+
+
 def subwavelength_2nd_direct(r: float, k0d: float) -> float:
     """(1+r)/(1-r) * [1 - (2/5) r k0d^2 / (1-r)^2], evaluated directly."""
     return (1.0 + r) / (1.0 - r) * (1.0 - 0.4 * r * k0d ** 2 / (1.0 - r) ** 2)

@@ -73,6 +73,24 @@ class TestExitCodes:
                        "got inf\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_gamma_cav_outside_the_domain_is_usage_error(self, tmp_path,
+                                                         capsys, value):
+        # a nan or inf rate once passed validation, wrote 31 InvalidParams
+        # rows and exited 3
+        out = tmp_path / "l.csv"
+        assert cli.main(["lindblad", "--gamma-cav", value,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: gamma_cav must be finite and >= 0, got "
+            f"{float(value)!r}\n")
+        cfg_file = tmp_path / "rate.cfg"
+        cfg_file.write_text(f"gamma_cav = {value}\n", encoding="utf-8")
+        assert cli.main(["lindblad", "--config", str(cfg_file),
+                         "--out", str(out)]) == 2
+        assert "gamma_cav must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["5e-324", "1e-16"])
     @pytest.mark.parametrize("target", ["mirror", "cavity", "subwavelength",
                                         "optical"])

@@ -13,6 +13,7 @@ from mirrorqed import (
     geometry,
 )
 
+from . import oracles
 from .test_cavity import rerun_over_2d_weight
 
 # (re_r, k0d, ratio) from the 50-digit mpmath closed-form oracle.
@@ -104,6 +105,30 @@ class TestQuadratureRoute:
                 closed = gamma_mirror_closed(re_r, k0d)
                 gap = abs(quad.ratio - closed.ratio)
                 assert gap <= quad.err_estimate + closed.err_estimate
+
+    @pytest.mark.parametrize("re_r", [1.0, -1.0, 0.98, -0.98, 0.3])
+    def test_within_err_estimate_of_mpmath(self, re_r):
+        # the rounding rule of geometry.ratio_quadrature: the engine's
+        # error plus ERR_FLOOR * max(1, |ratio|) covers the gap to a
+        # 30-digit value, from contact (where re_r = -1 cancels the ratio
+        # to ~k0d^2) to the far field
+        for k0d in np.geomspace(1e-5, 3e3, 80).tolist():
+            res = gamma_mirror_quadrature(re_r, k0d)
+            exact = oracles.mirror_ratio_mp(re_r, k0d)
+            assert abs(res.ratio - exact) <= res.err_estimate, k0d
+
+    # Cells of a 1000-point scan of the same range that the rule misses
+    # (16 of 5,000): a few ulps of error from where the engine places its
+    # nodes (mid + half * t), shared by both levels, so that their
+    # difference cannot show it.
+    @pytest.mark.xfail(strict=True, reason="node-placement rounding is not "
+                       "in the rounding rule (ROADMAP item 12)")
+    @pytest.mark.parametrize("re_r,k0d", [(1.0, 90.82337295737442),
+                                          (-1.0, 2194.580646482456)])
+    def test_node_placement_rounding_exceeds_the_rule(self, re_r, k0d):
+        res = gamma_mirror_quadrature(re_r, k0d)
+        exact = oracles.mirror_ratio_mp(re_r, k0d)
+        assert abs(res.ratio - exact) <= res.err_estimate
 
     def test_grid_cells_match_single_cells_bit_for_bit(self):
         re_r = np.array([-1.0, 0.5, 0.8, -1.0, 1.5])

@@ -3,7 +3,9 @@
 Each call below once returned a wrong value silently, warned, or raised
 an untyped error (OverflowError, ValueError, TypeError). A nan or inf
 entry compared false against every density-matrix check, so a nan
-population gave populations of 0 or 1 and an inf coherence passed.
+population gave populations of 0 or 1 and an inf coherence passed. A
+max_evals of nan or inf passed the budget gate, which then admitted
+every level. None of these calls evaluates an integrand.
 """
 
 import math
@@ -12,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mirrorqed import dynamics, errors, freespace, geometry
+from mirrorqed import cavity, dynamics, errors, freespace, geometry, mirror
 
 NAN_POPULATION = [[math.nan, 0.0], [0.0, 1.0]]
 INF_COHERENCE = [[0.5, math.inf], [math.inf, 0.5]]
@@ -38,6 +40,20 @@ def _dipole(*vec):
     return geometry.DipoleOrientation(vec=np.array(vec))
 
 
+def _never(*args):
+    raise AssertionError("integrand evaluated")
+
+
+# An oscillating integrand that a budget of 3000 stops at 1,984
+# evaluations, and that a nan budget let spend 4,194,240.
+def _engine(max_evals=geometry.DEFAULT_MAX_EVALS, tol=geometry.ERR_FLOOR):
+    return geometry.solid_angle_integrate(_never, tol=tol,
+                                          max_evals=max_evals)
+
+
+BUDGETS = {"nan": math.nan, "inf": math.inf, "minus-inf": -math.inf,
+           "fractional": 1.5, "none": None}
+
 CASES = {
     "unravel_jumps-nan-population": lambda: _jumps(NAN_POPULATION),
     "unravel_jumps-inf-coherence": lambda: _jumps(INF_COHERENCE),
@@ -62,11 +78,33 @@ CASES = {
     "unravel_jumps-seed-negative": lambda: _jumps(seed=-1),
     "unravel_jumps-seed-fractional": lambda: _jumps(seed=1.5),
     "unravel_jumps-n_traj-fractional": lambda: _jumps(n_traj=1.5),
+    **{f"{route}-max_evals-{name}": (lambda call=call, budget=budget:
+                                     call(budget))
+       for name, budget in BUDGETS.items()
+       for route, call in (
+           ("solid_angle_integrate", _engine),
+           ("mirror_quadrature", lambda budget: mirror.gamma_mirror_quadrature(
+               -1.0, 1.0, max_evals=budget)),
+           ("cavity_quadrature", lambda budget: cavity.gamma_cavity_quadrature(
+               0.5, 1.0, max_evals=budget)))},
+    "mirror_quadrature-re_r-string": lambda: mirror.gamma_mirror_quadrature(
+        "a", 1.0),
+    "mirror_quadrature-k0d-complex": lambda: mirror.gamma_mirror_quadrature(
+        0.5, 1j),
+    "cavity_quadrature-unbroadcastable": (
+        lambda: cavity.gamma_cavity_quadrature([0.1, 0.2], [1, 2, 3])),
+    "solid_angle_integrate-tol-none": lambda: _engine(tol=None),
+    "mirror_quadrature-tol-string": lambda: mirror.gamma_mirror_quadrature(
+        0.5, 1.0, tol="1e-9"),
+    "cavity_series-tail_tol-none": lambda: cavity.gamma_cavity_series(
+        0.5, 1.0, tail_tol=None),
 }
 
 
 @pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
-def test_input_outside_the_domain_raises_invalid_params(call):
+def test_input_outside_the_domain_raises_invalid_params(call, monkeypatch):
+    monkeypatch.setattr(geometry, "phi_mean_weight", _never)
+    monkeypatch.setattr(cavity, "interference_kernel", _never)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(errors.InvalidParams):
