@@ -95,13 +95,14 @@ def default_n_max(r_mir: float, tail_tol: float) -> int:
     Solves 2 |r|^(2 n + 2) / (1 - |r|) <= tail_tol - floor for n, capped
     at 1e5; a tail_tol the floor alone exceeds gets the cap, and the
     series then fails with TailTooLarge. Raises InvalidParams unless
-    |r_mir| < 1 and tail_tol is finite.
+    r_mir is a real number with |r_mir| < 1 and 0 < tail_tol < inf.
     """
-    ar = abs(r_mir)
-    if not (ar < 1.0 and math.isfinite(tail_tol)):
+    _check_tail_tol(tail_tol)
+    if not (isinstance(r_mir, numbers.Real) and abs(r_mir) < 1.0):
         raise InvalidParams(
-            f"default_n_max needs |r_mir| < 1 and a finite tail_tol, got "
-            f"{r_mir!r}, {tail_tol!r}")
+            f"default_n_max needs a real r_mir with |r_mir| < 1, got "
+            f"{r_mir!r}")
+    ar = abs(r_mir)
     budget = tail_tol - _series_rounding(ar)
     if budget <= 0.0:
         return _N_MAX_CAP
@@ -124,14 +125,18 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     engine as panel breakpoints so refinement cannot silently straddle a
     peak.
 
+    The first level has max(4, ceil(k0d / 2)) uniform panels, or
+    max(8, ceil(k0d)) for the sharper peaks of |r_mir| > 0.9.
     Building the breakpoints costs O(k0d) whatever r_mir is (see
     _peak_breakpoints), so the engine's first-level gate
     (geometry.first_level_panels) runs before they are built, on the
-    uniform panels of the resolution hint plus the bound
-    7 ceil(k0d / pi) + 40 on the breakpoints, one panel each, in integer
-    arithmetic; a cell it refuses builds none. At the default budget it
-    refuses k0d above 305,438.2 for 0 < |r_mir| <= 0.9, above 258,131
-    for |r_mir| > 0.9 and above 1,666,666 for r_mir = 0.
+    uniform panels plus the breakpoints, one panel each, counted from
+    their windows (_peak_windows) in integer arithmetic; a cell it
+    refuses builds none. At the default budget it refuses k0d above
+    305,446 to 305,447.7 for 1e-12 <= |r_mir| <= 0.9, above 258,136 to
+    258,138.4 for |r_mir| > 0.9 (the edge moves with r through the
+    window sizes) and above 1,666,666 for r_mir = 0; a smaller |r_mir|
+    skips the windows whose indices pass 2^53 and reaches further.
 
     Scalars give a RateResult of floats and raise. Arrays (broadcast
     together) give one of arrays with a status per cell; each cell is
@@ -152,79 +157,65 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     cells = _cavity_cells(r_mir, k0d)
 
     def cell(r, k0d):
-        sharpness = 2 if abs(r) > 0.9 else 1
-        resolution = sharpness * geometry.oscillation_nodes(k0d)
-        n_breaks = _breakpoint_bound(k0d) if r != 0.0 else 0
-        geometry.first_level_panels(resolution + 16 * n_breaks, max_evals)
+        panels = geometry.oscillation_panels(k0d)
+        if abs(r) > 0.9:
+            panels = max(8, geometry.oscillation_panels(2.0 * k0d))
+        n_breaks = sum(len(js) for _, js in _peak_windows(r, k0d))
+        geometry.first_level_panels(panels + n_breaks, max_evals)
         return geometry.ratio_quadrature(
-            lambda xi: interference_kernel(r, k0d * xi), resolution, tol,
+            lambda xi: interference_kernel(r, k0d * xi), panels, tol,
             max_evals,
             xi_breakpoints=_peak_breakpoints(r, k0d) if n_breaks else None)
 
     return cells.each("quadrature", cell)
 
 
-def _breakpoint_bound(k0d: float) -> int:
-    """7 c + 40, c = ceil(k0d / pi): no r gives more _peak_breakpoints.
+def _peak_windows(r: float, k0d: float) -> list[tuple[float, range]]:
+    """(shift s, peak indices j) of each edge family jpi/k0d + s in (-1, 1).
 
-    Proof. Write S = k0d / pi, so c = ceil(S). Shift s walks the j of
-    one parity p, from the first at or above max(p, floor((-1 - s) S) - 2)
-    to ceil((1 - s) S) + 2, and adds two edges per j; a shift whose top
-    (1 - s) S is not in [0, 2^53) adds none.
-
-    * s = 0 walks p .. c + 2: at most floor(c / 2) + 2 values of j.
-    * A pair of shifts +-o (o > 0) has tops u = (1 - o) S and
-      v = (1 + o) S, and the -o shift starts from -u, as the +o one
-      does from -v. If u >= 0, both start at p and walk
-      floor((ceil u + 2 - p) / 2) + floor((ceil v + 2 - p) / 2) + 2
-      values. If u < 0, the +o shift adds none and the -o one starts at
-      floor(-u) - 2 = -ceil(u) - 2 or later. Either way the pair walks
-      at most floor((ceil u + ceil v) / 2) + 4 values.
-    * Exactly, u + v = 2 S <= 2 c, so ceil u + ceil v <= 2 c + 1 and a
-      pair walks at most c + 4 values: 2 (floor(c / 2) + 2 + 3 (c + 4))
-      <= 7 (c + 4) edges, which r = 0.01, k0d = 803.4 reaches.
-    * In floats, u and v are each rounded twice (1 -+ o, then times S),
-      by a relative 2^-53 each time, and (1 + o) S < 2^53 (1 + 2^-51)
-      when v is kept. So each is within 2 (1 + 2^-50) of its exact value,
-      and within 1 + 2^-50 when v < 2^52. With ceil x < x + 1, that
-      gives ceil u + ceil v <= 2 c + 4 when v < 2^52; above, v is an
-      integer, ceil v = v, and ceil u + ceil v <= 2 c + 5. A pair then
-      walks at most c + 6 values: 2 (floor(c / 2) + 2 + 3 (c + 6))
-      <= 7 c + 40 edges.
+    The peaks sit at xi = j pi / k0d, j even for r > 0 and odd for r < 0,
+    with halfwidth h = (1 - r^2) / (2 |r| k0d); the edges are shifted
+    from them by s in {0, +-h, +-4h, +-16h}. For each s the window holds
+    the j of the peak parity from floor((-1 - s) k0d / pi) - 2 to
+    ceil((1 - s) k0d / pi) + 2, every edge in (-1, 1) with a margin of
+    two for rounding. A shift whose window leaves (-2^53, 2^53), where j
+    is no longer exact, is skipped: that takes |r| < 3e-16, where the
+    kernel is flat to rounding and such an edge would mark no peak.
+    r = 0 has no peaks and no windows.
     """
-    return 7 * math.ceil(k0d / math.pi) + 40
-
-
-def _peak_breakpoints(r: float, k0d: float) -> list[float]:
-    """Panel edges at the kernel peaks and their graded neighbourhoods.
-
-    The peaks sit at xi = +-c_j, c_j = j*pi/k0d with j even for r > 0
-    and odd for r < 0, and have halfwidth h = (1 - r^2) / (2 |r| k0d).
-    Each gets edges at c_j + s for the seven shifts s in {0, +-h, +-4h,
-    +-16h}, mirrored to -(c_j + s). Only edges inside (-1, 1) matter, so
-    for each shift only the centres within 1 of -s are generated, with a
-    margin of two for rounding: however small |r| makes h, that is at
-    most _breakpoint_bound(k0d) edges. A shift whose window reaches
-    j = 2^53 is skipped: that takes |r| < 3e-16, where the kernel is
-    flat to rounding and such an edge would mark no peak.
-    """
+    if r == 0.0:
+        return []
     den = 2.0 * abs(r) * k0d
     halfwidth = (1.0 - r * r) / den if den > 0.0 else math.inf
     parity = 0 if r > 0.0 else 1
     scale = k0d / math.pi
-    edges: list[float] = []
-    for offset in (0.0, halfwidth, 4.0 * halfwidth, 16.0 * halfwidth):
-        for shift in ((offset, -offset) if offset else (offset,)):
-            top = (1.0 - shift) * scale
-            if not 0.0 <= top < 2.0 ** 53:
-                continue
-            first = max(parity,
-                        math.floor(max((-1.0 - shift) * scale, -1.0)) - 2)
-            first += (first - parity) % 2
-            for j in range(first, math.ceil(top) + 3, 2):
-                edge = j * math.pi / k0d + shift
-                edges.extend((edge, -edge))
-    return edges
+    windows = []
+    for shift in (0.0, halfwidth, -halfwidth, 4.0 * halfwidth,
+                  -4.0 * halfwidth, 16.0 * halfwidth, -16.0 * halfwidth):
+        lo, hi = (-1.0 - shift) * scale, (1.0 - shift) * scale
+        # floor(lo) - 2 > -2^53 and ceil(hi) + 2 < 2^53, false for nan
+        if not (3.0 - 2.0 ** 53 <= lo and hi <= 2.0 ** 53 - 3.0):
+            continue
+        first = math.floor(lo) - 2
+        first += (first - parity) % 2
+        windows.append((shift, range(first, math.ceil(hi) + 3, 2)))
+    return windows
+
+
+def _peak_breakpoints(r: float, k0d: float) -> np.ndarray:
+    """Panel edges jpi/k0d + s at the kernel peaks and their neighbourhoods.
+
+    One edge per (s, j) of _peak_windows, whose sizes the route's gate
+    prices before this runs. Each window holds about k0d / pi + 3 indices
+    of the peak parity whatever s is, so building them is O(k0d) even
+    when a tiny |r| makes h huge. No edge is mirrored: the window of -s yields the image
+    -(jpi/k0d + s) = (-j)pi/k0d - s of each edge of s bit for bit.
+    """
+    # at a subnormal k0d the edges past j = 0 overflow to +-inf, outside
+    with np.errstate(over="ignore"):
+        parts = [np.arange(js.start, js.stop, js.step) * math.pi / k0d
+                 + shift for shift, js in _peak_windows(r, k0d)]
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def gamma_cavity_series(r_mir, k0d, tail_tol: float = DEFAULT_TAIL_TOL):
@@ -375,5 +366,6 @@ def gamma_subwavelength_2nd(r_mir, k0d):
         # the power of k0d overflows
         t4 = np.where(li4 == 0.0, 0.0, 3.0 * kernels._F_C4 * k ** 4 * li4)
         t6 = np.where(li6 == 0.0, 0.0, 3.0 * kernels._F_C6 * k ** 6 * li6)
-        err = np.abs(t4) + 2.0 * np.abs(t6) + 4e-16 * np.abs(limit)
+        err = (np.abs(t4) + 2.0 * np.abs(t6)
+               + geometry.ERR_FLOOR * np.abs(limit))
     return cells.result("limit", ratio, err)

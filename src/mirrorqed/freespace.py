@@ -111,4 +111,4 @@ def gamma_free_quadrature(emitter: EmitterSpec) -> float:
     """
     integrand = lambda xi, phi: geometry.phi_mean_weight(emitter.dhat, xi)
     integral, _err = geometry.solid_angle_integrate(integrand, tol=_QUAD_TOL)
-    return gamma_free_si(emitter) * (3.0 / (8.0 * math.pi)) * integral.real
+    return gamma_free_si(emitter) * (3.0 / (8.0 * math.pi)) * integral

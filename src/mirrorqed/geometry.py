@@ -27,10 +27,11 @@ azimuthal mean has the closed form phi_mean_weight,
 so every rate integrand, whose other factors depend on xi = cos theta
 alone, needs no phi quadrature at all.
 
-The quadrature engine integrates smooth (possibly oscillatory) functions
-of xi = cos theta over the full solid angle: composite 16-point
+The quadrature engine integrates smooth (possibly oscillatory) real
+functions of xi = cos theta over the full solid angle: composite 16-point
 Gauss-Legendre panels in xi (the substitution absorbs the sin theta
-Jacobian), times 2 pi for the phi integral. Integrands are called as
+Jacobian), times 2 pi for the phi integral, summed as floats; complex
+values are refused. Integrands are called as
 integrand(xi, None) on the nodes themselves, with no round trip through
 theta. The second argument is always None, so one that depends on phi
 fails loudly instead of being integrated wrongly; it remains only
@@ -38,7 +39,9 @@ because benchmark tracers wrap the two-argument call.
 Panels are doubled until two levels agree; each level is evaluated and
 summed in fixed blocks of panels, without BLAS. Callers integrating
 sharply peaked kernels can pass breakpoints so panel edges land on the
-peaks. Every level is priced at its 16 nodes a panel before it runs.
+peaks. Callers ask for work in panels (oscillation_panels gives a hint);
+only this module knows that a panel has 16 nodes, and it prices every
+level at them before the level runs.
 ratio_quadrature runs the engine on the one rate integrand, the phi-mean
 weight times a kernel in xi, and rounds the decay ratio by one rule.
 """
@@ -59,7 +62,7 @@ __all__ = [
     "DipoleOrientation",
     "transverse_weight_sum",
     "phi_mean_weight",
-    "oscillation_nodes",
+    "oscillation_panels",
     "solid_angle_integrate",
     "ratio_quadrature",
     "first_level_panels",
@@ -166,35 +169,36 @@ def phi_mean_weight(dhat: DipoleOrientation, xi):
     return 0.5 * ((1.0 + xi2) * (1.0 - dx2) + 2.0 * dx2 * (1.0 - xi2))
 
 
-def oscillation_nodes(rate: float) -> int:
-    """Node-count hint for integrands with phase rate ``rate`` per unit xi.
+def oscillation_panels(rate: float) -> int:
+    """Panel-count hint for integrands with phase rate ``rate`` per unit xi.
 
-    max(64, 8 * ceil(rate)) resolves phase factors exp(i * rate * xi)
-    with generous margin; callers pass the hint to solid_angle_integrate.
-    An infinite rate (a finite phase that overflowed) counts as the
-    largest finite float, so its hint is an exact integer that every
-    budget refuses.
+    max(4, ceil(rate / 2)) panels, 8 nodes per unit of phase, resolve
+    phase factors exp(i * rate * xi) with generous margin; callers pass
+    the hint to solid_angle_integrate. An infinite rate (a finite phase
+    that overflowed) counts as the largest finite float, so its hint is
+    an exact integer that every budget refuses.
     """
-    return max(64, 8 * math.ceil(min(max(rate, 0.0), sys.float_info.max)))
+    return max(4, math.ceil(min(max(rate, 0.0), sys.float_info.max) / 2.0))
 
 
-# 16-point Gauss-Legendre panel rule: the exact reprs of
-# numpy.polynomial.legendre.leggauss(16), written out so that importing
-# this module does not import numpy.polynomial.
-_GL_NODES = np.array([
-    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
-    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
-    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
-    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
-    0.9894009349916499])
+# 16-point Gauss-Legendre panel rule on [0, 2]: the offsets 1 + t_i of
+# its nodes t_i from a panel's left edge, and its weights, each correctly
+# rounded from mpmath.gauss_quadrature(16, 'legendre') at 40 digits and
+# written out so that importing this module imports neither.
+_GL_OFFSETS = np.array([
+    0.010599065008350067, 0.05542497692676742, 0.13436879761216824,
+    0.24459559164499697, 0.38212375559735623, 0.5419832223427726,
+    0.7183964492207411, 0.9049874901623626, 1.0950125098376375,
+    1.281603550779259, 1.4580167776572275, 1.6178762444026438,
+    1.755404408355003, 1.8656312023878316, 1.9445750230732326,
+    1.98940093499165])
 _GL_WEIGHTS = np.array([
-    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
-    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
-    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
-    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
-    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
-    0.027152459411754176])
+    0.027152459411754096, 0.062253523938647894, 0.09515851168249279,
+    0.12462897125553388, 0.14959598881657674, 0.16915651939500254,
+    0.18260341504492358, 0.1894506104550685, 0.1894506104550685,
+    0.18260341504492358, 0.16915651939500254, 0.14959598881657674,
+    0.12462897125553388, 0.09515851168249279, 0.062253523938647894,
+    0.027152459411754096])
 
 _MAX_LEVELS = 16
 # Panels evaluated and summed at once (16,384 nodes), as sweeps._BLOCK_ROWS.
@@ -205,31 +209,46 @@ ERR_FLOOR = 4e-16
 
 
 def _panel_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on each panel [edges[i], edges[i+1]]."""
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xi = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    """Gauss-Legendre nodes and weights on each panel [edges[i], edges[i+1]].
+
+    Nodes sit at lo + half (1 + t_i) from each panel's left edge lo, not
+    at mid + half t_i: a rounded midpoint would shift every node of both
+    levels alike, an error their difference cannot see.
+    """
+    lo = edges[:-1]
+    half = 0.5 * (edges[1:] - lo)
+    xi = (lo[:, None] + half[:, None] * _GL_OFFSETS[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return xi, w
 
 
-def first_level_panels(resolution: int,
+def _panel_count(panels) -> int:
+    """``panels`` as an int >= 1, through operator.index, or InvalidParams."""
+    try:
+        count = operator.index(panels)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise InvalidParams(f"panels must be an integer >= 1, got {panels!r}")
+    return count
+
+
+def first_level_panels(panels: int,
                        max_evals: int = DEFAULT_MAX_EVALS) -> int:
-    """Uniform xi panels of the first level that ``resolution`` asks for.
+    """Check that a first level of ``panels`` panels fits ``max_evals``.
 
     This is the budget gate of solid_angle_integrate, priced in integer
     arithmetic before anything is allocated. A panel costs its 16 nodes
     on the first level and 32 on the level that must confirm it, since
     one level alone never converges: 48 evaluations a panel. A
-    breakpoint adds at most one panel, so a caller prices it as 16 more
-    nodes of ``resolution``; one that builds its breakpoints itself (the
-    cavity's peak breakpoints) calls this first, with a bound on their
-    number. The default budget is the one every quadrature route takes,
-    DEFAULT_MAX_EVALS.
+    breakpoint adds at most one panel, so a caller that builds its
+    breakpoints itself (the cavity's peak breakpoints) calls this first,
+    with their number added to its panels. The default budget is the one
+    every quadrature route takes, DEFAULT_MAX_EVALS. Returns ``panels``.
 
-    >>> first_level_panels(64)
+    >>> first_level_panels(4)
     4
-    >>> first_level_panels(16_000_000)  # doctest: +ELLIPSIS
+    >>> first_level_panels(1_000_000)  # doctest: +ELLIPSIS
     Traceback (most recent call last):
     ...
     mirrorqed.errors.NonConvergence: ... need up to 48000000 evaluations, ...
@@ -237,28 +256,29 @@ def first_level_panels(resolution: int,
     Raises
     ------
     InvalidParams
-        If max_evals is not an integer (not even a whole float).
+        If panels is not an integer >= 1 or max_evals is not an integer
+        (not even a whole float).
     NonConvergence
         With n_evals == 0, if those panels could exceed max_evals.
     """
+    panels = _panel_count(panels)
     try:
         max_evals = operator.index(max_evals)
     except TypeError:
         raise InvalidParams(
             f"max_evals must be an integer, got {max_evals!r}") from None
-    n_panels = max(4, -(-resolution // _GL_NODES.size))
-    price = 3 * _GL_NODES.size * n_panels
+    price = 3 * _GL_OFFSETS.size * panels
     if price > max_evals:
         raise NonConvergence(
             f"solid-angle quadrature: the first two levels need up to "
             f"{price} evaluations, over the budget of {max_evals}", n_evals=0)
-    return n_panels
+    return panels
 
 
-def solid_angle_integrate(integrand, resolution: int = 64,
+def solid_angle_integrate(integrand, panels: int = 4,
                           tol: float = DEFAULT_TOL, xi_breakpoints=None,
-                          max_evals: int = DEFAULT_MAX_EVALS):
-    """Integrate a function of xi = cos(theta) over the unit sphere.
+                          max_evals: int = DEFAULT_MAX_EVALS) -> tuple:
+    """Integrate a real function of xi = cos(theta) over the unit sphere.
 
     Evaluates ``2 pi int_{-1}^{1} dxi integrand(xi, None)`` by composite
     Gauss-Legendre panels in xi, doubling the panel count until two
@@ -276,14 +296,14 @@ def solid_angle_integrate(integrand, resolution: int = 64,
     ----------
     integrand : callable
         Vectorized function ``integrand(xi, phi)``, called with a 1-D
-        array of nodes xi in (-1, 1) and phi = None; returns float or
-        complex values of xi's shape, finite there. A function of phi is
-        not supported: integrate its phi mean (phi_mean_weight) instead.
-        The always-None second argument stays only because benchmark
-        tracers forward a two-argument call.
-    resolution : int
-        Node-count hint for the xi axis at the first level; raise it for
-        oscillatory integrands (see oscillation_nodes). Must be >= 8.
+        array of nodes xi in (-1, 1) and phi = None; returns real values
+        of xi's shape, finite there. A function of phi is not supported:
+        integrate its phi mean (phi_mean_weight) instead. The always-None
+        second argument stays only because benchmark tracers forward a
+        two-argument call.
+    panels : int
+        Uniform xi panels of the first level, 16 nodes each; raise it for
+        oscillatory integrands (see oscillation_panels). Must be >= 1.
     tol : float
         Relative tolerance of the two-level agreement test.
     xi_breakpoints : sequence of float, optional
@@ -292,43 +312,42 @@ def solid_angle_integrate(integrand, resolution: int = 64,
     max_evals : int
         Budget of integrand evaluations across all levels, one per xi
         node. One gate (first_level_panels) runs before any edge is
-        built: it prices the uniform panels that ``resolution`` asks for
-        and one more panel per breakpoint inside (-1, 1), each at 48
-        evaluations, for the first level and the level that confirms it.
-        A refinement level, twice the panels of the one before, runs only
-        if the evaluations already made plus its own (16 per panel) stay
-        within the budget, so n_evals never exceeds max_evals. Only a
-        level's panel edges, not its nodes, are allocated whole.
+        built: it prices the uniform panels and one more panel per
+        breakpoint inside (-1, 1), each at 48 evaluations, for the first
+        level and the level that confirms it. A refinement level, twice
+        the panels of the one before, runs only if the evaluations
+        already made plus its own (16 per panel) stay within the budget,
+        so n_evals never exceeds max_evals. Only a level's panel edges,
+        not its nodes, are allocated whole.
 
     Returns
     -------
-    (value, err_estimate) : (complex, float)
+    (value, err_estimate) : (float, float)
         The integral and a conservative error estimate (twice the last
         two-level difference, floored at the roundoff scale).
 
     Raises
     ------
     InvalidParams
-        If resolution < 8, tol is not a real >= ERR_FLOOR, which no
-        estimate can meet, or max_evals is not an integer.
+        If panels is not an integer >= 1, tol is not a real >= ERR_FLOOR,
+        which no estimate can meet, max_evals is not an integer, or the
+        integrand returns complex values (before they are summed).
     NonConvergence
         If the budget is exhausted before two levels agree; the exception
         carries the best value and its estimated error (value None when
         the gate refuses the first level, with n_evals == 0).
     """
-    if resolution < 8:
-        raise InvalidParams(f"resolution must be >= 8, got {resolution}")
+    panels = _panel_count(panels)
     if not (isinstance(tol, numbers.Real) and tol >= ERR_FLOOR):
         raise InvalidParams(f"tol must be a real >= {ERR_FLOOR:g}, the "
                             f"error floor, got {tol!r}")
 
-    pts = np.asarray([] if xi_breakpoints is None else list(xi_breakpoints),
+    pts = np.asarray([] if xi_breakpoints is None else xi_breakpoints,
                      dtype=float)
     pts = pts[(pts > -1.0) & (pts < 1.0)]
-    n_panels = max(4, -(-resolution // _GL_NODES.size))
     # the one first-level gate: each breakpoint adds at most one panel
-    first_level_panels(_GL_NODES.size * (n_panels + pts.size), max_evals)
-    edges = np.linspace(-1.0, 1.0, int(n_panels) + 1)
+    first_level_panels(panels + pts.size, max_evals)
+    edges = np.linspace(-1.0, 1.0, panels + 1)
     if pts.size:
         edges = np.sort(np.concatenate([edges, pts]))
         # drop repeated edges and edges closer than resolvable spacing
@@ -340,12 +359,15 @@ def solid_angle_integrate(integrand, resolution: int = 64,
     err = math.inf
     evals = 0
     for _ in range(_MAX_LEVELS):
-        total = 0j
+        total = 0.0
         for lo in range(0, edges.size - 1, _BLOCK_PANELS):
             xi, w = _panel_points(edges[lo:lo + _BLOCK_PANELS + 1])
             vals = np.broadcast_to(integrand(xi, None), xi.shape)
+            if vals.dtype.kind not in "biuf":
+                raise InvalidParams(f"the integrand must return real "
+                                    f"values, got dtype {vals.dtype}")
             evals += vals.size
-            total += complex(np.sum(w * vals))
+            total += float(np.sum(w * vals))
         value = _TWO_PI * total
         if prev is not None:
             diff = abs(value - prev)
@@ -354,7 +376,7 @@ def solid_angle_integrate(integrand, resolution: int = 64,
                 return value, err
         prev = value
         # the next level, twice the panels, is priced before it runs
-        if evals + 2 * _GL_NODES.size * (edges.size - 1) > max_evals:
+        if evals + 2 * _GL_OFFSETS.size * (edges.size - 1) > max_evals:
             raise NonConvergence(
                 f"solid-angle quadrature: {evals} evaluations without "
                 f"two-level agreement at tol={tol:g} (err~{err:.3g}); the "
@@ -367,18 +389,20 @@ def solid_angle_integrate(integrand, resolution: int = 64,
         value=value, err_estimate=err, n_evals=evals)
 
 
-def ratio_quadrature(kernel, resolution: int, tol: float, max_evals: int,
+def ratio_quadrature(kernel, panels: int, tol: float, max_evals: int,
                      offset: float = 0.0, xi_breakpoints=None):
-    """offset + (3 / 8 pi) Re int dOmega w(xi) kernel(xi), and its error.
+    """offset + (3 / 8 pi) int dOmega w(xi) kernel(xi), and its error.
 
-    w is the in-plane dipole's phi-mean weight, so a kernel of 1 adds 1:
+    w is the in-plane dipole's phi-mean weight and kernel a real function
+    of xi, so a kernel of 1 adds 1:
 
-    >>> ratio, err = ratio_quadrature(lambda xi: 1.0, 64, DEFAULT_TOL,
+    >>> ratio, err = ratio_quadrature(lambda xi: 1.0, 4, DEFAULT_TOL,
     ...                               DEFAULT_MAX_EVALS, offset=0.5)
     >>> abs(ratio - 1.5) <= err
     True
 
-    One solid_angle_integrate call, whose errors it raises. The error is
+    One solid_angle_integrate call on ``panels`` first-level panels,
+    whose errors it raises. The error is
     3 / (8 pi) times the engine's plus ERR_FLOOR max(1, |ratio|), the
     rounding the engine's floor cannot see: of the scale (within 0.04 u
     of exact, u = 2^-53), of its product and of the sum with offset,
@@ -389,7 +413,7 @@ def ratio_quadrature(kernel, resolution: int, tol: float, max_evals: int,
     """
     integral, err = solid_angle_integrate(
         lambda xi, phi: phi_mean_weight(_IN_PLANE, xi) * kernel(xi),
-        resolution=resolution, tol=tol, xi_breakpoints=xi_breakpoints,
+        panels=panels, tol=tol, xi_breakpoints=xi_breakpoints,
         max_evals=max_evals)
-    ratio = offset + _RATE_SCALE * integral.real
+    ratio = offset + _RATE_SCALE * integral
     return ratio, _RATE_SCALE * err + ERR_FLOOR * max(1.0, abs(ratio))

@@ -34,7 +34,7 @@ def _closed_form_err(re_r, x):
     """
     f_err = np.full(x.shape, 4e-16)
     direct = np.abs(x) >= kernels.F_TAYLOR_CROSSOVER
-    f_err[direct] = 2.5e-16 * kernels.f_envelope(x[direct])
+    f_err[direct] = kernels.f_envelope(x[direct]) * 2.5e-16
     return 1.5 * np.abs(re_r) * f_err + geometry.ERR_FLOOR
 
 
@@ -104,6 +104,6 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
     def cell(re_r, k0d):
         return geometry.ratio_quadrature(
             lambda xi: re_r * np.cos(2.0 * k0d * xi),
-            geometry.oscillation_nodes(2.0 * k0d), tol, max_evals, offset=1.0)
+            geometry.oscillation_panels(2.0 * k0d), tol, max_evals, offset=1.0)
 
     return cells.each("quadrature", cell)

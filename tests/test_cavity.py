@@ -57,6 +57,23 @@ QUAD_ORACLE = [
     (-0.8, 50.0 * math.pi, 0.9999173484698828),
 ]
 
+def _first_level_panels(monkeypatch, route, *args):
+    """The uniform first-level panels ``route(*args)`` asks the engine for."""
+    class Called(Exception):
+        pass
+
+    asked = []
+
+    def spy(integrand, **kwargs):
+        asked.append(kwargs["panels"])
+        raise Called
+
+    monkeypatch.setattr(geometry, "solid_angle_integrate", spy)
+    with pytest.raises(Called):
+        route(*args)
+    return asked[0]
+
+
 def rerun_over_2d_weight(monkeypatch, factor, route):
     """Run ``route`` and redo its engine call over the full 2-D weight.
 
@@ -64,9 +81,9 @@ def rerun_over_2d_weight(monkeypatch, factor, route):
     transverse_weight_sum(dhat, theta, phi) for the default in-plane
     dipole, which every route computes, exact for this degree-2
     trigonometric weight, at theta = arccos(xi) and times factor(xi),
-    with the resolution, breakpoints, tolerance and budget the route
-    passed to the engine.
-    Returns the route's result and the real part of the redone integral.
+    with the panels, breakpoints, tolerance and budget the route passed
+    to the engine.
+    Returns the route's result and the redone integral.
     """
     engine = geometry.solid_angle_integrate
     calls = []
@@ -84,7 +101,7 @@ def rerun_over_2d_weight(monkeypatch, factor, route):
         lambda xi, phi: (
             geometry.transverse_weight_sum(dhat, np.arccos(xi)[:, None], phis)
             .mean(axis=1) * factor(xi)), **kwargs)
-    return result, value.real
+    return result, value
 
 
 # (r_mir, k0d, n_max, ratio) from the direct truncated double sum, against
@@ -209,9 +226,9 @@ class TestQuadrature:
         assert refused.value.n_evals == 0
 
     def test_first_level_gate_runs_before_the_breakpoints(self, monkeypatch):
-        # k0d = 4e5 asks for 2e5 uniform panels and up to 891,308
-        # breakpoints, 52.4e6 evaluations at 48 a panel: over the default
-        # budget, so no breakpoint may be built
+        # k0d = 4e5 asks for 2e5 uniform panels and 891,287 breakpoints,
+        # 52.4e6 evaluations at 48 a panel: over the default budget, so no
+        # breakpoint may be built
         def never(*args):
             raise AssertionError("breakpoints built")
 
@@ -265,9 +282,9 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("k0d", [3e5, 5e6, 1e308])
     def test_refused_cell_allocates_nothing(self, k0d):
-        # the gate prices the breakpoints from their bound, in integers,
+        # the gate prices the breakpoints from their windows, in integers,
         # before one is built; at 3e5 they once took 39.7 MiB to refuse
-        # (at r = 0.5, which the default budget admits up to 305,438.2)
+        # (at r = 0.5, which the default budget admits up to 305,447.62)
         tracemalloc.start()
         try:
             with pytest.raises(errors.NonConvergence) as refused:
@@ -319,33 +336,85 @@ class TestQuadrature:
             assert inside(cavity._peak_breakpoints(r, k0d)) == inside(
                 walk(r, k0d)), k0d
 
-    # 30 values of r from +-1e-300 to +-0.999999, each over 500 k0d in
-    # [1e-4, 3e4]: the gate prices what every one of them builds
-    @pytest.mark.parametrize("r", [sign * a for a in (
-        1e-300, 1e-100, 1e-16, 3e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.3,
-        0.5, 0.7, 0.9, 0.99, 0.999999) for sign in (1.0, -1.0)])
-    def test_peak_breakpoints_within_their_bound(self, r):
-        for k0d in np.geomspace(1e-4, 3e4, 500).tolist():
-            assert len(cavity._peak_breakpoints(r, k0d)) <= (
-                cavity._breakpoint_bound(k0d)), k0d
+    # r over +-1e-12 to +-0.999, 25 log-spaced k0d in [1e-3, 1e3] and the
+    # cell where the windows once reached their proved bound
+    @pytest.mark.parametrize("r", [sign * a for a in (1e-12, 0.01, 0.5,
+                                                      0.98, 0.999)
+                                   for sign in (1.0, -1.0)])
+    def test_peak_breakpoints_match_a_brute_force_walk(self, r):
+        def brute(r, k0d):
+            # for each shift, every j of the peak parity within k0d / pi
+            # + 10 of the centre nearest -s, whose edge lies in (-1, 1)
+            halfwidth = (1.0 - r * r) / (2.0 * abs(r) * k0d)
+            scale = k0d / math.pi
+            edges = set()
+            for shift in (0.0, halfwidth, -halfwidth, 4.0 * halfwidth,
+                          -4.0 * halfwidth, 16.0 * halfwidth,
+                          -16.0 * halfwidth):
+                centre = round(-shift * scale)
+                reach = math.ceil(scale) + 10
+                assert abs(centre) + reach < 2 ** 53
+                for j in range(centre - reach, centre + reach + 1):
+                    edge = j * math.pi / k0d + shift
+                    if j % 2 == (r < 0.0) and -1.0 < edge < 1.0:
+                        edges.add(edge + 0.0)  # +-0 are one edge
+            return edges
 
-    def test_breakpoint_bound_is_nearly_reached(self):
-        # the exact-arithmetic maximum 7 (ceil(k0d / pi) + 4) is reached;
-        # the bound adds 12 edges for rounding
-        k0d = 803.4
-        assert len(cavity._peak_breakpoints(0.01, k0d)) == 1820 == (
-            7 * (math.ceil(k0d / math.pi) + 4))
-        assert cavity._breakpoint_bound(k0d) == 1820 + 12
+        for k0d in [*np.geomspace(1e-3, 1e3, 25).tolist(), 803.4]:
+            built = cavity._peak_breakpoints(r, k0d)
+            assert built.dtype == float
+            assert {p + 0.0 for p in built.tolist()
+                    if -1.0 < p < 1.0} == brute(r, k0d), k0d
+
+    @pytest.mark.parametrize("r", [0.5, -0.98, 0.01, -1e-12, 1e-300])
+    @pytest.mark.parametrize("k0d", [1e-3, 1.0, 803.4, 1e5, 2.5e5])
+    def test_gate_prices_the_breakpoints_it_builds(self, monkeypatch, r,
+                                                   k0d):
+        # the route's pre-gate prices its uniform panels plus exactly the
+        # edges _peak_breakpoints then builds, at most 7 ceil(k0d / pi)
+        # + 21 of them
+        class Priced(Exception):
+            pass
+
+        priced = []
+
+        def spy(panels, max_evals):
+            priced.append(panels)
+            raise Priced
+
+        monkeypatch.setattr(geometry, "first_level_panels", spy)
+        with pytest.raises(Priced):
+            gamma_cavity_quadrature(r, k0d)
+        uniform = (geometry.oscillation_panels(k0d) if abs(r) <= 0.9
+                   else max(8, geometry.oscillation_panels(2.0 * k0d)))
+        built = len(cavity._peak_breakpoints(r, k0d))
+        assert priced == [uniform + built]
+        assert built <= 7 * math.ceil(k0d / math.pi) + 21
+
+    @pytest.mark.parametrize("r,k0d,panels", [
+        (0.5, 1e-3, 4), (-0.9, 0.5, 4), (0.3, 6.9, 4), (-0.7, 8.5, 5),
+        (0.9, 9.3, 5), (-0.2, 100.0, 50),
+        (0.95, 0.5, 8), (-0.999, 6.9, 8), (0.98, 8.5, 9), (-0.91, 9.3, 10),
+        (0.9999, 100.0, 100)])
+    def test_first_level_panel_counts(self, monkeypatch, r, k0d, panels):
+        # the counts of the node hint: max(4, ceil(k0d / 2)) panels for
+        # |r| <= 0.9, max(8, ceil(k0d)) for the sharper peaks above
+        assert _first_level_panels(monkeypatch, gamma_cavity_quadrature,
+                                   r, k0d) == panels
 
     @pytest.mark.parametrize("r,admitted,refused", [
-        (0.5, 305_438.2, 305_438.21), (-0.9, 305_438.2, 305_438.21),
-        (0.95, 258_131.0, 258_131.01), (-0.999, 258_131.0, 258_131.01),
+        (0.5, 305_447.62, 305_447.63), (-0.9, 305_446.17, 305_446.18),
+        (-0.7, 305_446.0, 305_446.01), (0.95, 258_136.06, 258_136.07),
+        (0.98, 258_136.0, 258_136.01), (-0.999, 258_138.38, 258_138.39),
         (0.0, 1_666_666.0, 1_666_666.01)])
     def test_default_budget_refuses_above_the_stated_k0d(self, monkeypatch,
                                                           r, admitted,
                                                           refused):
         # the thresholds the route's docstring and the README state: the
-        # largest k0d whose first level the gate admits, and one just above
+        # largest k0d whose first level the gate admits, and one just
+        # above; with the breakpoints priced as built, the edge moves with
+        # r, within 305,446-305,447.63 for 1e-12 <= |r| <= 0.9 and within
+        # 258,136-258,138.39 for |r| > 0.9
         class Admitted(Exception):
             pass
 
@@ -381,6 +450,18 @@ class TestQuadrature:
         # covered only because err_estimate counts the rounding of the
         # ratio and of the integrand, and (0.99, 0.01) only because the
         # kernel forms 1 - r^2 without cancellation
+        res = gamma_cavity_quadrature(r, k0d)
+        exact = oracles.cavity_ratio_mp(r, k0d)
+        assert abs(res.ratio - exact) <= res.err_estimate
+
+    @pytest.mark.parametrize("r,k0d", [
+        (-0.9724, 82.2376), (-0.8201, 23.9722), (0.9629, 84.973),
+        (0.9617, 144.195), (-0.9445, 198.414), (-0.966, 4.046)])
+    def test_high_finesse_cells_within_err_estimate(self, r, k0d):
+        # high-finesse cells whose rounding the engine's error once missed:
+        # the first four by 2.00x, 1.05x, 1.12x and 1.12x, while nodes sat
+        # at mid + half t and the weights were numpy's; all now read 0.16x
+        # or less
         res = gamma_cavity_quadrature(r, k0d)
         exact = oracles.cavity_ratio_mp(r, k0d)
         assert abs(res.ratio - exact) <= res.err_estimate

@@ -53,6 +53,7 @@ def test_two_runs_of_one_tree_are_identical(dirs, capsys):
     assert referee.main([str(d) for d in dirs]) == 0
     total = capsys.readouterr().out.splitlines()[-1]
     assert "0 moved within error, 0 moved beyond error" in total
+    assert "err_estimate cells changed: 0 (0 grew, 0 shrank);" in total
     assert "status changes: 0" in total
     assert "identical rows in files without err_estimate: 4" in total
     assert "preamble keys changed: 0" in total
@@ -78,6 +79,27 @@ def test_move_within_its_error_is_counted_not_refused(dirs, capsys):
                                  + 0.5 * float(row["err_estimate"])))
     assert referee.main([str(old), str(new)]) == 0
     assert "1 moved within error" in capsys.readouterr().out.splitlines()[-1]
+
+
+def test_err_estimate_changes_are_split_into_grew_and_shrank(dirs, capsys):
+    # a changed estimate is not a violation; the summary says which way
+    # each went and by what extreme factors
+    old, new = dirs
+    _edit(new / "mirror.csv", 1, "err_estimate",
+          lambda cell, row: repr(2.0 * float(cell)))
+    _edit(new / "mirror.csv", 2, "err_estimate",
+          lambda cell, row: repr(0.25 * float(cell)))
+    _edit(new / "cavity.csv", 1, "err_estimate",
+          lambda cell, row: repr(0.5 * float(cell)))
+    assert referee.main([str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ("err_estimate cells changed: 1 (0 grew, 1 shrank; new/old "
+            "from 0.5 to 0.5);") in lines[0]
+    assert ("err_estimate cells changed: 2 (1 grew, 1 shrank; new/old "
+            "from 0.25 to 2);") in lines[2]
+    assert ("err_estimate cells changed: 3 (1 grew, 2 shrank; new/old "
+            "from 0.25 to 2);") in lines[-1]
+    assert lines[-1].endswith("violations: 0")
 
 
 @pytest.mark.parametrize("name,row,column,edit,message", [

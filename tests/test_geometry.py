@@ -1,6 +1,7 @@
 """Transverse dipole weight against an independent frame, sphere quadrature."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from mirrorqed import cavity, errors, geometry, mirror
 from . import oracles
 
 RNG = np.random.default_rng(7041995)
+
+
+def _never(*args):
+    raise AssertionError("integrand evaluated")
 
 
 class TestDipoleWeight:
@@ -97,18 +102,26 @@ class TestPhiMeanWeight:
 
 
 class TestSolidAngleIntegrate:
-    def test_panel_rule_is_leggauss_16(self):
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        assert np.array_equal(geometry._GL_NODES.view(np.int64),
-                              nodes.view(np.int64))
-        assert np.array_equal(geometry._GL_WEIGHTS.view(np.int64),
-                              weights.view(np.int64))
+    def test_panel_rule_is_correctly_rounded(self):
+        # each node offset 1 + t_i and each weight of the 16-point
+        # Gauss-Legendre rule within half an ulp of its 40-digit value
+        # (numpy's leggauss weights are up to 63 ulp off)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            nodes, weights = mpmath.gauss_quadrature(16, "legendre")
+            for rule, exact in ((geometry._GL_OFFSETS,
+                                 [1 + t for t in nodes]),
+                                (geometry._GL_WEIGHTS, weights)):
+                assert len(rule) == len(exact) == 16
+                for value, want in zip(rule.tolist(), exact):
+                    assert abs(mpmath.mpf(value) - want) <= (
+                        0.5 * math.ulp(value)), value
 
     def test_constant_integrand_gives_4pi(self):
         fn = lambda xi, phi: np.ones_like(xi)
         val, err = geometry.solid_angle_integrate(fn)
-        assert val.real == pytest.approx(4.0 * math.pi, abs=1e-12)
-        assert abs(val.imag) < 1e-12
+        assert type(val) is float and type(err) is float
+        assert val == pytest.approx(4.0 * math.pi, abs=1e-12)
         assert err < 1e-9
 
     def test_transverse_weight_gives_8pi_over_3(self):
@@ -117,7 +130,7 @@ class TestSolidAngleIntegrate:
         dhat = geometry.DipoleOrientation(vec=np.array([0.0, 0.0, 1.0]))
         val, err = geometry.solid_angle_integrate(
             lambda xi, phi: geometry.phi_mean_weight(dhat, xi))
-        assert val.real == pytest.approx(8.0 * math.pi / 3.0, abs=1e-11)
+        assert val == pytest.approx(8.0 * math.pi / 3.0, abs=1e-11)
         assert err < 1e-9
         two_d, _ = oracles.sphere_integral_refined(
             lambda theta, phi: geometry.transverse_weight_sum(dhat, theta, phi),
@@ -125,15 +138,15 @@ class TestSolidAngleIntegrate:
         assert two_d.real == pytest.approx(8.0 * math.pi / 3.0, abs=1e-10)
 
     def test_weighted_plane_wave_matches_sinc_family(self):
-        # weight * exp(-2j*k0d*cos(theta)) integrates to 4*pi times the
-        # shared sinc-family kernel at 2*k0d; frozen from mpmath at k0d = pi.
+        # weight * cos(2*k0d*cos(theta)), the real part of the plane wave
+        # exp(-2j*k0d*cos(theta)), integrates to 4*pi times the shared
+        # sinc-family kernel at 2*k0d; frozen from mpmath at k0d = pi.
         f_2pi = 0.02533029591058437
         dhat = geometry.DipoleOrientation(vec=np.array([0.0, 0.0, 1.0]))
-        fn = lambda xi, phi: np.exp(-2j * math.pi * xi) * (
+        fn = lambda xi, phi: np.cos(2.0 * math.pi * xi) * (
             geometry.phi_mean_weight(dhat, xi))
         val, err = geometry.solid_angle_integrate(fn)
-        assert val.real == pytest.approx(4.0 * math.pi * f_2pi, abs=1e-10)
-        assert abs(val.imag) < 1e-10
+        assert val == pytest.approx(4.0 * math.pi * f_2pi, abs=1e-10)
         assert err < 1e-8
         two_d, _ = oracles.sphere_integral_refined(
             lambda theta, phi: np.exp(-2j * math.pi * np.cos(theta))
@@ -141,24 +154,25 @@ class TestSolidAngleIntegrate:
         assert two_d.real == pytest.approx(4.0 * math.pi * f_2pi, abs=1e-10)
 
     def test_bare_plane_wave_is_sinc(self):
-        # without the weight the sphere integral is 4*pi*sin(a)/a at a = 2*k0d
+        # without the weight the sphere integral of cos(a*cos(theta)) is
+        # 4*pi*sin(a)/a at a = 2*k0d
         a = 1.4
-        fn = lambda xi, phi: np.exp(-1j * a * xi)
+        fn = lambda xi, phi: np.cos(a * xi)
         val, _ = geometry.solid_angle_integrate(fn)
-        assert val.real == pytest.approx(4.0 * math.pi * math.sin(a) / a, abs=1e-10)
+        assert val == pytest.approx(4.0 * math.pi * math.sin(a) / a, abs=1e-10)
 
     def test_breakpoints_do_not_change_smooth_result(self):
         fn = lambda xi, phi: xi ** 2
         plain, _ = geometry.solid_angle_integrate(fn)
         split, _ = geometry.solid_angle_integrate(fn, xi_breakpoints=[-0.4, 0.0, 0.7])
-        assert plain.real == pytest.approx(4.0 * math.pi / 3.0, abs=1e-11)
-        assert split.real == pytest.approx(plain.real, abs=1e-11)
+        assert plain == pytest.approx(4.0 * math.pi / 3.0, abs=1e-11)
+        assert split == pytest.approx(plain, abs=1e-11)
 
     def test_breakpoints_outside_open_interval_ignored(self):
         fn = lambda xi, phi: np.sqrt(1.0 - xi ** 2)  # sin(theta)
         val, _ = geometry.solid_angle_integrate(fn, xi_breakpoints=[-1.0, 1.0, 2.5])
         ref, _ = geometry.solid_angle_integrate(fn)
-        assert val.real == pytest.approx(ref.real, abs=1e-11)
+        assert val == pytest.approx(ref, abs=1e-11)
 
     def test_nonconvergence_carries_partial_result(self):
         fn = lambda xi, phi: np.cos(1000.0 * xi)
@@ -178,18 +192,18 @@ class TestSolidAngleIntegrate:
     def test_levels_run_in_panel_blocks(self, monkeypatch):
         # a level of 4,096 panels (65,536 nodes) runs in calls of at most
         # one block, and its block sums agree with one sum over the level
-        fn = lambda xi, phi: np.exp(-500j * xi)
+        fn = lambda xi, phi: np.cos(500.0 * xi)
         sizes = []
 
         def spy(xi, phi):
             sizes.append(xi.size)
             return fn(xi, phi)
 
-        value, _ = geometry.solid_angle_integrate(spy, resolution=65_536)
+        value, _ = geometry.solid_angle_integrate(spy, panels=4096)
         assert max(sizes) == 16 * geometry._BLOCK_PANELS
         assert sum(sizes) > 4 * 16 * geometry._BLOCK_PANELS
         monkeypatch.setattr(geometry, "_BLOCK_PANELS", 1 << 20)
-        whole, _ = geometry.solid_angle_integrate(fn, resolution=65_536)
+        whole, _ = geometry.solid_angle_integrate(fn, panels=4096)
         assert abs(value - whole) <= 1e-14 * abs(whole)
 
     def test_phi_independent_column_counts_xi_nodes(self):
@@ -244,17 +258,39 @@ class TestSolidAngleIntegrate:
         assert res.status == "ok"
         assert abs(res.ratio - ref.ratio) <= res.err_estimate + ref.err_estimate
 
+    @pytest.mark.parametrize("panels", [None, 1.5, 0, -4, "4"])
+    def test_panels_must_be_a_positive_integer(self, panels):
+        with pytest.raises(errors.InvalidParams, match="panels must be"):
+            geometry.solid_angle_integrate(_never, panels=panels)
+        with pytest.raises(errors.InvalidParams, match="panels must be"):
+            geometry.first_level_panels(panels)
+
+    def test_one_panel_is_a_first_level(self):
+        val, _ = geometry.solid_angle_integrate(lambda xi, phi: xi ** 2,
+                                                panels=1)
+        assert val == pytest.approx(4.0 * math.pi / 3.0, abs=1e-14)
+
+    def test_complex_integrand_is_refused(self):
+        with pytest.raises(errors.InvalidParams, match="real values"):
+            geometry.solid_angle_integrate(lambda xi, phi: np.exp(-1j * xi))
+        with pytest.raises(errors.InvalidParams, match="real values"):
+            geometry.ratio_quadrature(
+                lambda xi: np.exp(-1j * xi), 4, geometry.DEFAULT_TOL,
+                geometry.DEFAULT_MAX_EVALS)
+
     def test_invalid_arguments(self):
         fn = lambda xi, phi: np.ones_like(xi)
-        with pytest.raises(errors.InvalidParams):
-            geometry.solid_angle_integrate(fn, resolution=4)
         with pytest.raises(errors.InvalidParams):
             geometry.solid_angle_integrate(fn, tol=0.0)
         with pytest.raises(errors.InvalidParams):
             geometry.solid_angle_integrate(fn, tol=1e-16)
 
 
-def test_oscillation_nodes_scales_with_rate():
-    assert geometry.oscillation_nodes(0.0) >= 64
-    assert geometry.oscillation_nodes(10.0) <= geometry.oscillation_nodes(100.0)
-    assert geometry.oscillation_nodes(200.0) >= 8 * 200
+def test_oscillation_panels_scale_with_rate():
+    # 8 nodes (half a panel) per unit of phase rate, and at least 4 panels
+    assert geometry.oscillation_panels(0.0) == 4
+    assert geometry.oscillation_panels(10.0) <= geometry.oscillation_panels(100.0)
+    assert geometry.oscillation_panels(200.0) == 100
+    assert geometry.oscillation_panels(200.5) == 101
+    assert geometry.oscillation_panels(math.inf) == math.ceil(
+        sys.float_info.max / 2.0)

@@ -14,7 +14,7 @@ from mirrorqed import (
 )
 
 from . import oracles
-from .test_cavity import rerun_over_2d_weight
+from .test_cavity import _first_level_panels, rerun_over_2d_weight
 
 # (re_r, k0d, ratio) from the 50-digit mpmath closed-form oracle.
 CLOSED_ORACLE = [
@@ -117,18 +117,26 @@ class TestQuadratureRoute:
             exact = oracles.mirror_ratio_mp(re_r, k0d)
             assert abs(res.ratio - exact) <= res.err_estimate, k0d
 
-    # Cells of a 1000-point scan of the same range that the rule misses
-    # (16 of 5,000): a few ulps of error from where the engine places its
-    # nodes (mid + half * t), shared by both levels, so that their
-    # difference cannot show it.
-    @pytest.mark.xfail(strict=True, reason="node-placement rounding is not "
-                       "in the rounding rule (ROADMAP item 12)")
+    # Cells of a 1000-point scan of the same range that the rule missed
+    # by 1.24x and 1.74x (16 of 5,000) while the engine placed its nodes
+    # at mid + half * t: the rounded midpoint moved the nodes of both
+    # levels alike, so that their difference could not show it. At
+    # lo + half * (1 + t) they read 0.23x and 0.28x.
     @pytest.mark.parametrize("re_r,k0d", [(1.0, 90.82337295737442),
                                           (-1.0, 2194.580646482456)])
     def test_node_placement_rounding_exceeds_the_rule(self, re_r, k0d):
         res = gamma_mirror_quadrature(re_r, k0d)
         exact = oracles.mirror_ratio_mp(re_r, k0d)
         assert abs(res.ratio - exact) <= res.err_estimate
+
+    @pytest.mark.parametrize("k0d,panels", [
+        (1e-3, 4), (0.5, 4), (4.2, 5), (6.9, 7), (8.5, 9), (9.3, 10),
+        (100.0, 100)])
+    def test_first_level_panel_counts(self, monkeypatch, k0d, panels):
+        # the counts of the node hint: max(4, ceil(k0d)) panels, half a
+        # panel per unit of the phase rate 2 k0d
+        assert _first_level_panels(monkeypatch, gamma_mirror_quadrature,
+                                   0.5, k0d) == panels
 
     def test_grid_cells_match_single_cells_bit_for_bit(self):
         re_r = np.array([-1.0, 0.5, 0.8, -1.0, 1.5])
@@ -163,7 +171,7 @@ class TestQuadratureRoute:
                                           (0.98, 1.0), (-0.8, 100.0)])
     def test_matches_two_dimensional_weight(self, re_r, k0d, monkeypatch):
         res, integral = rerun_over_2d_weight(
-            monkeypatch, lambda xi: np.exp(-2j * k0d * xi),
+            monkeypatch, lambda xi: np.cos(2.0 * k0d * xi),
             lambda: gamma_mirror_quadrature(re_r, k0d))
         reference = 1.0 + 3.0 * re_r / (8.0 * math.pi) * integral
         assert abs(res.ratio - reference) <= 1e-14 * abs(reference)

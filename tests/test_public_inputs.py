@@ -98,6 +98,20 @@ CASES = {
         0.5, 1.0, tol="1e-9"),
     "cavity_series-tail_tol-none": lambda: cavity.gamma_cavity_series(
         0.5, 1.0, tail_tol=None),
+    "default_n_max-tail_tol-none": lambda: cavity.default_n_max(0.5, None),
+    "default_n_max-tail_tol-string": lambda: cavity.default_n_max(0.5, "1e-8"),
+    "default_n_max-tail_tol-zero": lambda: cavity.default_n_max(0.5, 0.0),
+    "default_n_max-tail_tol-negative": lambda: cavity.default_n_max(0.5, -1.0),
+    "default_n_max-r-string": lambda: cavity.default_n_max("a", 1e-8),
+    "default_n_max-r-none": lambda: cavity.default_n_max(None, 1e-8),
+    **{f"solid_angle_integrate-panels-{name}": (
+        lambda panels=panels: geometry.solid_angle_integrate(
+            _never, panels=panels))
+       for name, panels in (("none", None), ("fractional", 1.5), ("zero", 0))},
+    **{f"ratio_quadrature-panels-{name}": (
+        lambda panels=panels: geometry.ratio_quadrature(
+            _never, panels, geometry.DEFAULT_TOL, geometry.DEFAULT_MAX_EVALS))
+       for name, panels in (("none", None), ("fractional", 1.5), ("zero", 0))},
 }
 
 

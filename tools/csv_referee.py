@@ -13,7 +13,8 @@ the value columns (the axis columns and ``method``). In a file with an
 ``err_estimate`` column the value columns are ``ratio_*`` and
 ``abs_diff``; each of their cells is counted as identical, moved within
 max(err_old, err_new) of its row's ``err_estimate``, or moved beyond
-it. ``err_estimate`` cells may change and are counted. A file without
+it. ``err_estimate`` cells may change and are counted, with how many
+grew and shrank and the extreme new/old ratios. A file without
 ``err_estimate`` (``lindblad``) must be identical line for line. Every
 ``status`` change is reported. A file on one side only, a preamble key
 that differs, a cell moved beyond its error, a status change or any
@@ -68,22 +69,45 @@ class Tally:
     def __init__(self):
         self.identical = self.within = self.beyond = 0
         self.err_changed = self.status_changed = self.exact_rows = 0
+        self.err_grew = self.err_shrank = 0
+        self.err_ratios = (math.inf, 0.0)  # least and largest new/old
         self.preamble_changed = 0  # keys on one side only or changed
         self.worst = 0.0  # largest move of a value cell over its error
         self.violations = []
 
     def add(self, other):
         for name in ("identical", "within", "beyond", "err_changed",
-                     "status_changed", "exact_rows", "preamble_changed"):
+                     "err_grew", "err_shrank", "status_changed",
+                     "exact_rows", "preamble_changed"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.worst = max(self.worst, other.worst)
+        (lo, hi), (other_lo, other_hi) = self.err_ratios, other.err_ratios
+        self.err_ratios = (min(lo, other_lo), max(hi, other_hi))
         self.violations += other.violations
+
+    def count_err(self, old, new):
+        """Count one err_estimate cell pair that is not identical."""
+        self.err_changed += 1
+        a, b = _float(old), _float(new)
+        self.err_grew += b > a
+        self.err_shrank += b < a
+        if a > 0.0 and math.isfinite(b / a):
+            lo, hi = self.err_ratios
+            self.err_ratios = (min(lo, b / a), max(hi, b / a))
+
+    def _err_summary(self):
+        text = (f"err_estimate cells changed: {self.err_changed} "
+                f"({self.err_grew} grew, {self.err_shrank} shrank")
+        lo, hi = self.err_ratios
+        if lo <= hi:
+            text += f"; new/old from {lo:.3g} to {hi:.3g}"
+        return text + ")"
 
     def summary(self):
         return (f"value cells: {self.identical} identical, {self.within} "
                 f"moved within error, {self.beyond} moved beyond error "
-                f"(worst move {self.worst:.3g} of its error); err_estimate "
-                f"cells changed: {self.err_changed}; status changes: "
+                f"(worst move {self.worst:.3g} of its error); "
+                f"{self._err_summary()}; status changes: "
                 f"{self.status_changed}; identical rows in files without "
                 f"err_estimate: {self.exact_rows}; preamble keys changed: "
                 f"{self.preamble_changed}; violations: "
@@ -127,7 +151,8 @@ def compare_files(name, old_path, new_path):
         bound = max(_float(old[err_at]), _float(new[err_at]))
         for column, a, b in zip(columns, old, new):
             if column == "err_estimate":
-                tally.err_changed += a != b
+                if a != b:
+                    tally.count_err(a, b)
             elif column == "status":
                 if a != b:
                     tally.status_changed += 1
