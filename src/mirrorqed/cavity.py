@@ -20,13 +20,12 @@ arrays.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 
 import numpy as np
 
 from . import geometry, kernels
-from .errors import DegenerateMirror, InvalidParams, TailTooLarge
+from .errors import DegenerateMirror, InvalidParams, TailTooLarge, real
 from .kernels import interference_kernel
 from .results import Cells
 
@@ -55,7 +54,7 @@ def _cavity_cells(r_mir, k0d) -> Cells:
     k0d > 0, the +-1 endpoints being served by the limits only. A scalar
     cell raises, with the original arguments in its message.
     """
-    cells = Cells(r_mir, k0d)
+    cells = Cells(r_mir=r_mir, k0d=k0d)
     r, k = cells.values
     cells.check(~(np.isfinite(r) & np.isfinite(k)), InvalidParams,
                 lambda: InvalidParams(
@@ -68,13 +67,6 @@ def _cavity_cells(r_mir, k0d) -> Cells:
     cells.check(~(k > 0.0), InvalidParams,
                 lambda: InvalidParams(f"k0d must be positive, got {k0d!r}"))
     return cells
-
-
-def _check_tail_tol(tail_tol: float) -> None:
-    """Raise InvalidParams unless tail_tol is a real number in (0, inf)."""
-    if not (isinstance(tail_tol, numbers.Real) and 0.0 < tail_tol < math.inf):
-        raise InvalidParams(
-            f"tail_tol must be positive and finite, got {tail_tol!r}")
 
 
 def _series_tail_bound(r: float, n_max: int) -> float:
@@ -97,12 +89,11 @@ def default_n_max(r_mir: float, tail_tol: float) -> int:
     series then fails with TailTooLarge. Raises InvalidParams unless
     r_mir is a real number with |r_mir| < 1 and 0 < tail_tol < inf.
     """
-    _check_tail_tol(tail_tol)
-    if not (isinstance(r_mir, numbers.Real) and abs(r_mir) < 1.0):
+    tail_tol = real(tail_tol, "tail_tol", 0.0, strict=True)
+    ar = abs(real(r_mir, "r_mir"))
+    if not ar < 1.0:
         raise InvalidParams(
-            f"default_n_max needs a real r_mir with |r_mir| < 1, got "
-            f"{r_mir!r}")
-    ar = abs(r_mir)
+            f"default_n_max needs |r_mir| < 1, got {r_mir!r}")
     budget = tail_tol - _series_rounding(ar)
     if budget <= 0.0:
         return _N_MAX_CAP
@@ -247,7 +238,7 @@ def gamma_cavity_series(r_mir, k0d, tail_tol: float = DEFAULT_TAIL_TOL):
         If no order up to the cap of 100,000 meets tail_tol, as when the
         rounding floor alone exceeds it (on a grid: that cell's status).
     """
-    _check_tail_tol(tail_tol)
+    tail_tol = real(tail_tol, "tail_tol", 0.0, strict=True)
     cells = _cavity_cells(r_mir, k0d)
     live = np.flatnonzero(cells.ok)
     r = cells.values[0][live]
@@ -338,7 +329,7 @@ def gamma_subwavelength_2nd(r_mir, k0d):
     Scalars give a RateResult of floats and raise on a bad cell; arrays
     (broadcast together) give one of arrays with a status per cell.
     """
-    cells = Cells(r_mir, k0d)
+    cells = Cells(r_mir=r_mir, k0d=k0d)
     r = cells.values[0]
     cells.check((np.abs(r) >= 1.0) & (r != -1.0), DegenerateMirror,
                 lambda: DegenerateMirror(

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, StepTooLarge, TruncationLeak
+from .errors import (MAX_TRAJECTORIES, MEMORY_BUDGET_BYTES, InvalidParams,
+                     StepTooLarge, TruncationLeak, integer, real, real_array,
+                     within_budget)
 
 __all__ = [
     "ModelParams",
@@ -64,9 +65,12 @@ _TRAJ_BLOCK = 1 << 14
 #: Rows of the record one product of evolve_jc's doubling fill writes:
 #: a larger product grows BLAS's work buffers, not the speed.
 _FILL_BLOCK = 1 << 10
-#: Largest record evolve_jc allocates: the 1 GiB budget behind the sweep
-#: caps (sweeps._MEMORY_BUDGET_BYTES).
-_RECORD_BUDGET_BYTES = 1 << 30
+# Prices against the memory budget, from tracemalloc peaks: 64-81 B per
+# entry of a dim x dim state and of the columns of L that evolve_jc's
+# search builds, 176 B per entry of the block of L and its propagator.
+_DENSE_ENTRY_BYTES = 80
+_BLOCK_ENTRY_BYTES = 192
+_MAX_N_FOCK = math.isqrt(MEMORY_BUDGET_BYTES // _DENSE_ENTRY_BYTES) // 2 - 1
 # model_discrepancy's rounding bound 16 eps (1 + |Re w| t) reaches 4e-6 here
 _MAX_PHASE = 1e9
 
@@ -85,12 +89,8 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self):
-        for name in ("g", "kappa", "gamma"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidParams(f"{name} must be a finite real, got {v!r}")
-        if self.kappa < 0.0 or self.gamma < 0.0:
-            raise InvalidParams("kappa and gamma must be >= 0")
+        for name, lo in (("g", -math.inf), ("kappa", 0.0), ("gamma", 0.0)):
+            object.__setattr__(self, name, real(getattr(self, name), name, lo))
 
     @property
     def max_rate(self) -> float:
@@ -108,13 +108,11 @@ def _atom_cavity_ops(n_fock: int):
 
 
 def _density_matrix(rho, dim: int, name: str) -> np.ndarray:
-    """rho as a complex dim x dim density matrix, else InvalidParams."""
-    rho = np.array(rho, dtype=complex)
+    """A copy of rho as a complex dim x dim density matrix (finite: a nan
+    would pass every check below), else InvalidParams."""
+    rho = np.array(real_array(rho, name, dtype=complex))
     if rho.shape != (dim, dim):
         raise InvalidParams(f"{name} must be {dim}x{dim}, got shape {rho.shape}")
-    # a nan or inf entry would compare false against every check below
-    if not np.isfinite(rho).all():
-        raise InvalidParams(f"{name} has a non-finite entry")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > _HERM_TOL:
         raise InvalidParams(f"{name} not Hermitian (deviation {herm:.3g})")
@@ -127,31 +125,12 @@ def _density_matrix(rho, dim: int, name: str) -> np.ndarray:
     return rho
 
 
-def _check_rate(gamma_cav) -> None:
-    if not 0.0 <= gamma_cav < math.inf:
-        raise InvalidParams(
-            f"gamma_cav must be finite and >= 0, got {gamma_cav!r}")
-
-
-def _whole_number(value, name: str, least: int) -> int:
-    """value as an int >= least (an integer type, not a float), else
-    InvalidParams."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        raise InvalidParams(
-            f"{name} must be an integer, got {value!r}") from None
-    if number < least:
-        raise InvalidParams(f"{name} must be >= {least}, got {value!r}")
-    return number
-
-
 def _time_grid(t_grid, name: str = "t_grid") -> np.ndarray:
     """t_grid as a float array of sample times, else InvalidParams."""
-    times = np.asarray(t_grid, dtype=float)
-    if (times.ndim != 1 or times.size == 0
-            or not np.all((times >= 0.0) & (times < math.inf))):
-        raise InvalidParams(f"{name} must be 1-D, nonempty, finite, >= 0")
+    times = real_array(t_grid, name, 0.0)
+    if times.ndim != 1 or times.size == 0:
+        raise InvalidParams(
+            f"{name} must be 1-D and nonempty, got shape {times.shape}")
     return times
 
 
@@ -161,15 +140,16 @@ class AtomCavityState:
 
     Validates hermiticity (1e-10), unit trace (1e-9) and nonnegative
     diagonal (within 1e-10) on construction, so states that circulate in
-    the library are always physical.
+    the library are always physical. n_fock runs from 1 to 1,830, the
+    largest whose state fits the memory budget.
     """
 
     rho: np.ndarray
     n_fock: int = 5
 
     def __post_init__(self):
-        if self.n_fock < 1:
-            raise InvalidParams(f"n_fock must be >= 1, got {self.n_fock!r}")
+        object.__setattr__(self, "n_fock",
+                           integer(self.n_fock, "n_fock", 1, _MAX_N_FOCK))
         object.__setattr__(self, "rho",
                            _density_matrix(self.rho, self.dim, "rho"))
 
@@ -180,6 +160,7 @@ class AtomCavityState:
     @classmethod
     def from_atom(cls, rho_atom, n_fock: int = 5) -> "AtomCavityState":
         """Atom state (basis ground, excited) tensored with the vacuum."""
+        n_fock = integer(n_fock, "n_fock", 1, _MAX_N_FOCK)
         rho_atom = _density_matrix(rho_atom, 2, "rho_atom")
         vac = np.zeros((n_fock + 1, n_fock + 1), dtype=complex)
         vac[0, 0] = 1.0
@@ -370,15 +351,23 @@ def _reachable(params: ModelParams, n_fock: int,
     Starts from the nonzero entries of rho and of its transpose and adds
     every entry that L links to the set until it stops growing, building
     only the columns of L at the entries added last. L maps the span of
-    the result into itself, so entries outside it stay 0.
+    the result into itself, so entries outside it stay 0. Before each
+    step, the block of L on the set so far (no larger than the final
+    one) and the columns to build are priced against the memory budget.
     """
     reach = ((rho != 0.0) | (rho.T != 0.0)).ravel()
     added = np.flatnonzero(reach)
-    while added.size:
+    while True:
+        n = int(np.count_nonzero(reach))
+        within_budget(_BLOCK_ENTRY_BYTES * n * n,
+                      f"the propagator on {n} reached entries")
+        if not added.size:
+            return np.flatnonzero(reach)
+        within_budget(_DENSE_ENTRY_BYTES * reach.size * added.size,
+                      f"{added.size} columns of the Liouvillian")
         linked = (_liouvillian(params, n_fock, cols=added) != 0.0).any(axis=1)
         added = np.flatnonzero(linked & ~reach)
         reach |= linked
-    return np.flatnonzero(reach)
 
 
 def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
@@ -405,33 +394,26 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
     spacing is h = t_final / ceil(t_final / dt), so the grid lands on
     t_final exactly. Population of the top Fock level is monitored and
     TruncationLeak raised if it ever exceeds 1e-8, since then the
-    truncation basis is too small for the requested dynamics. A record
-    of more than 1 GiB (16 B per reached entry per step) is refused with
-    InvalidParams before it is allocated.
+    truncation basis is too small for the requested dynamics. The
+    columns of L the search builds, the block of L (see _reachable) and
+    the record (16 B per entry per step) are each priced against the
+    memory budget before they are allocated; a dense rho0 passes it near
+    n_fock = 25.
     """
-    if not t_final >= 0.0:
-        raise InvalidParams(f"t_final must be >= 0, got {t_final!r}")
-    if not dt > 0.0:
-        raise InvalidParams(f"dt must be positive, got {dt!r}")
+    t_final = real(t_final, "t_final", 0.0)
+    dt = real(dt, "dt", 0.0, strict=True, finite=False)
     if dt * params.max_rate >= _STABILITY_CAP:
         raise StepTooLarge(
             f"dt*max_rate = {dt * params.max_rate:.3g} >= {_STABILITY_CAP}; "
             "reduce dt so the record resolves the fastest rate")
-    steps = t_final / dt
-    if not math.isfinite(steps):
-        raise InvalidParams(
-            f"t_final / dt must be finite, got {t_final!r} / {dt!r}")
+    steps = real(t_final / dt, "t_final / dt")  # inf for a subnormal dt
     n_steps = max(1, math.ceil(steps - 1e-12)) if t_final > 0 else 0
     h = t_final / n_steps if n_steps else 0.0
 
     support = _reachable(params, rho0.n_fock, rho0.rho)
-    record_bytes = (n_steps + 1) * support.size * 16
-    if record_bytes > _RECORD_BUDGET_BYTES:
-        raise InvalidParams(
-            f"a record of {steps:.3g} steps of {support.size} entries "
-            f"takes {record_bytes / 2**30:.3g} GiB, more than the "
-            f"{_RECORD_BUDGET_BYTES >> 30} GiB memory budget; raise dt or "
-            "lower t_final")
+    within_budget((n_steps + 1) * support.size * 16,
+                  f"a record of {steps:.3g} steps of {support.size} entries "
+                  "(raise dt or lower t_final)")
     out = np.empty((n_steps + 1, support.size), dtype=complex)
     out[0] = rho0.rho.ravel()[support]
     # transposed, because the record holds one state per row
@@ -483,15 +465,11 @@ def evolve_single_rate(gamma_cav: float, rho_atom0,
     may be a scalar (sampled on 101 equally spaced points from 0) or an
     explicit array of sample times.
     """
-    _check_rate(gamma_cav)
+    gamma_cav = real(gamma_cav, "gamma_cav", 0.0)
     rho0 = _density_matrix(rho_atom0, 2, "rho_atom")
-    if np.ndim(t_final) == 0:
-        if not 0.0 <= float(t_final) < math.inf:
-            raise InvalidParams(
-                f"t_final must be finite and >= 0, got {t_final!r}")
-        times = np.linspace(0.0, float(t_final), 101)
-    else:
-        times = _time_grid(t_final, "time grid")
+    times = real_array(t_final, "t_final", 0.0)
+    times = (np.linspace(0.0, float(times), 101) if times.ndim == 0
+             else _time_grid(times, "t_final"))
     # gamma_cav t overflows only where both exponentials are 0 anyway
     with np.errstate(over="ignore"):
         decay = np.exp(-gamma_cav * times)
@@ -560,11 +538,12 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
     per eigenstate over the sorted grid. Only jump_times (8 B per
     trajectory) is kept whole; a block's draws and temporaries take
     about 1 MB, and the statistics a few arrays of the grid's length.
-    The results do not depend on the block size.
+    The results do not depend on the block size. n_traj is capped at
+    errors.MAX_TRAJECTORIES (8,388,608).
     """
-    _check_rate(gamma_cav)
-    n_traj = _whole_number(n_traj, "n_traj", 1)
-    seed = _whole_number(seed, "seed", 0)
+    gamma_cav = real(gamma_cav, "gamma_cav", 0.0)
+    n_traj = integer(n_traj, "n_traj", 1, MAX_TRAJECTORIES)
+    seed = integer(seed, "seed", 0)
     rho0 = _density_matrix(rho_atom0, 2, "rho_atom")
     times = _time_grid(t_grid)
 
@@ -707,7 +686,7 @@ def model_discrepancy(params: ModelParams, gamma_cav: float,
             f"max_rate * t_final = {phase:.3g} "
             f"exceeds {_MAX_PHASE:.0e}: the populations are not resolved "
             "in double precision")
-    _check_rate(gamma_cav)
+    gamma_cav = real(gamma_cav, "gamma_cav", 0.0)
 
     # exact rescaling to rates in units 2^k ~ max_rate: g^2 cannot overflow
     k = math.frexp(params.max_rate)[1]
@@ -740,8 +719,12 @@ def fit_decay_rate(times, pops, t_min: float, t_max: float) -> float:
     on the thread count. InvalidParams if fewer than two samples, or
     fewer than two distinct times, are in the window.
     """
-    times = np.asarray(times, dtype=float)
-    pops = np.asarray(pops, dtype=float)
+    times, pops = real_array(times, "times"), real_array(pops, "pops")
+    if times.shape != pops.shape:
+        raise InvalidParams(f"times and pops must have one shape, got "
+                            f"{times.shape} and {pops.shape}")
+    t_min = real(t_min, "t_min", finite=False)
+    t_max = real(t_max, "t_max", finite=False)
     mask = (times >= t_min) & (times <= t_max) & (pops > 0.0)
     if int(mask.sum()) < 2:
         raise InvalidParams(

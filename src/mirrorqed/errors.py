@@ -1,11 +1,30 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the input gate.
 
 Every library-raised error derives from MirrorQEDError so callers can
 catch the whole family; numerical failures carry enough state to report
 partial results instead of masking them.
+
+The input gate decides in one place what counts as a real number, an
+integer and a numeric array: every public argument goes through real,
+integer or real_array, which refuse bool, str, None, complex values and
+nan with an InvalidParams naming the argument. Every size a caller sets
+is priced against one budget, MEMORY_BUDGET_BYTES, before allocation.
 """
 
 from __future__ import annotations
+
+import contextlib
+import math
+import numbers
+import operator
+
+import numpy as np
+
+#: The one memory budget of a call or a sweep.
+MEMORY_BUDGET_BYTES = 1 << 30
+#: Trajectories a call or sweep may draw: priced at 128 B each, which
+#: holds jump_times (8 B each) to 64 MiB, and with it the run time.
+MAX_TRAJECTORIES = MEMORY_BUDGET_BYTES // 128
 
 
 class MirrorQEDError(Exception):
@@ -54,3 +73,91 @@ class TruncationLeak(MirrorQEDError):
 
 class StepTooLarge(InvalidParams):
     """Recording spacing too coarse: dt * max(rates) must stay below 0.1."""
+
+
+def _interval(lo: float, strict: bool, finite: bool) -> str:
+    if lo == -math.inf:
+        return "a finite real number" if finite else "a real number"
+    if strict and lo == 0.0:
+        return "positive and finite" if finite else "positive"
+    bound = f"{'>' if strict else '>='} {lo:g}"
+    return f"finite and {bound}" if finite else bound
+
+
+def _inside(x, lo: float, strict: bool, finite: bool):
+    inside = x > lo if strict else x >= lo  # false for nan
+    return inside & (abs(x) < math.inf) if finite else inside
+
+
+def real(value, name: str, lo: float = -math.inf, *, strict: bool = False,
+         finite: bool = True, domain: str | None = None) -> float:
+    """value, an int or float (numpy's too), as a float in [lo, inf), or
+    (lo, inf) if strict, with inf admitted unless finite."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int past the floats
+            number = float(value)
+    if not _inside(number, lo, strict, finite):
+        raise InvalidParams(f"{name} must be "
+                            f"{domain or _interval(lo, strict, finite)}, "
+                            f"got {value!r}")
+    return number
+
+
+def integer(value, name: str, least: int | None = None,
+            most: int | None = None) -> int:
+    """value, of an integer type (not even a whole float), as an int in
+    [least, most]; each cap ``most`` comes from the memory budget."""
+    bounds = "" if least is None else f" >= {least}"
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise InvalidParams(f"{name} must be an integer{bounds}, got {value!r}")
+    if least is not None and number < least:
+        raise InvalidParams(f"{name} must be{bounds}, got {value!r}")
+    if most is not None and number > most:
+        raise InvalidParams(
+            f"{name} must lie in [{least}, {most}] (a "
+            f"{MEMORY_BUDGET_BYTES >> 30} GiB memory budget), got {value!r}")
+    return number
+
+
+def real_array(value, name: str, lo: float = -math.inf, *,
+               finite: bool = True, per_cell: bool = False,
+               dtype=float) -> np.ndarray:
+    """value, ints or floats of any shape, as an array of dtype whose
+    entries lie in [lo, inf), finite unless finite=False. dtype=complex
+    admits complex entries, which must be finite; per_cell=True checks
+    the type alone, for callers that flag each entry themselves."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind == "O":  # ints past int64, Fractions; not None
+            array = np.reshape([real(v, name, finite=False)
+                                for v in array.flat], array.shape)
+    except ValueError:  # ragged, or an entry real() refuses
+        array = None
+    if array is None or array.dtype.kind not in (
+            "iufc" if dtype is complex else "iuf"):
+        raise InvalidParams(f"{name} must be an array of numbers, got "
+                            f"{type(value).__name__ if array is None else array.dtype}")
+    array = array.astype(dtype, copy=False)
+    if per_cell:
+        return array
+    if dtype is complex:
+        domain, inside = "finite", np.isfinite(array)
+    else:
+        domain = _interval(lo, False, finite)
+        inside = _inside(array, lo, False, finite)
+    if not inside.all():
+        bad = array.flat[int(np.argmin(inside))].item()
+        raise InvalidParams(f"{name} entries must be {domain}, got {bad!r}")
+    return array
+
+
+def within_budget(n_bytes: int, what: str) -> None:
+    if n_bytes > MEMORY_BUDGET_BYTES:
+        raise InvalidParams(
+            f"{what} takes {n_bytes / 2**30:.3g} GiB, more than the "
+            f"{MEMORY_BUDGET_BYTES >> 30} GiB memory budget")

@@ -8,13 +8,12 @@ the SI value is the normalization baseline for every other rate module.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 
 from . import geometry
 from .constants import ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from .errors import InvalidParams
+from .errors import InvalidParams, real
 from .geometry import DipoleOrientation
 
 __all__ = ["EmitterSpec", "gamma_free_si", "gamma_free_quadrature"]
@@ -55,11 +54,8 @@ class EmitterSpec:
 
     def __post_init__(self):
         for name in ("omega0", "dipole_magnitude"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0.0 < value < math.inf):
-                raise InvalidParams(f"{name} must be a positive and finite "
-                                    f"real number, got {value!r}")
+            object.__setattr__(self, name, real(getattr(self, name), name,
+                                                0.0, strict=True))
         try:
             rate = gamma_free_si(self)
         except OverflowError:  # ldexp past the float range

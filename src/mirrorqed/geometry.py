@@ -49,14 +49,12 @@ weight times a kernel in xi, and rounds the decay ratio by one rule.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, NonConvergence
+from .errors import InvalidParams, NonConvergence, integer, real, real_array
 
 __all__ = [
     "DipoleOrientation",
@@ -69,6 +67,7 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_MAX_EVALS",
     "ERR_FLOOR",
+    "TOL_DOMAIN",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -206,6 +205,8 @@ _BLOCK_PANELS = 1024
 #: Roundoff floor on the reported error estimate, relative to max(1, |I|);
 #: no smaller tol can converge.
 ERR_FLOOR = 4e-16
+#: What a tolerance must be: no estimate can meet one below the floor.
+TOL_DOMAIN = f">= {ERR_FLOOR:g}, the quadrature's error floor"
 
 
 def _panel_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,17 +221,6 @@ def _panel_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xi = (lo[:, None] + half[:, None] * _GL_OFFSETS[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return xi, w
-
-
-def _panel_count(panels) -> int:
-    """``panels`` as an int >= 1, through operator.index, or InvalidParams."""
-    try:
-        count = operator.index(panels)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise InvalidParams(f"panels must be an integer >= 1, got {panels!r}")
-    return count
 
 
 def first_level_panels(panels: int,
@@ -261,12 +251,8 @@ def first_level_panels(panels: int,
     NonConvergence
         With n_evals == 0, if those panels could exceed max_evals.
     """
-    panels = _panel_count(panels)
-    try:
-        max_evals = operator.index(max_evals)
-    except TypeError:
-        raise InvalidParams(
-            f"max_evals must be an integer, got {max_evals!r}") from None
+    panels = integer(panels, "panels", 1)
+    max_evals = integer(max_evals, "max_evals")
     price = 3 * _GL_OFFSETS.size * panels
     if price > max_evals:
         raise NonConvergence(
@@ -337,13 +323,10 @@ def solid_angle_integrate(integrand, panels: int = 4,
         carries the best value and its estimated error (value None when
         the gate refuses the first level, with n_evals == 0).
     """
-    panels = _panel_count(panels)
-    if not (isinstance(tol, numbers.Real) and tol >= ERR_FLOOR):
-        raise InvalidParams(f"tol must be a real >= {ERR_FLOOR:g}, the "
-                            f"error floor, got {tol!r}")
-
-    pts = np.asarray([] if xi_breakpoints is None else xi_breakpoints,
-                     dtype=float)
+    panels = integer(panels, "panels", 1)
+    tol = real(tol, "tol", ERR_FLOOR, finite=False, domain=TOL_DOMAIN)
+    pts = real_array([] if xi_breakpoints is None else xi_breakpoints,
+                     "xi_breakpoints", finite=False)
     pts = pts[(pts > -1.0) & (pts < 1.0)]
     # the one first-level gate: each breakpoint adds at most one panel
     first_level_panels(panels + pts.size, max_evals)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMirror
+from .errors import DegenerateMirror, real_array
 
 __all__ = ["f_kernel", "f_envelope", "interference_kernel", "F_TAYLOR_CROSSOVER"]
 
@@ -53,9 +53,9 @@ def f_kernel(x):
     Even in x, maximum f(0) = 2/3, decays like sin(x)/x for large |x|.
     Below |x| = F_TAYLOR_CROSSOVER the three-term form loses digits to
     cancellation and an even Taylor polynomial (through x^8) is used
-    instead. Accepts scalars or arrays.
+    instead. Accepts scalars or arrays of reals, inf included, not nan.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = real_array(x, "x", finite=False)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     small = np.abs(arr) < F_TAYLOR_CROSSOVER
@@ -71,7 +71,7 @@ def f_kernel(x):
 
 def f_envelope(y):
     """Upper bound 1/|y| + 1/y^2 + 1/|y|^3 on |f| for y != 0."""
-    ay = np.abs(y)
+    ay = np.abs(real_array(y, "y", finite=False))
     # a power that overflows to inf makes its term 0, as it should
     with np.errstate(over="ignore"):
         return 1.0 / ay + 1.0 / ay ** 2 + 1.0 / ay ** 3
@@ -87,14 +87,14 @@ def interference_kernel(r_mir, x):
     of r_mir and x, broadcast together.
 
     Raises DegenerateMirror if any |r_mir| >= 1 (t = 0 makes the ratio
-    0/0).
+    0/0), and InvalidParams for an argument that is not real, or is nan.
     """
-    r = np.asarray(r_mir, dtype=float)
+    r = real_array(r_mir, "r_mir", finite=False)
     bad = np.abs(r) >= 1.0
     if bad.any():
         raise DegenerateMirror(
             f"|r_mir| must be < 1, got {float(r[bad][0])!r}")
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "x", finite=False)
     # 1 - r^2 as a product: one of the factors is exact for |r| >= 1/2,
     # where 1 - r * r would lose |r|^2 / (1 - r^2) ulps
     t2 = (1.0 - r) * (1.0 + r)

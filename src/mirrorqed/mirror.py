@@ -61,7 +61,7 @@ def gamma_mirror_closed(re_r, k0d):
     the domain. Arrays (broadcast together) give one of arrays, computed
     in one pass, with a status per cell instead of an exception.
     """
-    cells = Cells(re_r, k0d)
+    cells = Cells(re_r=re_r, k0d=k0d)
     _check_mirror_args(cells, re_r, k0d)
     live = cells.ok
     r = cells.values[0][live]
@@ -98,7 +98,7 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
     NonConvergence
         Propagated from the quadrature engine.
     """
-    cells = Cells(re_r, k0d)
+    cells = Cells(re_r=re_r, k0d=k0d)
     _check_mirror_args(cells, re_r, k0d)
 
     def cell(re_r, k0d):

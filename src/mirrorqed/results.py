@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, MirrorQEDError
+from .errors import InvalidParams, MirrorQEDError, real_array
 
 #: Allowed values of RateResult.method.
 METHODS = ("closed_form", "quadrature", "series", "limit")
@@ -62,31 +62,26 @@ class RateResult:
             raise InvalidParams(f"unknown method {self.method!r}")
 
 
-def _real_array(value) -> np.ndarray:
-    """value as a float array; TypeError for complex, string or bytes."""
-    array = np.asarray(value)
-    if array.dtype.kind not in "biufO":
-        raise TypeError
-    return array.astype(float, copy=False)
-
-
 class Cells:
-    """The arguments of a rate route, broadcast to one grid of cells.
+    """The arguments of a rate route, by name, broadcast to one grid of cells.
 
-    Arguments that are not real numbers, or do not broadcast together,
-    raise InvalidParams, on a grid too. Validation runs check by check,
-    and a cell keeps the first error that flags it. When every argument
-    is a scalar, the grid is one cell and a flagged cell raises its error
-    instead, so a scalar call keeps the typed exceptions of the scalar
-    API.
+    Arguments that are not real numbers (errors.real_array; nan and inf
+    are cell values), or do not broadcast together, raise InvalidParams,
+    on a grid too. Validation runs check by check, and a cell keeps the
+    first error that flags it. When every argument is a scalar, the grid
+    is one cell and a flagged cell raises its error instead, so a scalar
+    call keeps the typed exceptions of the scalar API.
     """
 
-    def __init__(self, *args):
+    def __init__(self, **args):
+        arrays = [real_array(a, name, per_cell=True)
+                  for name, a in args.items()]
         try:
-            arrays = np.broadcast_arrays(*(_real_array(a) for a in args))
-        except (TypeError, ValueError):
-            raise InvalidParams(f"the arguments must be real numbers that "
-                                f"broadcast together, got {args!r}") from None
+            arrays = np.broadcast_arrays(*arrays)
+        except ValueError:
+            raise InvalidParams(
+                f"{' and '.join(args)} must broadcast together, got shapes "
+                f"{', '.join(str(a.shape) for a in arrays)}") from None
         self.shape = arrays[0].shape
         self.scalar = self.shape == ()
         #: the arguments as flat float arrays, one entry per cell

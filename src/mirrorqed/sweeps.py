@@ -20,7 +20,8 @@ import numpy as np
 from . import cavity as cavity_mod
 from . import geometry
 from . import mirror as mirror_mod
-from .errors import ConfigError, InvalidParams
+from .errors import (MAX_TRAJECTORIES, MEMORY_BUDGET_BYTES, ConfigError,
+                     InvalidParams, integer, real)
 
 __all__ = [
     "Range",
@@ -41,19 +42,20 @@ FIGURE_IDS = ("mirror_dielectric", "mirror_plasmonic",
 
 OUTDIR_ENV = "MIRRORQED_OUTDIR"
 
-# Sizes the user sets are capped so that one run stays within a memory
-# budget, and an oversized request is refused before anything is
-# allocated. Rate sweeps and jump ensembles run in fixed blocks, so
-# tracemalloc measures what is kept whole: the axis array of a rate
-# sweep (8 B per grid point, besides 2-6 MiB for one block), about
-# 0.2 KiB per point of a lindblad time grid, and jump_times (8 B per
-# trajectory, besides about 1 MB for one block). The caps price them at
-# 1 KiB and 128 B, so the grid cap bounds the lindblad time grid and
-# the length (so the run time) of a rate sweep, and the trajectory cap
-# holds jump_times to 64 MiB.
-_MEMORY_BUDGET_BYTES = 1 << 30
-_MAX_GRID_POINTS = _MEMORY_BUDGET_BYTES // 1024
-_MAX_TRAJECTORIES = _MEMORY_BUDGET_BYTES // 128
+# A grid point is priced at 1 KiB of the memory budget: tracemalloc
+# measures 8 B per point of a rate sweep's axis (besides 2-6 MiB for one
+# block) and about 0.2 KiB per point of a lindblad time grid. The cap
+# also bounds the length, so the run time, of a rate sweep.
+_MAX_GRID_POINTS = MEMORY_BUDGET_BYTES // 1024
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """An InvalidParams of the input gate, raised as a ConfigError."""
+    try:
+        yield
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -65,20 +67,18 @@ class Range:
     count: int
     scale: str = "linear"
 
+    @_config_errors()
     def __post_init__(self):
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"scale must be linear or log, got {self.scale!r}")
-        if self.count < 2:
-            raise ConfigError(f"range count must be >= 2, got {self.count!r}")
-        if not self.stop > self.start:
-            raise ConfigError(
-                f"range stop must exceed start, got {self.start!r}:{self.stop!r}")
-        if not math.isfinite(self.stop - self.start):
-            raise ConfigError(
-                f"range span stop - start must be finite, got "
-                f"{self.start!r}:{self.stop!r}")
-        if self.scale == "log" and not self.start > 0.0:
-            raise ConfigError("log range requires start > 0")
+        integer(self.count, "range count", 2)
+        # finite and positive, so linspace never starts at nan
+        real(real(self.stop, "range stop", finite=False)
+             - real(self.start, "range start", finite=False),
+             "range span stop - start", 0.0, strict=True,
+             domain="finite and positive")
+        if self.scale == "log":
+            real(self.start, "log range start", 0.0, strict=True)
 
     @classmethod
     def parse(cls, text: str) -> "Range":
@@ -95,7 +95,8 @@ class Range:
         return cls(start=start, stop=stop, count=count, scale=scale)
 
     def dump(self) -> str:
-        return f"{self.start!r}:{self.stop!r}:{self.count}:{self.scale}"
+        return ":".join([*map(_dump_value, (self.start, self.stop,
+                                            self.count)), self.scale])
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -193,6 +194,7 @@ class SweepConfig:
                     f"{_AXIS_FLAGS[key]}")
             object.__setattr__(self, key, value)
 
+    @_config_errors()
     def validate(self) -> None:
         """Raise ConfigError on any inconsistency; cheap, no computation."""
         if self.target not in TARGETS:
@@ -202,33 +204,22 @@ class SweepConfig:
             raise ConfigError(
                 f"method {self.method!r} not available for target "
                 f"{self.target!r}; choose from {methods}")
-        if not self.tol >= geometry.ERR_FLOOR:
-            raise ConfigError(
-                f"tol must be >= {geometry.ERR_FLOOR:g}, the quadrature's "
-                f"error floor, got {self.tol!r}")
-        try:
-            cavity_mod._check_tail_tol(self.tail_tol)
-        except InvalidParams as exc:
-            raise ConfigError(str(exc)) from None
-        if not 1 <= self.n_traj <= _MAX_TRAJECTORIES:
-            raise ConfigError(
-                f"n_traj must lie in [1, {_MAX_TRAJECTORIES}] (a "
-                f"{_MEMORY_BUDGET_BYTES >> 30} GiB memory budget), "
-                f"got {self.n_traj!r}")
+        real(self.tol, "tol", geometry.ERR_FLOOR, finite=False,
+             domain=geometry.TOL_DOMAIN)
+        real(self.tail_tol, "tail_tol", 0.0, strict=True)
+        for name, lo in (("g", -math.inf), ("kappa", 0.0),
+                         ("gamma", 0.0), ("gamma_cav", 0.0)):
+            if name != "gamma_cav" or self.gamma_cav is not None:
+                real(getattr(self, name), name, lo)
+        integer(self.n_traj, "n_traj", 1, MAX_TRAJECTORIES)
+        integer(self.seed, "seed", 0)
         for name in ("r", "k0d", "d_over_lambda0", "t"):
-            grid = getattr(self, name)
-            if isinstance(grid, Range) and grid.count > _MAX_GRID_POINTS:
-                raise ConfigError(
-                    f"{name} range has {grid.count} points; at most "
-                    f"{_MAX_GRID_POINTS} fit a {_MEMORY_BUDGET_BYTES >> 30} "
-                    "GiB memory budget")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        if self.kappa < 0.0 or self.gamma < 0.0:
-            raise ConfigError("kappa and gamma must be >= 0")
-        if self.gamma_cav is not None and not 0.0 <= self.gamma_cav < math.inf:
-            raise ConfigError(f"gamma_cav must be finite and >= 0, got "
-                              f"{self.gamma_cav!r}")
+            value = getattr(self, name)
+            if isinstance(value, Range):
+                integer(value.count, f"{name} range count", 2,
+                        _MAX_GRID_POINTS)
+            elif value is not None and name != "t":
+                real(value, name, finite=False)
         if self.k0d is not None and self.d_over_lambda0 is not None:
             raise ConfigError("k0d and d_over_lambda0 are mutually exclusive")
         n_ranges = sum(isinstance(v, Range)
@@ -238,6 +229,8 @@ class SweepConfig:
         if self.t is not None:
             if self.target != "lindblad":
                 raise ConfigError("t grid is only valid for the lindblad target")
+            if not isinstance(self.t, Range):
+                raise ConfigError(f"t must be a Range, got {self.t!r}")
             if self.t.start < 0.0:
                 raise ConfigError("lindblad time grid must start at t >= 0")
         if self.out is not None:
@@ -283,8 +276,8 @@ def _dump_value(value) -> str:
         return "none"
     if isinstance(value, Range):
         return value.dump()
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):  # numpy's as plain numbers
+        return repr(float(value))
     return str(value)
 
 
@@ -376,17 +369,23 @@ def _column_text(column, n_rows: int) -> list[str]:
     float.__repr__, which keeps full precision, round-trips, and writes
     a numpy scalar as a plain number; a (values, show) pair writes its
     values only where show holds and empty cells elsewhere. Any other
-    array (the status column) holds its cells' text.
+    array (the status column) holds its cells' text. Only shown cells
+    are formatted, and a column of one bit pattern (a constant axis, or
+    nan throughout) only once.
     """
     if isinstance(column, str):
         return [column] * n_rows
     values, show = column if isinstance(column, tuple) else (column, True)
     if values.dtype == object:
         return values.tolist()
-    text = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~np.broadcast_to(show, values.shape)).tolist():
-        text[i] = ""
-    return text
+    shown = np.broadcast_to(show, values.shape)
+    text = np.full(n_rows, "", dtype=object)
+    bits = values.view(np.uint64)
+    if (bits == bits[0]).all():
+        text[shown] = float.__repr__(values.item(0))
+    else:
+        text[shown] = list(map(float.__repr__, values[shown].tolist()))
+    return text.tolist()
 
 
 @contextlib.contextmanager

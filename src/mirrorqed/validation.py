@@ -24,7 +24,7 @@ from . import cavity as cavity_mod
 from . import dynamics as dyn
 from . import freespace, geometry, kernels
 from . import mirror as mirror_mod
-from .errors import InvalidParams
+from .errors import integer, real
 
 __all__ = ["CheckResult", "ValidationReport", "run_validation"]
 
@@ -414,10 +414,12 @@ def run_validation(fault_injection: float = 0.0,
                    seed: int = 20260819) -> ValidationReport:
     """Run every check; returns the report (never raises on check failure).
 
-    A negative seed raises InvalidParams before any check runs.
+    A seed that is not an integer >= 0, or a fault_injection that is not
+    a real number (nan included), raises InvalidParams before any check
+    runs.
     """
-    if seed < 0:
-        raise InvalidParams(f"seed must be >= 0, got {seed!r}")
+    fault_injection = real(fault_injection, "fault_injection", finite=False)
+    seed = integer(seed, "seed", 0)
     original_f = kernels.f_kernel
     if fault_injection:
         def faulty(x, _orig=original_f, _eps=fault_injection):

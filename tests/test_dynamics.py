@@ -93,6 +93,22 @@ class TestAtomCavityState:
             dynamics.AtomCavityState(rho=np.eye(6, dtype=complex) / 6.0, n_fock=1)
 
 
+def test_fock_cutoff_past_the_memory_budget_is_refused():
+    # a state at n_fock = 1830 takes 80 B x 3662^2, just under 1 GiB
+    tracemalloc.start()
+    try:
+        for n_fock in (dynamics._MAX_N_FOCK + 1, 10**6):
+            with pytest.raises(errors.InvalidParams, match="memory budget"):
+                dynamics.AtomCavityState.excited_vacuum(n_fock=n_fock)
+            with pytest.raises(errors.InvalidParams, match="memory budget"):
+                dynamics.AtomCavityState(np.eye(4) / 4, n_fock=n_fock)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dynamics._MAX_N_FOCK == 1830
+    assert peak < 1 << 20
+
+
 class TestEvolveJC:
     def test_invariants_weak_coupling(self):
         traj = dynamics.evolve_jc(
@@ -193,12 +209,35 @@ class TestEvolveJC:
         rho0 = dynamics.AtomCavityState.excited_vacuum()
         support = dynamics._reachable(p, rho0.n_fock, rho0.rho)
         record_bytes = (1000 + 1) * support.size * 16
-        monkeypatch.setattr(dynamics, "_RECORD_BUDGET_BYTES", record_bytes)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", record_bytes)
         traj = dynamics.evolve_jc(p, rho0, t_final=1.0, dt=1e-3)
         assert traj.times.size == 1001
-        monkeypatch.setattr(dynamics, "_RECORD_BUDGET_BYTES", record_bytes - 1)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", record_bytes - 1)
         with pytest.raises(errors.InvalidParams, match="memory budget"):
             dynamics.evolve_jc(p, rho0, t_final=1.0, dt=1e-3)
+
+    def test_dense_state_past_the_memory_budget_is_refused(self):
+        # a dense rho0 at n_fock = 25 reaches all 2704^2 entries: its
+        # columns of L and its propagator block would pass 1 GiB
+        rho0 = dynamics.AtomCavityState(np.full((52, 52), 1.0 / 52),
+                                        n_fock=25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.InvalidParams, match="memory budget"):
+                dynamics.evolve_jc(params_weak(), rho0, 1.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_sparse_states_within_the_budget_still_run(self):
+        # validate's |e,0> at n_fock = 5 and the README's at 15
+        for n_fock in (5, 15):
+            traj = dynamics.evolve_jc(
+                dynamics.ModelParams(1.0, 20.0, 1.0),
+                dynamics.AtomCavityState.excited_vacuum(n_fock=n_fock),
+                1.0, 1e-3)
+            assert traj.support.size == 5
 
     def test_truncation_leak_detected(self):
         # n_fock = 1 cannot hold the photon emitted by the excited atom
@@ -558,6 +597,24 @@ class TestQuantumJumps:
             ens = dynamics.unravel_jumps(1.0, rho0, 500, 4, t)
         assert np.all(np.isfinite(ens.excited_population))
         assert np.all(np.isfinite(ens.stderr))
+
+
+def test_trajectories_past_the_memory_budget_are_refused():
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.InvalidParams, match="memory budget"):
+            dynamics.unravel_jumps(1.0, np.diag([0.0, 1.0]),
+                                   errors.MAX_TRAJECTORIES + 1, 1, [0.0, 1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_model_params_admit_numpy_floats_as_floats():
+    p = dynamics.ModelParams(np.float32(1.0), np.int64(20), 1)
+    assert p == dynamics.ModelParams(1.0, 20.0, 1.0)
+    assert all(type(v) is float for v in (p.g, p.kappa, p.gamma))
 
 
 class TestModelDiscrepancy:

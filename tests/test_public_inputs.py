@@ -5,7 +5,10 @@ an untyped error (OverflowError, ValueError, TypeError). A nan or inf
 entry compared false against every density-matrix check, so a nan
 population gave populations of 0 or 1 and an inf coherence passed. A
 max_evals of nan or inf passed the budget gate, which then admitted
-every level. None of these calls evaluates an integrand.
+every level. A bool was read as 1 or 0 by most arguments, and a string
+or None met a bare TypeError or ValueError in a comparison or a
+conversion. None of these calls evaluates an integrand. The sweep
+config refuses the same inputs with ConfigError (CONFIG_CASES).
 """
 
 import math
@@ -14,11 +17,13 @@ import warnings
 import numpy as np
 import pytest
 
-from mirrorqed import cavity, dynamics, errors, freespace, geometry, mirror
+from mirrorqed import (cavity, dynamics, errors, freespace, geometry, kernels,
+                       mirror, sweeps, validation)
 
 NAN_POPULATION = [[math.nan, 0.0], [0.0, 1.0]]
 INF_COHERENCE = [[0.5, math.inf], [math.inf, 0.5]]
 GRID = [0.0, 0.5, 1.0]
+EXCITED = np.diag([0.0, 1.0])
 
 
 def _jumps(rho=((0.0, 0.0), (0.0, 1.0)), n_traj=10, seed=1):
@@ -29,6 +34,16 @@ def _evolve_jc(rho_atom):
     state = dynamics.AtomCavityState.from_atom(rho_atom, n_fock=2)
     return dynamics.evolve_jc(dynamics.ModelParams(1.0, 20.0, 1.0), state,
                               1.0, 1e-3)
+
+
+def _evolve(t_final=1.0, dt=1e-3, params=(1.0, 20.0, 1.0)):
+    return dynamics.evolve_jc(dynamics.ModelParams(*params),
+                              dynamics.AtomCavityState.excited_vacuum(),
+                              t_final, dt)
+
+
+def _fit(times=(0.0, 1.0), pops=(1.0, 0.5), t_min=0.0, t_max=1.0):
+    return dynamics.fit_decay_rate(times, pops, t_min, t_max)
 
 
 def _free_rate(omega0, dipole_magnitude):
@@ -112,6 +127,133 @@ CASES = {
         lambda panels=panels: geometry.ratio_quadrature(
             _never, panels, geometry.DEFAULT_TOL, geometry.DEFAULT_MAX_EVALS))
        for name, panels in (("none", None), ("fractional", 1.5), ("zero", 0))},
+    # a bool read as 1 or 0
+    "model_params-g-bool": lambda: dynamics.ModelParams(True, 20.0, 1.0),
+    "model_params-kappa-bool": lambda: dynamics.ModelParams(1.0, True, 1.0),
+    "state-n_fock-bool": lambda: dynamics.AtomCavityState(
+        np.eye(4) / 4, n_fock=True),
+    "evolve_jc-t_final-bool": lambda: _evolve(t_final=True),
+    "evolve_jc-dt-bool": lambda: _evolve(dt=True, params=(0.0, 0.0, 0.0)),
+    "evolve_single_rate-gamma_cav-bool": lambda: dynamics.evolve_single_rate(
+        True, EXCITED, 1.0),
+    "evolve_single_rate-t_final-bool": lambda: dynamics.evolve_single_rate(
+        1.0, EXCITED, True),
+    "unravel_jumps-gamma_cav-bool": lambda: dynamics.unravel_jumps(
+        True, EXCITED, 10, 1, GRID),
+    "unravel_jumps-n_traj-bool": lambda: _jumps(n_traj=True),
+    "unravel_jumps-seed-bool": lambda: _jumps(seed=True),
+    "unravel_jumps-t_grid-bools": lambda: dynamics.unravel_jumps(
+        1.0, EXCITED, 10, 1, [False, True]),
+    "f_kernel-bool": lambda: kernels.f_kernel(True),
+    "interference_kernel-r-bool": lambda: kernels.interference_kernel(
+        False, 1.0),
+    "solid_angle_integrate-panels-bool": lambda: (
+        geometry.solid_angle_integrate(_never, panels=True)),
+    "solid_angle_integrate-tol-bool": lambda: _engine(tol=True),
+    "first_level_panels-panels-bool": lambda: geometry.first_level_panels(True),
+    "first_level_panels-max_evals-bool": lambda: geometry.first_level_panels(
+        4, True),
+    "cavity_series-tail_tol-bool": lambda: cavity.gamma_cavity_series(
+        0.5, 1.0, tail_tol=True),
+    "default_n_max-tail_tol-bool": lambda: cavity.default_n_max(0.5, True),
+    "mirror_closed-re_r-bools": lambda: mirror.gamma_mirror_closed(
+        [True, False], 1.0),
+    "mirror_closed-k0d-bool": lambda: mirror.gamma_mirror_closed(0.5, True),
+    "cavity_series-k0d-bools": lambda: cavity.gamma_cavity_series(
+        0.5, np.array([True])),
+    "run_validation-seed-bool": lambda: validation.run_validation(seed=True),
+    # untyped: a bare TypeError or ValueError, or a wrong value
+    "from_atom-n_fock-negative": lambda: (
+        dynamics.AtomCavityState.from_atom(EXCITED, n_fock=-3)),
+    "from_atom-n_fock-fractional": lambda: (
+        dynamics.AtomCavityState.from_atom(EXCITED, n_fock=2.5)),
+    "state-n_fock-string": lambda: dynamics.AtomCavityState(
+        np.eye(12) / 12, n_fock="5"),
+    "state-n_fock-none": lambda: dynamics.AtomCavityState(
+        np.eye(12) / 12, n_fock=None),
+    "state-rho-string": lambda: dynamics.AtomCavityState("a", n_fock=1),
+    "state-rho-ragged": lambda: dynamics.AtomCavityState(
+        [[1, 0], [0]], n_fock=1),
+    "evolve_jc-t_final-string": lambda: _evolve(t_final="1"),
+    "evolve_jc-t_final-none": lambda: _evolve(t_final=None),
+    "evolve_jc-t_final-complex": lambda: _evolve(t_final=1j),
+    "evolve_jc-dt-string": lambda: _evolve(dt="1e-3"),
+    "evolve_jc-dt-none": lambda: _evolve(dt=None),
+    "evolve_single_rate-gamma_cav-string": lambda: (
+        dynamics.evolve_single_rate("1", EXCITED, 1.0)),
+    "evolve_single_rate-gamma_cav-none": lambda: (
+        dynamics.evolve_single_rate(None, EXCITED, 1.0)),
+    "evolve_single_rate-t_final-string": lambda: (
+        dynamics.evolve_single_rate(1.0, EXCITED, "1")),
+    "evolve_single_rate-t_final-none": lambda: (
+        dynamics.evolve_single_rate(1.0, EXCITED, None)),
+    "evolve_single_rate-t_grid-string": lambda: (
+        dynamics.evolve_single_rate(1.0, EXCITED, [0.0, "a"])),
+    "evolve_single_rate-rho-string": lambda: (
+        dynamics.evolve_single_rate(1.0, "a", 1.0)),
+    "unravel_jumps-gamma_cav-string": lambda: dynamics.unravel_jumps(
+        "1", EXCITED, 10, 1, GRID),
+    "unravel_jumps-t_grid-string": lambda: dynamics.unravel_jumps(
+        1.0, EXCITED, 10, 1, "a"),
+    "model_discrepancy-gamma_cav-string": lambda: dynamics.model_discrepancy(
+        dynamics.ModelParams(1.0, 20.0, 1.0), "1", GRID),
+    "model_discrepancy-gamma_cav-none": lambda: dynamics.model_discrepancy(
+        dynamics.ModelParams(1.0, 20.0, 1.0), None, GRID),
+    "fit_decay_rate-times-string": lambda: _fit(times="ab"),
+    "fit_decay_rate-t_min-string": lambda: _fit(t_min="0"),
+    "fit_decay_rate-t_max-none": lambda: _fit(t_max=None),
+    "fit_decay_rate-shapes": lambda: _fit(times=(0.0, 1.0, 2.0)),
+    "f_kernel-string": lambda: kernels.f_kernel("a"),
+    "f_kernel-none": lambda: kernels.f_kernel(None),
+    "f_kernel-complex": lambda: kernels.f_kernel(1j),
+    "f_kernel-nan": lambda: kernels.f_kernel(math.nan),
+    "f_envelope-string": lambda: kernels.f_envelope("a"),
+    "f_envelope-none": lambda: kernels.f_envelope(None),
+    "interference_kernel-r-string": lambda: kernels.interference_kernel(
+        "a", 1.0),
+    "interference_kernel-r-none": lambda: kernels.interference_kernel(
+        None, 1.0),
+    "interference_kernel-x-string": lambda: kernels.interference_kernel(
+        0.5, "a"),
+    "interference_kernel-x-complex": lambda: kernels.interference_kernel(
+        0.5, 1j),
+    "run_validation-seed-string": lambda: validation.run_validation(seed="a"),
+    "run_validation-fault_injection-string": lambda: (
+        validation.run_validation(fault_injection="a")),
+    "run_validation-fault_injection-nan": lambda: (
+        validation.run_validation(fault_injection=math.nan)),
+}
+
+
+def _config(**fields):
+    sweeps.SweepConfig(**fields).validate()
+
+
+CONFIG_CASES = {
+    "tol-string": lambda: _config(target="cavity", tol="a"),
+    "tol-bool": lambda: _config(target="cavity", tol=True),
+    "tail_tol-bool": lambda: _config(target="cavity", tail_tol=True),
+    "g-string": lambda: _config(target="lindblad", g="a"),
+    "kappa-string": lambda: _config(target="lindblad", kappa="a"),
+    "gamma-none": lambda: _config(target="lindblad", gamma=None),
+    "gamma_cav-string": lambda: _config(target="lindblad", gamma_cav="a"),
+    "gamma_cav-bool": lambda: _config(target="lindblad", gamma_cav=True),
+    "n_traj-string": lambda: _config(target="lindblad", n_traj="a"),
+    "n_traj-fractional": lambda: _config(target="lindblad", n_traj=1.5),
+    "n_traj-bool": lambda: _config(target="lindblad", n_traj=True),
+    "seed-string": lambda: _config(target="cavity", seed="a"),
+    "seed-fractional": lambda: _config(target="cavity", seed=1.5),
+    "seed-bool": lambda: _config(target="cavity", seed=True),
+    "r-string": lambda: _config(target="cavity", r="a"),
+    "r-nan": lambda: _config(target="cavity", r=math.nan),
+    "k0d-list": lambda: _config(target="cavity", k0d=[1.0]),
+    "d_over_lambda0-string": lambda: _config(target="mirror",
+                                             d_over_lambda0="x"),
+    "t-number": lambda: _config(target="lindblad", t=3.0),
+    "range-start-string": lambda: sweeps.Range("a", 1.0, 3),
+    "range-stop-none": lambda: sweeps.Range(0.0, None, 3),
+    "range-count-string": lambda: sweeps.Range(0.0, 1.0, "3"),
+    "range-count-fractional": lambda: sweeps.Range(0.0, 1.0, 2.5),
 }
 
 
@@ -122,4 +264,13 @@ def test_input_outside_the_domain_raises_invalid_params(call, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(errors.InvalidParams):
+            call()
+
+
+@pytest.mark.parametrize("call", CONFIG_CASES.values(),
+                         ids=CONFIG_CASES.keys())
+def test_config_outside_the_domain_raises_config_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(errors.ConfigError):
             call()

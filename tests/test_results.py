@@ -67,8 +67,8 @@ def test_positional_construction():
 ])
 def test_result_checks_ok_cells_of_both_shapes(ratio, err, message):
     with pytest.raises(errors.InvalidParams, match=message):
-        Cells(0.5).result("closed_form", np.array([ratio]), np.array([err]))
-    grid = Cells([0.5, 0.5]).result("closed_form", np.array([1.0, ratio]),
+        Cells(x=0.5).result("closed_form", np.array([ratio]), np.array([err]))
+    grid = Cells(x=[0.5, 0.5]).result("closed_form", np.array([1.0, ratio]),
                                     np.array([0.0, err]))
     assert grid.status.tolist() == ["ok", "InvalidParams"]
     assert grid.ratio[0] == 1.0 and grid.err_estimate[0] == 0.0

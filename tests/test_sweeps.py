@@ -129,10 +129,23 @@ class TestSweepConfig:
                     target=target,
                     **{axis: sweeps.Range(0.0, 1.0, n + 1)}).validate()
         sweeps.SweepConfig(target="lindblad",
-                           n_traj=sweeps._MAX_TRAJECTORIES).validate()
+                           n_traj=errors.MAX_TRAJECTORIES).validate()
         with pytest.raises(errors.ConfigError, match="memory budget"):
             sweeps.SweepConfig(target="lindblad",
-                               n_traj=sweeps._MAX_TRAJECTORIES + 1).validate()
+                               n_traj=errors.MAX_TRAJECTORIES + 1).validate()
+
+    def test_numpy_numbers_dump_as_plain_numbers(self):
+        # the gate admits numpy scalars; the preamble once recorded
+        # "r = np.float64(0.5)", which does not read back, and a float32
+        # as its short text, which is not the value the sweep ran at
+        cfg = sweeps.SweepConfig(
+            target="cavity", r=np.float64(0.5), tol=np.float32(0.1),
+            k0d=sweeps.Range(np.float64(0.1), np.int64(2), np.int64(3)))
+        cfg.validate()
+        text = sweeps.dump_config(cfg)
+        assert "r = 0.5\n" in text and "k0d = 0.1:2:3:linear\n" in text
+        items = sweeps.parse_config_items(text)
+        assert (items["r"], items["tol"]) == (0.5, float(np.float32(0.1)))
 
     def test_dump_parse_round_trip(self):
         configs = [
@@ -420,6 +433,16 @@ class TestRateSweeps:
                          "gamma_cavity_quadrature": 1,
                          "gamma_cavity_series": 1,
                          "gamma_subwavelength_2nd": 1}
+
+    @pytest.mark.parametrize("fields", [
+        dict(target="cavity", r="a"), dict(target="mirror", d_over_lambda0="x"),
+        dict(target="lindblad", n_traj=1.5)])
+    def test_bad_config_opens_no_file(self, tmp_path, fields):
+        # each once passed validate and left a preamble-only CSV
+        out = tmp_path / "bad.csv"
+        with pytest.raises(errors.ConfigError):
+            sweeps.run_sweep(sweeps.SweepConfig(**fields, out=str(out)))
+        assert not out.exists()
 
     def test_output_path_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sweeps.OUTDIR_ENV, str(tmp_path))
