@@ -25,7 +25,8 @@ import warnings
 import numpy as np
 
 from . import geometry, kernels
-from .errors import DegenerateMirror, InvalidParams, TailTooLarge, real
+from .errors import (DegenerateMirror, InvalidParams, TailTooLarge, integer,
+                     real)
 from .kernels import interference_kernel
 from .results import Cells
 
@@ -138,13 +139,15 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     ------
     InvalidParams
         If tol is not a real >= geometry.ERR_FLOOR or max_evals is not
-        an integer. On a grid: each cell's status.
+        an integer, for the whole call, on a grid too.
     NonConvergence
         If the node budget runs out (expected for very high finesse
         together with large k0d); reported, never masked. A first level
         that a gate prices over max_evals is refused before an integrand
         is evaluated, with n_evals == 0. On a grid: that cell's status.
     """
+    tol = real(tol, "tol", geometry.ERR_FLOOR, finite=False)
+    max_evals = integer(max_evals, "max_evals")
     cells = _cavity_cells(r_mir, k0d)
 
     def cell(r, k0d):

@@ -108,8 +108,7 @@ def _atom_cavity_ops(n_fock: int):
 
 
 def _density_matrix(rho, dim: int, name: str) -> np.ndarray:
-    """A copy of rho as a complex dim x dim density matrix (finite: a nan
-    would pass every check below), else InvalidParams."""
+    """A copy of rho as a finite complex dim x dim density matrix."""
     rho = np.array(real_array(rho, name, dtype=complex))
     if rho.shape != (dim, dim):
         raise InvalidParams(f"{name} must be {dim}x{dim}, got shape {rho.shape}")
@@ -374,14 +373,11 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
               dt: float) -> JCTrajectory:
     """Evolve the two-channel master equation, recording rho every dt.
 
-    Only the entries of vec(rho) that rho0 can reach are evolved: the
-    nonzero entries of rho0, grown through the nonzero pattern of L
-    until the set is closed. L maps their span into itself, so the
-    result is exact and every other entry stays 0. L is built only on
-    the columns the search visits and on the block of those entries:
-    memory goes as dim^2 times the number of entries, not as dim^4. The
-    exact propagator P = exp(L h) on those entries is built once, and
-    the record is filled by doubling: rows m..2m-1 are rows 0..m-1 times
+    Only the entries of vec(rho) that rho0 can reach (_reachable) are
+    evolved, exactly, and every other entry stays 0; memory goes as
+    dim^2 times their number, not as dim^4. The exact propagator
+    P = exp(L h) on those entries is built once, and the record is
+    filled by doubling: rows m..2m-1 are rows 0..m-1 times
     P^m, then P^m is squared, so n steps take log2(n) doublings. Each
     doubling's rows are split into equal blocks of at most _FILL_BLOCK
     (1,024), one matrix product each, so BLAS's work buffers stay small.
@@ -395,10 +391,8 @@ def evolve_jc(params: ModelParams, rho0: AtomCavityState, t_final: float,
     t_final exactly. Population of the top Fock level is monitored and
     TruncationLeak raised if it ever exceeds 1e-8, since then the
     truncation basis is too small for the requested dynamics. The
-    columns of L the search builds, the block of L (see _reachable) and
-    the record (16 B per entry per step) are each priced against the
-    memory budget before they are allocated; a dense rho0 passes it near
-    n_fock = 25.
+    search, the block of L (see _reachable) and the record (16 B per
+    entry per step) are priced against the memory budget first.
     """
     t_final = real(t_final, "t_final", 0.0)
     dt = real(dt, "dt", 0.0, strict=True, finite=False)
@@ -719,7 +713,8 @@ def fit_decay_rate(times, pops, t_min: float, t_max: float) -> float:
     on the thread count. InvalidParams if fewer than two samples, or
     fewer than two distinct times, are in the window.
     """
-    times, pops = real_array(times, "times"), real_array(pops, "pops")
+    times = real_array(times, "times", per_cell=True)
+    pops = real_array(pops, "pops", per_cell=True)
     if times.shape != pops.shape:
         raise InvalidParams(f"times and pops must have one shape, got "
                             f"{times.shape} and {pops.shape}")

@@ -4,16 +4,16 @@ Every library-raised error derives from MirrorQEDError so callers can
 catch the whole family; numerical failures carry enough state to report
 partial results instead of masking them.
 
-The input gate decides in one place what counts as a real number, an
-integer and a numeric array: every public argument goes through real,
-integer or real_array, which refuse bool, str, None, complex values and
-nan with an InvalidParams naming the argument. Every size a caller sets
-is priced against one budget, MEMORY_BUDGET_BYTES, before allocation.
+The input gate decides in one place what counts as a real number
+(real), an integer (integer) and a numeric array (real_array). Each
+refuses bool, str, None and complex values with an InvalidParams that
+names the argument, and nan wherever it checks the value; every size a
+caller sets is priced against one budget, MEMORY_BUDGET_BYTES, before
+it is allocated.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import operator
@@ -84,53 +84,49 @@ def _interval(lo: float, strict: bool, finite: bool) -> str:
     return f"finite and {bound}" if finite else bound
 
 
-def _inside(x, lo: float, strict: bool, finite: bool):
-    inside = x > lo if strict else x >= lo  # false for nan
-    return inside & (abs(x) < math.inf) if finite else inside
-
-
 def real(value, name: str, lo: float = -math.inf, *, strict: bool = False,
          finite: bool = True, domain: str | None = None) -> float:
     """value, an int or float (numpy's too), as a float in [lo, inf), or
-    (lo, inf) if strict, with inf admitted unless finite."""
+    (lo, inf) if strict, with inf admitted unless finite; never nan."""
     number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):  # an int past the floats
+    try:  # float first: the abstract-type test is the slow one
+        if type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool)):
             number = float(value)
-    if not _inside(number, lo, strict, finite):
-        raise InvalidParams(f"{name} must be "
-                            f"{domain or _interval(lo, strict, finite)}, "
-                            f"got {value!r}")
-    return number
+    except OverflowError:  # an int past the floats
+        pass
+    inside = number > lo if strict else number >= lo  # false for nan
+    if inside and (abs(number) < math.inf or not finite):
+        return number
+    domain = domain or _interval(lo, strict, finite)
+    raise InvalidParams(f"{name} must be {domain}, got {value!r}")
 
 
 def integer(value, name: str, least: int | None = None,
             most: int | None = None) -> int:
     """value, of an integer type (not even a whole float), as an int in
     [least, most]; each cap ``most`` comes from the memory budget."""
-    bounds = "" if least is None else f" >= {least}"
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
-    if number is None:
-        raise InvalidParams(f"{name} must be an integer{bounds}, got {value!r}")
-    if least is not None and number < least:
-        raise InvalidParams(f"{name} must be{bounds}, got {value!r}")
-    if most is not None and number > most:
-        raise InvalidParams(
-            f"{name} must lie in [{least}, {most}] (a "
-            f"{MEMORY_BUDGET_BYTES >> 30} GiB memory budget), got {value!r}")
-    return number
+    if number is not None and (least is None or number >= least) and (
+            most is None or number <= most):
+        return number
+    bounds = "" if least is None else f" >= {least}"
+    if most is not None:
+        bounds = (f" in [{least}, {most}] (a {MEMORY_BUDGET_BYTES >> 30} GiB "
+                  "memory budget)")
+    raise InvalidParams(f"{name} must be{' an integer' * (number is None)}"
+                        f"{bounds}, got {value!r}")
 
 
 def real_array(value, name: str, lo: float = -math.inf, *,
-               finite: bool = True, per_cell: bool = False,
-               dtype=float) -> np.ndarray:
+               per_cell: bool = False, dtype=float) -> np.ndarray:
     """value, ints or floats of any shape, as an array of dtype whose
-    entries lie in [lo, inf), finite unless finite=False. dtype=complex
-    admits complex entries, which must be finite; per_cell=True checks
-    the type alone, for callers that flag each entry themselves."""
+    entries are finite and >= lo; dtype=complex admits complex entries.
+    per_cell=True checks the type alone, for callers that map each entry
+    to its own output or cell status (a nan in gives a nan out)."""
     try:
         array = np.asarray(value)
         if array.dtype.kind == "O":  # ints past int64, Fractions; not None
@@ -140,18 +136,15 @@ def real_array(value, name: str, lo: float = -math.inf, *,
         array = None
     if array is None or array.dtype.kind not in (
             "iufc" if dtype is complex else "iuf"):
-        raise InvalidParams(f"{name} must be an array of numbers, got "
-                            f"{type(value).__name__ if array is None else array.dtype}")
+        kind = type(value).__name__ if array is None else array.dtype
+        raise InvalidParams(f"{name} must be an array of numbers, got {kind}")
     array = array.astype(dtype, copy=False)
     if per_cell:
         return array
-    if dtype is complex:
-        domain, inside = "finite", np.isfinite(array)
-    else:
-        domain = _interval(lo, False, finite)
-        inside = _inside(array, lo, False, finite)
+    inside = (array.real >= lo) & np.isfinite(array)
     if not inside.all():
         bad = array.flat[int(np.argmin(inside))].item()
+        domain = "finite" if lo == -math.inf else _interval(lo, False, True)
         raise InvalidParams(f"{name} entries must be {domain}, got {bad!r}")
     return array
 

@@ -67,7 +67,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_MAX_EVALS",
     "ERR_FLOOR",
-    "TOL_DOMAIN",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -205,8 +204,6 @@ _BLOCK_PANELS = 1024
 #: Roundoff floor on the reported error estimate, relative to max(1, |I|);
 #: no smaller tol can converge.
 ERR_FLOOR = 4e-16
-#: What a tolerance must be: no estimate can meet one below the floor.
-TOL_DOMAIN = f">= {ERR_FLOOR:g}, the quadrature's error floor"
 
 
 def _panel_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,9 +321,9 @@ def solid_angle_integrate(integrand, panels: int = 4,
         the gate refuses the first level, with n_evals == 0).
     """
     panels = integer(panels, "panels", 1)
-    tol = real(tol, "tol", ERR_FLOOR, finite=False, domain=TOL_DOMAIN)
+    tol = real(tol, "tol", ERR_FLOOR, finite=False)
     pts = real_array([] if xi_breakpoints is None else xi_breakpoints,
-                     "xi_breakpoints", finite=False)
+                     "xi_breakpoints", per_cell=True)
     pts = pts[(pts > -1.0) & (pts < 1.0)]
     # the one first-level gate: each breakpoint adds at most one panel
     first_level_panels(panels + pts.size, max_evals)

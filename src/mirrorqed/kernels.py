@@ -53,9 +53,9 @@ def f_kernel(x):
     Even in x, maximum f(0) = 2/3, decays like sin(x)/x for large |x|.
     Below |x| = F_TAYLOR_CROSSOVER the three-term form loses digits to
     cancellation and an even Taylor polynomial (through x^8) is used
-    instead. Accepts scalars or arrays of reals, inf included, not nan.
+    instead. Accepts scalars or arrays.
     """
-    arr = real_array(x, "x", finite=False)
+    arr = real_array(x, "x", per_cell=True)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     small = np.abs(arr) < F_TAYLOR_CROSSOVER
@@ -71,7 +71,7 @@ def f_kernel(x):
 
 def f_envelope(y):
     """Upper bound 1/|y| + 1/y^2 + 1/|y|^3 on |f| for y != 0."""
-    ay = np.abs(real_array(y, "y", finite=False))
+    ay = np.abs(real_array(y, "y", per_cell=True))
     # a power that overflows to inf makes its term 0, as it should
     with np.errstate(over="ignore"):
         return 1.0 / ay + 1.0 / ay ** 2 + 1.0 / ay ** 3
@@ -87,14 +87,14 @@ def interference_kernel(r_mir, x):
     of r_mir and x, broadcast together.
 
     Raises DegenerateMirror if any |r_mir| >= 1 (t = 0 makes the ratio
-    0/0), and InvalidParams for an argument that is not real, or is nan.
+    0/0), and InvalidParams for an argument that is not real.
     """
-    r = real_array(r_mir, "r_mir", finite=False)
+    r = real_array(r_mir, "r_mir", per_cell=True)
     bad = np.abs(r) >= 1.0
     if bad.any():
         raise DegenerateMirror(
             f"|r_mir| must be < 1, got {float(r[bad][0])!r}")
-    x = real_array(x, "x", finite=False)
+    x = real_array(x, "x", per_cell=True)
     # 1 - r^2 as a product: one of the factors is exact for |r| >= 1/2,
     # where 1 - r * r would lose |r|^2 / (1 - r^2) ulps
     t2 = (1.0 - r) * (1.0 + r)

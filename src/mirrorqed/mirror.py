@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import geometry, kernels
-from .errors import InvalidParams
+from .errors import InvalidParams, integer, real
 from .results import Cells
 
 __all__ = ["gamma_mirror_closed", "gamma_mirror_quadrature"]
@@ -94,10 +94,12 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
     ------
     InvalidParams
         If tol is not a real >= geometry.ERR_FLOOR or max_evals is not
-        an integer. On a grid: each cell's status.
+        an integer, for the whole call, on a grid too.
     NonConvergence
         Propagated from the quadrature engine.
     """
+    tol = real(tol, "tol", geometry.ERR_FLOOR, finite=False)
+    max_evals = integer(max_evals, "max_evals")
     cells = Cells(re_r=re_r, k0d=k0d)
     _check_mirror_args(cells, re_r, k0d)
 

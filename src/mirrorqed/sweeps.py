@@ -71,7 +71,7 @@ class Range:
     def __post_init__(self):
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"scale must be linear or log, got {self.scale!r}")
-        integer(self.count, "range count", 2)
+        integer(self.count, "range count", 2, _MAX_GRID_POINTS)
         # finite and positive, so linspace never starts at nan
         real(real(self.stop, "range stop", finite=False)
              - real(self.start, "range start", finite=False),
@@ -204,8 +204,8 @@ class SweepConfig:
             raise ConfigError(
                 f"method {self.method!r} not available for target "
                 f"{self.target!r}; choose from {methods}")
-        real(self.tol, "tol", geometry.ERR_FLOOR, finite=False,
-             domain=geometry.TOL_DOMAIN)
+        real(self.tol, "tol", geometry.ERR_FLOOR, finite=False, domain=f">= "
+             f"{geometry.ERR_FLOOR:g}, the quadrature's error floor")
         real(self.tail_tol, "tail_tol", 0.0, strict=True)
         for name, lo in (("g", -math.inf), ("kappa", 0.0),
                          ("gamma", 0.0), ("gamma_cav", 0.0)):
@@ -213,13 +213,10 @@ class SweepConfig:
                 real(getattr(self, name), name, lo)
         integer(self.n_traj, "n_traj", 1, MAX_TRAJECTORIES)
         integer(self.seed, "seed", 0)
-        for name in ("r", "k0d", "d_over_lambda0", "t"):
+        for name in ("r", "k0d", "d_over_lambda0"):
             value = getattr(self, name)
-            if isinstance(value, Range):
-                integer(value.count, f"{name} range count", 2,
-                        _MAX_GRID_POINTS)
-            elif value is not None and name != "t":
-                real(value, name, finite=False)
+            if value is not None and not isinstance(value, Range):
+                real(value, name)
         if self.k0d is not None and self.d_over_lambda0 is not None:
             raise ConfigError("k0d and d_over_lambda0 are mutually exclusive")
         n_ranges = sum(isinstance(v, Range)
@@ -370,8 +367,7 @@ def _column_text(column, n_rows: int) -> list[str]:
     a numpy scalar as a plain number; a (values, show) pair writes its
     values only where show holds and empty cells elsewhere. Any other
     array (the status column) holds its cells' text. Only shown cells
-    are formatted, and a column of one bit pattern (a constant axis, or
-    nan throughout) only once.
+    are formatted.
     """
     if isinstance(column, str):
         return [column] * n_rows
@@ -380,11 +376,7 @@ def _column_text(column, n_rows: int) -> list[str]:
         return values.tolist()
     shown = np.broadcast_to(show, values.shape)
     text = np.full(n_rows, "", dtype=object)
-    bits = values.view(np.uint64)
-    if (bits == bits[0]).all():
-        text[shown] = float.__repr__(values.item(0))
-    else:
-        text[shown] = list(map(float.__repr__, values[shown].tolist()))
+    text[shown] = list(map(float.__repr__, values[shown].tolist()))
     return text.tolist()
 
 

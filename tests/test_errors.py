@@ -63,7 +63,7 @@ def test_integer_refuses_a_value_out_of_its_bounds():
     with pytest.raises(errors.InvalidParams, match=r"^n must be >= 1, got 0$"):
         errors.integer(0, "n", 1)
     with pytest.raises(errors.InvalidParams,
-                       match=r"^n must lie in \[1, 5\] \(a 1 GiB memory "
+                       match=r"^n must be in \[1, 5\] \(a 1 GiB memory "
                              r"budget\), got 6$"):
         errors.integer(6, "n", 1, 5)
 
@@ -102,11 +102,10 @@ def test_real_array_admits_real_arrays_of_any_shape():
         out = errors.real_array(value, "t", 0.0)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, np.asarray(value, dtype=float))
-    assert np.isinf(errors.real_array([math.inf], "t", finite=False)).all()
 
 
 def test_real_array_per_cell_leaves_the_values_to_the_caller():
-    out = errors.real_array([math.nan, -math.inf], "r", per_cell=True)
+    out = errors.real_array([math.nan, -math.inf], "r", 0.0, per_cell=True)
     assert np.isnan(out[0]) and out[1] == -math.inf
     with pytest.raises(errors.InvalidParams):
         errors.real_array([True], "r", per_cell=True)

@@ -111,6 +111,13 @@ CASES = {
     "solid_angle_integrate-tol-none": lambda: _engine(tol=None),
     "mirror_quadrature-tol-string": lambda: mirror.gamma_mirror_quadrature(
         0.5, 1.0, tol="1e-9"),
+    # a grid refuses a bad control for the whole call, not cell by cell
+    "mirror_quadrature-grid-tol-string": lambda: (
+        mirror.gamma_mirror_quadrature(np.zeros(3), 1.0, tol="a")),
+    "cavity_quadrature-grid-tol-below-floor": lambda: (
+        cavity.gamma_cavity_quadrature(np.zeros(3), 1.0, tol=1e-20)),
+    "cavity_quadrature-grid-max_evals-fractional": lambda: (
+        cavity.gamma_cavity_quadrature(np.zeros(3), 1.0, max_evals=1.5)),
     "cavity_series-tail_tol-none": lambda: cavity.gamma_cavity_series(
         0.5, 1.0, tail_tol=None),
     "default_n_max-tail_tol-none": lambda: cavity.default_n_max(0.5, None),
@@ -206,7 +213,6 @@ CASES = {
     "f_kernel-string": lambda: kernels.f_kernel("a"),
     "f_kernel-none": lambda: kernels.f_kernel(None),
     "f_kernel-complex": lambda: kernels.f_kernel(1j),
-    "f_kernel-nan": lambda: kernels.f_kernel(math.nan),
     "f_envelope-string": lambda: kernels.f_envelope("a"),
     "f_envelope-none": lambda: kernels.f_envelope(None),
     "interference_kernel-r-string": lambda: kernels.interference_kernel(
@@ -246,6 +252,8 @@ CONFIG_CASES = {
     "seed-bool": lambda: _config(target="cavity", seed=True),
     "r-string": lambda: _config(target="cavity", r="a"),
     "r-nan": lambda: _config(target="cavity", r=math.nan),
+    "r-inf": lambda: _config(target="cavity", r=math.inf),
+    "k0d-minus-inf": lambda: _config(target="subwavelength", k0d=-math.inf),
     "k0d-list": lambda: _config(target="cavity", k0d=[1.0]),
     "d_over_lambda0-string": lambda: _config(target="mirror",
                                              d_over_lambda0="x"),
@@ -274,3 +282,13 @@ def test_config_outside_the_domain_raises_config_error(call):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(errors.ConfigError):
             call()
+
+
+def test_kernels_and_breakpoints_pass_a_nan_entry_through():
+    # an entry maps to its own output, so a nan gives a nan, as in numpy
+    assert np.isnan(kernels.f_kernel([math.nan, 1.0])[0])
+    assert np.isnan(kernels.interference_kernel(math.nan, 1.0))
+    assert np.isnan(kernels.f_envelope(math.nan))
+    value, _ = geometry.solid_angle_integrate(
+        lambda xi, _: np.ones_like(xi), xi_breakpoints=[math.nan, 0.5])
+    assert value == pytest.approx(4.0 * math.pi)
