@@ -25,8 +25,8 @@ import warnings
 import numpy as np
 
 from . import geometry, kernels
-from .errors import (DegenerateMirror, InvalidParams, TailTooLarge, integer,
-                     real)
+from .errors import (MAX_EVALS, DegenerateMirror, InvalidParams, TailTooLarge,
+                     integer, real)
 from .kernels import interference_kernel
 from .results import Cells
 
@@ -112,23 +112,21 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     ratio = (3 / 8 pi) * int dOmega (transverse dipole weight)
     * interference_kernel(r_mir, k0d cos theta), by
     geometry.ratio_quadrature, whose rounding rule err_estimate follows.
-    Near |r_mir| -> 1 the kernel develops sharp resonance peaks in cos theta;
-    their locations and graded neighborhoods are passed to the quadrature
-    engine as panel breakpoints so refinement cannot silently straddle a
-    peak.
 
     The first level has max(4, ceil(k0d / 2)) uniform panels, or
-    max(8, ceil(k0d)) for the sharper peaks of |r_mir| > 0.9.
-    Building the breakpoints costs O(k0d) whatever r_mir is (see
-    _peak_breakpoints), so the engine's first-level gate
-    (geometry.first_level_panels) runs before they are built, on the
-    uniform panels plus the breakpoints, one panel each, counted from
-    their windows (_peak_windows) in integer arithmetic; a cell it
-    refuses builds none. At the default budget it refuses k0d above
-    305,446 to 305,447.7 for 1e-12 <= |r_mir| <= 0.9, above 258,136 to
-    258,138.4 for |r_mir| > 0.9 (the edge moves with r through the
-    window sizes) and above 1,666,666 for r_mir = 0; a smaller |r_mir|
-    skips the windows whose indices pass 2^53 and reaches further.
+    max(8, ceil(k0d)) for the sharper peaks of |r_mir| > 0.9. The
+    kernel's resonance peaks in cos theta and their graded
+    neighbourhoods become panel edges, so refinement cannot straddle a
+    peak, but only where the peaks are sharp (_peak_windows): no edge
+    for |r_mir| < 0.15532, where the kernel is smooth, as for r_mir = 0;
+    the peaks and +-h below 0.48616; also +-4h below 0.82274; also +-16h
+    above. The engine's first-level gate (geometry.first_level_panels)
+    prices them, one panel each, from their windows in integers before
+    one is built, so a refused cell builds none. In these bands the
+    default budget refuses k0d above 1,666,666, above 572,758 to
+    572,759.46, 398,420.11 to 398,422.27, 305,446.17 to 305,447.62 up to
+    |r_mir| = 0.9 and 258,136 to 258,138.38 above: the edge moves a
+    little with r, through the window sizes.
 
     Scalars give a RateResult of floats and raise. Arrays (broadcast
     together) give one of arrays with a status per cell; each cell is
@@ -138,8 +136,8 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
     Raises
     ------
     InvalidParams
-        If tol is not a real >= geometry.ERR_FLOOR or max_evals is not
-        an integer, for the whole call, on a grid too.
+        If tol is not a real >= geometry.ERR_FLOOR, or max_evals not an
+        integer <= errors.MAX_EVALS; for the whole call, on a grid too.
     NonConvergence
         If the node budget runs out (expected for very high finesse
         together with large k0d); reported, never masked. A first level
@@ -147,19 +145,19 @@ def gamma_cavity_quadrature(r_mir, k0d, tol: float = geometry.DEFAULT_TOL,
         is evaluated, with n_evals == 0. On a grid: that cell's status.
     """
     tol = real(tol, "tol", geometry.ERR_FLOOR, finite=False)
-    max_evals = integer(max_evals, "max_evals")
+    max_evals = integer(max_evals, "max_evals", most=MAX_EVALS)
     cells = _cavity_cells(r_mir, k0d)
 
     def cell(r, k0d):
         panels = geometry.oscillation_panels(k0d)
         if abs(r) > 0.9:
             panels = max(8, geometry.oscillation_panels(2.0 * k0d))
-        n_breaks = sum(len(js) for _, js in _peak_windows(r, k0d))
-        geometry.first_level_panels(panels + n_breaks, max_evals)
+        windows = _peak_windows(r, k0d)
+        geometry.first_level_panels(
+            panels + sum(len(js) for _, js in windows), max_evals)
         return geometry.ratio_quadrature(
             lambda xi: interference_kernel(r, k0d * xi), panels, tol,
-            max_evals,
-            xi_breakpoints=_peak_breakpoints(r, k0d) if n_breaks else None)
+            max_evals, xi_breakpoints=_peak_breakpoints(windows, k0d))
 
     return cells.each("quadrature", cell)
 
@@ -168,24 +166,27 @@ def _peak_windows(r: float, k0d: float) -> list[tuple[float, range]]:
     """(shift s, peak indices j) of each edge family jpi/k0d + s in (-1, 1).
 
     The peaks sit at xi = j pi / k0d, j even for r > 0 and odd for r < 0,
-    with halfwidth h = (1 - r^2) / (2 |r| k0d); the edges are shifted
-    from them by s in {0, +-h, +-4h, +-16h}. For each s the window holds
-    the j of the peak parity from floor((-1 - s) k0d / pi) - 2 to
-    ceil((1 - s) k0d / pi) + 2, every edge in (-1, 1) with a margin of
-    two for rounding. A shift whose window leaves (-2^53, 2^53), where j
-    is no longer exact, is skipped: that takes |r| < 3e-16, where the
-    kernel is flat to rounding and such an edge would mark no peak.
-    r = 0 has no peaks and no windows.
+    with halfwidth h = (1 - r^2) / (2 |r| k0d). A family at s = +-m h
+    (m = 1, 4, 16) is built only where m h < pi / k0d, half the peak
+    spacing, and s = 0 goes with +-h; as h k0d depends on r alone, the
+    rule is m (1 - r^2) < 2 pi |r|, false for every m at r = 0. Each
+    window holds the j of the peak parity from floor((-1 - s) k0d / pi)
+    - 2 to ceil((1 - s) k0d / pi) + 2, every edge in (-1, 1) with a
+    margin of two for rounding. A window past (-2^53, 2^53), where j is
+    no longer exact, is skipped: that keeps a huge k0d (1e20, 1e308),
+    whose uniform panels the gate refuses anyway, refused in O(1) time,
+    where the window's length would overflow.
     """
-    if r == 0.0:
+    steps = [m for m in (1.0, 4.0, 16.0)
+             if m * (1.0 - r * r) < 2.0 * math.pi * abs(r)]
+    if not steps:
         return []
     den = 2.0 * abs(r) * k0d
     halfwidth = (1.0 - r * r) / den if den > 0.0 else math.inf
     parity = 0 if r > 0.0 else 1
     scale = k0d / math.pi
     windows = []
-    for shift in (0.0, halfwidth, -halfwidth, 4.0 * halfwidth,
-                  -4.0 * halfwidth, 16.0 * halfwidth, -16.0 * halfwidth):
+    for shift in [0.0, *(s * m * halfwidth for m in steps for s in (1, -1))]:
         lo, hi = (-1.0 - shift) * scale, (1.0 - shift) * scale
         # floor(lo) - 2 > -2^53 and ceil(hi) + 2 < 2^53, false for nan
         if not (3.0 - 2.0 ** 53 <= lo and hi <= 2.0 ** 53 - 3.0):
@@ -196,19 +197,18 @@ def _peak_windows(r: float, k0d: float) -> list[tuple[float, range]]:
     return windows
 
 
-def _peak_breakpoints(r: float, k0d: float) -> np.ndarray:
-    """Panel edges jpi/k0d + s at the kernel peaks and their neighbourhoods.
+def _peak_breakpoints(windows: list[tuple[float, range]],
+                      k0d: float) -> np.ndarray:
+    """Panel edges jpi/k0d + s, one per (s, j) of _peak_windows' windows.
 
-    One edge per (s, j) of _peak_windows, whose sizes the route's gate
-    prices before this runs. Each window holds about k0d / pi + 3 indices
-    of the peak parity whatever s is, so building them is O(k0d) even
-    when a tiny |r| makes h huge. No edge is mirrored: the window of -s yields the image
-    -(jpi/k0d + s) = (-j)pi/k0d - s of each edge of s bit for bit.
+    The route's gate prices them before this runs; each window holds
+    about k0d / pi + 3 indices. No edge is mirrored: the window of -s
+    yields the image (-j)pi/k0d - s of each edge of s bit for bit.
     """
     # at a subnormal k0d the edges past j = 0 overflow to +-inf, outside
     with np.errstate(over="ignore"):
         parts = [np.arange(js.start, js.stop, js.step) * math.pi / k0d
-                 + shift for shift, js in _peak_windows(r, k0d)]
+                 + shift for shift, js in windows]
     return np.concatenate(parts) if parts else np.empty(0)
 
 

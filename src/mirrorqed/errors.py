@@ -25,6 +25,9 @@ MEMORY_BUDGET_BYTES = 1 << 30
 #: Trajectories a call or sweep may draw: priced at 128 B each, which
 #: holds jump_times (8 B each) to 64 MiB, and with it the run time.
 MAX_TRAJECTORIES = MEMORY_BUDGET_BYTES // 128
+#: Evaluations a quadrature may be budgeted (max_evals), at 2 B each: a
+#: level's panel edges and their sort peak at about 1 B an evaluation.
+MAX_EVALS = MEMORY_BUDGET_BYTES // 2
 
 
 class MirrorQEDError(Exception):
@@ -115,8 +118,8 @@ def integer(value, name: str, least: int | None = None,
         return number
     bounds = "" if least is None else f" >= {least}"
     if most is not None:
-        bounds = (f" in [{least}, {most}] (a {MEMORY_BUDGET_BYTES >> 30} GiB "
-                  "memory budget)")
+        bounds = f" <= {most}" if least is None else f" in [{least}, {most}]"
+        bounds += f" (a {MEMORY_BUDGET_BYTES >> 30} GiB memory budget)"
     raise InvalidParams(f"{name} must be{' an integer' * (number is None)}"
                         f"{bounds}, got {value!r}")
 

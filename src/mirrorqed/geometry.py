@@ -54,7 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, NonConvergence, integer, real, real_array
+from .errors import (MAX_EVALS, InvalidParams, NonConvergence, integer, real,
+                     real_array)
 
 __all__ = [
     "DipoleOrientation",
@@ -230,8 +231,7 @@ def first_level_panels(panels: int,
     one level alone never converges: 48 evaluations a panel. A
     breakpoint adds at most one panel, so a caller that builds its
     breakpoints itself (the cavity's peak breakpoints) calls this first,
-    with their number added to its panels. The default budget is the one
-    every quadrature route takes, DEFAULT_MAX_EVALS. Returns ``panels``.
+    with their number added to its panels. Returns ``panels``.
 
     >>> first_level_panels(4)
     4
@@ -244,12 +244,12 @@ def first_level_panels(panels: int,
     ------
     InvalidParams
         If panels is not an integer >= 1 or max_evals is not an integer
-        (not even a whole float).
+        (not even a whole float) <= errors.MAX_EVALS.
     NonConvergence
         With n_evals == 0, if those panels could exceed max_evals.
     """
     panels = integer(panels, "panels", 1)
-    max_evals = integer(max_evals, "max_evals")
+    max_evals = integer(max_evals, "max_evals", most=MAX_EVALS)
     price = 3 * _GL_OFFSETS.size * panels
     if price > max_evals:
         raise NonConvergence(
@@ -281,9 +281,8 @@ def solid_angle_integrate(integrand, panels: int = 4,
         Vectorized function ``integrand(xi, phi)``, called with a 1-D
         array of nodes xi in (-1, 1) and phi = None; returns real values
         of xi's shape, finite there. A function of phi is not supported:
-        integrate its phi mean (phi_mean_weight) instead. The always-None
-        second argument stays only because benchmark tracers forward a
-        two-argument call.
+        integrate its phi mean (phi_mean_weight) instead. phi stays
+        only because benchmark tracers forward a two-argument call.
     panels : int
         Uniform xi panels of the first level, 16 nodes each; raise it for
         oscillatory integrands (see oscillation_panels). Must be >= 1.
@@ -294,14 +293,11 @@ def solid_angle_integrate(integrand, panels: int = 4,
         and graded neighborhoods of sharp kernel peaks.
     max_evals : int
         Budget of integrand evaluations across all levels, one per xi
-        node. One gate (first_level_panels) runs before any edge is
-        built: it prices the uniform panels and one more panel per
-        breakpoint inside (-1, 1), each at 48 evaluations, for the first
-        level and the level that confirms it. A refinement level, twice
-        the panels of the one before, runs only if the evaluations
-        already made plus its own (16 per panel) stay within the budget,
-        so n_evals never exceeds max_evals. Only a level's panel edges,
-        not its nodes, are allocated whole.
+        node. The gate (first_level_panels) prices the first two levels,
+        one panel per breakpoint inside (-1, 1) included, before any
+        edge is built; a refinement level, twice the panels of the one
+        before, runs only if it keeps n_evals within max_evals. Only a
+        level's panel edges, not its nodes, are allocated whole.
 
     Returns
     -------
@@ -313,8 +309,8 @@ def solid_angle_integrate(integrand, panels: int = 4,
     ------
     InvalidParams
         If panels is not an integer >= 1, tol is not a real >= ERR_FLOOR,
-        which no estimate can meet, max_evals is not an integer, or the
-        integrand returns complex values (before they are summed).
+        which no estimate can meet, max_evals is not an integer
+        <= errors.MAX_EVALS, or the integrand returns complex values.
     NonConvergence
         If the budget is exhausted before two levels agree; the exception
         carries the best value and its estimated error (value None when

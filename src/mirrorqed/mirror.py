@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import geometry, kernels
-from .errors import InvalidParams, integer, real
+from .errors import MAX_EVALS, InvalidParams, integer, real
 from .results import Cells
 
 __all__ = ["gamma_mirror_closed", "gamma_mirror_quadrature"]
@@ -93,13 +93,13 @@ def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,
     Raises
     ------
     InvalidParams
-        If tol is not a real >= geometry.ERR_FLOOR or max_evals is not
-        an integer, for the whole call, on a grid too.
+        If tol is not a real >= geometry.ERR_FLOOR, or max_evals not an
+        integer <= errors.MAX_EVALS; for the whole call, on a grid too.
     NonConvergence
         Propagated from the quadrature engine.
     """
     tol = real(tol, "tol", geometry.ERR_FLOOR, finite=False)
-    max_evals = integer(max_evals, "max_evals")
+    max_evals = integer(max_evals, "max_evals", most=MAX_EVALS)
     cells = Cells(re_r=re_r, k0d=k0d)
     _check_mirror_args(cells, re_r, k0d)
 

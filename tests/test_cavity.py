@@ -74,6 +74,17 @@ def _first_level_panels(monkeypatch, route, *args):
     return asked[0]
 
 
+def _breakpoints(r, k0d):
+    """The peak breakpoints the cavity route builds at (r, k0d)."""
+    return cavity._peak_breakpoints(cavity._peak_windows(r, k0d), k0d)
+
+
+def _edge_steps(r):
+    """The m of the edge families +-m h that the route builds at r."""
+    return [m for m in (1, 4, 16)
+            if m * (1.0 - r * r) < 2.0 * math.pi * abs(r)]
+
+
 def rerun_over_2d_weight(monkeypatch, factor, route):
     """Run ``route`` and redo its engine call over the full 2-D weight.
 
@@ -226,9 +237,9 @@ class TestQuadrature:
         assert refused.value.n_evals == 0
 
     def test_first_level_gate_runs_before_the_breakpoints(self, monkeypatch):
-        # k0d = 4e5 asks for 2e5 uniform panels and 891,287 breakpoints,
-        # 52.4e6 evaluations at 48 a panel: over the default budget, so no
-        # breakpoint may be built
+        # k0d = 4e5 asks for 2e5 uniform panels and 636,633 breakpoints
+        # (five families at r = 0.5), 40.2e6 evaluations at 48 a panel:
+        # over the default budget, so no breakpoint may be built
         def never(*args):
             raise AssertionError("breakpoints built")
 
@@ -280,11 +291,11 @@ class TestQuadrature:
                 refused += 1
         assert admitted and refused
 
-    @pytest.mark.parametrize("k0d", [3e5, 5e6, 1e308])
+    @pytest.mark.parametrize("k0d", [3e5, 5e6, 1e20, 1e308])
     def test_refused_cell_allocates_nothing(self, k0d):
         # the gate prices the breakpoints from their windows, in integers,
         # before one is built; at 3e5 they once took 39.7 MiB to refuse
-        # (at r = 0.5, which the default budget admits up to 305,447.62)
+        # (at r = 0.5, which the default budget admits up to 398,420.67)
         tracemalloc.start()
         try:
             with pytest.raises(errors.NonConvergence) as refused:
@@ -314,14 +325,18 @@ class TestQuadrature:
                                    for sign in (1.0, -1.0)])
     def test_peak_breakpoints_match_the_full_centre_walk(self, r):
         def walk(r, k0d):
-            # every centre up to 1 + 16 h, as the route once built them
+            # every centre up to 1 + m h, for the centre and each family
+            # +-m h of the rule (none for |r| < 0.15532)
             points = []
+            steps = _edge_steps(r)
+            if not steps:
+                return points
             halfwidth = (1.0 - r * r) / (2.0 * abs(r) * k0d)
+            offsets = [0.0, *(m * halfwidth for m in steps)]
             j = 0 if r > 0.0 else 1
-            while j * math.pi / k0d < 1.0 + 16.0 * halfwidth:
+            while j * math.pi / k0d < 1.0 + offsets[-1]:
                 center = j * math.pi / k0d
-                for offset in (0.0, halfwidth, 4.0 * halfwidth,
-                               16.0 * halfwidth):
+                for offset in offsets:
                     for signed in ((center + offset, center - offset)
                                    if offset else (center,)):
                         points.extend((signed, -signed))
@@ -333,24 +348,26 @@ class TestQuadrature:
             return {p + 0.0 for p in points if -1.0 < p < 1.0}
 
         for k0d in (1e-3, 0.01, 0.1, 0.7, 1.0, math.pi, 10.0, 55.5, 300.0):
-            assert inside(cavity._peak_breakpoints(r, k0d)) == inside(
-                walk(r, k0d)), k0d
+            assert inside(_breakpoints(r, k0d)) == inside(walk(r, k0d)), k0d
 
     # r over +-1e-12 to +-0.999, 25 log-spaced k0d in [1e-3, 1e3] and the
     # cell where the windows once reached their proved bound
-    @pytest.mark.parametrize("r", [sign * a for a in (1e-12, 0.01, 0.5,
+    @pytest.mark.parametrize("r", [sign * a for a in (1e-12, 0.01, 0.3, 0.5,
                                                       0.98, 0.999)
                                    for sign in (1.0, -1.0)])
     def test_peak_breakpoints_match_a_brute_force_walk(self, r):
         def brute(r, k0d):
-            # for each shift, every j of the peak parity within k0d / pi
-            # + 10 of the centre nearest -s, whose edge lies in (-1, 1)
+            # for each shift of the family rule, every j of the peak
+            # parity within k0d / pi + 10 of the centre nearest -s, whose
+            # edge lies in (-1, 1)
+            edges = set()
+            steps = _edge_steps(r)
+            if not steps:
+                return edges
             halfwidth = (1.0 - r * r) / (2.0 * abs(r) * k0d)
             scale = k0d / math.pi
-            edges = set()
-            for shift in (0.0, halfwidth, -halfwidth, 4.0 * halfwidth,
-                          -4.0 * halfwidth, 16.0 * halfwidth,
-                          -16.0 * halfwidth):
+            for shift in (0.0, *(s * m * halfwidth for m in steps
+                                 for s in (1.0, -1.0))):
                 centre = round(-shift * scale)
                 reach = math.ceil(scale) + 10
                 assert abs(centre) + reach < 2 ** 53
@@ -361,7 +378,7 @@ class TestQuadrature:
             return edges
 
         for k0d in [*np.geomspace(1e-3, 1e3, 25).tolist(), 803.4]:
-            built = cavity._peak_breakpoints(r, k0d)
+            built = _breakpoints(r, k0d)
             assert built.dtype == float
             assert {p + 0.0 for p in built.tolist()
                     if -1.0 < p < 1.0} == brute(r, k0d), k0d
@@ -387,7 +404,7 @@ class TestQuadrature:
             gamma_cavity_quadrature(r, k0d)
         uniform = (geometry.oscillation_panels(k0d) if abs(r) <= 0.9
                    else max(8, geometry.oscillation_panels(2.0 * k0d)))
-        built = len(cavity._peak_breakpoints(r, k0d))
+        built = len(_breakpoints(r, k0d))
         assert priced == [uniform + built]
         assert built <= 7 * math.ceil(k0d / math.pi) + 21
 
@@ -402,19 +419,41 @@ class TestQuadrature:
         assert _first_level_panels(monkeypatch, gamma_cavity_quadrature,
                                    r, k0d) == panels
 
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 0.1])
+    def test_smooth_kernel_costs_what_r_zero_costs(self, monkeypatch, r):
+        # below |r| = 0.15532 no edge family is built, so the cell makes
+        # the evaluations of r = 0
+        engine, counts = geometry.solid_angle_integrate, []
+
+        def spy(integrand, **kwargs):
+            def counted(xi, phi):
+                counts[-1] += xi.size
+                return integrand(xi, phi)
+            return engine(counted, **kwargs)
+
+        monkeypatch.setattr(geometry, "solid_angle_integrate", spy)
+        for rr in (0.0, r):
+            counts.append(0)
+            gamma_cavity_quadrature(rr, 1000.0)
+        assert counts == [24_000, 24_000]
+
     @pytest.mark.parametrize("r,admitted,refused", [
-        (0.5, 305_447.62, 305_447.63), (-0.9, 305_446.17, 305_446.18),
-        (-0.7, 305_446.0, 305_446.01), (0.95, 258_136.06, 258_136.07),
-        (0.98, 258_136.0, 258_136.01), (-0.999, 258_138.38, 258_138.39),
-        (0.0, 1_666_666.0, 1_666_666.01)])
+        (0.0, 1_666_666.0, 1_666_666.01), (-3e-16, 1_666_666.0, 1_666_666.01),
+        (0.1, 1_666_666.0, 1_666_666.01), (-0.2, 572_758.72, 572_758.73),
+        (0.3, 572_759.46, 572_759.47), (0.5, 398_420.67, 398_420.68),
+        (-0.7, 398_422.0, 398_422.01), (0.85, 305_447.62, 305_447.63),
+        (-0.9, 305_446.17, 305_446.18), (0.95, 258_136.06, 258_136.07),
+        (0.98, 258_136.0, 258_136.01), (-0.999, 258_138.38, 258_138.39)])
     def test_default_budget_refuses_above_the_stated_k0d(self, monkeypatch,
                                                           r, admitted,
                                                           refused):
         # the thresholds the route's docstring and the README state: the
         # largest k0d whose first level the gate admits, and one just
-        # above; with the breakpoints priced as built, the edge moves with
-        # r, within 305,446-305,447.63 for 1e-12 <= |r| <= 0.9 and within
-        # 258,136-258,138.39 for |r| > 0.9
+        # above, one step in k0d; with the breakpoints priced as built,
+        # the edge moves with r within each band of the family rule:
+        # 1,666,666 for |r| < 0.15532, 572,758-572,759.46 below 0.48616,
+        # 398,420.11-398,422.27 below 0.82274, 305,446.17-305,447.62 up to
+        # 0.9 and 258,136-258,138.38 above
         class Admitted(Exception):
             pass
 
@@ -431,10 +470,10 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("r", [1e-8, -1e-12, 1e-300, 5e-324])
     def test_tiny_reflectivity_builds_few_breakpoints(self, r):
-        start = time.perf_counter()
-        points = cavity._peak_breakpoints(r, 100.0)
-        assert time.perf_counter() - start < 0.1
-        assert len(points) <= 2 * 7 * (100.0 / math.pi + 4)
+        # none at all: the kernel is flat to |r|, and its peaks build no
+        # edge family below |r| = 0.15532
+        assert cavity._peak_windows(r, 100.0) == []
+        assert _breakpoints(r, 100.0).size == 0
         res = gamma_cavity_quadrature(r, 1.0)
         assert res.ratio == pytest.approx(1.0, abs=1e-7)
 
@@ -462,6 +501,19 @@ class TestQuadrature:
         # the first four by 2.00x, 1.05x, 1.12x and 1.12x, while nodes sat
         # at mid + half t and the weights were numpy's; all now read 0.16x
         # or less
+        res = gamma_cavity_quadrature(r, k0d)
+        exact = oracles.cavity_ratio_mp(r, k0d)
+        assert abs(res.ratio - exact) <= res.err_estimate
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 12: no rounding term is derived for high finesse, "
+        "so err_estimate misses these cells by 1.05x, 1.33x and 1.33x"))
+    @pytest.mark.parametrize("r,k0d", [
+        (0.9724, 82.2376), (0.9074, 198.2578), (0.9439, 76.7465)])
+    def test_high_finesse_rounding_misses_stay_open(self, r, k0d):
+        # the last two are 2 of 60 random cells: default_rng(3434), 60
+        # |r| uniform in [0.9, 0.99], then 60 signs by choice([-1, 1]),
+        # then 60 k0d log-uniform in [1, 200], all rounded to 4 decimals
         res = gamma_cavity_quadrature(r, k0d)
         exact = oracles.cavity_ratio_mp(r, k0d)
         assert abs(res.ratio - exact) <= res.err_estimate

@@ -265,6 +265,16 @@ class TestSolidAngleIntegrate:
         with pytest.raises(errors.InvalidParams, match="panels must be"):
             geometry.first_level_panels(panels)
 
+    def test_evaluation_budget_is_capped_by_the_memory_budget(self):
+        # a level's panel edges grow with max_evals, so it is priced
+        # against the memory budget, and the default stays far below
+        assert errors.MAX_EVALS == 536_870_912
+        assert geometry.DEFAULT_MAX_EVALS < errors.MAX_EVALS
+        assert geometry.first_level_panels(4, errors.MAX_EVALS) == 4
+        with pytest.raises(errors.InvalidParams,
+                           match=r"^max_evals must be <= 536870912 \(a 1 GiB"):
+            geometry.first_level_panels(4, errors.MAX_EVALS + 1)
+
     def test_one_panel_is_a_first_level(self):
         val, _ = geometry.solid_angle_integrate(lambda xi, phi: xi ** 2,
                                                 panels=1)

@@ -5,10 +5,12 @@ an untyped error (OverflowError, ValueError, TypeError). A nan or inf
 entry compared false against every density-matrix check, so a nan
 population gave populations of 0 or 1 and an inf coherence passed. A
 max_evals of nan or inf passed the budget gate, which then admitted
-every level. A bool was read as 1 or 0 by most arguments, and a string
-or None met a bare TypeError or ValueError in a comparison or a
-conversion. None of these calls evaluates an integrand. The sweep
-config refuses the same inputs with ConfigError (CONFIG_CASES).
+every level, and one past the memory budget asked numpy for terabytes
+of panel edges, a bare ValueError or MemoryError. A bool was read as 1
+or 0 by most arguments, and a string or None met a bare TypeError or
+ValueError in a comparison or a conversion. None of these calls
+evaluates an integrand. The sweep config refuses the same inputs with
+ConfigError (CONFIG_CASES).
 """
 
 import math
@@ -102,6 +104,14 @@ CASES = {
                -1.0, 1.0, max_evals=budget)),
            ("cavity_quadrature", lambda budget: cavity.gamma_cavity_quadrature(
                0.5, 1.0, max_evals=budget)))},
+    # a budget whose panel edges numpy refused to allocate outright
+    "solid_angle_integrate-max_evals-past-the-memory-budget": lambda: (
+        geometry.solid_angle_integrate(_never, panels=10**12,
+                                       max_evals=10**30)),
+    "mirror_quadrature-max_evals-past-the-memory-budget": lambda: (
+        mirror.gamma_mirror_quadrature(1.0, 1e20, max_evals=10**30)),
+    "cavity_quadrature-max_evals-past-the-memory-budget": lambda: (
+        cavity.gamma_cavity_quadrature(0.5, 1e12, max_evals=10**30)),
     "mirror_quadrature-re_r-string": lambda: mirror.gamma_mirror_quadrature(
         "a", 1.0),
     "mirror_quadrature-k0d-complex": lambda: mirror.gamma_mirror_quadrature(
