@@ -36,6 +36,7 @@ __all__ = [
     "gamma_cavity_series",
     "gamma_subwavelength_limit",
     "gamma_subwavelength_2nd",
+    "past_second_order",
     "default_n_max",
 ]
 
@@ -313,13 +314,31 @@ def gamma_subwavelength_limit(r_mir):
     return gamma_subwavelength_2nd(r_mir, 0.0)
 
 
+def past_second_order(r_mir, k0d):
+    """True where gamma_subwavelength_2nd takes a cell outside its domain.
+
+    Outside: k0d > SUBWAVELENGTH_SOFT_MAX, or a first correction
+    0.4 |r| k0d^2 / (1 - r)^2 of at least 1, the leading term, where the
+    ratio is <= 0 for r > 0. False on the cells the route refuses, so
+    masking with it keeps their statuses. Broadcasts like the routes:
+
+    >>> past_second_order([0.5, 0.98, 1.0], 0.11).tolist()
+    [False, True, False]
+    """
+    cells = Cells(r_mir=r_mir, k0d=k0d)
+    r, k = cells.values
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        correction = 0.4 * np.abs(r) * k ** 2 / (1.0 - r) ** 2
+    past = (((np.abs(r) < 1.0) | (r == -1.0)) & (k >= 0.0)
+            & ((k > SUBWAVELENGTH_SOFT_MAX) | ~(correction < 1.0)))
+    return past.item() if cells.scalar else past.reshape(cells.shape)
+
+
 def gamma_subwavelength_2nd(r_mir, k0d):
     """Subwavelength decay ratio through second order in k0d.
 
-    ratio = (1+r)/(1-r) * [1 - (2/5) r k0d^2 / (1-r)^2]. The expansion
-    parameter is r k0d^2/(1-r)^2, so highly reflective plasmonic mirrors
-    (r near +1) exhaust its validity well before k0d ~ 0.3; a soft
-    warning marks k0d beyond that edge.
+    ratio = (1+r)/(1-r) * [1 - (2/5) r k0d^2 / (1-r)^2], with a soft
+    warning on the cells past its domain (past_second_order).
 
     err_estimate is |t4| + 2|t6| + 4e-16 |limit|, limit = (1+r)/(1-r):
     the next two omitted orders of the small-k0d series, t4 = 3 c4 k0d^4
@@ -342,11 +361,10 @@ def gamma_subwavelength_2nd(r_mir, k0d):
                 lambda: InvalidParams(f"k0d must be >= 0, got {k0d!r}"))
     live = cells.ok
     r, k = cells.values[0][live], cells.values[1][live]
-    if np.any(k > SUBWAVELENGTH_SOFT_MAX):
-        warnings.warn(
-            f"second-order subwavelength form evaluated at "
-            f"k0d={np.max(k):g} > {SUBWAVELENGTH_SOFT_MAX}; truncation "
-            f"error is uncontrolled", stacklevel=2)
+    if past_second_order(r, k).any():
+        warnings.warn("second-order subwavelength form evaluated past its "
+                      "domain (past_second_order); truncation error is "
+                      "uncontrolled", stacklevel=2)
     # a huge k0d overflows to a non-finite ratio, which fails its cell
     with np.errstate(over="ignore", invalid="ignore"):
         limit = (1.0 + r) / (1.0 - r)

@@ -1,20 +1,20 @@
 """Free-space spontaneous decay rate of a two-level dipole emitter.
 
-Provides the absolute SI rate and an independent angular-quadrature route
-to the same number; the ratio of the two is a standing self-check, and
-the SI value is the normalization baseline for every other rate module.
+Provides the absolute SI rate and an angular-quadrature route to the same
+number, the rate skeleton of every other route with a unit kernel; the
+ratio of the two is a standing self-check, and the SI value is the
+normalization baseline for every other rate module.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import geometry
 from .constants import ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
 from .errors import InvalidParams, real
-from .geometry import DipoleOrientation
 
 __all__ = ["EmitterSpec", "gamma_free_si", "gamma_free_quadrature"]
 
@@ -37,8 +37,8 @@ class EmitterSpec:
     dipole_magnitude : float
         Dipole matrix element magnitude as a length in meters (the
         elementary charge is factored separately in the rate formula).
-    dhat : DipoleOrientation
-        Unit vector of the dipole; defaults to (0, 0, 1).
+        The rate does not depend on the dipole's orientation, so the
+        emitter has none.
 
     Raises
     ------
@@ -50,7 +50,6 @@ class EmitterSpec:
 
     omega0: float
     dipole_magnitude: float
-    dhat: DipoleOrientation = field(default_factory=DipoleOrientation)
 
     def __post_init__(self):
         for name in ("omega0", "dipole_magnitude"):
@@ -95,16 +94,15 @@ def gamma_free_si(emitter: EmitterSpec) -> float:
 def gamma_free_quadrature(emitter: EmitterSpec) -> float:
     """Free-space decay rate via the pre-integration angular form.
 
-    Integrates the transverse dipole weight over the full solid angle and
-    applies the same prefactor as gamma_free_si divided by the angular
-    normalization 8*pi/3; agrees with gamma_free_si to 1e-10 relative
-    for any orientation (free space is isotropic).
+    gamma_free_si times geometry.ratio_quadrature with a unit kernel: the
+    rate skeleton of the mirror and cavity routes in free space, whose
+    ratio is 1. Agrees with gamma_free_si to 1e-10 relative.
 
     Raises
     ------
     NonConvergence
         Propagated from the quadrature engine.
     """
-    integrand = lambda xi, phi: geometry.phi_mean_weight(emitter.dhat, xi)
-    integral, _err = geometry.solid_angle_integrate(integrand, tol=_QUAD_TOL)
-    return gamma_free_si(emitter) * (3.0 / (8.0 * math.pi)) * integral
+    ratio, _err = geometry.ratio_quadrature(
+        lambda xi: 1.0, 4, _QUAD_TOL, geometry.DEFAULT_MAX_EVALS)
+    return gamma_free_si(emitter) * ratio

@@ -17,15 +17,9 @@ and the two transverse polarization unit vectors completing the frame are
 The triple (s, e_H, e_V) is orthonormal for every direction; e_H lies in
 the mirror plane, e_V completes the right-handed-up-to-sign frame. A
 dipole orientation d picks out the transverse weights |d . e_H|^2 and
-|d . e_V|^2; their sum, transverse_weight_sum, is the weight whose
-solid-angle integral drives every decay rate in this package. Its
-azimuthal mean has the closed form phi_mean_weight,
-
-    (1 / 2 pi) int dphi (w_H + w_V)
-        = [(1 + xi^2)(1 - d_x^2) + 2 d_x^2 (1 - xi^2)] / 2,
-
-so every rate integrand, whose other factors depend on xi = cos theta
-alone, needs no phi quadrature at all.
+|d . e_V|^2. Their sum is transverse_weight_sum, whose azimuthal mean
+phi_mean_weight is closed, so a rate integrand, whose other factors
+depend on xi = cos theta alone, needs no phi quadrature.
 
 The quadrature engine integrates smooth (possibly oscillatory) real
 functions of xi = cos theta over the full solid angle: composite 16-point
@@ -42,8 +36,9 @@ sharply peaked kernels can pass breakpoints so panel edges land on the
 peaks. Callers ask for work in panels (oscillation_panels gives a hint);
 only this module knows that a panel has 16 nodes, and it prices every
 level at them before the level runs.
-ratio_quadrature runs the engine on the one rate integrand, the phi-mean
-weight times a kernel in xi, and rounds the decay ratio by one rule.
+ratio_quadrature runs the engine on the one rate integrand, the in-plane
+dipole's phi-mean weight (1 + xi^2) / 2 times a kernel in xi, and rounds
+the decay ratio by one rule.
 """
 
 from __future__ import annotations
@@ -114,24 +109,11 @@ class DipoleOrientation:
 
 
 def transverse_weight_sum(dhat: DipoleOrientation, theta, phi):
-    """Vectorized ``w_h + w_v`` over broadcastable angle arrays.
+    """w_h + w_v of the dipole dhat over broadcast angle arrays.
 
-    This is the angular weight under every rate integral. For the default
-    dipole (0, 0, 1) it reduces to ``cos(phi)**2 + sin(phi)**2 *
-    cos(theta)**2``.
+    For the default dipole (0, 0, 1) it is cos(phi)^2 + sin(phi)^2
+    cos(theta)^2, whose phi mean (1 + xi^2) / 2 every rate integrates:
 
-    Parameters
-    ----------
-    dhat : DipoleOrientation
-    theta, phi : array_like
-        Angle arrays; broadcast against each other.
-
-    Returns
-    -------
-    numpy.ndarray
-
-    Examples
-    --------
     >>> float(transverse_weight_sum(DipoleOrientation(), math.pi / 2, 0.0))
     1.0
     """
@@ -143,21 +125,14 @@ def transverse_weight_sum(dhat: DipoleOrientation, theta, phi):
     return proj_h ** 2 + proj_v ** 2
 
 
-# The in-plane dipole of every rate route; its weight integrates to 8 pi / 3.
-_IN_PLANE = DipoleOrientation()
+# 1 over the solid-angle integral 8 pi / 3 of the in-plane dipole's weight
 _RATE_SCALE = 3.0 / (8.0 * math.pi)
 
 
 def phi_mean_weight(dhat: DipoleOrientation, xi):
-    """Azimuthal mean of ``transverse_weight_sum`` at ``xi = cos(theta)``.
+    """Azimuthal mean of transverse_weight_sum at xi = cos(theta),
+    [(1 + xi^2)(1 - d_x^2) + 2 d_x^2 (1 - xi^2)] / 2 for every dipole:
 
-    (1 / 2 pi) int_0^{2 pi} dphi (w_h + w_v)
-    = [(1 + xi^2)(1 - d_x^2) + 2 d_x^2 (1 - xi^2)] / 2, exact for every
-    dipole, so rate integrands whose other factors depend on xi alone
-    reduce to one dimension.
-
-    Examples
-    --------
     >>> float(phi_mean_weight(DipoleOrientation(), 0.0))
     0.5
     >>> float(phi_mean_weight(DipoleOrientation(), 1.0))
@@ -219,6 +194,14 @@ def _panel_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xi = (lo[:, None] + half[:, None] * _GL_OFFSETS[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return xi, w
+
+
+def _finer(edges: np.ndarray) -> np.ndarray:
+    """Sorted edges with their midpoints interleaved: 0.5 (a + b) rounds
+    into [a, b], so this is the sort of both, bit for bit, without one."""
+    finer = np.empty(2 * edges.size - 1)
+    finer[0::2], finer[1::2] = edges, 0.5 * (edges[1:] + edges[:-1])
+    return finer
 
 
 def first_level_panels(panels: int,
@@ -358,7 +341,7 @@ def solid_angle_integrate(integrand, panels: int = 4,
                 f"two-level agreement at tol={tol:g} (err~{err:.3g}); the "
                 f"next level would exceed the budget of {max_evals}",
                 value=value, err_estimate=err, n_evals=evals)
-        edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
+        edges = _finer(edges)
     raise NonConvergence(
         f"solid-angle quadrature: no convergence after {_MAX_LEVELS} levels "
         f"({evals} evaluations, err~{err:.3g})",
@@ -369,8 +352,9 @@ def ratio_quadrature(kernel, panels: int, tol: float, max_evals: int,
                      offset: float = 0.0, xi_breakpoints=None):
     """offset + (3 / 8 pi) int dOmega w(xi) kernel(xi), and its error.
 
-    w is the in-plane dipole's phi-mean weight and kernel a real function
-    of xi, so a kernel of 1 adds 1:
+    w = (1 + xi^2) / 2 is the phi-mean weight of the in-plane dipole
+    (0, 0, 1) (phi_mean_weight at d_x = 0, bit for bit) and kernel a real
+    function of xi, so a kernel of 1 adds 1:
 
     >>> ratio, err = ratio_quadrature(lambda xi: 1.0, 4, DEFAULT_TOL,
     ...                               DEFAULT_MAX_EVALS, offset=0.5)
@@ -388,7 +372,7 @@ def ratio_quadrature(kernel, panels: int, tol: float, max_evals: int,
     does. ERR_FLOOR = 3.6 u allows for both.
     """
     integral, err = solid_angle_integrate(
-        lambda xi, phi: phi_mean_weight(_IN_PLANE, xi) * kernel(xi),
+        lambda xi, phi: 0.5 * (1.0 + xi * xi) * kernel(xi),
         panels=panels, tol=tol, xi_breakpoints=xi_breakpoints,
         max_evals=max_evals)
     ratio = offset + _RATE_SCALE * integral

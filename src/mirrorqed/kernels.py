@@ -6,7 +6,8 @@ import numpy as np
 
 from .errors import DegenerateMirror, real_array
 
-__all__ = ["f_kernel", "f_envelope", "interference_kernel", "F_TAYLOR_CROSSOVER"]
+__all__ = ["f_kernel", "f_envelope", "f_rounding", "interference_kernel",
+           "F_TAYLOR_CROSSOVER"]
 
 # Even Taylor coefficients of sin x/x + cos x/x^2 - sin x/x^3 about 0,
 # powers x^0, x^2, x^4, x^6, x^8. Next term is -x^10/43243200.
@@ -75,6 +76,26 @@ def f_envelope(y):
     # a power that overflows to inf makes its term 0, as it should
     with np.errstate(over="ignore"):
         return 1.0 / ay + 1.0 / ay ** 2 + 1.0 / ay ** 3
+
+
+def f_rounding(x):
+    """Bound on the rounding error |f_kernel(x) - f(x)|, elementwise.
+
+    Taylor branch: 4e-16 > 1.04 u (u = 2^-53). The rounded 2/3 and the
+    last Horner sum give u, the steps on terms below 1.4e-3 under 0.01 u
+    and the omitted x^10 / 43243200 under 0.03 u. Direct branch:
+    6 u f_envelope(x). sin and cos within an ulp (2 u relative), the 1,
+    2 and 3 roundings inside s/x, c/x^2 and s/x^3, and the two sums,
+    rounding u (|s/x| + |c/x^2|) and u times all three, give at most
+    5 u |s/x| + 6 u |c/x^2| + 6 u |s/x^3| <= 6 u f_envelope(x) to first
+    order in u; against 40-digit mpmath the error stays below 3 u
+    f_envelope(x). At |x| = inf both f and the bound are 0.
+    """
+    arr = real_array(x, "x", per_cell=True)
+    taylor = np.abs(arr) < F_TAYLOR_CROSSOVER
+    direct = 6.0 * 2.0 ** -53 * f_envelope(np.where(taylor, 1.0, arr))
+    out = np.where(taylor, 4e-16, direct)
+    return float(out) if out.ndim == 0 else out
 
 
 def interference_kernel(r_mir, x):

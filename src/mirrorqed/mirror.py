@@ -25,19 +25,6 @@ from .results import Cells
 __all__ = ["gamma_mirror_closed", "gamma_mirror_quadrature"]
 
 
-def _closed_form_err(re_r, x):
-    """Roundoff bound on 1 + 1.5 * re_r * f(x), elementwise.
-
-    The direct branch of f sums terms of size up to 1/x^2 and 1/x^3 that
-    nearly cancel, so its absolute error scales with the envelope of the
-    term magnitudes, not with |f|.
-    """
-    f_err = np.full(x.shape, 4e-16)
-    direct = np.abs(x) >= kernels.F_TAYLOR_CROSSOVER
-    f_err[direct] = kernels.f_envelope(x[direct]) * 2.5e-16
-    return 1.5 * np.abs(re_r) * f_err + geometry.ERR_FLOOR
-
-
 def _check_mirror_args(cells: Cells, re_r, k0d) -> None:
     """Flag the cells outside the mirror domain (originals for messages)."""
     r, k = cells.values
@@ -55,7 +42,8 @@ def gamma_mirror_closed(re_r, k0d):
     At k0d = 0 the kernel limit f(0) = 2/3 gives exactly 1 + re_r: a
     perfectly reflecting phase-flipping mirror (re_r = -1) suppresses the
     decay to zero at contact, a phase-preserving one (re_r = +1) doubles
-    it. For k0d -> infinity the ratio returns to 1.
+    it. For k0d -> infinity the ratio returns to 1. err_estimate is
+    1.5 |re_r| kernels.f_rounding(2 k0d) plus ERR_FLOOR for the sum.
 
     Scalars give a RateResult of floats and raise InvalidParams outside
     the domain. Arrays (broadcast together) give one of arrays, computed
@@ -69,7 +57,8 @@ def gamma_mirror_closed(re_r, k0d):
     with np.errstate(over="ignore"):
         x = 2.0 * cells.values[1][live]
     ratio = 1.0 + 1.5 * r * kernels.f_kernel(x)
-    return cells.result("closed_form", ratio, _closed_form_err(r, x))
+    err = 1.5 * np.abs(r) * kernels.f_rounding(x) + geometry.ERR_FLOOR
+    return cells.result("closed_form", ratio, err)
 
 
 def gamma_mirror_quadrature(re_r, k0d, tol: float = geometry.DEFAULT_TOL,

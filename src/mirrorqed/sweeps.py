@@ -499,8 +499,7 @@ def _cavity_columns(cfg: SweepConfig, axis: str, xs: np.ndarray):
         (cavity_mod.gamma_cavity_series, "series" in wanted,
          {"tail_tol": cfg.tail_tol}),
         (cavity_mod.gamma_subwavelength_2nd,
-         ("limit" in wanted) & (k0d <= cavity_mod.SUBWAVELENGTH_SOFT_MAX),
-         {}))
+         ("limit" in wanted) & ~cavity_mod.past_second_order(r, k0d), {}))
     columns = [k0d, r]
     err = np.full(xs.size, -math.inf)
     applies = np.zeros(xs.size, dtype=bool)

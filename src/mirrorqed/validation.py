@@ -156,16 +156,6 @@ def _freespace_checks():
     yield _below("freespace-quadrature-ratio", abs(qd / si - 1.0), 1e-9,
                  "angular integral vs closed form")
 
-    rates = []
-    for vec in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -0.4, 0.5)):
-        em2 = freespace.EmitterSpec(
-            omega0=em.omega0, dipole_magnitude=em.dipole_magnitude,
-            dhat=geometry.DipoleOrientation(vec=np.array(vec)))
-        rates.append(freespace.gamma_free_quadrature(em2))
-    spread = (max(rates) - min(rates)) / si
-    yield _below("freespace-isotropy", spread, 1e-9,
-                 "rate independent of dipole orientation")
-
 
 def _f_kernel_checks():
     yield _below("fkernel-zero", abs(kernels.f_kernel(0.0) - 2.0 / 3.0), 0.0,

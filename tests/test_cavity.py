@@ -775,6 +775,43 @@ class TestSubwavelength:
             warnings.simplefilter("error")
             gamma_subwavelength_2nd(0.5, 0.2)
 
+    def test_warns_past_the_correction_edge(self):
+        # k0d = 0.11 is inside the soft edge, but the first correction
+        # 0.4 r k0d^2 / (1 - r)^2 = 11.9 is past the leading term
+        with pytest.warns(UserWarning, match="past_second_order"):
+            res = gamma_subwavelength_2nd(0.98, 0.11)
+        assert res.ratio < 0.0
+
+    def test_past_second_order_marks_both_edges(self):
+        r = np.array([0.5, 0.98, 0.5, -1.0, 0.0, -0.9])
+        k0d = np.array([0.11, 0.11, 0.31, 0.3, 0.3, 0.3])
+        assert cavity.past_second_order(r, k0d).tolist() == [
+            False, True, True, False, False, False]
+        assert cavity.past_second_order(0.98, 0.11) is True
+        # at k0d = 0.3 the correction 0.036 r / (1 - r)^2 reaches 1 at
+        # r = 0.8274
+        assert not cavity.past_second_order(0.82, 0.3)
+        assert cavity.past_second_order(0.83, 0.3)
+
+    @pytest.mark.parametrize("r,k0d", [(1.0, 0.1), (1.5, 0.1), (-1.5, 0.3),
+                                       (1.01, 0.3), (0.5, -5.0),
+                                       (math.nan, 0.1), (0.5, math.nan)])
+    def test_cells_the_route_refuses_are_not_past(self, r, k0d):
+        # a caller masking with the predicate still hands them to the
+        # route, which names their error
+        assert cavity.past_second_order(r, k0d) is False
+        assert gamma_subwavelength_2nd(
+            np.array([r]), k0d).status.tolist() != ["ok"]
+
+    def test_ratio_is_positive_inside_the_domain(self):
+        r = np.linspace(0.0, 0.999, 400)[:, None]
+        k0d = np.linspace(0.0, 0.3, 61)
+        inside = ~cavity.past_second_order(r, k0d)
+        ratio = gamma_subwavelength_2nd(np.broadcast_to(r, inside.shape)[
+            inside], np.broadcast_to(k0d, inside.shape)[inside]).ratio
+        assert inside.any() and (~inside).any()
+        assert (ratio > 0.0).all()
+
 
 class TestPhysicalStructure:
     def test_bright_dark_dichotomy_near_contact(self):

@@ -273,10 +273,10 @@ def test_overflowing_lindblad_rates_fail_typed(tmp_path, argv, capsys):
 FROZEN_ROWS = {
     ("mirror", "--method", "closed", "--r=-1.5:0.5:5", "--k0d", "1"): [
         "0.15915494309189535,1.0,-1.5,nan,nan,,nan,closed,InvalidParams",
-        "0.15915494309189535,1.0,-1.0,0.6445752611157325,,,7.28125e-16,closed,ok",
-        "0.15915494309189535,1.0,-0.5,0.8222876305578662,,,5.640625e-16,closed,ok",
+        "0.15915494309189535,1.0,-1.0,0.6445752611157325,,,1.2743006318923108e-15,closed,ok",
+        "0.15915494309189535,1.0,-0.5,0.8222876305578662,,,8.371503159461554e-16,closed,ok",
         "0.15915494309189535,1.0,0.0,1.0,,,4e-16,closed,ok",
-        "0.15915494309189535,1.0,0.5,1.1777123694421339,,,5.640625e-16,closed,ok",
+        "0.15915494309189535,1.0,0.5,1.1777123694421339,,,8.371503159461554e-16,closed,ok",
     ],
     ("subwavelength", "--method", "limit", "--r", "0.5:1.0:6", "--k0d", "0.01"): [
         "0.01,0.5,,,2.99976,3.2152769453968254e-08,ok,limit",

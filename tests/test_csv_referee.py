@@ -53,6 +53,7 @@ def test_two_runs_of_one_tree_are_identical(dirs, capsys):
     assert referee.main([str(d) for d in dirs]) == 0
     total = capsys.readouterr().out.splitlines()[-1]
     assert "0 moved within error, 0 moved beyond error" in total
+    assert "0 emptied or filled;" in total
     assert "err_estimate cells changed: 0 (0 grew, 0 shrank);" in total
     assert "status changes: 0" in total
     assert "identical rows in files without err_estimate: 4" in total
@@ -70,6 +71,25 @@ def test_move_past_its_error_is_reported_with_file_column_and_row(dirs,
     out = capsys.readouterr().out
     assert "VIOLATION cavity.csv: row 2: ratio_quadrature" in out
     assert "1 moved beyond error" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("side,kind", [("new", "emptied"),
+                                       ("old", "filled")])
+def test_emptied_value_cell_is_named_apart_from_moves(dirs, capsys, side,
+                                                      kind):
+    # row 1 (k0d = 0.05) holds the second-order value; a route that stops
+    # filling it, or starts, is its own kind of violation
+    old, new = dirs
+    _edit({"old": old, "new": new}[side] / "cavity.csv", 1,
+          "ratio_limit_2nd", lambda cell, row: "")
+    assert referee.main([str(old), str(new)]) == 1
+    out = capsys.readouterr().out
+    assert "VIOLATION cavity.csv: row 1: ratio_limit_2nd" in out
+    assert f"a value cell {kind}" in out
+    total = out.splitlines()[-1]
+    assert "0 moved beyond error" in total
+    assert "1 emptied or filled" in total
+    assert total.endswith("violations: 1")
 
 
 def test_move_within_its_error_is_counted_not_refused(dirs, capsys):

@@ -3,7 +3,6 @@
 import math
 import sys
 
-import numpy as np
 import pytest
 
 from mirrorqed import (
@@ -11,7 +10,6 @@ from mirrorqed import (
     errors,
     gamma_free_quadrature,
     gamma_free_si,
-    geometry,
 )
 
 # CODATA 2018 values, duplicated here on purpose as the reference.
@@ -85,11 +83,3 @@ class TestRate:
     def test_quadrature_matches_closed_form(self):
         em = EmitterSpec(omega0=1e15, dipole_magnitude=1e-29)
         assert gamma_free_quadrature(em) == pytest.approx(gamma_free_si(em), rel=1e-10)
-
-    def test_rate_is_isotropic_in_dipole_direction(self):
-        rng = np.random.default_rng(11)
-        base = gamma_free_si(EmitterSpec(omega0=1e15, dipole_magnitude=1e-29))
-        for _ in range(5):
-            dhat = geometry.DipoleOrientation(vec=rng.normal(size=3))
-            em = EmitterSpec(omega0=1e15, dipole_magnitude=1e-29, dhat=dhat)
-            assert gamma_free_quadrature(em) == pytest.approx(base, rel=1e-10)

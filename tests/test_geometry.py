@@ -117,6 +117,24 @@ class TestSolidAngleIntegrate:
                     assert abs(mpmath.mpf(value) - want) <= (
                         0.5 * math.ulp(value)), value
 
+    def test_refined_edges_are_the_sort_of_edges_and_midpoints(self):
+        # each level interleaves the midpoints instead of sorting: equal
+        # bit for bit, as a midpoint of two floats rounds into their
+        # closed interval (tiny and adjacent-float gaps included)
+        rng = np.random.default_rng(300)
+        for trial in range(300):
+            n = int(rng.integers(2, 40))
+            edges = np.sort(rng.uniform(-1.0, 1.0, n)
+                            * 10.0 ** rng.uniform(-300, 0, n))
+            if trial % 3 == 0:
+                edges = np.sort(np.append(edges, np.nextafter(edges[0], 1)))
+            for _ in range(int(rng.integers(1, 9))):
+                mids = 0.5 * (edges[1:] + edges[:-1])
+                finer = geometry._finer(edges)
+                assert np.array_equal(
+                    finer, np.sort(np.concatenate([edges, mids])))
+                edges = finer
+
     def test_constant_integrand_gives_4pi(self):
         fn = lambda xi, phi: np.ones_like(xi)
         val, err = geometry.solid_angle_integrate(fn)

@@ -98,6 +98,34 @@ class TestFEnvelope:
         assert kernels.f_envelope(-y) == kernels.f_envelope(y)
 
 
+class TestFRounding:
+    def test_bounds_the_error_of_f_against_mpmath(self):
+        # a log grid of +-x in [1e-6, 1e12] with points straddling the
+        # Taylor crossover; the bound of 2.5e-16 f_envelope(x) that the
+        # direct branch had missed 4 of these points, by up to 1.12x at
+        # x = -3937.78
+        mpmath = pytest.importorskip("mpmath")
+        x0 = kernels.F_TAYLOR_CROSSOVER
+        grid = np.concatenate([np.geomspace(1e-6, 1e12, 1770),
+                               [x0 * (1.0 - 1e-12), x0, x0 * (1.0 + 1e-12)]])
+        xs = np.concatenate([-grid, grid])
+        bound = kernels.f_rounding(xs)
+        with mpmath.workdps(40):
+            for x, value, most in zip(xs.tolist(), kernels.f_kernel(xs).tolist(),
+                                      bound.tolist()):
+                xm = mpmath.mpf(x)
+                exact = (mpmath.sin(xm) / xm + mpmath.cos(xm) / xm ** 2
+                         - mpmath.sin(xm) / xm ** 3)
+                assert abs(mpmath.mpf(value) - exact) <= most, x
+
+    def test_branches(self):
+        x = np.array([0.0, -0.05, 0.1, -2.5, 1e3, math.inf])
+        assert kernels.f_rounding(x).tolist() == [
+            4e-16, 4e-16, *(6.0 * 2.0 ** -53 * kernels.f_envelope(x[2:]))]
+        assert type(kernels.f_rounding(0.0)) is float
+        assert kernels.f_rounding(-math.inf) == 0.0
+
+
 class TestInterferenceKernel:
     @pytest.mark.parametrize("r,x,expected,rtol", K_ORACLE)
     def test_bounce_sum_oracle(self, r, x, expected, rtol):

@@ -11,6 +11,7 @@ from mirrorqed import (
     gamma_mirror_closed,
     gamma_mirror_quadrature,
     geometry,
+    kernels,
 )
 
 from . import oracles
@@ -35,6 +36,15 @@ class TestClosedForm:
         res = gamma_mirror_closed(re_r, k0d)
         assert res.ratio == pytest.approx(expected, abs=1e-12)
         assert res.method == "closed_form"
+
+    def test_err_estimate_is_the_rounding_of_f_scaled(self):
+        # the kernel's own bound on f, both branches, plus the sum's floor
+        re_r = np.array([-1.0, 0.5, 0.25, -0.75])
+        k0d = np.array([0.01, 0.04, 3.0, 1e4])
+        res = gamma_mirror_closed(re_r, k0d)
+        expected = (1.5 * np.abs(re_r) * kernels.f_rounding(2.0 * k0d)
+                    + geometry.ERR_FLOOR)
+        assert res.err_estimate.tolist() == expected.tolist()
 
     def test_contact_limit_is_one_plus_re_r(self):
         for re_r in np.linspace(-1.0, 1.0, 9):

@@ -32,6 +32,17 @@ def read_csv(path):
     return "\n".join(preamble), body[0], [line.split(",") for line in body[1:]]
 
 
+def assert_no_ok_row_is_negative(header, rows):
+    names = header.split(",")
+    ratio_columns = [n for n in names if n.startswith("ratio_")]
+    assert rows
+    for row in rows:
+        cells = dict(zip(names, row))
+        if cells["status"] == "ok":
+            assert all(float(cells[c]) >= 0.0 for c in ratio_columns
+                       if cells[c]), cells
+
+
 class TestRange:
     def test_parse_three_and_four_parts(self):
         assert sweeps.Range.parse("0:2:5") == sweeps.Range(0.0, 2.0, 5)
@@ -244,10 +255,13 @@ class TestSweepConfig:
     (freespace.gamma_free_quadrature,
      (freespace.EmitterSpec(omega0=1e15, dipole_magnitude=1e-29),),
      {"tol": 1e-10}),
-], ids=["mirror-dhat", "cavity-dhat", "freespace-tol"])
+    (freespace.EmitterSpec, (1e15, 1e-29),
+     {"dhat": geometry.DipoleOrientation()}),
+], ids=["mirror-dhat", "cavity-dhat", "freespace-tol", "emitter-dhat"])
 def test_removed_route_keywords(route, args, keyword):
-    # the rate routes compute the in-plane dipole, and the free-space
-    # quadrature runs at one tolerance
+    # the rate routes compute the in-plane dipole, the free-space
+    # quadrature runs at one tolerance, and free space is isotropic, so
+    # an emitter has no orientation
     with pytest.raises(TypeError):
         route(*args, **keyword)
 
@@ -338,25 +352,38 @@ class TestRateSweeps:
         err = capsys.readouterr().err
         assert "failed" in err
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="at r = 0.98, k0d = 0.11 the second-order expansion reads "
-        "-1074.94 with status=ok: its parameter k0d/|ln r| = 5.4 is far "
-        "outside its domain, and no route flags that yet (ROADMAP item 4)")
     def test_no_ok_row_holds_a_negative_ratio(self, tmp_path):
+        # at r = 0.98, k0d = 0.11 the second order reads -1074.94: its
+        # first correction, 0.4 r k0d^2 / (1 - r)^2 = 11.9, is past the
+        # leading term, so the column is left empty
         out = str(tmp_path / "negative.csv")
         cfg = sweeps.SweepConfig(target="cavity", method="all", r=0.98,
                                  k0d=0.11, out=out)
-        sweeps.run_sweep(cfg)
+        assert sweeps.run_sweep(cfg) == 0
         _, header, rows = read_csv(out)
-        names = header.split(",")
-        ratio_columns = [n for n in names if n.startswith("ratio_")]
-        assert rows
-        for row in rows:
-            cells = dict(zip(names, row))
-            if cells["status"] == "ok":
-                assert all(float(cells[c]) >= 0.0 for c in ratio_columns
-                           if cells[c]), cells
+        assert_no_ok_row_is_negative(header, rows)
+        row = dict(zip(header.split(","), rows[0]))
+        assert row["ratio_limit_2nd"] == ""
+        # the row's error is the larger of the two routes that ran
+        quad = cavity.gamma_cavity_quadrature(0.98, 0.11)
+        series = cavity.gamma_cavity_series(0.98, 0.11)
+        assert float(row["err_estimate"]) == max(quad.err_estimate,
+                                                 series.err_estimate)
+
+    def test_second_order_mask_leaves_refused_cells_to_the_route(
+            self, tmp_path):
+        out = str(tmp_path / "degenerate.csv")
+        cfg = sweeps.SweepConfig(target="subwavelength", method="limit",
+                                 r=sweeps.Range(0.5, 1.5, 3), k0d=0.1,
+                                 out=out)
+        assert sweeps.run_sweep(cfg) == 3
+        _, header, rows = read_csv(out)
+        cells = [dict(zip(header.split(","), row)) for row in rows]
+        assert [c["r_mir"] for c in cells] == ["0.5", "1.0", "1.5"]
+        assert [c["status"] for c in cells] == ["ok", "DegenerateMirror",
+                                                "DegenerateMirror"]
+        assert float(cells[0]["ratio_limit_2nd"]) == (
+            cavity.gamma_subwavelength_2nd(0.5, 0.1).ratio)
 
     @pytest.mark.parametrize("tail_tol", [1e-2, 1e-5, 1e-8, 1e-13])
     @pytest.mark.parametrize("target", ["cavity", "subwavelength", "optical"])
@@ -546,6 +573,8 @@ class TestFigures:
             assert len(curves) >= 3
             for name in curves:
                 assert name.startswith(fig)
+                _, header, rows = read_csv(os.path.join(outdir, name))
+                assert_no_ok_row_is_negative(header, rows)
 
     def test_mirror_plasmonic_contact_intercepts(self, tmp_path):
         outdir = str(tmp_path / "fig")

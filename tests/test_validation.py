@@ -32,7 +32,7 @@ class TestCleanRun:
 
     def test_summary_lines(self, report):
         text = report.summary()
-        assert text.splitlines()[0] == "validation (43 checks)"
+        assert text.splitlines()[0] == "validation (42 checks)"
         assert text.count("PASS") >= len(report.checks)
         assert "FAIL" not in text
         for check in report.checks:
@@ -50,10 +50,10 @@ class TestBatteryShape:
 
     WEIGHT_CHECKS = {"geometry-weight-completeness", "geometry-phi-average"}
 
-    def test_full_battery_has_43_checks(self, report):
+    def test_full_battery_has_42_checks(self, report):
         names = {c.name for c in report.checks}
         assert report.passed
-        assert len(report.checks) == 43
+        assert len(report.checks) == 42
         assert self.WEIGHT_CHECKS <= names
 
 

@@ -12,14 +12,15 @@ requires equal headers, equal row counts and identical cells outside
 the value columns (the axis columns and ``method``). In a file with an
 ``err_estimate`` column the value columns are ``ratio_*`` and
 ``abs_diff``; each of their cells is counted as identical, moved within
-max(err_old, err_new) of its row's ``err_estimate``, or moved beyond
-it. ``err_estimate`` cells may change and are counted, with how many
+max(err_old, err_new) of its row's ``err_estimate``, moved beyond it,
+or emptied or filled (a value on one side, an empty cell on the
+other). ``err_estimate`` cells may change and are counted, with how many
 grew and shrank and the extreme new/old ratios. A file without
 ``err_estimate`` (``lindblad``) must be identical line for line. Every
 ``status`` change is reported. A file on one side only, a preamble key
-that differs, a cell moved beyond its error, a status change or any
-other difference is a violation; the exit status is 1 if there is one,
-else 0.
+that differs, a cell moved beyond its error, emptied or filled, a status
+change or any other difference is a violation; the exit status is 1 if
+there is one, else 0.
 
 Write mode runs every CSV-writing invocation of the benchmark workloads
 (``SRC/perfbench/workloads.py``) at the given seeds, in process, through
@@ -67,7 +68,7 @@ class Tally:
     """Cell counts and violations over one or more file pairs."""
 
     def __init__(self):
-        self.identical = self.within = self.beyond = 0
+        self.identical = self.within = self.beyond = self.emptied = 0
         self.err_changed = self.status_changed = self.exact_rows = 0
         self.err_grew = self.err_shrank = 0
         self.err_ratios = (math.inf, 0.0)  # least and largest new/old
@@ -76,9 +77,9 @@ class Tally:
         self.violations = []
 
     def add(self, other):
-        for name in ("identical", "within", "beyond", "err_changed",
-                     "err_grew", "err_shrank", "status_changed",
-                     "exact_rows", "preamble_changed"):
+        for name in ("identical", "within", "beyond", "emptied",
+                     "err_changed", "err_grew", "err_shrank",
+                     "status_changed", "exact_rows", "preamble_changed"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.worst = max(self.worst, other.worst)
         (lo, hi), (other_lo, other_hi) = self.err_ratios, other.err_ratios
@@ -106,7 +107,8 @@ class Tally:
     def summary(self):
         return (f"value cells: {self.identical} identical, {self.within} "
                 f"moved within error, {self.beyond} moved beyond error "
-                f"(worst move {self.worst:.3g} of its error); "
+                f"(worst move {self.worst:.3g} of its error), "
+                f"{self.emptied} emptied or filled; "
                 f"{self._err_summary()}; status changes: "
                 f"{self.status_changed}; identical rows in files without "
                 f"err_estimate: {self.exact_rows}; preamble keys changed: "
@@ -162,6 +164,11 @@ def compare_files(name, old_path, new_path):
                     bad(f"{name}: row {row}: {column} {a} -> {b}")
             elif a == b:
                 tally.identical += 1
+            elif "" in (a, b):
+                tally.emptied += 1
+                bad(f"{name}: row {row}: {column} {a or '(empty)'} -> "
+                    f"{b or '(empty)'}: a value cell "
+                    f"{'emptied' if a else 'filled'}")
             else:
                 moved = abs(_float(b) - _float(a))
                 tally.worst = max(tally.worst,
