@@ -25,6 +25,7 @@ import warnings
 import numpy as np
 
 from . import geometry, kernels
+from .constants import DEFAULT_TAIL_TOL
 from .errors import (MAX_EVALS, DegenerateMirror, InvalidParams, TailTooLarge,
                      integer, real)
 from .kernels import interference_kernel
@@ -42,9 +43,6 @@ __all__ = [
 
 #: Soft validity edge of the second-order subwavelength expansion.
 SUBWAVELENGTH_SOFT_MAX = 0.3
-
-#: The series' default bound on its tail plus rounding.
-DEFAULT_TAIL_TOL = 1e-8
 
 _N_MAX_CAP = 100_000
 

@@ -8,6 +8,9 @@ sweeps.SweepConfig fills in its target's defaults for the rest; a flag
 parses as its config key does (sweeps._PARSERS). --dump-config echoes
 the fully resolved configuration without running. validate passes
 --seed on only when it is given, so run_validation keeps the default.
+Parsing imports no numpy (neither this module nor sweeps does), so
+--help, --version and a usage error load none: numpy and the routes
+load when a sweep, a figure or validate runs.
 """
 
 from __future__ import annotations

@@ -231,7 +231,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     exceptional point g = (kappa - gamma) / 4) is handled like any other.
     """
     norm = float(np.linalg.norm(a, 1))
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
+    # at most _THETA13 (an underflowing norm / _THETA13 included) needs
+    # no scaling
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a * 2.0 ** -s
     b = _PADE13
     eye = np.eye(a.shape[0], dtype=a.dtype)
@@ -599,10 +601,18 @@ def unravel_jumps(gamma_cav: float, rho_atom0, n_traj: int, seed: int,
 
 
 def cooperativity(params: ModelParams) -> float:
-    """Dimensionless g^2 / (kappa gamma); both rates must be positive."""
-    if params.kappa <= 0.0 or params.gamma <= 0.0:
+    """Dimensionless g^2 / (kappa gamma); both rates must be positive,
+    and the cooperativity a finite float."""
+    g, kappa, gamma = params.g, params.kappa, params.gamma
+    if kappa <= 0.0 or gamma <= 0.0:
         raise InvalidParams("cooperativity needs kappa > 0 and gamma > 0")
-    return params.g * params.g / (params.kappa * params.gamma)
+    den = kappa * gamma  # 0 only where both rates are tiny
+    c = g * g / den if den > 0.0 else (g / kappa) * (g / gamma)
+    if not math.isfinite(c):
+        raise InvalidParams(
+            f"cooperativity g^2 / (kappa gamma) overflows at g={g!r}, "
+            f"kappa={kappa!r}, gamma={gamma!r}")
+    return c
 
 
 def coupling_regime(params: ModelParams) -> str:

@@ -9,7 +9,8 @@ The input gate decides in one place what counts as a real number
 refuses bool, str, None and complex values with an InvalidParams that
 names the argument, and nan wherever it checks the value; every size a
 caller sets is priced against one budget, MEMORY_BUDGET_BYTES, before
-it is allocated.
+it is allocated. numpy is imported only where real_array builds an
+array, so the command-line front end loads no numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-
-import numpy as np
 
 #: The one memory budget of a call or a sweep.
 MEMORY_BUDGET_BYTES = 1 << 30
@@ -130,6 +129,8 @@ def real_array(value, name: str, lo: float = -math.inf, *,
     entries are finite and >= lo; dtype=complex admits complex entries.
     per_cell=True checks the type alone, for callers that map each entry
     to its own output or cell status (a nan in gives a nan out)."""
+    import numpy as np
+
     try:
         array = np.asarray(value)
         if array.dtype.kind == "O":  # ints past int64, Fractions; not None

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import DEFAULT_TOL, ERR_FLOOR
 from .errors import (MAX_EVALS, InvalidParams, NonConvergence, integer, real,
                      real_array)
 
@@ -67,8 +68,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-#: Default relative tolerance of every quadrature route.
-DEFAULT_TOL = 1e-9
 #: Default integrand-evaluation budget of every quadrature route, per cell.
 DEFAULT_MAX_EVALS = 40_000_000
 
@@ -175,11 +174,8 @@ _GL_WEIGHTS = np.array([
     0.027152459411754096])
 
 _MAX_LEVELS = 16
-# Panels evaluated and summed at once (16,384 nodes), as sweeps._BLOCK_ROWS.
+# Panels evaluated and summed at once (16,384 nodes), as runner._BLOCK_ROWS.
 _BLOCK_PANELS = 1024
-#: Roundoff floor on the reported error estimate, relative to max(1, |I|);
-#: no smaller tol can converge.
-ERR_FLOOR = 4e-16
 
 
 def _panel_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

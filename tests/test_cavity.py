@@ -735,12 +735,19 @@ class TestSubwavelength:
             assert abs(approx - exact) / exact < 5e-3
 
     def test_second_order_grid_matches_single_cells_bit_for_bit(self):
+        # the cells near r = 0.99 lie past the second-order domain, and
+        # warn so alone and inside the grid
         r = np.linspace(-1.0, 0.99, 200)
-        grid = gamma_subwavelength_2nd(r, 0.07)
+        with pytest.warns(UserWarning, match="past its domain"):
+            grid = gamma_subwavelength_2nd(r, 0.07)
         assert grid.method == "limit"
         assert (grid.status == "ok").all()
         for i, ri in enumerate(r.tolist()):
-            cell = gamma_subwavelength_2nd(ri, 0.07)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cell = gamma_subwavelength_2nd(ri, 0.07)
+            assert [w.category for w in caught] == (
+                [UserWarning] * cavity.past_second_order(ri, 0.07))
             assert grid.ratio[i] == cell.ratio
             assert grid.err_estimate[i] == cell.err_estimate
 

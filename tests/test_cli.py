@@ -13,6 +13,7 @@ import pytest
 
 import mirrorqed
 from mirrorqed import cli, sweeps
+from mirrorqed.sweeps import TARGETS
 
 from .test_sweeps import (CAVITY_HEADER, LINDBLAD_HEADER, MIRROR_HEADER,
                           read_csv)
@@ -875,8 +876,22 @@ def test_unknown_attribute_names_itself():
         mirrorqed.no_such_name
 
 
+# The modules each run loads: the front end (parser, target table and
+# config, no numpy) and, for a sweep, the runner and its target's routes.
+_FRONT_END = {"mirrorqed.cli", "mirrorqed.constants", "mirrorqed.errors",
+              "mirrorqed.sweeps"}
+_RATE_ROUTES = {"mirrorqed.runner", "mirrorqed.geometry", "mirrorqed.kernels",
+                "mirrorqed.results"}
+_LOADS = {
+    "--version": _FRONT_END,
+    "mirror": _FRONT_END | _RATE_ROUTES | {"mirrorqed.mirror"},
+    **{target: _FRONT_END | _RATE_ROUTES | {"mirrorqed.cavity"}
+       for target in ("cavity", "subwavelength", "optical")},
+    "lindblad": _FRONT_END | {"mirrorqed.runner", "mirrorqed.dynamics"},
+}
+
 # Runs in a fresh interpreter, because pytest has already imported every
-# module: prints, after `import mirrorqed` and after each CLI run, which
+# module: prints, after `import mirrorqed` and after one CLI run, which
 # package modules (and whether numpy.ma) are loaded.
 _IMPORT_PROBE = """
 import json, sys
@@ -891,29 +906,54 @@ import mirrorqed
 report = {"bare_numpy_ma": bare_numpy_ma, "import": loaded(),
           "undir": sorted(set(mirrorqed.__all__) - set(dir(mirrorqed)))}
 from mirrorqed import cli
-for argv in json.loads(sys.argv[1]):
-    report[argv[0]] = [cli.main(argv), loaded()]
+report["run"] = [cli.main(json.loads(sys.argv[1])), loaded()]
 print(json.dumps(report))
 """
 
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path):
-    runs = [["--version"]] + [
-        [target, f"--out={tmp_path / target}.csv"]
-        for target in ("mirror", "cavity", "subwavelength", "optical",
-                       "lindblad")]
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
-        capture_output=True, text=True, check=True)
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["import"] == [] and report["undir"] == []
-    unused = {"mirrorqed.validation", "mirrorqed.dynamics",
-              "mirrorqed.freespace"}
-    for target in ("--version", "mirror", "cavity", "subwavelength",
-                   "optical"):
-        code, loaded = report[target]
-        assert code == 0 and not unused & set(loaded), target
+    for target, modules in _LOADS.items():
+        argv = [target] + [f"--out={tmp_path / target}.csv"] * (
+            target in TARGETS)
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+            capture_output=True, text=True, check=True)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["import"] == [] and report["undir"] == []
+        code, loaded = report["run"]
+        assert code == 0, target
         # numpy 2 imports numpy.ma only on demand; numpy 1 always does
         assert "numpy.ma" not in loaded or report["bare_numpy_ma"], target
-    code, loaded = report["lindblad"]
-    assert code == 0 and "mirrorqed.validation" not in loaded
+        assert set(loaded) - {"numpy.ma"} == modules, target
+
+
+# Runs `python -m mirrorqed ARGV` in an interpreter that has not loaded
+# numpy, then prints the exit code and the numpy and package modules.
+_STARTUP_PROBE = """
+import json, runpy, sys
+preloaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+sys.argv = ["mirrorqed", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("mirrorqed", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("numpy", "mirrorqed"))
+print(json.dumps([preloaded, code, loaded]))
+"""
+
+
+@pytest.mark.parametrize("argv,expected_code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["cavity", "--help"], 0),
+    (["cavity", "--method", "nope"], 2),
+], ids=["version", "help", "cavity-help", "usage-error"])
+def test_start_up_loads_no_numpy(argv, expected_code):
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argv)],
+        capture_output=True, text=True, check=True)
+    preloaded, code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert preloaded == [] and code == expected_code
+    assert set(loaded) == {"mirrorqed", *_FRONT_END}

@@ -51,7 +51,22 @@ class TestModelParams:
         huge = dynamics.ModelParams(g=1e200, kappa=20.0, gamma=1.0)
         with pytest.raises(errors.InvalidParams, match="overflows"):
             dynamics.effective_decay_rate(huge)
-        assert dynamics.cooperativity(huge) == math.inf
+        for params in (huge, dynamics.ModelParams(g=1e300, kappa=1.0,
+                                                  gamma=1.0)):
+            with pytest.raises(errors.InvalidParams, match="overflows"):
+                dynamics.cooperativity(params)
+
+    def test_tiny_rates_give_a_typed_error_or_the_cooperativity(self):
+        # kappa gamma underflows to 0: this once raised ZeroDivisionError
+        tiny = dynamics.ModelParams(g=1.0, kappa=1e-300, gamma=1e-300)
+        for route in (dynamics.cooperativity, dynamics.coupling_regime):
+            with pytest.raises(errors.InvalidParams, match="overflows"):
+                route(tiny)
+        assert dynamics.cooperativity(dynamics.ModelParams(
+            g=0.0, kappa=1e-300, gamma=1e-300)) == 0.0
+        assert dynamics.cooperativity(dynamics.ModelParams(
+            g=1e-160, kappa=1e-300, gamma=1e-300)) == pytest.approx(
+                1e280, rel=1e-14)
 
     def test_coupling_regime_labels(self):
         assert "weak" in dynamics.coupling_regime(params_weak())
@@ -788,6 +803,17 @@ class TestExpm:
     def test_zero_is_identity(self):
         got = dynamics._expm(np.zeros((6, 6), complex))
         assert np.max(np.abs(got - np.eye(6))) <= 1e-15
+
+    def test_underflowing_norm_is_not_scaled(self):
+        # norm / theta_13 underflows to 0, whose log2 once raised
+        # "math domain error"
+        got = dynamics._expm(np.full((2, 2), 5e-324, complex))
+        assert np.max(np.abs(got - np.eye(2))) <= 1e-15
+        start = dynamics.AtomCavityState.excited_vacuum()
+        traj = dynamics.evolve_jc(dynamics.ModelParams(0.0, 1.0, 1.0), start,
+                                  t_final=5e-324, dt=0.05)
+        assert traj.times.tolist() == [0.0, 5e-324]
+        assert np.max(np.abs(traj.rhos[-1] - start.rho)) <= 1e-15
 
 
 class TestFitDecayRate:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mirrorqed import (cavity, dynamics, errors, freespace, geometry, mirror,
-                       sweeps)
+                       runner, sweeps)
 
 MIRROR_HEADER = (
     "d_over_lambda0,k0d,re_r,ratio_closed,ratio_quadrature,"
@@ -268,10 +268,10 @@ def test_removed_route_keywords(route, args, keyword):
 
 def test_numpy_scalar_cells_write_as_plain_numbers():
     values = np.array([np.float64(0.1), 0.1, math.nan])
-    assert sweeps._column_text(values, 3) == ["0.1", "0.1", "nan"]
+    assert runner._column_text(values, 3) == ["0.1", "0.1", "nan"]
     shown = (values, np.array([True, False, True]))
-    assert sweeps._column_text(shown, 3) == ["0.1", "", "nan"]
-    assert sweeps._column_text("all", 2) == ["all", "all"]
+    assert runner._column_text(shown, 3) == ["0.1", "", "nan"]
+    assert runner._column_text("all", 2) == ["all", "all"]
 
 
 class TestRateSweeps:
@@ -494,7 +494,7 @@ BLOCKED_RUNS = {
     "lindblad": dict(target="lindblad", t=sweeps.Range(0.0, 3.0, 31),
                      n_traj=300, seed=7),
 }
-DEFAULT_BLOCKS = (sweeps._BLOCK_ROWS, dynamics._TRAJ_BLOCK)
+DEFAULT_BLOCKS = (runner._BLOCK_ROWS, dynamics._TRAJ_BLOCK)
 
 
 @pytest.mark.parametrize("target", BLOCKED_RUNS)
@@ -502,7 +502,7 @@ def test_csv_bytes_do_not_depend_on_the_block_sizes(tmp_path, monkeypatch,
                                                      target):
     runs = []
     for rows, trajectories in ((1, 1), (7, 7), DEFAULT_BLOCKS):
-        monkeypatch.setattr(sweeps, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(runner, "_BLOCK_ROWS", rows)
         monkeypatch.setattr(dynamics, "_TRAJ_BLOCK", trajectories)
         out = tmp_path / f"{rows}.csv"
         code = sweeps.run_sweep(sweeps.SweepConfig(**BLOCKED_RUNS[target],
